@@ -181,10 +181,10 @@ std::optional<RegularSetInfo> regularSetOf(const Configuration& p,
   }
 
   const auto views = allViews(p, c, /*withMultiplicity=*/false, tol);
-  const auto order = byViewDescending(p, c, /*withMultiplicity=*/false, tol);
+  const auto order = byViewDescending(views);
   std::vector<std::size_t> nonHolders;
   for (std::size_t i : order) {
-    if (!geom::holdsSec(p.span(), i, tol)) nonHolders.push_back(i);
+    if (!geom::holdsSec(p.span(), i, sec, tol)) nonHolders.push_back(i);
   }
 
   std::optional<RegularSetInfo> best;

@@ -27,6 +27,61 @@ bool coincides(const std::vector<Vec2>& a, const std::vector<Vec2>& b,
   return true;
 }
 
+/// q reflected across the line through `center` with unit direction u:
+/// 2 (d.u) u - d around the center. Shared by reflectionMapsToSelf and
+/// the pre-rejection in symmetryAxes, which must agree bit for bit.
+Vec2 reflectAcross(Vec2 q, Vec2 center, Vec2 u) {
+  const Vec2 d = q - center;
+  return center + u * (2.0 * d.dot(u)) - d;
+}
+
+/// Exact pre-rejection for reflectionMapsToSelf(p, center, a, tol) over
+/// the candidate axes of one symmetryAxes call: admits(a) is false only
+/// when that call is false too. Its coincides() matches the reflection r
+/// of pts[0] first and fails when no point is nearlyEqual to it, so
+/// admits(a) looks for such a partner, among the points whose radius around
+/// center is close to pts[0]'s only.
+///
+/// Why that radius window never drops a partner, with u = 2^-53: let R be
+/// the exact reflection of pts[0] across the exact line at angle a, and
+/// D = |pts[0] - center|. Rounding puts r within 30u (|center| + D) of R,
+/// and a computed |r - q| <= tol.dist means |r - q| <= tol.dist (1 + 4u).
+/// So a partner q lies within tol.dist + m of R, where the margin
+/// m = 1e-12 (|center.x| + |center.y| + D + tol.dist) is hundreds of times
+/// those rounding terms at any coordinate scale. R has radius D, so q's
+/// radius is within tol.dist + m of D (triangle inequality). Computed radii
+/// are a few ulps off, which a second m covers.
+class ReflectionFilter {
+ public:
+  ReflectionFilter(const std::vector<Vec2>& pts,
+                   const std::vector<double>& radius, Vec2 center,
+                   const Tol& tol)
+      : pts_(pts), center_(center), tol_(tol) {
+    const double d = radius[0];
+    const double m =
+        1e-12 * (std::fabs(center.x) + std::fabs(center.y) + d + tol.dist);
+    for (std::size_t j = 0; j < pts.size(); ++j) {
+      if (std::fabs(radius[j] - d) <= tol.dist + 2.0 * m) {
+        partners_.push_back(j);
+      }
+    }
+  }
+
+  bool admits(double axisDir) const {
+    const Vec2 u{std::cos(axisDir), std::sin(axisDir)};
+    const Vec2 r = reflectAcross(pts_[0], center_, u);
+    return std::any_of(partners_.begin(), partners_.end(), [&](std::size_t j) {
+      return geom::nearlyEqual(r, pts_[j], tol_);
+    });
+  }
+
+ private:
+  const std::vector<Vec2>& pts_;
+  Vec2 center_;
+  Tol tol_;
+  std::vector<std::size_t> partners_;
+};
+
 }  // namespace
 
 bool rotationMapsToSelf(const Configuration& p, Vec2 center, double angle,
@@ -45,9 +100,7 @@ bool reflectionMapsToSelf(const Configuration& p, Vec2 center, double axisDir,
   std::vector<Vec2> reflected;
   reflected.reserve(p.size());
   for (const Vec2& q : p.points()) {
-    const Vec2 d = q - center;
-    // Reflect d across the axis direction u: 2 (d.u) u - d.
-    reflected.push_back(center + u * (2.0 * d.dot(u)) - d);
+    reflected.push_back(reflectAcross(q, center, u));
   }
   return coincides(reflected, p.points(), tol);
 }
@@ -73,23 +126,42 @@ int symmetricity(const Configuration& p, Vec2 center, const Tol& tol) {
 
 std::vector<double> symmetryAxes(const Configuration& p, Vec2 center,
                                  const Tol& tol) {
+  const auto& pts = p.points();
+  if (pts.empty()) return {};
+  // Each point's radius and direction, computed once instead of per pair.
+  std::vector<double> radius(pts.size()), dir(pts.size());
+  for (std::size_t i = 0; i < pts.size(); ++i) {
+    const Vec2 d = pts[i] - center;
+    radius[i] = d.norm();
+    dir[i] = geom::norm2pi(d.arg());
+  }
+  const ReflectionFilter filter(pts, radius, center, tol);
+
   // Candidate axis directions: the direction of each point, and the bisector
   // of each pair of points (both mod pi). Any true axis must be one of them
   // (an axis either passes through a point or bisects a mirror pair).
+  // Candidates the filter rejects can never be accepted, so they are
+  // dropped before sorting: the survivors, sorted, are the sorted list
+  // filtered, because candidates that compare equal are bitwise equal. The
+  // one exception is +0.0 against -0.0, whose order only sorting the full
+  // list fixes; a -0.0 candidate needs a direction of exactly -0.0, and
+  // then every candidate is kept.
+  const bool negativeZero = std::any_of(dir.begin(), dir.end(), [](double a) {
+    return a == 0.0 && std::signbit(a);
+  });
   std::vector<double> candidates;
-  const auto& pts = p.points();
+  auto consider = [&](double a) {
+    if (negativeZero || filter.admits(a)) candidates.push_back(a);
+  };
   for (std::size_t i = 0; i < pts.size(); ++i) {
-    const Vec2 di = pts[i] - center;
-    if (di.norm() <= tol.dist) continue;
-    const double ai = geom::norm2pi(di.arg());
-    candidates.push_back(std::fmod(ai, geom::kPi));
+    if (radius[i] <= tol.dist) continue;
+    const double ai = dir[i];
+    consider(std::fmod(ai, geom::kPi));
     for (std::size_t j = i + 1; j < pts.size(); ++j) {
-      const Vec2 dj = pts[j] - center;
-      if (dj.norm() <= tol.dist) continue;
-      const double aj = geom::norm2pi(dj.arg());
-      candidates.push_back(std::fmod((ai + aj) / 2.0, geom::kPi));
-      candidates.push_back(
-          std::fmod((ai + aj) / 2.0 + geom::kPi / 2.0, geom::kPi));
+      if (radius[j] <= tol.dist) continue;
+      const double aj = dir[j];
+      consider(std::fmod((ai + aj) / 2.0, geom::kPi));
+      consider(std::fmod((ai + aj) / 2.0 + geom::kPi / 2.0, geom::kPi));
     }
   }
   std::sort(candidates.begin(), candidates.end());

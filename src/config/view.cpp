@@ -105,8 +105,11 @@ std::vector<View> allViews(const Configuration& p, Vec2 center,
 std::vector<std::size_t> byViewDescending(const Configuration& p, Vec2 center,
                                           bool withMultiplicity,
                                           const Tol& tol) {
-  const auto views = allViews(p, center, withMultiplicity, tol);
-  std::vector<std::size_t> idx(p.size());
+  return byViewDescending(allViews(p, center, withMultiplicity, tol));
+}
+
+std::vector<std::size_t> byViewDescending(const std::vector<View>& views) {
+  std::vector<std::size_t> idx(views.size());
   for (std::size_t i = 0; i < idx.size(); ++i) idx[i] = i;
   std::stable_sort(idx.begin(), idx.end(), [&](std::size_t a, std::size_t b) {
     return compareViews(views[a], views[b]) > 0;

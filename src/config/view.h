@@ -67,6 +67,9 @@ std::vector<std::size_t> byViewDescending(const Configuration& p, Vec2 center,
                                           bool withMultiplicity = false,
                                           const Tol& tol = geom::kDefaultTol);
 
+/// The same order over views already built (views[i] is robot i's).
+std::vector<std::size_t> byViewDescending(const std::vector<View>& views);
+
 /// Indices of the robots whose view is maximal (the first tie class of
 /// byViewDescending).
 std::vector<std::size_t> maxViewRobots(const Configuration& p, Vec2 center,

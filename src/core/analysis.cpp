@@ -1,5 +1,6 @@
 #include "core/analysis.h"
 
+#include <cstring>
 #include <limits>
 
 #include "config/rays.h"
@@ -42,7 +43,19 @@ Analysis::Analysis(const sim::Snapshot& snap)
   f_ = snap.pattern.transformed(snap.pattern.normalizingTransform());
   denorm_ = np.inverse();
   pinfo_ = &PatternInfo::get(f_, multiplicity_);
+  // Every robot receives the same raw pattern, so f_ is normally bit for
+  // bit the cached pattern; then take the cached copy, whose circles are
+  // already computed. A mismatch keeps the fresh f_.
+  patternShared_ = pinfo_->f.size() == f_.size() &&
+                   std::memcmp(pinfo_->f.points().data(), f_.points().data(),
+                               f_.size() * sizeof(Vec2)) == 0;
+  if (patternShared_) f_ = pinfo_->f;
   ok_ = true;
+}
+
+Configuration Analysis::fWithout(std::size_t k) const {
+  if (patternShared_) return pinfo_->fWithout[k];
+  return f_.without(pinfo_->maxViewNonHolders[k]);
 }
 
 Vec2 Analysis::centerP() {

@@ -74,6 +74,9 @@ class Analysis {
   const std::vector<std::size_t>& maxViewNonHoldersF() {
     return patternInfo().maxViewNonHolders;
   }
+  /// F().without(maxViewNonHoldersF()[k]); the cached pattern's copy, with
+  /// its circle computed, when F() is the cached pattern.
+  Configuration fWithout(std::size_t k) const;
 
   /// The cached pattern-side analysis (l_F, f_s, fmax, circles, ...).
   const PatternInfo& patternInfo() const { return *pinfo_; }
@@ -99,6 +102,7 @@ class Analysis {
   std::optional<std::size_t> selected_;
   std::optional<std::vector<config::View>> viewsP_;
   const PatternInfo* pinfo_ = nullptr;
+  bool patternShared_ = false;  ///< f_ is bitwise pinfo_->f
 };
 
 }  // namespace apf::core

@@ -28,9 +28,12 @@ std::optional<Action> finalMove(Analysis& a) {
   const auto maxP = a.maxViewP();
   if (maxP.size() != 1) return std::nullopt;
   const std::size_t r = maxP.front();
-  for (std::size_t f : a.maxViewNonHoldersF()) {
-    const auto t = config::findSimilarity(a.F().without(f),
-                                          a.P().without(r), true, kMatchTol);
+  const config::Configuration pWithout = a.P().without(r);
+  const auto& fs = a.maxViewNonHoldersF();
+  for (std::size_t k = 0; k < fs.size(); ++k) {
+    const std::size_t f = fs[k];
+    const auto t =
+        config::findSimilarity(a.fWithout(k), pWithout, true, kMatchTol);
     if (!t) continue;
     if (a.self() != r) return Action::stay(kFinalMove);
     const geom::Vec2 dest = t->apply(a.F()[f]);

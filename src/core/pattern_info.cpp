@@ -24,9 +24,10 @@ PatternInfo build(const Configuration& f, bool multiplicity) {
   out.lF = config::secondClosestDistance(f, Vec2{});
   out.views = config::allViews(f, Vec2{}, multiplicity);
 
+  const geom::Circle sec = out.f.sec();
   std::vector<std::size_t> nonHolders;
   for (std::size_t i = 0; i < f.size(); ++i) {
-    if (!geom::holdsSec(f.span(), i)) nonHolders.push_back(i);
+    if (!geom::holdsSec(f.span(), i, sec)) nonHolders.push_back(i);
   }
   for (std::size_t i : nonHolders) {
     bool isMax = true;
@@ -37,6 +38,10 @@ PatternInfo build(const Configuration& f, bool multiplicity) {
       }
     }
     if (isMax) out.maxViewNonHolders.push_back(i);
+  }
+  for (std::size_t i : out.maxViewNonHolders) {
+    out.fWithout.push_back(f.without(i));
+    (void)out.fWithout.back().sec();
   }
 
   if (f.size() < 4 || out.maxViewNonHolders.empty()) return out;
@@ -114,7 +119,12 @@ const PatternInfo& PatternInfo::get(const Configuration& fNormalized,
   auto it = cache.find(key);
   if (it == cache.end()) {
     if (cache.size() > 64) cache.clear();  // bound memory across sweeps
+    // build() warms circles through counted sec() calls. Which run of a
+    // thread misses this cache depends on the runs it handled before, so
+    // keep those calls out of the per-run counter deltas.
+    const config::GeomCacheCounters counters = config::geomCacheCounters();
     it = cache.emplace(key, build(fNormalized, multiplicity)).first;
+    config::geomCacheCounters() = counters;
   }
   return it->second;
 }

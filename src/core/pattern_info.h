@@ -18,7 +18,7 @@
 namespace apf::core {
 
 struct PatternInfo {
-  /// Normalized pattern (unit SEC at origin).
+  /// Normalized pattern (unit SEC at origin), with sec() computed.
   config::Configuration f;
   /// True when the pattern analysis is usable (|F| >= 4, non-degenerate).
   bool valid = false;
@@ -26,6 +26,8 @@ struct PatternInfo {
   double lF = 0.0;  ///< second-closest ring distance from the SEC center
   std::vector<config::View> views;  ///< views around the SEC center
   std::vector<std::size_t> maxViewNonHolders;
+  /// f.without(maxViewNonHolders[k]) for each k, with sec() computed.
+  std::vector<config::Configuration> fWithout;
 
   // --- DPF decomposition ---
   std::size_t fs = 0;          ///< removed max-view non-holder

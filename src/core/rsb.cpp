@@ -347,10 +347,11 @@ Action asymmetricCase(Analysis& a) {
   // here would require breaking it by robot identity, which anonymous
   // robots do not have.
   const auto& views = a.viewsP();
+  const geom::Circle sec = p.sec();
   std::size_t rmax = p.size();
   bool tie = false;
   for (std::size_t i = 0; i < p.size(); ++i) {
-    if (geom::holdsSec(p.span(), i)) continue;
+    if (geom::holdsSec(p.span(), i, sec)) continue;
     if (rmax == p.size()) {
       rmax = i;
       continue;

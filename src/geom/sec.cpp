@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <random>
 
 namespace apf::geom {
@@ -55,17 +56,43 @@ Circle secWithOne(std::span<const Vec2> pts, std::size_t end, Vec2 p) {
   return c;
 }
 
-}  // namespace
+/// The Welzl shuffle for size n: the permutation std::shuffle applies under
+/// the fixed seed depends only on n (its draws never look at the elements),
+/// so it is built once per size per thread by shuffling indices with the
+/// same engine and seed, then replayed. Element k of the shuffled sequence is
+/// element order[k] of the input.
+const std::vector<std::uint32_t>& shuffleOrder(std::size_t n) {
+  thread_local std::vector<std::vector<std::uint32_t>> orders;
+  if (orders.size() <= n) orders.resize(n + 1);
+  std::vector<std::uint32_t>& order = orders[n];
+  if (order.size() != n) {
+    order.resize(n);
+    for (std::size_t k = 0; k < n; ++k) {
+      order[k] = static_cast<std::uint32_t>(k);
+    }
+    std::mt19937 rng(0x5ec0c13eU);
+    std::shuffle(order.begin(), order.end(), rng);
+  }
+  return order;
+}
 
-Circle smallestEnclosingCircle(std::span<const Vec2> pts) {
-  if (pts.empty()) return {};
-  if (pts.size() == 1) return {pts[0], 0.0};
-  std::vector<Vec2> shuffled(pts.begin(), pts.end());
-  std::mt19937 rng(0x5ec0c13eU);
-  std::shuffle(shuffled.begin(), shuffled.end(), rng);
+/// Welzl over `pts` with index `skip` left out (pass pts.size() to keep
+/// every point): the same circle, bit for bit, as running it over a copy
+/// without that point.
+Circle secSkipping(std::span<const Vec2> pts, std::size_t skip) {
+  const std::size_t n = pts.size() - (skip < pts.size() ? 1 : 0);
+  if (n == 0) return {};
+  if (n == 1) return {pts[skip == 0 ? 1 : 0], 0.0};
+  const auto& order = shuffleOrder(n);
+  thread_local std::vector<Vec2> shuffled;
+  shuffled.resize(n);
+  for (std::size_t k = 0; k < n; ++k) {
+    const std::size_t j = order[k];
+    shuffled[k] = pts[j < skip ? j : j + 1];
+  }
 
   Circle c{shuffled[0], 0.0};
-  for (std::size_t i = 1; i < shuffled.size(); ++i) {
+  for (std::size_t i = 1; i < n; ++i) {
     if (!inCircle(c, shuffled[i])) {
       c = secWithOne(shuffled, i, shuffled[i]);
     }
@@ -73,23 +100,29 @@ Circle smallestEnclosingCircle(std::span<const Vec2> pts) {
   return c;
 }
 
+}  // namespace
+
+Circle smallestEnclosingCircle(std::span<const Vec2> pts) {
+  return secSkipping(pts, pts.size());
+}
+
 bool holdsSec(std::span<const Vec2> pts, std::size_t i, const Tol& tol) {
-  const Circle whole = smallestEnclosingCircle(pts);
+  return holdsSec(pts, i, smallestEnclosingCircle(pts), tol);
+}
+
+bool holdsSec(std::span<const Vec2> pts, std::size_t i, const Circle& whole,
+              const Tol& tol) {
   if (!whole.onBoundary(pts[i], tol)) return false;
-  std::vector<Vec2> rest;
-  rest.reserve(pts.size() - 1);
-  for (std::size_t j = 0; j < pts.size(); ++j) {
-    if (j != i) rest.push_back(pts[j]);
-  }
-  const Circle without = smallestEnclosingCircle(rest);
+  const Circle without = secSkipping(pts, i);
   return !distEq(without.radius, whole.radius, tol) ||
          !nearlyEqual(without.center, whole.center, tol);
 }
 
 std::vector<std::size_t> secHolders(std::span<const Vec2> pts, const Tol& tol) {
+  const Circle whole = smallestEnclosingCircle(pts);
   std::vector<std::size_t> out;
   for (std::size_t i = 0; i < pts.size(); ++i) {
-    if (holdsSec(pts, i, tol)) out.push_back(i);
+    if (holdsSec(pts, i, whole, tol)) out.push_back(i);
   }
   return out;
 }

@@ -1,0 +1,555 @@
+/// Differential tests of the geometry kernels against test-only copies of
+/// the straightforward versions they replaced:
+///   - Welzl with a fresh std::mt19937 and std::shuffle on every call (the
+///     kernel replays a permutation built once per size);
+///   - holdsSec recomputing the whole circle (callers now pass a memoized
+///     one);
+///   - symmetryAxes reflecting every deduplicated candidate in full (the
+///     kernel first rejects candidates whose reflected pts[0] has no
+///     partner within a radius window).
+/// Every comparison is bitwise on the doubles: the faster kernels must not
+/// change a single decision or value anywhere downstream.
+
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <random>
+#include <tuple>
+#include <vector>
+
+#include "config/generator.h"
+#include "config/symmetry.h"
+#include "core/analysis.h"
+#include "core/form_pattern.h"
+#include "core/pattern_info.h"
+#include "geom/angle.h"
+#include "geom/sec.h"
+#include "io/patterns.h"
+#include "sim/campaign.h"
+#include "sim/engine.h"
+
+namespace apf {
+namespace {
+
+using config::Configuration;
+using config::Rng;
+using geom::Circle;
+using geom::Tol;
+using geom::Vec2;
+
+// --- Oracles: the kernels as they were before the shortcuts. ---
+
+namespace oracle {
+
+Circle circleFrom2(Vec2 a, Vec2 b) {
+  return {geom::midpoint(a, b), geom::dist(a, b) / 2.0};
+}
+
+Circle circleFrom3(Vec2 a, Vec2 b, Vec2 c) {
+  const Vec2 ab = b - a, ac = c - a;
+  const double d = 2.0 * ab.cross(ac);
+  if (std::fabs(d) < 1e-30) {
+    Circle best = circleFrom2(a, b);
+    const Circle bc = circleFrom2(b, c);
+    const Circle ca = circleFrom2(c, a);
+    if (bc.radius > best.radius) best = bc;
+    if (ca.radius > best.radius) best = ca;
+    return best;
+  }
+  const double abn = ab.norm2(), acn = ac.norm2();
+  const Vec2 center{a.x + (ac.y * abn - ab.y * acn) / d,
+                    a.y + (ab.x * acn - ac.x * abn) / d};
+  return {center, geom::dist(center, a)};
+}
+
+bool inCircle(const Circle& c, Vec2 p) {
+  return geom::dist(p, c.center) <= c.radius * (1.0 + 1e-14) + 1e-14;
+}
+
+Circle secWithTwo(const std::vector<Vec2>& pts, std::size_t end, Vec2 p,
+                  Vec2 q) {
+  Circle c = circleFrom2(p, q);
+  for (std::size_t i = 0; i < end; ++i) {
+    if (!inCircle(c, pts[i])) c = circleFrom3(p, q, pts[i]);
+  }
+  return c;
+}
+
+Circle secWithOne(const std::vector<Vec2>& pts, std::size_t end, Vec2 p) {
+  Circle c{p, 0.0};
+  for (std::size_t i = 0; i < end; ++i) {
+    if (!inCircle(c, pts[i])) {
+      c = (c.radius == 0.0) ? circleFrom2(p, pts[i])
+                            : secWithTwo(pts, i, p, pts[i]);
+    }
+  }
+  return c;
+}
+
+Circle smallestEnclosingCircle(std::span<const Vec2> pts) {
+  if (pts.empty()) return {};
+  if (pts.size() == 1) return {pts[0], 0.0};
+  std::vector<Vec2> shuffled(pts.begin(), pts.end());
+  std::mt19937 rng(0x5ec0c13eU);
+  std::shuffle(shuffled.begin(), shuffled.end(), rng);
+  Circle c{shuffled[0], 0.0};
+  for (std::size_t i = 1; i < shuffled.size(); ++i) {
+    if (!inCircle(c, shuffled[i])) c = secWithOne(shuffled, i, shuffled[i]);
+  }
+  return c;
+}
+
+bool holdsSec(std::span<const Vec2> pts, std::size_t i,
+              const Tol& tol = geom::kDefaultTol) {
+  const Circle whole = oracle::smallestEnclosingCircle(pts);
+  if (!whole.onBoundary(pts[i], tol)) return false;
+  std::vector<Vec2> rest;
+  for (std::size_t j = 0; j < pts.size(); ++j) {
+    if (j != i) rest.push_back(pts[j]);
+  }
+  const Circle without = oracle::smallestEnclosingCircle(rest);
+  return !geom::distEq(without.radius, whole.radius, tol) ||
+         !geom::nearlyEqual(without.center, whole.center, tol);
+}
+
+Vec2 reflectAcross(Vec2 q, Vec2 center, Vec2 u) {
+  const Vec2 d = q - center;
+  return center + u * (2.0 * d.dot(u)) - d;
+}
+
+bool reflectionMapsToSelf(const Configuration& p, Vec2 center, double axisDir,
+                          const Tol& tol) {
+  const Vec2 u{std::cos(axisDir), std::sin(axisDir)};
+  std::vector<bool> used(p.size(), false);
+  for (const Vec2& q : p.points()) {
+    const Vec2 r = reflectAcross(q, center, u);
+    bool found = false;
+    for (std::size_t j = 0; j < p.size(); ++j) {
+      if (!used[j] && geom::nearlyEqual(r, p[j], tol)) {
+        used[j] = true;
+        found = true;
+        break;
+      }
+    }
+    if (!found) return false;
+  }
+  return true;
+}
+
+std::vector<double> candidateAxes(const Configuration& p, Vec2 center,
+                                  const Tol& tol) {
+  std::vector<double> candidates;
+  const auto& pts = p.points();
+  for (std::size_t i = 0; i < pts.size(); ++i) {
+    const Vec2 di = pts[i] - center;
+    if (di.norm() <= tol.dist) continue;
+    const double ai = geom::norm2pi(di.arg());
+    candidates.push_back(std::fmod(ai, geom::kPi));
+    for (std::size_t j = i + 1; j < pts.size(); ++j) {
+      const Vec2 dj = pts[j] - center;
+      if (dj.norm() <= tol.dist) continue;
+      const double aj = geom::norm2pi(dj.arg());
+      candidates.push_back(std::fmod((ai + aj) / 2.0, geom::kPi));
+      candidates.push_back(
+          std::fmod((ai + aj) / 2.0 + geom::kPi / 2.0, geom::kPi));
+    }
+  }
+  std::sort(candidates.begin(), candidates.end());
+  return candidates;
+}
+
+std::vector<double> symmetryAxes(const Configuration& p, Vec2 center,
+                                 const Tol& tol = geom::kDefaultTol) {
+  std::vector<double> axes;
+  for (double a : candidateAxes(p, center, tol)) {
+    if (!axes.empty() && std::fabs(a - axes.back()) <= tol.ang) continue;
+    if (oracle::reflectionMapsToSelf(p, center, a, tol)) axes.push_back(a);
+  }
+  if (axes.size() >= 2 &&
+      std::fabs(axes.front() + geom::kPi - axes.back()) <= tol.ang) {
+    axes.pop_back();
+  }
+  return axes;
+}
+
+}  // namespace oracle
+
+// --- Bitwise comparison helpers. ---
+
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+void expectSameCircle(const Circle& got, const Circle& want,
+                      const std::string& what) {
+  EXPECT_EQ(bits(got.center.x), bits(want.center.x)) << what;
+  EXPECT_EQ(bits(got.center.y), bits(want.center.y)) << what;
+  EXPECT_EQ(bits(got.radius), bits(want.radius)) << what;
+}
+
+void expectSameAxes(const std::vector<double>& got,
+                    const std::vector<double>& want, const std::string& what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (std::size_t k = 0; k < got.size(); ++k) {
+    EXPECT_EQ(bits(got[k]), bits(want[k])) << what << " axis " << k;
+  }
+}
+
+/// Welzl, every holdsSec (plain and with the memoized circle) and
+/// secHolders against the oracles.
+void checkSec(const Configuration& p, const std::string& what) {
+  const Circle want = oracle::smallestEnclosingCircle(p.span());
+  expectSameCircle(geom::smallestEnclosingCircle(p.span()), want, what);
+  expectSameCircle(p.sec(), want, what + " (memoized)");
+  std::vector<std::size_t> holders;
+  for (std::size_t i = 0; i < p.size(); ++i) {
+    const bool holds = oracle::holdsSec(p.span(), i);
+    if (holds) holders.push_back(i);
+    EXPECT_EQ(geom::holdsSec(p.span(), i), holds) << what << " i=" << i;
+    EXPECT_EQ(geom::holdsSec(p.span(), i, p.sec()), holds)
+        << what << " i=" << i << " (memoized circle)";
+  }
+  EXPECT_EQ(geom::secHolders(p.span()), holders) << what;
+}
+
+/// symmetryAxes against the oracle around `center`, under `tol`.
+void checkAxes(const Configuration& p, Vec2 center, const Tol& tol,
+               const std::string& what) {
+  expectSameAxes(config::symmetryAxes(p, center, tol),
+                 oracle::symmetryAxes(p, center, tol), what);
+}
+
+/// The full battery around the SEC center and around a second center.
+void checkAll(const Configuration& p, Vec2 otherCenter,
+              const std::string& what) {
+  checkSec(p, what);
+  const Vec2 c = p.sec().center;
+  checkAxes(p, c, geom::kDefaultTol, what + " axes@sec");
+  checkAxes(p, otherCenter, geom::kDefaultTol, what + " axes@other");
+}
+
+Configuration mapped(const Configuration& p, double scale, Vec2 offset) {
+  std::vector<Vec2> out;
+  for (const Vec2& q : p.points()) out.push_back(q * scale + offset);
+  return Configuration(std::move(out));
+}
+
+Configuration twoConcentric(std::size_t k, double r1, double r2, double phase) {
+  Configuration p = config::regularPolygon(k, r1, {}, 0.0);
+  const Configuration inner = config::regularPolygon(k, r2, {}, phase);
+  for (const Vec2& q : inner.points()) p.push_back(q);
+  return p;
+}
+
+// --- Corpora. ---
+
+TEST(KernelOracleTest, RandomConfigurations) {
+  Rng rng(20161);
+  for (std::size_t n = 3; n <= 128; n += (n < 24 ? 1 : 13)) {
+    for (int rep = 0; rep < 3; ++rep) {
+      const Configuration p = config::randomConfiguration(n, rng, 2.0, 1e-3);
+      checkAll(p, Vec2{0.1, -0.2},
+               "random n=" + std::to_string(n) + " rep=" + std::to_string(rep));
+    }
+  }
+}
+
+TEST(KernelOracleTest, RegularPolygons) {
+  for (std::size_t m = 3; m <= 40; ++m) {
+    const Configuration p = config::regularPolygon(m, 1.5, {0.3, -0.7}, 0.2);
+    checkAll(p, Vec2{0.3, -0.7}, "m-gon m=" + std::to_string(m));
+    // Axes must actually be found here, so the found path is exercised.
+    EXPECT_EQ(config::symmetryAxes(p, p.sec().center).size(), m)
+        << "m-gon m=" << m;
+  }
+}
+
+TEST(KernelOracleTest, TwoConcentricPolygons) {
+  for (std::size_t k = 3; k <= 24; ++k) {
+    for (double phase : {0.0, geom::kPi / static_cast<double>(k), 0.3}) {
+      const Configuration p = twoConcentric(k, 1.0, 0.55, phase);
+      checkAll(p, Vec2{}, "two " + std::to_string(k) + "-gons phase " +
+                              std::to_string(phase));
+    }
+  }
+}
+
+TEST(KernelOracleTest, AxialStarts) {
+  Rng rng(77);
+  for (int pairs = 1; pairs <= 12; ++pairs) {
+    for (int onAxis = 0; onAxis <= 3; ++onAxis) {
+      const Configuration p = config::axialConfiguration(pairs, onAxis, rng);
+      checkAll(p, Vec2{}, "axial pairs=" + std::to_string(pairs) +
+                              " onAxis=" + std::to_string(onAxis));
+    }
+  }
+}
+
+/// Symmetric inputs with one point moved 0.5x or 2x tol.dist, or pts[0]
+/// moved 0.9x tol.dist radially: the oracle keeps the axis in the first and
+/// last cases and loses it in the second, and the kernel must do exactly
+/// the same.
+TEST(KernelOracleTest, PerturbedOffSymmetry) {
+  Rng rng(31);
+  std::uniform_real_distribution<double> uang(0.0, geom::kTwoPi);
+  const double tol = geom::kDefaultTol.dist;
+  for (int trial = 0; trial < 40; ++trial) {
+    Configuration base =
+        (trial % 2 == 0)
+            ? config::axialConfiguration(3 + trial % 5, trial % 3, rng)
+            : twoConcentric(4 + trial % 6, 1.0, 0.6, 0.0);
+    for (double factor : {0.5, 2.0}) {
+      Configuration p = base;
+      const std::size_t victim = static_cast<std::size_t>(trial) % p.size();
+      const double a = uang(rng);
+      p[victim] += Vec2{std::cos(a), std::sin(a)} * (factor * tol);
+      checkAll(p, Vec2{}, "perturbed trial " + std::to_string(trial) +
+                              " factor " + std::to_string(factor));
+    }
+    // pts[0] moved 0.9x tol.dist away from the center: its reflection stays
+    // within tol.dist of its mirror partner, whose radius differs from its
+    // own by 0.9x tol.dist, so a partner window narrower than tol.dist
+    // would drop true axes.
+    if (base[0].norm() > 0.0) {
+      Configuration p = base;
+      p[0] += base[0].normalized() * (0.9 * tol);
+      checkAll(p, Vec2{}, "radial trial " + std::to_string(trial));
+    }
+  }
+}
+
+TEST(KernelOracleTest, CoordinateScalesAndOffOriginCenters) {
+  Rng rng(5);
+  for (double scale : {1e-3, 1e6}) {
+    for (const Vec2 offset : {Vec2{}, Vec2{123.25, -45.5}, Vec2{-7e3, 2e4}}) {
+      const Vec2 off = offset * scale;
+      const std::string tag = " scale " + std::to_string(scale) + " offset (" +
+                              std::to_string(off.x) + "," +
+                              std::to_string(off.y) + ")";
+      const Tol scaled{geom::kDefaultTol.dist * scale, geom::kDefaultTol.ang};
+      const std::vector<Configuration> inputs = {
+          config::randomConfiguration(24, rng, 1.0, 1e-3),
+          config::regularPolygon(12, 1.0, {}, 0.1),
+          twoConcentric(8, 1.0, 0.5, geom::kPi / 8.0),
+          config::axialConfiguration(6, 2, rng),
+      };
+      for (std::size_t k = 0; k < inputs.size(); ++k) {
+        const Configuration p = mapped(inputs[k], scale, off);
+        const std::string what = "input " + std::to_string(k) + tag;
+        checkSec(p, what);
+        checkAxes(p, p.sec().center, geom::kDefaultTol, what + " default tol");
+        checkAxes(p, p.sec().center, scaled, what + " scaled tol");
+        checkAxes(p, off, scaled, what + " scaled tol @offset");
+      }
+    }
+  }
+}
+
+/// tol.dist = 0 demands exact coincidence, and a point at the center has
+/// radius 0: the filter's bounds must stay well defined at both extremes.
+TEST(KernelOracleTest, ZeroToleranceAndPointAtCenter) {
+  const Tol exact{0.0, 1e-9};
+  const Configuration plus(
+      {{0.0, 0.0}, {1.0, 0.0}, {0.0, 1.0}, {-1.0, 0.0}, {0.0, -1.0}});
+  const auto want = oracle::symmetryAxes(plus, Vec2{}, exact);
+  ASSERT_FALSE(want.empty());
+  expectSameAxes(config::symmetryAxes(plus, Vec2{}, exact), want,
+                 "plus shape, tol.dist 0");
+  checkAxes(plus, Vec2{}, geom::kDefaultTol, "plus shape");
+  Rng rng(4);
+  for (int trial = 0; trial < 20; ++trial) {
+    std::vector<Vec2> pts = config::axialConfiguration(3, 2, rng).points();
+    pts.insert(pts.begin(), Vec2{0.0, 0.0});
+    const Configuration p(pts);
+    checkAxes(p, Vec2{}, exact, "axial + center, tol.dist 0");
+    checkAxes(p, Vec2{}, geom::kDefaultTol, "axial + center");
+  }
+}
+
+/// A point at direction exactly -0.0 makes both +0.0 and -0.0 candidate
+/// axes. They compare equal, so only sorting the full candidate list fixes
+/// which one is reported; the kernel must report the oracle's.
+TEST(KernelOracleTest, SignedZeroCandidateAxes) {
+  for (std::size_t m : {4u, 6u, 8u, 12u, 16u, 24u}) {
+    std::vector<Vec2> pts = config::regularPolygon(m, 1.0).points();
+    pts[0] = Vec2{1.0, -0.0};  // direction atan2(-0.0, 1) = -0.0
+    pts[m / 2] = Vec2{-1.0, 0.0};
+    for (std::size_t rot = 0; rot < m; ++rot) {
+      std::rotate(pts.begin(), pts.begin() + 1, pts.end());
+      const Configuration p(pts);
+      const auto want = oracle::symmetryAxes(p, Vec2{});
+      ASSERT_FALSE(want.empty());
+      expectSameAxes(config::symmetryAxes(p, Vec2{}), want,
+                     "signed zero m=" + std::to_string(m) +
+                         " rotation " + std::to_string(rot));
+    }
+  }
+  // Mirror pairs about the x-axis plus axis points at y = -0.0 and +0.0,
+  // shuffled: many candidates, so the full sort's order of the zeros
+  // varies.
+  Rng rng(99);
+  std::uniform_real_distribution<double> ux(-1.0, 1.0), uy(0.1, 1.0);
+  for (int trial = 0; trial < 60; ++trial) {
+    std::vector<Vec2> pts;
+    for (int k = 0; k < 4 + trial % 17; ++k) {
+      const double x = ux(rng), y = uy(rng);
+      pts.push_back({x, y});
+      pts.push_back({x, -y});
+    }
+    pts.push_back({0.5 + 0.5 * uy(rng), -0.0});
+    pts.push_back({-0.5 - 0.5 * uy(rng), 0.0});
+    std::shuffle(pts.begin(), pts.end(), rng);
+    const Configuration p(pts);
+    const auto want = oracle::symmetryAxes(p, Vec2{});
+    ASSERT_FALSE(want.empty());
+    expectSameAxes(config::symmetryAxes(p, Vec2{}), want,
+                   "signed zero mirror trial " + std::to_string(trial));
+  }
+}
+
+/// At coordinates near 1e6 a computed radius carries ~1e-10 of rounding,
+/// a tenth of the default tol.dist. Here the reflection of pts[0] lies
+/// within tol.dist of its partner and the oracle accepts the axis, but the
+/// partner's computed radius differs from pts[0]'s by MORE than tol.dist:
+/// a partner window padded by tol.dist alone would pre-reject a true axis.
+/// The kernel's window carries a rounding margin, so it must still match
+/// the oracle.
+TEST(KernelOracleTest, LargeScaleWindowNeedsRoundingMargin) {
+  const Tol tol = geom::kDefaultTol;
+  const Vec2 center{3e6 + 0.25, -1e6 + 0.5};
+  Rng rng(1234);
+  std::uniform_real_distribution<double> uang(0.0, geom::kTwoPi);
+  std::uniform_real_distribution<double> urad(0.5e6, 1.5e6);
+  std::uniform_real_distribution<double> udelta(0.8, 1.0);
+  int witnesses = 0;
+  for (int trial = 0; trial < 20000 && witnesses < 5; ++trial) {
+    const double aA = uang(rng), aP = uang(rng);
+    const Vec2 a = center + Vec2{std::cos(aA), std::sin(aA)} * urad(rng);
+    const Vec2 pt = center + Vec2{std::cos(aP), std::sin(aP)} * urad(rng);
+    // The axis through `a`, as symmetryAxes derives it from a's direction.
+    const double axis = std::fmod(geom::norm2pi((a - center).arg()), geom::kPi);
+    const Vec2 u{std::cos(axis), std::sin(axis)};
+    const Vec2 r = oracle::reflectAcross(pt, center, u);
+    // The partner: the reflection pushed radially out by just under tol.
+    const Vec2 q = r + (r - center).normalized() * (tol.dist * udelta(rng));
+    const Configuration p({pt, q, a});
+
+    const double gap =
+        std::fabs(geom::dist(q, center) - geom::dist(pt, center));
+    if (!geom::nearlyEqual(r, q, tol) || gap <= tol.dist) continue;
+    const auto want = oracle::symmetryAxes(p, center, tol);
+    if (std::find_if(want.begin(), want.end(), [&](double w) {
+          return bits(w) == bits(axis);
+        }) == want.end()) {
+      continue;
+    }
+    ++witnesses;
+    expectSameAxes(config::symmetryAxes(p, center, tol), want,
+                   "large-scale witness trial " + std::to_string(trial));
+  }
+  EXPECT_GE(witnesses, 5) << "no configuration exercised the rounding margin";
+}
+
+/// Snapshots of a live n = 16 `form` run from two concentric 8-gons, as
+/// the robots see them (own frames) and normalized as Analysis does.
+class SnapshotTap final : public sim::Algorithm {
+ public:
+  sim::Action compute(const sim::Snapshot& snap,
+                      sched::RandomSource& rng) const override {
+    if (calls_++ % 5 == 0 && snaps.size() < 160) snaps.push_back(snap);
+    return inner_.compute(snap, rng);
+  }
+  std::string name() const override { return "tap(" + inner_.name() + ")"; }
+
+  mutable std::vector<sim::Snapshot> snaps;
+
+ private:
+  core::FormPatternAlgorithm inner_;
+  mutable std::size_t calls_ = 0;
+};
+
+TEST(KernelOracleTest, LiveSymmetricFormRunSnapshots) {
+  Rng rng(16);
+  const Configuration start = twoConcentric(8, 1.0, 0.6, geom::kPi / 8.0);
+  const Configuration pattern = config::randomPattern(16, rng);
+  SnapshotTap tap;
+  sim::EngineOptions opts;
+  opts.sched.kind = sched::SchedulerKind::Async;
+  opts.seed = 16;
+  opts.maxEvents = 4000;
+  sim::Engine engine(start, pattern, tap, opts);
+  (void)engine.run();
+  ASSERT_GE(tap.snaps.size(), 100u);
+  for (std::size_t k = 0; k < tap.snaps.size(); ++k) {
+    const Configuration& raw = tap.snaps[k].robots;
+    const Configuration norm = raw.transformed(raw.normalizingTransform());
+    const std::string what = "snapshot " + std::to_string(k);
+    checkAll(raw, raw[tap.snaps[k].selfIndex], what + " (robot frame)");
+    checkAll(norm, Vec2{}, what + " (normalized)");
+  }
+}
+
+/// Analysis takes the cached pattern when its points are bitwise the
+/// freshly normalized ones; F() and fWithout(k) must then be exactly what
+/// the uncached computation gives, circles included.
+TEST(KernelOracleTest, CachedPatternMatchesFreshNormalization) {
+  Rng rng(8);
+  for (std::size_t n : {7u, 12u, 16u}) {
+    sim::Snapshot snap;
+    snap.robots = config::randomConfiguration(n, rng, 3.0, 0.05);
+    snap.pattern = (n == 12) ? config::regularPolygon(n, 2.0, {1.0, 1.0}, 0.3)
+                             : config::randomPattern(n, rng, 2.0);
+    const core::Analysis a(snap);
+    ASSERT_TRUE(a.ok());
+    const Configuration fresh =
+        snap.pattern.transformed(snap.pattern.normalizingTransform());
+    ASSERT_EQ(a.F().size(), fresh.size());
+    for (std::size_t i = 0; i < fresh.size(); ++i) {
+      EXPECT_EQ(bits(a.F()[i].x), bits(fresh[i].x));
+      EXPECT_EQ(bits(a.F()[i].y), bits(fresh[i].y));
+    }
+    expectSameCircle(a.F().sec(), oracle::smallestEnclosingCircle(fresh.span()),
+                     "F sec n=" + std::to_string(n));
+    const auto& fs = a.patternInfo().maxViewNonHolders;
+    ASSERT_FALSE(fs.empty());
+    for (std::size_t k = 0; k < fs.size(); ++k) {
+      const Configuration got = a.fWithout(k);
+      const Configuration want = fresh.without(fs[k]);
+      ASSERT_EQ(got.points(), want.points()) << "n=" << n << " k=" << k;
+      expectSameCircle(got.sec(), oracle::smallestEnclosingCircle(want.span()),
+                       "F - f sec n=" + std::to_string(n));
+    }
+  }
+}
+
+/// Every run of this campaign shares one pattern, so only the first run a
+/// thread handles builds its PatternInfo, and which run that is depends on
+/// the job count. The build warms circles through counted sec() calls; they
+/// must stay out of the per-run geometry-cache counters, which are then the
+/// same for any job count.
+TEST(KernelOracleTest, SharedPatternCampaignCountersIndependentOfJobs) {
+  core::FormPatternAlgorithm algo;
+  const Configuration pattern = io::starPattern(8);
+  std::vector<int> seeds(8);
+  for (int s = 0; s < 8; ++s) seeds[s] = s;
+  auto worker = [&](int s, std::size_t) {
+    Rng rng(900 + s);
+    const Configuration start = config::randomConfiguration(8, rng, 4.0, 0.1);
+    sim::EngineOptions opts;
+    opts.seed = 31 * static_cast<std::uint64_t>(s) + 5;
+    opts.sched.kind = sched::SchedulerKind::Async;
+    opts.maxEvents = 3000;
+    sim::Engine eng(start, pattern, algo, opts);
+    const sim::RunResult res = eng.run();
+    return std::tuple(res.metrics.events, res.metrics.cycles,
+                      res.metrics.secCacheHits, res.metrics.secCacheMisses,
+                      res.metrics.weberCacheHits, res.metrics.weberCacheMisses);
+  };
+  const auto serial = sim::campaignMap(seeds, worker, 1);
+  const auto four = sim::campaignMap(seeds, worker, 4);
+  EXPECT_EQ(serial, four);
+}
+
+}  // namespace
+}  // namespace apf
