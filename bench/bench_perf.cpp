@@ -38,8 +38,6 @@
 #include "obs/json.h"
 #include "obs/stats.h"
 #include "sim/campaign.h"
-#include "sim/shard.h"
-#include "tools/algo_select.h"
 
 using namespace apf;
 using namespace apf::bench;
@@ -299,85 +297,6 @@ int main(int argc, char** argv) {
         serialAgg.weberCacheHits + parAgg.weberCacheHits;
     geomTotal.weberCacheMisses +=
         serialAgg.weberCacheMisses + parAgg.weberCacheMisses;
-  }
-
-  // --- multi-process sharded campaign --------------------------------------
-  // Times the fork/exec coordinator (sim/shard.h) against the identical
-  // spec executed in-process, and cross-checks payload determinism: every
-  // run's journal payload must be byte-identical whichever process
-  // executed it. The check failing means the apf.shard.v1 contract broke —
-  // a payload picked up wall-clock or process-identity state.
-  {
-    sim::ShardSpec spec;
-    spec.algo = "form";
-    spec.n = 16;
-    spec.patternLabel = "star";
-    spec.pattern = io::starPattern(16);
-    spec.startKind = "random";
-    spec.baseSeed = 21;
-    spec.runs = quick ? 8 : 16;
-    spec.maxEvents = quick ? 2000 : 8000;
-    const std::string specErr = sim::validateShardSpec(spec);
-    if (!specErr.empty()) {
-      std::fprintf(stderr, "FATAL: campaign_sharded spec: %s\n",
-                   specErr.c_str());
-      return 1;
-    }
-    const std::string worker = sim::resolveWorkerPath("");
-    if (worker.empty()) {
-      std::fprintf(stderr,
-                   "FATAL: campaign_sharded: cannot resolve the apf_worker "
-                   "binary (build tools/apf_worker or set APF_WORKER)\n");
-      return 1;
-    }
-    bool multiplicity = false;
-    const auto algo = cli::makeAlgorithm(spec.algo, multiplicity);
-    const int runs = static_cast<int>(spec.runs);
-    std::vector<std::string> serialPayloads(spec.runs);
-    const double serialMs = timeMs([&] {
-      sim::runShard(spec, *algo, 0, spec.runs, nullptr, nullptr, 1, nullptr,
-                    &serialPayloads);
-    });
-    sim::CoordinatorOptions copts;
-    copts.workerPath = worker;
-    copts.shards = 4;
-    copts.workDir = resultsDir() + "/.bench_perf.shards";
-    sim::CoordinatorReport crep;
-    const double shardMs =
-        timeMs([&] { crep = sim::runShardedCampaign(spec, copts); });
-    if (!crep.allShardsOk() || !crep.runs.allCompleted()) {
-      std::fprintf(stderr,
-                   "FATAL: campaign_sharded: worker processes did not "
-                   "complete the campaign (see %s/shard*.log)\n",
-                   copts.workDir.c_str());
-      return 1;
-    }
-    {
-      sim::CampaignJournal merged(crep.mergedJournalPath,
-                                  sim::shardConfigKey(spec),
-                                  /*resume=*/true);
-      for (std::uint64_t i = 0; i < spec.runs; ++i) {
-        const std::string* p = merged.payload(i);
-        if (p == nullptr ||
-            *p != serialPayloads[static_cast<std::size_t>(i)]) {
-          std::fprintf(stderr,
-                       "FATAL: campaign_sharded: run %llu payload differs "
-                       "between in-process and worker execution "
-                       "(determinism violation)\n",
-                       static_cast<unsigned long long>(i));
-          return 1;
-        }
-      }
-    }
-    std::error_code ec;
-    std::filesystem::remove_all(copts.workDir, ec);
-    record(make("campaign_sharded", spec.n, 1, runs, serialMs,
-                1000.0 * runs / serialMs, 1.0));
-    // jobs here counts worker PROCESSES; apf_bench_diff keys only on
-    // serial-vs-parallel, so the shard count can evolve with the machine.
-    record(make("campaign_sharded", spec.n, static_cast<int>(copts.shards),
-                runs, shardMs, 1000.0 * runs / shardMs,
-                serialMs / shardMs));
   }
 
   // --- engine hot loop ----------------------------------------------------

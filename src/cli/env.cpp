@@ -58,10 +58,6 @@ const Env& env() {
                                  std::getenv("APF_OBS_EVENTS"));
     e.obsTrace = parseBoolValue("APF_OBS_TRACE",
                                 std::getenv("APF_OBS_TRACE"));
-    if (const char* v = std::getenv("APF_WORKER");
-        v != nullptr && *v != '\0') {
-      e.workerPath = v;
-    }
     return e;
   }();
   return snapshot;

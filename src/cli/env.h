@@ -16,8 +16,6 @@
 ///   APF_OBS_DIR      per-run telemetry directory (unset = telemetry off)
 ///   APF_OBS_EVENTS   also write per-run JSONL event logs (boolean)
 ///   APF_OBS_TRACE    capture a Chrome trace of the whole bench (boolean)
-///   APF_WORKER       path to the apf_worker binary for sharded campaigns
-///                    (default: resolved next to the coordinator binary)
 ///
 /// `env()` snapshots all of them once, on first use. One deliberate
 /// exception to the snapshot: sim::campaignJobs re-reads APF_JOBS through
@@ -41,8 +39,6 @@ struct Env {
   bool obsEvents = false;
   /// APF_OBS_TRACE (same boolean spelling rules).
   bool obsTrace = false;
-  /// APF_WORKER; empty = resolve apf_worker next to the current binary.
-  std::string workerPath;
 };
 
 /// The process-wide snapshot, parsed and validated (loudly) exactly once.

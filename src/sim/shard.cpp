@@ -1,30 +1,13 @@
 #include "sim/shard.h"
 
-#include <cerrno>
-#include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <map>
-#include <sstream>
 #include <stdexcept>
 
-#include "cli/env.h"
 #include "config/generator.h"
 #include "obs/json.h"
-#include "obs/stats.h"
 #include "sim/engine.h"
 #include "sim/shrink.h"
-
-#if !defined(_WIN32)
-#include <fcntl.h>
-#include <signal.h>
-#include <sys/wait.h>
-#include <time.h>
-#include <unistd.h>
-#endif
-#if defined(__linux__)
-#include <sys/prctl.h>
-#endif
 
 namespace fs = std::filesystem;
 
@@ -40,9 +23,8 @@ std::string toJson(const ShardSpec& spec) {
   w.field("pattern_label", spec.patternLabel);
   w.rawField("pattern", pointsJson(spec.pattern));
   w.field("start_kind", spec.startKind);
-  // The fixed start is only on the wire when it is authoritative, so the
-  // decode->encode fixed point holds: a decoded spec re-encodes to the
-  // exact same bytes, which shardConfigKey relies on.
+  // The fixed start is only on the wire when it is authoritative, so two
+  // behaviorally identical specs get the same shardConfigKey.
   if (spec.startKind == "points") {
     w.rawField("start", pointsJson(spec.start));
   }
@@ -61,106 +43,6 @@ std::string toJson(const ShardSpec& spec) {
   w.field("watchdog_ms", spec.watchdogMs);
   w.field("retries", spec.retries);
   return w.str();
-}
-
-ShardSpec shardSpecFromJson(std::string_view text) {
-  const auto doc = obs::parseJson(text);
-  if (!doc || doc->kind != obs::JsonNode::Kind::Object) {
-    throw std::runtime_error("shard: malformed JSON spec");
-  }
-  const obs::JsonNode* schema = doc->find("shard");
-  if (schema == nullptr) {
-    throw std::runtime_error("shard: not an apf.shard.v1 spec (no schema)");
-  }
-  if (schema->asString() != ShardSpec::kSchema) {
-    // A spec from a different wire version must be refused loudly: a
-    // worker guessing at fields would run a silently different experiment.
-    throw std::runtime_error("shard: unsupported spec schema \"" +
-                             schema->asString() + "\" (this build speaks " +
-                             ShardSpec::kSchema + ")");
-  }
-  ShardSpec s;
-  if (const obs::JsonNode* v = doc->find("algo")) s.algo = v->asString();
-  if (const obs::JsonNode* v = doc->find("n")) {
-    s.n = static_cast<std::size_t>(v->asU64(s.n));
-  }
-  if (const obs::JsonNode* v = doc->find("pattern_label")) {
-    s.patternLabel = v->asString();
-  }
-  const obs::JsonNode* pattern = doc->find("pattern");
-  if (pattern == nullptr) {
-    throw std::runtime_error("shard: spec is missing pattern points");
-  }
-  s.pattern = pointsFromJson(*pattern, "shard: pattern");
-  if (const obs::JsonNode* v = doc->find("start_kind")) {
-    s.startKind = v->asString();
-  }
-  if (const obs::JsonNode* v = doc->find("start")) {
-    s.start = pointsFromJson(*v, "shard: start");
-  }
-  if (const obs::JsonNode* v = doc->find("sched")) {
-    const auto kind = sched::schedulerFromName(v->asString());
-    if (!kind) {
-      throw std::runtime_error("shard: unknown scheduler \"" +
-                               v->asString() + "\"");
-    }
-    s.sched = *kind;
-  }
-  if (const obs::JsonNode* v = doc->find("base_seed")) {
-    s.baseSeed = v->asU64(s.baseSeed);
-  }
-  if (const obs::JsonNode* v = doc->find("runs")) s.runs = v->asU64(s.runs);
-  if (const obs::JsonNode* v = doc->find("max_events")) {
-    s.maxEvents = v->asU64(s.maxEvents);
-  }
-  if (const obs::JsonNode* v = doc->find("delta")) s.delta = v->asNumber();
-  if (const obs::JsonNode* v = doc->find("multiplicity")) {
-    s.multiplicity = v->asBool();
-  }
-  if (const obs::JsonNode* v = doc->find("chirality")) {
-    s.commonChirality = v->asBool();
-  }
-  if (const obs::JsonNode* v = doc->find("crash_f")) {
-    s.crashF = static_cast<int>(v->asNumber(0));
-  }
-  if (const obs::JsonNode* v = doc->find("crash_horizon")) {
-    s.crashHorizon = v->asU64(s.crashHorizon);
-  }
-  if (const obs::JsonNode* v = doc->find("fault")) {
-    s.fault = fault::planFromJson(*v);
-  }
-  if (const obs::JsonNode* v = doc->find("fault_seed_set")) {
-    s.faultSeedSet = v->asBool();
-  }
-  if (const obs::JsonNode* v = doc->find("watchdog_events")) {
-    s.watchdogEvents = v->asU64(0);
-  }
-  if (const obs::JsonNode* v = doc->find("watchdog_ms")) {
-    s.watchdogMs = v->asU64(0);
-  }
-  if (const obs::JsonNode* v = doc->find("retries")) {
-    s.retries = static_cast<int>(v->asNumber(s.retries));
-  }
-  return s;
-}
-
-ShardSpec loadShardSpec(const std::string& path) {
-  std::ifstream is(path);
-  if (!is) throw std::runtime_error("shard: cannot open spec: " + path);
-  std::ostringstream buf;
-  buf << is.rdbuf();
-  return shardSpecFromJson(buf.str());
-}
-
-void saveShardSpec(const std::string& path, const ShardSpec& spec) {
-  obs::createParentDirs(path);
-  std::ofstream os(path);
-  if (!os) {
-    throw std::runtime_error("shard: cannot open spec for write: " + path);
-  }
-  os << toJson(spec) << '\n';
-  os.flush();
-  if (os.fail()) throw std::runtime_error("shard: spec write failed: " + path);
 }
 
 std::string shardConfigKey(const ShardSpec& spec) { return toJson(spec); }
@@ -222,10 +104,10 @@ SupervisorOptions shardSupervisorOptions(const ShardSpec& spec,
 
 std::string runScenarioPayload(const ShardSpec& spec, const Algorithm& algo,
                                std::uint64_t runIndex, const Attempt& att) {
-  // Field-by-field this is the campaign worker apf_sim always ran; it now
-  // lives here so the sharded and single-process paths execute the same
-  // code. Retry salts XOR into the effective seed (0 for attempts 0/1 —
-  // the same-seed determinism proof); crash victims/timings are re-drawn
+  // Field-by-field this is the campaign worker apf_sim always ran; it
+  // lives here so every slice of a campaign executes the same code.
+  // Retry salts XOR into the effective seed (0 for attempts 0/1 — the
+  // same-seed determinism proof); crash victims/timings are re-drawn
   // per run so the campaign explores many crash schedules. The payload is
   // a flat JSON line with only deterministic fields, so campaign outputs
   // diff bit-identical across processes and machines.
@@ -367,8 +249,14 @@ std::size_t mergeShardJournals(const ShardSpec& spec,
   const std::string key = shardConfigKey(spec);
   std::map<std::uint64_t, std::string> entries;
   for (const std::string& path : shardJournals) {
+    // A missing path is an error, not an empty shard: with user-supplied
+    // paths, a typo would otherwise drop that shard's runs silently and
+    // the resume after the merge would quietly re-execute them.
     std::error_code ec;
-    if (!fs::exists(path, ec)) continue;  // shard never started: no entries
+    if (!fs::exists(path, ec)) {
+      throw std::runtime_error("shard: journal to merge does not exist: " +
+                               path);
+    }
     // Opening with resume=true reuses the torn-tail recovery and the
     // config-key check: a shard journal of a DIFFERENT spec throws here
     // instead of contaminating the merge.
@@ -388,259 +276,5 @@ std::size_t mergeShardJournals(const ShardSpec& spec,
   }
   return entries.size();
 }
-
-// ---------------------------------------------------------- coordinator --
-
-bool CoordinatorReport::allShardsOk() const {
-  for (const ShardOutcome& s : shards) {
-    if (!s.ok) return false;
-  }
-  return !shards.empty();
-}
-
-std::string resolveWorkerPath(const std::string& explicitPath) {
-  if (!explicitPath.empty()) return explicitPath;
-  std::error_code ec;
-  const std::string& fromEnv = cli::env().workerPath;
-  if (!fromEnv.empty()) {
-    if (fs::exists(fromEnv, ec)) return fromEnv;
-    std::fprintf(stderr,
-                 "apf: APF_WORKER=\"%s\" does not exist; falling back to "
-                 "the binary next to this executable\n",
-                 fromEnv.c_str());
-  }
-#if defined(__linux__)
-  char buf[4096];
-  const ssize_t len = ::readlink("/proc/self/exe", buf, sizeof(buf) - 1);
-  if (len > 0) {
-    buf[len] = '\0';
-    const fs::path exeDir = fs::path(buf).parent_path();
-    // Same directory first (tools/ binaries), then the tools/ sibling
-    // (bench/ binaries live next to tools/ in the build tree).
-    for (const fs::path& cand :
-         {exeDir / "apf_worker",
-          exeDir.parent_path() / "tools" / "apf_worker"}) {
-      if (fs::exists(cand, ec)) return cand.string();
-    }
-  }
-#endif
-  return "";
-}
-
-#if !defined(_WIN32)
-
-namespace {
-
-void sleepMillis(long ms) {
-  struct timespec ts;
-  ts.tv_sec = ms / 1000;
-  ts.tv_nsec = (ms % 1000) * 1'000'000l;
-  ::nanosleep(&ts, nullptr);
-}
-
-pid_t launchWorker(const std::string& worker, const std::string& specPath,
-                   unsigned index, unsigned count,
-                   const std::string& journalPath,
-                   const std::string& reportPath, int jobs,
-                   const std::string& logPath) {
-  const pid_t pid = ::fork();
-  if (pid < 0) {
-    throw std::runtime_error(std::string("shard: fork failed: ") +
-                             std::strerror(errno));
-  }
-  if (pid != 0) return pid;
-  // Child. Nothing below may touch the parent's stdio buffers or throw.
-#if defined(__linux__)
-  // Die with the coordinator: a SIGKILLed coordinator must not leave
-  // orphan workers appending to shard journals it will want to reopen.
-  ::prctl(PR_SET_PDEATHSIG, SIGKILL);
-#endif
-  const int logFd =
-      ::open(logPath.c_str(), O_WRONLY | O_CREAT | O_APPEND, 0644);
-  if (logFd >= 0) {
-    ::dup2(logFd, 1);  // the caller's stdout carries byte-compared output;
-    ::dup2(logFd, 2);  // workers must never write into it
-    if (logFd > 2) ::close(logFd);
-  }
-  const std::string shardArg =
-      std::to_string(index) + "/" + std::to_string(count);
-  const std::string jobsArg = std::to_string(jobs > 0 ? jobs : 1);
-  const char* argv[] = {worker.c_str(),      "--spec",   specPath.c_str(),
-                        "--shard",           shardArg.c_str(),
-                        "--journal",         journalPath.c_str(),
-                        "--report",          reportPath.c_str(),
-                        "--jobs",            jobsArg.c_str(),
-                        nullptr};
-  ::execv(worker.c_str(), const_cast<char* const*>(argv));
-  std::_Exit(127);  // exec failed; 127 is retryable (shell convention)
-}
-
-}  // namespace
-
-CoordinatorReport runShardedCampaign(const ShardSpec& spec,
-                                     const CoordinatorOptions& optsIn) {
-  CoordinatorOptions opts = optsIn;
-  if (const std::string why = validateShardSpec(spec); !why.empty()) {
-    throw std::runtime_error("shard: invalid spec: " + why);
-  }
-  if (opts.shards == 0) opts.shards = 1;
-  if (opts.workDir.empty()) {
-    throw std::runtime_error("shard: coordinator needs a work directory");
-  }
-  const std::string worker = resolveWorkerPath(opts.workerPath);
-  if (worker.empty()) {
-    throw std::runtime_error(
-        "shard: cannot resolve the apf_worker binary (set APF_WORKER or "
-        "build the tools/apf_worker target)");
-  }
-  fs::create_directories(opts.workDir);
-  const std::string specPath = opts.workDir + "/campaign.spec.json";
-  saveShardSpec(specPath, spec);
-
-  struct Slot {
-    ShardOutcome out;
-    std::string reportPath;
-    pid_t pid = -1;
-    int attempt = 0;
-    std::uint64_t deadlineNanos = 0;   // 0 = no watchdog armed
-    std::uint64_t notBeforeNanos = 0;  // launch backoff (exit-4 lock waits)
-    bool finished = false;
-  };
-  std::vector<Slot> slots(opts.shards);
-  for (unsigned i = 0; i < opts.shards; ++i) {
-    Slot& s = slots[i];
-    s.out.index = i;
-    s.out.range = shardRange(spec.runs, i, opts.shards);
-    const std::string base =
-        opts.workDir + "/shard-" + std::to_string(i) + "_of_" +
-        std::to_string(opts.shards);
-    s.out.journalPath = base + ".journal";
-    s.out.logPath = base + ".log";
-    s.reportPath = base + ".report.json";
-    if (!opts.resume) {
-      // Fresh campaign: stale artifacts of a previous run must not leak
-      // into this one (the journals would resume, the reports would lie).
-      std::error_code ec;
-      fs::remove(s.out.journalPath, ec);
-      fs::remove(s.out.journalPath + ".lock", ec);
-      fs::remove(s.reportPath, ec);
-      fs::remove(s.out.logPath, ec);
-    }
-  }
-
-  auto log = [&](const char* fmt, auto... args) {
-    if (opts.verbose) std::fprintf(stderr, fmt, args...);
-  };
-
-  std::size_t unfinished = slots.size();
-  while (unfinished > 0) {
-    const std::uint64_t now = obs::nowNanos();
-    for (Slot& s : slots) {
-      if (s.finished) continue;
-      if (s.pid < 0) {
-        if (now < s.notBeforeNanos) continue;
-        if (s.attempt > 0) {
-          log("shard %u: retry attempt %d\n", s.out.index, s.attempt);
-        }
-        s.pid = launchWorker(worker, specPath, s.out.index, opts.shards,
-                             s.out.journalPath, s.reportPath,
-                             opts.jobsPerWorker, s.out.logPath);
-        s.deadlineNanos = opts.workerWallBudgetNanos != 0
-                              ? now + opts.workerWallBudgetNanos
-                              : 0;
-        continue;
-      }
-      int status = 0;
-      const pid_t r = ::waitpid(s.pid, &status, WNOHANG);
-      bool timedOut = false;
-      if (r == 0) {
-        if (s.deadlineNanos == 0 || now < s.deadlineNanos) continue;
-        // Watchdog expiry gets the supervisor treatment at process
-        // granularity: SIGKILL, then the bounded retry below. The shard
-        // journal survives, so the retry re-runs only unjournaled runs.
-        log("shard %u: wall budget exhausted, killing pid %ld\n",
-            s.out.index, static_cast<long>(s.pid));
-        ::kill(s.pid, SIGKILL);
-        if (::waitpid(s.pid, &status, 0) < 0) status = 0;
-        timedOut = true;
-      }
-      ShardAttempt att;
-      att.number = s.attempt;
-      att.timedOut = timedOut;
-      if (WIFEXITED(status)) {
-        att.exitCode = WEXITSTATUS(status);
-      } else if (WIFSIGNALED(status)) {
-        att.termSignal = WTERMSIG(status);
-      }
-      s.out.attempts.push_back(att);
-      s.pid = -1;
-
-      // Exit-code policy (documented in tools/cli_parse.h): 0/1 complete
-      // the shard (1 = quarantined runs, still a finished shard); 2 is a
-      // usage/spec error no retry can fix; 4 means an orphan still holds
-      // the journal lock — retry after a backoff; anything else (signals,
-      // crashes, exec failures) is retryable.
-      if (!timedOut && att.termSignal == 0 &&
-          (att.exitCode == 0 || att.exitCode == 1)) {
-        try {
-          s.out.report = loadSupervisorReport(s.reportPath);
-          s.out.ok = true;
-        } catch (const std::exception& e) {
-          std::fprintf(stderr, "shard %u: worker report unreadable: %s\n",
-                       s.out.index, e.what());
-          s.out.ok = false;
-        }
-        s.finished = true;
-        --unfinished;
-        continue;
-      }
-      if (!timedOut && att.termSignal == 0 && att.exitCode == 2) {
-        std::fprintf(stderr,
-                     "shard %u: worker rejected the spec (exit 2); see %s\n",
-                     s.out.index, s.out.logPath.c_str());
-        s.finished = true;
-        --unfinished;
-        continue;
-      }
-      if (s.attempt >= opts.maxRetries) {
-        std::fprintf(stderr,
-                     "shard %u: quarantined after %d attempts; see %s\n",
-                     s.out.index, s.attempt + 1, s.out.logPath.c_str());
-        s.finished = true;
-        --unfinished;
-        continue;
-      }
-      ++s.attempt;
-      s.notBeforeNanos =
-          att.exitCode == 4 ? now + 200'000'000ull * s.attempt : 0;
-    }
-    if (unfinished > 0) sleepMillis(10);
-  }
-
-  CoordinatorReport report;
-  std::vector<std::string> journals;
-  journals.reserve(slots.size());
-  for (Slot& s : slots) {
-    journals.push_back(s.out.journalPath);
-    if (s.out.ok) report.runs.absorb(s.out.report);
-    report.shards.push_back(std::move(s.out));
-  }
-  report.mergedJournalPath = opts.mergedJournalPath.empty()
-                                 ? opts.workDir + "/merged.journal"
-                                 : opts.mergedJournalPath;
-  mergeShardJournals(spec, journals, report.mergedJournalPath);
-  return report;
-}
-
-#else  // _WIN32
-
-CoordinatorReport runShardedCampaign(const ShardSpec&,
-                                     const CoordinatorOptions&) {
-  throw std::runtime_error(
-      "shard: the multi-process coordinator requires POSIX process "
-      "control; run shards via an external launcher instead");
-}
-
-#endif
 
 }  // namespace apf::sim

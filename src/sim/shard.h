@@ -1,27 +1,25 @@
 #pragma once
 
 /// \file shard.h
-/// Multi-process sharded campaign execution behind a versioned wire API
-/// (docs/API.md, docs/RESILIENCE.md).
+/// Sharded campaign execution behind a versioned wire key (docs/API.md,
+/// docs/RESILIENCE.md).
 ///
-/// PR 3's thread pool tops out at one process on one machine, but the
-/// Monte Carlo campaigns validating the paper's ASYNC claims are
+/// The Monte Carlo campaigns validating the paper's ASYNC claims are
 /// embarrassingly parallel across runs. This layer splits a campaign's run
-/// indices into contiguous shards, hands each shard to a worker *process*
-/// (tools/apf_worker.cpp — spawned locally by the coordinator here, or
-/// placed on another machine by an external launcher via `--shard i/k`),
-/// and merges the per-shard journals back into one file.
+/// indices into contiguous shards, executes any slice in-process on the
+/// campaign pool (`apf_sim --campaign N --shard i/k`, one process per
+/// slice, on any machine), and merges the per-shard journals back into one
+/// file (`apf_sim --merge`).
 ///
-/// The wire contract is ShardSpec (`apf.shard.v1`): everything a worker
-/// needs to execute any slice of the campaign — scenario (algorithm name,
-/// robot count, resolved pattern points, start recipe, scheduler), seeds,
-/// the base fault plan (fault::toJson), and the supervisor knobs
-/// (watchdog budgets, retry policy). The spec's canonical JSON doubles as
-/// the journal config key, so a worker started against the journal of a
-/// DIFFERENT campaign — or a spec from a future schema version — refuses
-/// loudly instead of merging garbage.
+/// ShardSpec (`apf.shard.v1`) describes a whole campaign: scenario
+/// (algorithm name, robot count, resolved pattern points, start recipe,
+/// scheduler), seeds, the base fault plan (fault::toJson), and the
+/// supervisor knobs (watchdog budgets, retry policy). The spec's canonical
+/// JSON is the journal config key, so a shard journal of a DIFFERENT
+/// campaign refuses loudly instead of merging garbage.
 ///
-/// Determinism contract (tests/shard_test.cpp, tools/kill_resume_check.sh):
+/// Determinism contract (tests/shard_test.cpp, tests/shard_cli_test.sh,
+/// tools/kill_resume_check.sh):
 ///  * runShard(spec, algo, 0, spec.runs) is the single-process campaign:
 ///    apf_sim's --campaign mode is implemented on it, so the sharded and
 ///    unsharded paths cannot drift apart.
@@ -31,16 +29,11 @@
 ///  * mergeShardJournals appends entries in ascending global index through
 ///    the same CampaignJournal code path a single-process campaign uses,
 ///    so the merged file is byte-identical to an `APF_JOBS=1` journal by
-///    construction — including after a worker or the coordinator was
-///    SIGKILLed and resumed.
-///  * Worker processes get supervisor-style treatment (wall-clock
-///    watchdog -> SIGKILL -> bounded retry -> shard quarantine). A
-///    relaunched worker resumes its shard journal, so retries re-run only
-///    the runs that never journaled.
+///    construction — including after a shard process was SIGKILLed and
+///    resumed.
 
 #include <cstdint>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "config/configuration.h"
@@ -51,11 +44,9 @@
 
 namespace apf::sim {
 
-/// Versioned wire description of a whole campaign (`apf.shard.v1`). Value
-/// semantics; `toJson`/`shardSpecFromJson` round-trip every field bit for
-/// bit (doubles via obs::jsonNumber, seeds via raw-token parsing), and
-/// re-encoding a decoded spec reproduces the exact same bytes — the
-/// fixed-point property the journal config key relies on.
+/// Versioned description of a whole campaign (`apf.shard.v1`). Value
+/// semantics; every field is part of `toJson`, so any two specs that would
+/// run different experiments get different journal config keys.
 struct ShardSpec {
   static constexpr const char* kSchema = "apf.shard.v1";
 
@@ -85,8 +76,7 @@ struct ShardSpec {
   /// unless `faultSeedSet` pins `fault.seed` for every run.
   fault::FaultPlan fault;
   bool faultSeedSet = false;
-  // Supervisor knobs (per RUN, inside a worker; the coordinator's per
-  // WORKER watchdog lives in CoordinatorOptions).
+  // Supervisor knobs, per run.
   std::uint64_t watchdogEvents = 0;
   std::uint64_t watchdogMs = 0;
   int retries = 2;
@@ -94,13 +84,6 @@ struct ShardSpec {
 
 /// Canonical single-line JSON encoding (schema field first).
 std::string toJson(const ShardSpec& spec);
-/// Inverse of toJson. Unknown keys are ignored (forward compatibility
-/// within v1) but an unknown/missing schema string throws — a worker must
-/// never guess at a spec from a different wire version.
-ShardSpec shardSpecFromJson(std::string_view text);
-ShardSpec loadShardSpec(const std::string& path);
-/// Writes toJson() + newline, creating parent directories.
-void saveShardSpec(const std::string& path, const ShardSpec& spec);
 
 /// The journal config key: the spec's canonical JSON itself. Any spec
 /// difference — including a future schema bump — makes shard journals
@@ -151,85 +134,11 @@ SupervisorReport runShard(const ShardSpec& spec, const Algorithm& algo,
 /// global run index through the same CampaignJournal append path a
 /// single-process campaign uses — the merged file is byte-identical to an
 /// uninterrupted `APF_JOBS=1` journal of the same spec. Every shard
-/// journal must carry this spec's config key (throws otherwise). Returns
-/// the number of merged entries (quarantined runs have none).
+/// journal must exist and carry this spec's config key (throws otherwise:
+/// a mistyped path must not silently drop a shard's runs). Returns the
+/// number of merged entries (quarantined runs have none).
 std::size_t mergeShardJournals(const ShardSpec& spec,
                                const std::vector<std::string>& shardJournals,
                                const std::string& mergedPath);
-
-/// How the coordinator launches and supervises worker processes.
-struct CoordinatorOptions {
-  /// Worker binary; empty = resolveWorkerPath("") (APF_WORKER, then next
-  /// to the current executable).
-  std::string workerPath;
-  unsigned shards = 4;
-  /// Scratch directory for the spec file, per-shard journals, reports, and
-  /// worker logs. Created if missing.
-  std::string workDir;
-  /// Thread-pool width inside each worker (default 1: process-level
-  /// parallelism is the point here).
-  int jobsPerWorker = 1;
-  /// Per-ATTEMPT wall deadline for a worker process; 0 = none. On expiry
-  /// the worker is SIGKILLed and retried — its shard journal survives, so
-  /// the retry re-runs only what never journaled.
-  std::uint64_t workerWallBudgetNanos = 0;
-  /// Process-level retry budget per shard (attempt 0 + maxRetries more).
-  int maxRetries = 2;
-  /// False: fresh campaign — stale shard journals in workDir are removed
-  /// first. True: resume — workers continue their shard journals, a
-  /// restarted coordinator re-runs nothing that already journaled.
-  bool resume = false;
-  /// Progress lines on stderr (never stdout — that belongs to the caller's
-  /// byte-compared output).
-  bool verbose = false;
-  /// Where the merged journal lands; empty = `<workDir>/merged.journal`.
-  std::string mergedJournalPath;
-};
-
-/// One worker-process attempt, classified like AttemptFailure but at
-/// process granularity.
-struct ShardAttempt {
-  int number = 0;
-  int exitCode = -1;     ///< process exit code; -1 when signaled
-  int termSignal = 0;    ///< terminating signal; 0 when exited
-  bool timedOut = false; ///< coordinator watchdog fired (SIGKILL)
-};
-
-/// Outcome of one shard: its range, every process attempt, and the
-/// worker's own SupervisorReport (parsed back from its report file).
-struct ShardOutcome {
-  unsigned index = 0;
-  ShardRange range;
-  bool ok = false;           ///< a worker attempt finished the shard
-  std::vector<ShardAttempt> attempts;
-  SupervisorReport report;   ///< zero-initialized when !ok
-  std::string journalPath;
-  std::string logPath;       ///< worker stdout+stderr capture
-};
-
-struct CoordinatorReport {
-  std::vector<ShardOutcome> shards;
-  /// Per-run aggregate: the absorbed worker reports, in shard order.
-  SupervisorReport runs;
-  std::string mergedJournalPath;
-  bool allShardsOk() const;
-};
-
-/// Worker binary resolution: `explicitPath` if non-empty, else APF_WORKER
-/// (cli::env()), else `apf_worker` next to the running executable, else
-/// `../tools/apf_worker` relative to it (bench binaries live in a sibling
-/// directory of tools/). Returns "" when nothing exists.
-std::string resolveWorkerPath(const std::string& explicitPath);
-
-/// The coordinator: writes the spec into workDir, launches one apf_worker
-/// per shard, supervises them (wall watchdog -> SIGKILL -> bounded retry
-/// -> shard quarantine), then merges the shard journals into
-/// `workDir/merged.journal` and absorbs the worker reports. Exit-code
-/// policy: 0/1 complete the attempt; 2 (usage/spec error) is fatal — no
-/// retry can fix a bad spec; 4 (shard journal locked by an orphan) and
-/// signals/crashes are retryable. Throws std::runtime_error when no
-/// worker binary can be resolved or the spec fails validation.
-CoordinatorReport runShardedCampaign(const ShardSpec& spec,
-                                     const CoordinatorOptions& opts);
 
 }  // namespace apf::sim

@@ -135,106 +135,6 @@ void SupervisorReport::write(const std::string& path) const {
   }
 }
 
-namespace {
-
-FailureKind failureKindFromName(const std::string& name) {
-  if (name == "timeout_cycles") return FailureKind::TimeoutCycles;
-  if (name == "timeout_wall") return FailureKind::TimeoutWall;
-  if (name == "exception") return FailureKind::Exception;
-  throw std::runtime_error("supervisor report: unknown failure kind \"" +
-                           name + "\"");
-}
-
-}  // namespace
-
-SupervisorReport supervisorReportFromJson(std::string_view text) {
-  const auto doc = obs::parseJson(text);
-  if (!doc || doc->kind != obs::JsonNode::Kind::Object) {
-    throw std::runtime_error("supervisor report: malformed JSON");
-  }
-  const obs::JsonNode* schema = doc->find("report");
-  if (schema == nullptr || schema->asString() != "apf.supervisor.v1") {
-    throw std::runtime_error(
-        "supervisor report: unsupported schema \"" +
-        (schema == nullptr ? std::string("(missing)") : schema->asString()) +
-        "\" (want apf.supervisor.v1)");
-  }
-  SupervisorReport r;
-  auto u64 = [&](const char* key, std::uint64_t fallback) {
-    const obs::JsonNode* v = doc->find(key);
-    return v == nullptr ? fallback : v->asU64(fallback);
-  };
-  r.items = u64("items", 0);
-  r.completed = u64("completed", 0);
-  r.replayed = u64("replayed", 0);
-  r.retries = u64("retries", 0);
-  r.quarantined = u64("quarantined", 0);
-  r.timeoutsCycle = u64("timeouts_cycle", 0);
-  r.timeoutsWall = u64("timeouts_wall", 0);
-  r.exceptions = u64("exceptions", 0);
-  const obs::JsonNode* quarantine = doc->find("quarantine");
-  if (quarantine != nullptr) {
-    if (quarantine->kind != obs::JsonNode::Kind::Array) {
-      throw std::runtime_error(
-          "supervisor report: quarantine is not an array");
-    }
-    for (const obs::JsonNode& q : quarantine->items) {
-      if (q.kind != obs::JsonNode::Kind::Object) {
-        throw std::runtime_error(
-            "supervisor report: malformed quarantine entry");
-      }
-      QuarantinedItem item;
-      if (const obs::JsonNode* v = q.find("index")) {
-        item.index = static_cast<std::size_t>(v->asU64(0));
-      }
-      if (const obs::JsonNode* v = q.find("deterministic")) {
-        item.deterministic = v->asBool(false);
-      }
-      if (const obs::JsonNode* attempts = q.find("attempts")) {
-        if (attempts->kind != obs::JsonNode::Kind::Array) {
-          throw std::runtime_error(
-              "supervisor report: attempts is not an array");
-        }
-        for (const obs::JsonNode& a : attempts->items) {
-          if (a.kind != obs::JsonNode::Kind::Object) {
-            throw std::runtime_error(
-                "supervisor report: malformed attempt entry");
-          }
-          AttemptFailure f;
-          if (const obs::JsonNode* v = a.find("kind")) {
-            f.kind = failureKindFromName(v->asString());
-          }
-          if (const obs::JsonNode* v = a.find("attempt")) {
-            f.attempt = static_cast<int>(v->asNumber(0));
-          }
-          if (const obs::JsonNode* v = a.find("seed_salt")) {
-            f.seedSalt = v->asU64(0);
-          }
-          if (const obs::JsonNode* v = a.find("at_cycles")) {
-            f.atCycles = v->asU64(0);
-          }
-          if (const obs::JsonNode* v = a.find("message")) {
-            f.message = v->asString();
-          }
-          item.attempts.push_back(std::move(f));
-        }
-      }
-      r.quarantine.push_back(std::move(item));
-    }
-  }
-  return r;
-}
-
-SupervisorReport loadSupervisorReport(const std::string& path) {
-  std::ifstream is(path);
-  if (!is) {
-    throw std::runtime_error("supervisor report: cannot open: " + path);
-  }
-  std::ostringstream buf;
-  buf << is.rdbuf();
-  return supervisorReportFromJson(buf.str());
-}
-
 void appendManifest(const SupervisorOptions& opts,
                     const SupervisorReport& report, obs::Manifest& m) {
   m.set("supervisor.cycle_budget", opts.cycleBudget);

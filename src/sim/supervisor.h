@@ -198,15 +198,6 @@ struct SupervisorReport {
   void write(const std::string& path) const;
 };
 
-/// Inverse of SupervisorReport::toJson — the wire path a sharded
-/// coordinator absorbs worker-process reports through (sim/shard.h).
-/// Throws std::runtime_error on malformed input or a schema other than
-/// "apf.supervisor.v1" (cross-version reports must be refused loudly, not
-/// merged approximately).
-SupervisorReport supervisorReportFromJson(std::string_view text);
-/// Reads and parses a report file written by SupervisorReport::write.
-SupervisorReport loadSupervisorReport(const std::string& path);
-
 /// `supervisor.*` manifest keys (consumed by apf_report's resilience
 /// section). Options and report are serialized together so a manifest
 /// records both the policy and what it did.

@@ -1,12 +1,12 @@
 /// \file shard_test.cpp
-/// The apf.shard.v1 wire contract and the sharded-execution determinism
+/// The apf.shard.v1 journal key and the sharded-execution determinism
 /// guarantees (src/sim/shard.h):
 ///
-///  * ShardSpec round-trips through its canonical JSON, and re-encoding a
-///    decoded spec is a byte-level fixed point — the property the journal
-///    config key relies on.
-///  * A spec from a different wire version is refused loudly, never
-///    guessed at.
+///  * Every ShardSpec field reaches the wire losslessly, and reading the
+///    wire back then re-encoding is a byte-level fixed point — the key a
+///    journal written by an earlier build carries must stay reproducible.
+///  * Changing any single ShardSpec field changes shardConfigKey — the
+///    property the journal's cross-campaign refusal relies on.
 ///  * shardRange is a contiguous, balanced, exact partition of [0, runs).
 ///  * A run's payload depends only on (spec, global index, attempt salt).
 ///  * Merging shard journals yields a file byte-identical to the journal
@@ -14,17 +14,18 @@
 ///    starts), and fault-plan campaigns, serial and on a thread pool —
 ///    and resuming a partially-journaled shard converges to the same
 ///    bytes.
-///  * Journals of a different campaign refuse to merge.
+///  * Journals of a different campaign, and paths that do not exist,
+///    refuse to merge.
 ///
-/// The process-level coordinator (fork/exec, watchdogs, retries) is
-/// exercised end to end by tools/kill_resume_check.sh and the
-/// campaign_sharded bench row; these tests pin the in-process layers those
-/// drills build on.
+/// apf_sim's --shard/--merge flags and the journal lock are exercised end
+/// to end by tests/shard_cli_test.sh and tools/kill_resume_check.sh; these
+/// tests pin the in-process layers those drills build on.
 
 #include <gtest/gtest.h>
 
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -33,7 +34,9 @@
 #include "config/generator.h"
 #include "core/form_pattern.h"
 #include "io/patterns.h"
+#include "obs/json.h"
 #include "sim/shard.h"
+#include "sim/shrink.h"
 #include "sim/supervisor.h"
 
 namespace apf::sim {
@@ -96,6 +99,49 @@ ShardSpec faultSpec() {
 
 // ------------------------------------------------------------------ wire --
 
+/// Reads an apf.shard.v1 line back into a ShardSpec with the generic JSON
+/// parser. The library keeps only the encoder (the key is compared, never
+/// decoded); this reader exists so the tests can prove the encoding loses
+/// nothing.
+ShardSpec specFromWire(const std::string& wire) {
+  const auto doc = obs::parseJson(wire);
+  EXPECT_TRUE(doc && doc->kind == obs::JsonNode::Kind::Object) << wire;
+  if (!doc) return {};
+  const auto at = [&](const char* key) -> const obs::JsonNode& {
+    static const obs::JsonNode missing;
+    const obs::JsonNode* v = doc->find(key);
+    EXPECT_NE(v, nullptr) << "wire lacks \"" << key << "\"";
+    return v != nullptr ? *v : missing;
+  };
+  EXPECT_EQ(at("shard").asString(), ShardSpec::kSchema);
+  ShardSpec s;
+  s.algo = at("algo").asString();
+  s.n = static_cast<std::size_t>(at("n").asU64());
+  s.patternLabel = at("pattern_label").asString();
+  s.pattern = pointsFromJson(at("pattern"), "pattern");
+  s.startKind = at("start_kind").asString();
+  if (const obs::JsonNode* v = doc->find("start")) {
+    s.start = pointsFromJson(*v, "start");
+  }
+  const auto kind = sched::schedulerFromName(at("sched").asString());
+  EXPECT_TRUE(kind.has_value());
+  if (kind) s.sched = *kind;
+  s.baseSeed = at("base_seed").asU64();
+  s.runs = at("runs").asU64();
+  s.maxEvents = at("max_events").asU64();
+  s.delta = at("delta").asNumber();
+  s.multiplicity = at("multiplicity").asBool();
+  s.commonChirality = at("chirality").asBool();
+  s.crashF = static_cast<int>(at("crash_f").asNumber());
+  s.crashHorizon = at("crash_horizon").asU64();
+  s.fault = fault::planFromJson(at("fault"));
+  s.faultSeedSet = at("fault_seed_set").asBool();
+  s.watchdogEvents = at("watchdog_events").asU64();
+  s.watchdogMs = at("watchdog_ms").asU64();
+  s.retries = static_cast<int>(at("retries").asNumber());
+  return s;
+}
+
 TEST(ShardSpecTest, RoundTripPreservesEveryField) {
   ShardSpec s = faultSpec();
   s.startKind = "points";
@@ -111,13 +157,21 @@ TEST(ShardSpecTest, RoundTripPreservesEveryField) {
   s.watchdogMs = 1234;
   s.retries = 5;
 
-  const ShardSpec d = shardSpecFromJson(toJson(s));
+  const ShardSpec d = specFromWire(toJson(s));
   EXPECT_EQ(d.algo, s.algo);
   EXPECT_EQ(d.n, s.n);
   EXPECT_EQ(d.patternLabel, s.patternLabel);
-  EXPECT_EQ(d.pattern.size(), s.pattern.size());
+  ASSERT_EQ(d.pattern.size(), s.pattern.size());
+  for (std::size_t i = 0; i < s.pattern.size(); ++i) {
+    EXPECT_EQ(d.pattern[i].x, s.pattern[i].x) << "pattern point " << i;
+    EXPECT_EQ(d.pattern[i].y, s.pattern[i].y) << "pattern point " << i;
+  }
   EXPECT_EQ(d.startKind, s.startKind);
-  EXPECT_EQ(d.start.size(), s.start.size());
+  ASSERT_EQ(d.start.size(), s.start.size());
+  for (std::size_t i = 0; i < s.start.size(); ++i) {
+    EXPECT_EQ(d.start[i].x, s.start[i].x) << "start point " << i;
+    EXPECT_EQ(d.start[i].y, s.start[i].y) << "start point " << i;
+  }
   EXPECT_EQ(d.sched, s.sched);
   EXPECT_EQ(d.baseSeed, s.baseSeed);
   EXPECT_EQ(d.runs, s.runs);
@@ -137,9 +191,9 @@ TEST(ShardSpecTest, RoundTripPreservesEveryField) {
 }
 
 TEST(ShardSpecTest, EncodingIsAFixedPointProperty) {
-  // shardConfigKey IS toJson, so decode->encode must reproduce the exact
+  // shardConfigKey IS toJson, so read->encode must reproduce the exact
   // bytes for ANY spec — sweep a family of field combinations, including
-  // doubles that need shortest-round-trip formatting.
+  // doubles that need shortest-round-trip formatting and seeds above 2^53.
   for (std::uint64_t i = 0; i < 32; ++i) {
     ShardSpec s;
     s.algo = (i % 2) != 0u ? "rsb" : "form";
@@ -160,8 +214,51 @@ TEST(ShardSpecTest, EncodingIsAFixedPointProperty) {
     s.faultSeedSet = (i % 4) == 0;
     s.fault.seed = i;
     const std::string j1 = toJson(s);
-    const std::string j2 = toJson(shardSpecFromJson(j1));
+    const std::string j2 = toJson(specFromWire(j1));
     EXPECT_EQ(j1, j2) << "spec " << i << " is not a re-encoding fixed point";
+    EXPECT_EQ(shardConfigKey(s), j1);
+  }
+}
+
+TEST(ShardSpecTest, EveryFieldChangesTheConfigKey) {
+  // A journal refuses to resume or merge under a different config key, so
+  // two specs that run different experiments must never share one. Each
+  // mutation below changes exactly one field of a "points" spec (the only
+  // kind whose start is authoritative).
+  using Mutation = void (*)(ShardSpec&);
+  const Mutation mutations[] = {
+      [](ShardSpec& s) { s.algo = "rsb"; },
+      [](ShardSpec& s) { s.n = 7; },
+      [](ShardSpec& s) { s.patternLabel = "other"; },
+      [](ShardSpec& s) { s.pattern = io::polygonPattern(6); },
+      [](ShardSpec& s) { s.startKind = "random"; },
+      [](ShardSpec& s) { s.start = io::polygonPattern(6); },
+      [](ShardSpec& s) { s.sched = sched::SchedulerKind::SSync; },
+      [](ShardSpec& s) { s.baseSeed += 1; },
+      [](ShardSpec& s) { s.runs += 1; },
+      [](ShardSpec& s) { s.maxEvents += 1; },
+      [](ShardSpec& s) { s.delta = 0.123456789012345; },
+      [](ShardSpec& s) { s.multiplicity = true; },
+      [](ShardSpec& s) { s.commonChirality = true; },
+      [](ShardSpec& s) { s.crashF = 1; },
+      [](ShardSpec& s) { s.crashHorizon += 1; },
+      [](ShardSpec& s) { s.fault.seed += 1; },
+      [](ShardSpec& s) { s.fault.noiseSigma = 0.01; },
+      [](ShardSpec& s) { s.fault.omitProb = 0.01; },
+      [](ShardSpec& s) { s.fault.multFlipProb = 0.01; },
+      [](ShardSpec& s) { s.fault.dropProb = 0.01; },
+      [](ShardSpec& s) { s.fault.truncProb = 0.01; },
+      [](ShardSpec& s) { s.faultSeedSet = true; },
+      [](ShardSpec& s) { s.watchdogEvents = 50000; },
+      [](ShardSpec& s) { s.watchdogMs = 1234; },
+      [](ShardSpec& s) { s.retries = 5; },
+  };
+  const ShardSpec base = scriptedSpec();
+  const std::string baseKey = shardConfigKey(base);
+  for (std::size_t m = 0; m < std::size(mutations); ++m) {
+    ShardSpec changed = base;
+    mutations[m](changed);
+    EXPECT_NE(shardConfigKey(changed), baseKey) << "mutation " << m;
   }
 }
 
@@ -173,43 +270,6 @@ TEST(ShardSpecTest, StartPointsOnlyOnWireWhenAuthoritative) {
   // or two behaviorally identical specs would get different config keys.
   EXPECT_EQ(toJson(s).find("\"start\""), std::string::npos);
   EXPECT_NE(toJson(scriptedSpec()).find("\"start\""), std::string::npos);
-}
-
-TEST(ShardSpecTest, RefusesSpecsFromOtherWireVersions) {
-  std::string v2 = toJson(scriptedSpec());
-  const auto at = v2.find("apf.shard.v1");
-  ASSERT_NE(at, std::string::npos);
-  v2.replace(at, 12, "apf.shard.v2");
-  try {
-    shardSpecFromJson(v2);
-    FAIL() << "a v2 spec must be refused";
-  } catch (const std::runtime_error& e) {
-    // The refusal names both versions, so the operator can see the skew.
-    EXPECT_NE(std::string(e.what()).find("apf.shard.v2"), std::string::npos);
-    EXPECT_NE(std::string(e.what()).find("apf.shard.v1"), std::string::npos);
-  }
-}
-
-TEST(ShardSpecTest, RefusesMalformedAndSchemalessInput) {
-  EXPECT_THROW(shardSpecFromJson("not json"), std::runtime_error);
-  EXPECT_THROW(shardSpecFromJson("{\"algo\":\"form\"}"), std::runtime_error);
-  EXPECT_THROW(shardSpecFromJson("{\"shard\":\"apf.shard.v1\"}"),
-               std::runtime_error);  // no pattern points
-}
-
-TEST(ShardSpecTest, IgnoresUnknownKeysWithinV1) {
-  std::string j = toJson(scriptedSpec());
-  j.insert(j.size() - 1, ",\"future_knob\":42");
-  const ShardSpec d = shardSpecFromJson(j);  // must not throw
-  EXPECT_EQ(d.runs, scriptedSpec().runs);
-}
-
-TEST(ShardSpecTest, SaveLoadRoundTripsThroughDisk) {
-  const std::string path = tempPath("spec_roundtrip.json");
-  const ShardSpec s = faultSpec();
-  saveShardSpec(path, s);
-  EXPECT_EQ(toJson(loadShardSpec(path)), toJson(s));
-  EXPECT_EQ(shardConfigKey(s), toJson(s));
 }
 
 TEST(ShardSpecTest, ValidateCatchesInconsistentSpecs) {
@@ -359,47 +419,19 @@ TEST(ShardMergeTest2, RefusesJournalsOfADifferentCampaign) {
       std::runtime_error);
 }
 
-// ------------------------------------------------------- report wire ----
-
-TEST(SupervisorReportWireTest, RoundTripsIncludingQuarantine) {
-  SupervisorReport r;
-  r.items = 10;
-  r.completed = 7;
-  r.replayed = 1;
-  r.retries = 3;
-  r.quarantined = 2;
-  r.timeoutsCycle = 1;
-  r.timeoutsWall = 1;
-  r.exceptions = 2;
-  QuarantinedItem q;
-  q.index = 4;
-  q.deterministic = true;
-  AttemptFailure f;
-  f.kind = FailureKind::Exception;
-  f.attempt = 1;
-  f.seedSalt = 42;
-  f.atCycles = 17;
-  f.message = "boom \"quoted\"";
-  q.attempts.push_back(f);
-  r.quarantine.push_back(q);
-
-  const SupervisorReport d = supervisorReportFromJson(r.toJson());
-  EXPECT_EQ(d.toJson(), r.toJson());  // decode->encode fixed point
-  ASSERT_EQ(d.quarantine.size(), 1u);
-  EXPECT_EQ(d.quarantine[0].index, 4u);
-  EXPECT_TRUE(d.quarantine[0].deterministic);
-  ASSERT_EQ(d.quarantine[0].attempts.size(), 1u);
-  EXPECT_EQ(d.quarantine[0].attempts[0].message, "boom \"quoted\"");
-}
-
-TEST(SupervisorReportWireTest, RefusesOtherSchemas) {
-  SupervisorReport r;
-  std::string j = r.toJson();
-  const auto at = j.find("apf.supervisor.v1");
-  ASSERT_NE(at, std::string::npos);
-  j.replace(at, 17, "apf.supervisor.v9");
-  EXPECT_THROW(supervisorReportFromJson(j), std::runtime_error);
-  EXPECT_THROW(supervisorReportFromJson("not json"), std::runtime_error);
+TEST(ShardMergeTest2, RefusesMissingShardJournal) {
+  // A mistyped --merge path must fail loudly: treated as an empty shard,
+  // its runs would silently re-execute in the resume after the merge.
+  const ShardSpec spec = fuzzSpec();
+  core::FormPatternAlgorithm algo;
+  const std::string path = tempPath("present.journal");
+  {
+    CampaignJournal j(path, shardConfigKey(spec), /*resume=*/false);
+    runShard(spec, algo, 0, 2, &j, nullptr, 1);
+  }
+  EXPECT_THROW(mergeShardJournals(spec, {path, tempPath("no_such.journal")},
+                                  tempPath("missing_merged.journal")),
+               std::runtime_error);
 }
 
 }  // namespace

@@ -321,7 +321,13 @@ TEST(SupervisorTest, OutOfOrderMailboxBuffersWhileIndexZeroRetries) {
 class JournalDir : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = std::filesystem::temp_directory_path() / "apf_supervisor_test";
+    // One directory per test: ctest runs these tests as parallel
+    // processes, and a shared directory let one test's SetUp/TearDown
+    // delete another's journal mid-run.
+    const std::string test =
+        ::testing::UnitTest::GetInstance()->current_test_info()->name();
+    dir_ = std::filesystem::temp_directory_path() /
+           ("apf_supervisor_test_" + test);
     std::filesystem::remove_all(dir_);
     std::filesystem::create_directories(dir_);
   }

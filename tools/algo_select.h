@@ -1,12 +1,12 @@
 #pragma once
 
 /// \file algo_select.h
-/// The one --algo-name-to-instance map shared by apf_sim, apf_worker, and
-/// apf_estimate. Lives in tools/ (not src/sim) on purpose: core and
-/// baseline depend on sim's Algorithm interface, not vice versa, so the
-/// sim library can never name a concrete algorithm — binaries do, and
-/// they must all agree on the spelling (an apf.shard.v1 spec written by
-/// apf_sim is executed by apf_worker via this same table).
+/// The one --algo-name-to-instance map shared by apf_sim and apf_estimate.
+/// Lives in tools/ (not src/sim) on purpose: core and baseline depend on
+/// sim's Algorithm interface, not vice versa, so the sim library can never
+/// name a concrete algorithm — binaries do, and they must all agree on the
+/// spelling (the `algo` field of an apf.shard.v1 journal key is this
+/// spelling).
 
 #include <memory>
 #include <string>

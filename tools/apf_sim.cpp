@@ -19,22 +19,26 @@
 /// uninterrupted one:
 ///   apf_sim --campaign 50 --journal c.journal --json > out.json
 ///   apf_sim --campaign 50 --resume  c.journal --json > out.json
-/// With --shards K the same campaign fans out over K apf_worker PROCESSES
-/// (sim/shard.h, docs/API.md): the options compile into an apf.shard.v1
-/// spec, each worker journals its slice, and the merged journal plus the
-/// printed --json document are byte-identical to the single-process run's
-/// — including after SIGKILLing a worker or this coordinator and
-/// re-running with --resume:
-///   apf_sim --campaign 50 --shards 4 --journal c.journal --json
+/// --shard I/K runs only slice I of K of the same campaign (sim/shard.h,
+/// docs/API.md), one process per slice on any machine; --merge folds the
+/// slice journals into one and finishes like --resume, so the merged
+/// journal plus the printed --json document are byte-identical to the
+/// single-process run's — including after SIGKILLing a slice and re-running
+/// it with --resume:
+///   apf_sim --campaign 50 --shard 0/2 --journal s0.journal &
+///   apf_sim --campaign 50 --shard 1/2 --journal s1.journal; wait
+///   apf_sim --campaign 50 --merge s0.journal,s1.journal --journal c.journal
 /// Failure repro (sim/shrink.h): --repro-out captures a run's replay
 /// coordinates as a self-contained .repro.json (minimized with --shrink),
 /// and --replay re-executes one, exiting 0 iff the violation reproduces.
 
+#include <cerrno>
 #include <cstdio>
 #include <cstring>
 #include <exception>
 #include <map>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -56,6 +60,12 @@
 #include "sim/trace.h"
 #include "algo_select.h"
 #include "cli_parse.h"
+
+#ifndef _WIN32
+#include <fcntl.h>
+#include <sys/file.h>
+#include <unistd.h>
+#endif
 
 namespace {
 
@@ -100,11 +110,9 @@ struct Options {
   std::uint64_t watchdogMs = 0;
   int retries = 2;
   std::string quarantinePath;
-  // Multi-process sharding (sim/shard.h, docs/API.md).
-  int shards = 0;  // 0 = in-process campaign
-  std::string workerPath;
-  std::uint64_t shardWallMs = 0;
-  int shardRetries = 2;
+  // Sharding (sim/shard.h, docs/API.md).
+  std::string shard;  // "I/K"; empty = the whole campaign
+  std::string merge;  // comma-separated shard journals
   // Failure repro (sim/shrink.h).
   std::string replayPath;
   std::string reproOutPath;
@@ -187,21 +195,15 @@ void registerFlags(apf::cli::ArgParser& args, Options& o) {
   args.str("--quarantine", &o.quarantinePath, "F",
            "write the supervisor report JSON to F");
 
-  args.section("multi-process sharding (sim/shard.h, docs/API.md)");
-  args.intNonNegative("--shards", &o.shards, "K",
-                      "fan the campaign out over K apf_worker\n"
-                      "processes (needs --journal or --resume; the\n"
-                      "merged journal and --json document are\n"
-                      "byte-identical to the in-process run's)");
-  args.str("--worker", &o.workerPath, "PATH",
-           "apf_worker binary (default: $APF_WORKER, then\n"
-           "next to this executable)");
-  args.u64("--shard-wall-ms", &o.shardWallMs, "N",
-           "per-attempt wall budget for each worker\n"
-           "process; on expiry the worker is SIGKILLed and\n"
-           "retried from its shard journal (0 = none)");
-  args.intNonNegative("--shard-retries", &o.shardRetries, "N",
-                      "process-level retry budget per shard (default 2)");
+  args.section("sharding (sim/shard.h, docs/API.md)");
+  args.str("--shard", &o.shard, "I/K",
+           "run only slice I of K contiguous slices of the\n"
+           "campaign's run indices (needs --journal or\n"
+           "--resume)");
+  args.str("--merge", &o.merge, "J0,J1,...",
+           "merge these shard journals into --journal F,\n"
+           "then finish like --resume F (byte-identical\n"
+           "to the single-process campaign)");
 
   args.section("failure repro (sim/shrink.h)");
   args.str("--replay", &o.replayPath, "F",
@@ -222,12 +224,52 @@ void registerFlags(apf::cli::ArgParser& args, Options& o) {
   args.flag("--quiet", &o.quiet, "summary line only");
 }
 
-/// Compiles the CLI options into the versioned wire spec (apf.shard.v1)
-/// that defines a campaign — the single source of truth for BOTH the
-/// in-process pool and apf_worker processes, and (as canonical JSON) the
-/// journal config key. `spec.algo` carries the CLI spelling, not
-/// Algorithm::name(): a worker re-instantiates it via the same
-/// cli::makeAlgorithm table.
+/// Parses "--shard I/K" (slice I of K, 0-based). Exits 2 on garbage.
+void parseShard(const std::string& s, unsigned& index, unsigned& count) {
+  const std::size_t slash = s.find('/');
+  if (slash == std::string::npos || slash == 0 || slash + 1 >= s.size()) {
+    apf::cli::badValue("apf_sim", "--shard", s.c_str(),
+                       "INDEX/COUNT (e.g. 0/4)");
+  }
+  const std::uint64_t i =
+      apf::cli::parseU64("apf_sim", "--shard", s.substr(0, slash).c_str());
+  const std::uint64_t k =
+      apf::cli::parseU64("apf_sim", "--shard", s.substr(slash + 1).c_str());
+  if (k == 0 || i >= k || k > 1u << 20) {
+    apf::cli::badValue("apf_sim", "--shard", s.c_str(),
+                       "INDEX < COUNT (e.g. 0/4)");
+  }
+  index = static_cast<unsigned>(i);
+  count = static_cast<unsigned>(k);
+}
+
+/// Takes the journal's advisory `<journal>.lock`, or exits 4 when another
+/// process holds it, so two processes never interleave appends. The fd is
+/// deliberately leaked: the lock must live exactly as long as the process
+/// (the kernel releases it on any exit, including SIGKILL).
+void lockJournal(const std::string& journalPath) {
+#ifndef _WIN32
+  const std::string lockPath = journalPath + ".lock";
+  const int fd = ::open(lockPath.c_str(), O_CREAT | O_RDWR | O_CLOEXEC, 0644);
+  if (fd < 0) {
+    std::fprintf(stderr, "apf_sim: cannot open lock %s: %s\n",
+                 lockPath.c_str(), std::strerror(errno));
+    std::exit(1);
+  }
+  if (::flock(fd, LOCK_EX | LOCK_NB) != 0) {
+    std::fprintf(stderr,
+                 "apf_sim: journal lock held by another process (%s)\n",
+                 lockPath.c_str());
+    std::exit(4);
+  }
+#else
+  (void)journalPath;
+#endif
+}
+
+/// Compiles the CLI options into the versioned spec (apf.shard.v1) that
+/// defines a campaign; its canonical JSON is the journal config key.
+/// `spec.algo` carries the CLI spelling, not Algorithm::name().
 apf::sim::ShardSpec specFromOptions(const Options& o,
                                     const apf::config::Configuration& pattern,
                                     const apf::config::Configuration& start,
@@ -302,7 +344,8 @@ int main(int argc, char** argv) try {
       "LCM robot simulator for probabilistic asynchronous\n"
       "arbitrary pattern formation (Bramas & Tixeuil, PODC 2016)");
   registerFlags(args, o);
-  args.exitNotes(", 3 watchdog expired");
+  args.exitNotes(
+      ", 3 watchdog expired,\n4 journal lock held by another process");
   args.parse(argc, argv);
 
   // --replay re-executes a self-contained .repro.json exactly (same safety
@@ -436,61 +479,58 @@ int main(int argc, char** argv) try {
     }
     // The spec's canonical JSON is the journal config key: resuming with
     // ANY different option is a different experiment and must be refused,
-    // not silently merged — and a journal written by apf_worker carries the
-    // byte-identical key, so in-process and sharded journals interoperate.
+    // not silently merged — and every shard journal of this campaign
+    // carries the byte-identical key, so slices merge into one journal.
     const std::string configKey = sim::shardConfigKey(spec);
     const bool resuming = !o.resumePath.empty();
     const std::string jpath = resuming ? o.resumePath : o.journalPath;
+    sim::ShardRange range{0, spec.runs};
+    if (!o.shard.empty()) {
+      if (jpath.empty() || !o.merge.empty()) {
+        std::fprintf(stderr,
+                     "apf_sim: --shard needs --journal F (fresh) or "
+                     "--resume F, and excludes --merge\n");
+        return 2;
+      }
+      unsigned index = 0;
+      unsigned count = 1;
+      parseShard(o.shard, index, count);
+      range = sim::shardRange(spec.runs, index, count);
+    }
+    if (!o.merge.empty() && (o.journalPath.empty() || resuming)) {
+      std::fprintf(stderr,
+                   "apf_sim: --merge needs --journal F (the merged journal) "
+                   "and excludes --resume\n");
+      return 2;
+    }
 
     const sim::SupervisorOptions sopts =
         sim::shardSupervisorOptions(spec, sink.get());
-    std::vector<std::string> payloads(spec.runs);
-    sim::SupervisorReport report;
     std::unique_ptr<sim::CampaignJournal> journal;
-    bool shardsOk = true;
-
-    if (o.shards > 0) {
-      // Multi-process mode: fan out over apf_worker processes. The shard
-      // scratch space (spec, per-shard journals/reports/logs) lives next to
-      // the merged journal, which is why a journal path is required.
-      if (jpath.empty()) {
-        std::fprintf(stderr,
-                     "apf_sim: --shards needs --journal F (fresh) or "
-                     "--resume F\n");
-        return 2;
-      }
-      sim::CoordinatorOptions copts;
-      copts.workerPath = o.workerPath;
-      copts.shards = static_cast<unsigned>(o.shards);
-      copts.workDir = jpath + ".shards";
-      copts.workerWallBudgetNanos = o.shardWallMs * 1'000'000ull;
-      copts.maxRetries = o.shardRetries;
-      copts.resume = resuming;
-      copts.verbose = !o.quiet;
-      copts.mergedJournalPath = jpath;
-      const sim::CoordinatorReport creport =
-          sim::runShardedCampaign(spec, copts);
-      shardsOk = creport.allShardsOk();
-      report = creport.runs;
-      // Payloads come back from the merged journal — the same decode path
-      // a resumed in-process campaign replays through.
-      journal = std::make_unique<sim::CampaignJournal>(jpath, configKey,
-                                                       /*resume=*/true);
-      for (std::uint64_t i = 0; i < spec.runs; ++i) {
-        if (const std::string* p =
-                journal->payload(static_cast<std::size_t>(i))) {
-          payloads[static_cast<std::size_t>(i)] = *p;
+    if (!jpath.empty()) {
+      lockJournal(jpath);
+      if (!o.merge.empty()) {
+        std::vector<std::string> shardJournals;
+        std::istringstream list(o.merge);
+        for (std::string path; std::getline(list, path, ',');) {
+          shardJournals.push_back(path);
+        }
+        try {
+          sim::mergeShardJournals(spec, shardJournals, jpath);
+        } catch (const std::exception& e) {
+          std::fprintf(stderr, "apf_sim: --merge: %s\n", e.what());
+          return 2;
         }
       }
-    } else {
-      if (!jpath.empty()) {
-        journal = std::make_unique<sim::CampaignJournal>(jpath, configKey,
-                                                         resuming);
-      }
-      report = sim::runShard(spec, *algo, 0, spec.runs, journal.get(),
-                             sink.get(), /*jobs=*/0, /*stats=*/nullptr,
-                             &payloads);
+      // After a merge this is exactly --resume: every merged run replays
+      // and only runs no shard journaled execute here.
+      journal = std::make_unique<sim::CampaignJournal>(
+          jpath, configKey, resuming || !o.merge.empty());
     }
+    std::vector<std::string> payloads(spec.runs);
+    const sim::SupervisorReport report =
+        sim::runShard(spec, *algo, range.lo, range.hi, journal.get(),
+                      sink.get(), /*jobs=*/0, /*stats=*/nullptr, &payloads);
 
     if (!o.quarantinePath.empty()) report.write(o.quarantinePath);
     if (!o.manifestPath.empty()) {
@@ -498,9 +538,9 @@ int main(int argc, char** argv) try {
       obs::addBuildInfo(m);
       m.set("tool", "apf_sim.campaign");
       m.merge(campaignManifest(spec, algo->name()));
-      // The resume/shard-invariant variant: fresh-vs-replayed collapses
-      // into supervisor.finished, so this manifest is byte-identical for
-      // uninterrupted, resumed, and K-shard executions of the same spec.
+      // The resume-invariant variant: fresh-vs-replayed collapses into
+      // supervisor.finished, so this manifest is byte-identical for
+      // uninterrupted, resumed, and merged executions of the same spec.
       sim::appendManifestInvariant(sopts, report, m);
       m.write(o.manifestPath);
     }
@@ -518,9 +558,9 @@ int main(int argc, char** argv) try {
       // Deliberately free of wall-clock fields AND of the fresh-vs-replayed
       // split (only their sum is invariant): a resumed campaign must print
       // a document byte-identical to an uninterrupted one's — the CI
-      // kill-and-resume check diffs them directly, and the sharded drill
-      // diffs a 4-process run against APF_JOBS=1. The split lives in the
-      // human output and the --quarantine report.
+      // kill-and-resume check diffs them directly, and the shard drill
+      // diffs a merge of 4 shard processes against APF_JOBS=1. The split
+      // lives in the human output and the --quarantine report.
       obs::JsonObjectWriter top;
       top.field("schema", "apf.campaign.v1");
       top.field("runs", o.campaignRuns);
@@ -547,8 +587,7 @@ int main(int argc, char** argv) try {
           algo->name().c_str(), static_cast<std::size_t>(o.n),
           o.sched.c_str(), static_cast<unsigned long long>(o.seed),
           static_cast<unsigned long long>(o.seed + o.campaignRuns - 1),
-          o.shards > 0 ? (" shards=" + std::to_string(o.shards)).c_str()
-                       : "",
+          o.shard.empty() ? "" : (" shard=" + o.shard).c_str(),
           static_cast<unsigned long long>(report.completed),
           static_cast<unsigned long long>(report.replayed),
           static_cast<unsigned long long>(report.retries),
@@ -571,7 +610,7 @@ int main(int argc, char** argv) try {
                                        : q.attempts.back().message.c_str());
       }
     }
-    return shardsOk && report.allCompleted() ? 0 : 1;
+    return report.allCompleted() ? 0 : 1;
   }
 
   // --trace dispatches on extension: .json = Chrome trace-event spans,

@@ -17,8 +17,8 @@
 ///   2  usage error: unknown flag, malformed value, unreadable or
 ///      wrong-schema input (cross-version refusal)
 ///   3  watchdog expiry on a single supervised run
-///   4  shard journal lock held by another process (apf_worker; the
-///      coordinator treats this as retryable with backoff)
+///   4  campaign journal lock held by another process (apf_sim
+///      --journal/--resume; retry once that process has exited)
 
 #include <algorithm>
 #include <cstdint>

@@ -8,18 +8,17 @@
 #     resumes with --resume.
 #  3. Requires the resumed run's --json document AND its journal file to be
 #     byte-identical to the uninterrupted run's, at APF_JOBS=1 and 4.
-#  4. Multi-process shard drills (sim/shard.h, docs/API.md): runs the same
-#     campaign with `--shards 4`, requiring the merged output and journal
-#     to be byte-identical to the single-process reference — uninterrupted,
-#     after SIGKILLing one worker process mid-shard (the coordinator must
-#     retry it), and after SIGKILLing the coordinator itself (the rerun
-#     with --resume must converge with zero re-runs of journaled work).
+#  4. Shard drills (sim/shard.h, docs/API.md): runs the same campaign as
+#     four `--shard i/4` processes and merges their journals with
+#     `--merge`, requiring the merged output and journal to be
+#     byte-identical to the single-process reference — uninterrupted, and
+#     after SIGKILLing one shard process mid-slice, tearing its journal's
+#     tail, and rerunning that shard with --resume.
 #  5. Exercises the failure-repro chain end to end: provokes a safety
 #     violation with extreme snapshot noise, shrinks it to a .repro.json,
 #     and requires `apf_sim --replay` to reproduce it (exit 0).
 #
 # Usage: kill_resume_check.sh path/to/apf_sim [workdir]
-# The apf_worker binary is resolved next to apf_sim (override: APF_WORKER).
 set -u
 
 SIM=${1:?usage: kill_resume_check.sh path/to/apf_sim [workdir]}
@@ -70,79 +69,55 @@ for JOBS in 1 4; do
   echo "OK: resumed output and journal byte-identical (APF_JOBS=$JOBS)"
 done
 
-WORKER=${APF_WORKER:-$(dirname "$SIM")/apf_worker}
-[ -x "$WORKER" ] || fail "apf_worker not found at $WORKER (build it or set APF_WORKER)"
-export APF_WORKER="$WORKER"
+# Runs shard $1 of 4 into $WORK/$2.s$1.journal in the background.
+launch_shard() {
+  APF_JOBS=1 "$SIM" "${ARGS[@]}" --shard "$1/4" \
+    --journal "$WORK/$2.s$1.journal" > /dev/null 2>&1 &
+  PIDS[$1]=$!
+}
+# Merges the four $WORK/$1.s*.journal files and byte-compares the result
+# with the single-process reference.
+merge_and_compare() {
+  local LIST
+  LIST=$(printf '%s,' "$WORK/$1".s{0,1,2,3}.journal)
+  APF_JOBS=1 "$SIM" "${ARGS[@]}" --journal "$WORK/$1.journal" \
+    --merge "${LIST%,}" > "$WORK/$1.json" || fail "--merge failed ($1)"
+  cmp -s "$WORK/$1.json" "$WORK/full.json" ||
+    fail "merged --json differs from single-process ($1)"
+  cmp -s "$WORK/$1.journal" "$WORK/full.journal" ||
+    fail "merged journal differs from single-process ($1)"
+}
 
-echo "== sharded: uninterrupted 4-shard campaign =="
-rm -rf "$WORK/shards.journal" "$WORK/shards.journal.shards"
-APF_JOBS=1 "$SIM" "${ARGS[@]}" --shards 4 --journal "$WORK/shards.journal" \
-  > "$WORK/shards.json" || fail "sharded campaign failed"
-cmp -s "$WORK/shards.json" "$WORK/full.json" ||
-  fail "4-shard --json differs from single-process"
-cmp -s "$WORK/shards.journal" "$WORK/full.journal" ||
-  fail "4-shard merged journal differs from single-process"
-echo "OK: 4-shard output and merged journal byte-identical to single-process"
+echo "== sharded: four shard processes, then --merge =="
+rm -f "$WORK"/shards.*
+for I in 0 1 2 3; do launch_shard "$I" shards; done
+for I in 0 1 2 3; do wait "${PIDS[$I]}" || fail "shard $I/4 failed"; done
+merge_and_compare shards
+echo "OK: 4-shard merged output and journal byte-identical to single-process"
 
-echo "== sharded: SIGKILL one worker mid-shard =="
-rm -rf "$WORK/wkill.journal" "$WORK/wkill.journal.shards"
-APF_JOBS=1 "$SIM" "${ARGS[@]}" --shards 4 --journal "$WORK/wkill.journal" \
-  > "$WORK/wkill.json" 2> "$WORK/wkill.err" &
-PID=$!
-KILLED_WORKER=0
+echo "== sharded: SIGKILL one shard mid-slice, resume it, merge =="
+rm -f "$WORK"/skill.*
+for I in 0 1 2 3; do launch_shard "$I" skill; done
+# Shard 0 owns 6 runs; wait for its header plus two fsync'd runs.
 for _ in $(seq 1 400); do
-  if pkill -9 -o -f "$WORK/wkill.journal.shards" 2>/dev/null; then
-    KILLED_WORKER=1
-    echo "SIGKILLed the oldest worker process"
-    break
-  fi
-  kill -0 "$PID" 2>/dev/null || break
+  [ -f "$WORK/skill.s0.journal" ] &&
+    [ "$(wc -l < "$WORK/skill.s0.journal")" -ge 3 ] && break
+  kill -0 "${PIDS[0]}" 2>/dev/null || break
   sleep 0.05
 done
-[ "$KILLED_WORKER" -eq 1 ] ||
-  echo "WARN: no worker alive to kill; drill degrades to the uninterrupted case"
-wait "$PID" || fail "coordinator failed after a worker was SIGKILLed"
-cmp -s "$WORK/wkill.json" "$WORK/full.json" ||
-  fail "output differs after a worker was SIGKILLed and retried"
-cmp -s "$WORK/wkill.journal" "$WORK/full.journal" ||
-  fail "merged journal differs after a worker was SIGKILLed and retried"
-echo "OK: worker SIGKILL retried; output still byte-identical"
-
-echo "== sharded: SIGKILL the coordinator, resume =="
-rm -rf "$WORK/ckill.journal" "$WORK/ckill.journal.shards"
-APF_JOBS=1 "$SIM" "${ARGS[@]}" --shards 4 --journal "$WORK/ckill.journal" \
-  > /dev/null 2>&1 &
-PID=$!
-# Wait until at least one shard journal holds fsync'd run entries (header
-# plus one run), so the resume has journaled work it must NOT redo.
-for _ in $(seq 1 400); do
-  ENTRIES=$(cat "$WORK/ckill.journal.shards"/shard-*.journal 2>/dev/null | wc -l)
-  [ "$ENTRIES" -ge 5 ] && break
-  kill -0 "$PID" 2>/dev/null || break
-  sleep 0.05
-done
-if kill -9 "$PID" 2>/dev/null; then
-  wait "$PID" 2>/dev/null
-  echo "SIGKILLed the coordinator with $ENTRIES shard journal lines on disk"
+if kill -9 "${PIDS[0]}" 2>/dev/null; then
+  wait "${PIDS[0]}" 2>/dev/null
+  echo "killed shard 0 with $(wc -l < "$WORK/skill.s0.journal") journal lines"
+  printf '{"i":9999,"payl' >> "$WORK/skill.s0.journal"
 else
-  wait "$PID" 2>/dev/null
-  echo "WARN: sharded campaign finished before the kill landed"
+  wait "${PIDS[0]}" 2>/dev/null
+  echo "WARN: shard 0 finished before the kill landed; resume will replay all"
 fi
-# Workers die with the coordinator (PR_SET_PDEATHSIG); wait out the race
-# so the resumed coordinator never contends for a shard journal lock.
-for _ in $(seq 1 100); do
-  pgrep -f "$WORK/ckill.journal.shards" > /dev/null 2>&1 || break
-  sleep 0.05
-done
-pgrep -f "$WORK/ckill.journal.shards" > /dev/null 2>&1 &&
-  fail "orphan workers survived the coordinator SIGKILL"
-APF_JOBS=1 "$SIM" "${ARGS[@]}" --shards 4 --resume "$WORK/ckill.journal" \
-  > "$WORK/ckill.json" || fail "sharded resume failed"
-cmp -s "$WORK/ckill.json" "$WORK/full.json" ||
-  fail "resumed sharded --json differs from uninterrupted single-process"
-cmp -s "$WORK/ckill.journal" "$WORK/full.journal" ||
-  fail "resumed sharded merged journal differs from uninterrupted"
-echo "OK: coordinator SIGKILL resumed; output still byte-identical"
+for I in 1 2 3; do wait "${PIDS[$I]}" || fail "shard $I/4 failed"; done
+APF_JOBS=1 "$SIM" "${ARGS[@]}" --shard 0/4 \
+  --resume "$WORK/skill.s0.journal" > /dev/null || fail "shard 0 resume failed"
+merge_and_compare skill
+echo "OK: killed shard resumed; merged output still byte-identical"
 
 echo "== repro chain: provoke -> shrink -> replay =="
 # Extreme snapshot noise (sigma 8 on a diameter-10 configuration) reliably
