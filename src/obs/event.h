@@ -9,7 +9,8 @@
 /// tests/fault_test.cpp):
 ///  * a run emits exactly one RunStart (index 0) and one RunEnd (last);
 ///  * indexes are dense and strictly increasing;
-///  * one Compute event is emitted per algorithm activation, so the
+///  * one Compute event is emitted per algorithm activation (a reused
+///    stay, Metrics::computesReused, included), so the
 ///    per-phase Compute counts of a log equal `Metrics::phaseActivations`;
 ///  * every ElectionRound is paired with the Compute of the same
 ///    activation (same robot, same scheduler event);

@@ -49,6 +49,13 @@ struct Action {
 /// A mobile-robot algorithm. Implementations must be deterministic given
 /// the snapshot and the bits drawn from `rng`, oblivious (no state between
 /// calls), and anonymous (no use of robot indices beyond selfIndex).
+///
+/// The engine relies on this: when a robot's previous Compute stayed
+/// without drawing a bit and its next Look captures the same configuration
+/// version (an equal snapshot), the engine takes that stay again without
+/// calling compute() (Metrics::computesReused). A test algorithm with
+/// `mutable` state therefore sees fewer calls than there are Compute
+/// activations.
 class Algorithm {
  public:
   virtual ~Algorithm() = default;

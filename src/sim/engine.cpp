@@ -279,7 +279,14 @@ bool Engine::compute(std::size_t i) {
                        static_cast<std::int64_t>(i));
   const std::uint64_t bitsBefore = rng_.bitsConsumed();
   const std::uint64_t t0 = timed_ ? obs::nowNanos() : 0;
-  Action act = computeFor(i, rng_);
+  // Robots are oblivious: a Compute depends only on the snapshot and the
+  // bits it draws. quietVersion == snapVersion means the previous Compute
+  // saw this same configuration version (hence a bitwise-equal snapshot)
+  // and stayed without drawing a bit, so the algorithm would answer with
+  // that same stay again.
+  const bool reuse = r.quietVersion == r.snapVersion;
+  if (reuse) metrics_.computesReused += 1;
+  Action act = reuse ? Action::stay(r.phaseTag) : computeFor(i, rng_);
   span.arg2("phase", act.phaseTag);
   const std::uint64_t durNanos = timed_ ? obs::nowNanos() - t0 : 0;
   const std::uint64_t bitsUsed = rng_.bitsConsumed() - bitsBefore;
@@ -744,6 +751,7 @@ void appendResult(obs::Manifest& m, const RunResult& res) {
   m.set("result.random_bits", mx.randomBits);
   m.set("result.distance", mx.distance);
   m.set("result.election_rounds", mx.electionRounds);
+  m.set("result.computes_reused", mx.computesReused);
   m.set("result.stale.mean", mx.staleness.mean());
   m.set("result.stale.p95", mx.staleness.quantileUpperBound(0.95));
   m.set("result.stale.max", mx.staleness.max());

@@ -153,7 +153,10 @@ class Engine {
     int sinceProgress = 0;
     int phaseTag = 0;
     /// Configuration version on which this robot last completed an empty,
-    /// randomness-free cycle (0 = none yet).
+    /// randomness-free cycle on an unfaulted snapshot (0 = none yet, or the
+    /// last Compute moved, drew a bit, or was dropped). Drives quiescence
+    /// (isTerminal) and Compute reuse: a Look that captures this same
+    /// version again takes the stay without calling the algorithm.
     std::uint64_t quietVersion = 0;
     /// Configuration version captured by this robot's last Look.
     std::uint64_t snapVersion = 0;

@@ -30,6 +30,11 @@ struct Metrics {
   /// Election rounds: Compute activations that flipped the election's
   /// random bit (the paper's "one bit per robot per cycle" events).
   std::uint64_t electionRounds = 0;
+  /// Compute activations answered without calling the algorithm: the
+  /// robot's previous Compute saw the same configuration version and
+  /// stayed without drawing a bit, so that stay is taken again
+  /// (Engine::compute). Counted in phaseActivations like any other.
+  std::uint64_t computesReused = 0;
   /// Snapshot staleness at Compute time, in configuration versions
   /// (version at Compute minus version captured at Look). Always
   /// collected: the update is two integer adds per activation.

@@ -1,9 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <map>
+#include <set>
 
 #include "config/generator.h"
+#include "core/form_pattern.h"
 #include "core/phases.h"
+#include "obs/recorder.h"
 #include "sim/engine.h"
 
 namespace apf::sim {
@@ -217,6 +221,131 @@ TEST(EngineTest, EventCapReportsNonTermination) {
   const RunResult res = eng.run();
   EXPECT_FALSE(res.terminated);
   EXPECT_LE(res.metrics.events, 60u);
+}
+
+/// FormPatternAlgorithm that counts its real calls and keeps each robot's
+/// last real snapshot (on an unfaulted run selfIndex is the robot's index).
+class CountingForm : public Algorithm {
+ public:
+  Action compute(const Snapshot& snap,
+                 sched::RandomSource& rng) const override {
+    ++calls;
+    lastSnap[snap.selfIndex] = snap;
+    return inner.compute(snap, rng);
+  }
+  std::string name() const override { return "counting-form"; }
+
+  core::FormPatternAlgorithm inner;
+  mutable std::uint64_t calls = 0;
+  mutable std::map<std::size_t, Snapshot> lastSnap;
+};
+
+std::uint64_t totalActivations(const Metrics& m) {
+  std::uint64_t total = 0;
+  for (const auto& [tag, count] : m.phaseActivations) total += count;
+  return total;
+}
+
+TEST(EngineTest, ReusedComputeRepeatsTheLastZeroBitStay) {
+  // A robot that re-observes the configuration version on which it last
+  // stayed without drawing a bit gets that stay again, and the algorithm
+  // is not called. Every Compute of an ASYNC n = 16 formation is checked
+  // against the rule, both ways, from the event log.
+  config::Rng rng(16);
+  const Configuration start = config::randomConfiguration(16, rng, 3.0, 0.1);
+  const Configuration pattern = config::randomPattern(16, rng);
+  CountingForm algo;
+  obs::MemoryRecorder rec;
+  EngineOptions opts = basicOpts(sched::SchedulerKind::Async, 7);
+  opts.maxEvents = 200000;
+  opts.recorder = &rec;
+  Engine eng(start, pattern, algo, opts);
+
+  struct LastCompute {
+    std::uint64_t snapVersion = 0;
+    std::uint64_t bits = 0;
+    int phaseTag = 0;
+    bool stay = false;
+  };
+  std::map<std::size_t, LastCompute> last;
+  std::set<std::size_t> reusedRobots;
+  std::uint64_t realAfterReuse = 0;
+  std::size_t seen = rec.events().size();
+  for (;;) {
+    const std::uint64_t callsBefore = algo.calls;
+    const std::uint64_t reusedBefore = eng.metrics().computesReused;
+    if (eng.metrics().events >= opts.maxEvents || !eng.step()) break;
+    // One ASYNC event is at most one Compute; a stay completes its cycle
+    // within the same event.
+    const obs::Event* comp = nullptr;
+    bool cycleDone = false;
+    for (; seen < rec.events().size(); ++seen) {
+      const obs::Event& ev = rec.events()[seen];
+      if (ev.kind == obs::EventKind::Compute) comp = &ev;
+      if (ev.kind == obs::EventKind::CycleComplete) cycleDone = true;
+    }
+    if (comp == nullptr) continue;
+    const auto i = static_cast<std::size_t>(comp->robot);
+    const std::uint64_t snapVersion = comp->configVersion - comp->staleness;
+    const bool reused = eng.metrics().computesReused == reusedBefore + 1;
+    ASSERT_EQ(algo.calls, callsBefore + (reused ? 0 : 1));
+    const auto prev = last.find(i);
+    const bool quietRepeat = prev != last.end() &&
+                             prev->second.snapVersion == snapVersion &&
+                             prev->second.bits == 0 && prev->second.stay;
+    ASSERT_EQ(reused, quietRepeat) << "compute event " << comp->index;
+    if (reused) {
+      EXPECT_EQ(comp->phaseTag, prev->second.phaseTag);
+      EXPECT_EQ(comp->bitsUsed, 0u);
+      EXPECT_TRUE(cycleDone);
+      // The skipped call would have answered the same: the inner algorithm
+      // on this robot's last real snapshot stays again without a bit.
+      sched::RandomSource fresh(99);
+      const Action again = algo.inner.compute(algo.lastSnap.at(i), fresh);
+      EXPECT_FALSE(again.isMove());
+      EXPECT_EQ(again.phaseTag, comp->phaseTag);
+      EXPECT_EQ(fresh.bitsConsumed(), 0u);
+      reusedRobots.insert(i);
+    } else if (reusedRobots.count(i) != 0) {
+      ++realAfterReuse;  // the configuration moved on: a real Compute again
+    }
+    last[i] = {snapVersion, comp->bitsUsed, comp->phaseTag, cycleDone};
+  }
+  const Metrics& m = eng.metrics();
+  EXPECT_TRUE(eng.success());
+  EXPECT_GT(m.computesReused, 0u);
+  EXPECT_EQ(totalActivations(m), algo.calls + m.computesReused);
+  EXPECT_GT(realAfterReuse, 0u);
+}
+
+TEST(EngineTest, ComputeReuseNeedsAProvablyQuietStay) {
+  config::Rng rng(21);
+  const Configuration start = config::randomConfiguration(16, rng, 3.0, 0.1);
+  const Configuration pattern = config::randomPattern(16, rng);
+  auto reusedWith = [&](const Algorithm& algo, sched::SchedulerKind kind,
+                        fault::FaultPlan plan) {
+    EngineOptions opts = basicOpts(kind, 5);
+    opts.maxEvents = 3000;
+    opts.fault = plan;
+    Engine eng(start, pattern, algo, opts);
+    const RunResult res = eng.run();
+    EXPECT_GT(totalActivations(res.metrics), 0u);
+    return res.metrics.computesReused;
+  };
+  Idle idle;
+  EXPECT_GT(reusedWith(idle, sched::SchedulerKind::Async, {}), 0u);
+  EXPECT_GT(reusedWith(idle, sched::SchedulerKind::SSync, {}), 0u);
+  // A faulted snapshot may differ on the next Look: never reused.
+  fault::FaultPlan noise;
+  noise.noiseSigma = 1e-3;
+  EXPECT_EQ(reusedWith(idle, sched::SchedulerKind::Async, noise), 0u);
+  fault::FaultPlan omission;
+  omission.omitProb = 0.2;
+  EXPECT_EQ(reusedWith(idle, sched::SchedulerKind::Async, omission), 0u);
+  // A stay that drew a bit may go the other way next time: never reused.
+  CoinFlipper coin;
+  EXPECT_EQ(reusedWith(coin, sched::SchedulerKind::Async, {}), 0u);
+  EXPECT_EQ(reusedWith(coin, sched::SchedulerKind::SSync, {}), 0u);
 }
 
 }  // namespace

@@ -3,7 +3,8 @@
 /// structured event logs (`*.jsonl`) from a directory and prints
 ///  * success rates and run-cost statistics grouped by (algo, sched, n),
 ///  * random-bit accounting (the paper's one-bit-per-cycle claim),
-///  * per-phase activation and wall-time breakdowns,
+///  * per-phase activation and wall-time breakdowns, with the share of
+///    Compute activations the engine answered by reuse,
 ///  * fault-injection accounting (run outcomes, injected faults by kind;
 ///    docs/FAULTS.md),
 ///  * campaign-pool statistics (`campaign.*` manifest keys: worker
@@ -97,6 +98,7 @@ struct Report {
   // Per-phase totals from manifests.
   std::map<int, std::uint64_t> phaseActivations;
   std::map<int, std::uint64_t> phaseNanos;
+  std::uint64_t computesReused = 0;  // sum of result.computes_reused
   std::uint64_t totalBits = 0;
   std::uint64_t totalCycles = 0;
   // Fault accounting from manifests (docs/FAULTS.md).
@@ -269,6 +271,8 @@ void ingestManifest(const fs::path& path, Report& rep) {
   }
   g.electionRounds +=
       static_cast<std::uint64_t>(num(m, "result.election_rounds"));
+  rep.computesReused +=
+      static_cast<std::uint64_t>(num(m, "result.computes_reused"));
   rep.totalBits += static_cast<std::uint64_t>(bits);
   rep.totalCycles += static_cast<std::uint64_t>(cycles);
 
@@ -438,6 +442,11 @@ void printPhases(const Report& rep) {
                                   static_cast<double>(totalNs)
                             : 0.0);
   }
+  // Reused Computes are counted in the activations above; they never
+  // called the algorithm (sim/metrics.h, Metrics::computesReused).
+  std::printf("computes reused: %llu of %llu\n",
+              static_cast<unsigned long long>(rep.computesReused),
+              static_cast<unsigned long long>(total));
 }
 
 void printFaults(const Report& rep) {
