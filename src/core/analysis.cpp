@@ -1,9 +1,12 @@
 #include "core/analysis.h"
 
+#include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <limits>
 
 #include "config/rays.h"
+#include "config/similarity.h"
 #include "core/phases.h"
 #include "geom/sec.h"
 
@@ -49,13 +52,83 @@ Analysis::Analysis(const sim::Snapshot& snap)
   patternShared_ = pinfo_->f.size() == f_.size() &&
                    std::memcmp(pinfo_->f.points().data(), f_.points().data(),
                                f_.size() * sizeof(Vec2)) == 0;
-  if (patternShared_) f_ = pinfo_->f;
+  if (patternShared_) {
+    f_ = pinfo_->f;
+  } else {
+    for (std::size_t i : pinfo_->maxViewNonHolders) {
+      fWithout_.push_back(f_.without(i));
+    }
+  }
+  radii_.reserve(p_.size());
+  for (const Vec2& q : p_.points()) radii_.push_back(q.norm());
   ok_ = true;
 }
 
-Configuration Analysis::fWithout(std::size_t k) const {
-  if (patternShared_) return pinfo_->fWithout[k];
-  return f_.without(pinfo_->maxViewNonHolders[k]);
+namespace {
+
+/// Margin for rounding between the polar table and findSimilarity's own
+/// radii, which it takes about the Welzl circle of P (or of P - {r}): that
+/// circle is the unit circle at the origin only up to rounding.
+constexpr double kRadiiMargin = 1e-9;
+
+/// True when the ascending radii `p`, with its element `skip` left out
+/// (skip >= p.size() keeps all), and the ascending radii `f` differ at some
+/// rank by more than findSimilarity's radius bound plus kRadiiMargin. Then
+/// findSimilarity's own radius check rejects too, and it returns nullopt.
+bool radiiApart(const std::vector<double>& p, std::size_t skip,
+                const std::vector<double>& f, const geom::Tol& tol) {
+  const std::size_t kept = p.size() - (skip < p.size() ? 1 : 0);
+  if (kept != f.size()) return false;  // findSimilarity decides
+  const double bound = 2.0 * tol.dist + 1e-12 + kRadiiMargin;
+  for (std::size_t i = 0, j = 0; i < p.size(); ++i) {
+    if (i == skip) continue;
+    if (std::fabs(p[i] - f[j++]) > bound) return true;
+  }
+  return false;
+}
+
+}  // namespace
+
+const std::vector<double>& Analysis::sortedRadii() {
+  if (sortedRadii_.empty()) {
+    sortedRadii_ = radii_;
+    std::sort(sortedRadii_.begin(), sortedRadii_.end());
+  }
+  return sortedRadii_;
+}
+
+bool Analysis::similarToF(const geom::Tol& tol) {
+  // The normalized P's SEC is the unit circle at the origin, so the table
+  // radii are findSimilarity's P-side radii up to rounding; the F side is
+  // bitwise the cached one.
+  if (patternShared_ &&
+      radiiApart(sortedRadii(), p_.size(), pinfo_->radii, tol)) {
+    return false;
+  }
+  return config::similar(p_, f_, tol);
+}
+
+std::optional<geom::Similarity> Analysis::matchWithout(std::size_t r,
+                                                       std::size_t k,
+                                                       const geom::Tol& tol) {
+  // A robot strictly inside C(P) lies inside SEC(P - {r}), so
+  // SEC(P - {r}) = C(P) and the table radii without r's are again
+  // findSimilarity's radii up to rounding. A robot on (or near) C(P) may
+  // shrink the circle when it leaves: no shortcut then.
+  if (patternShared_ && radii_[r] < 1.0 - 1e-6) {
+    const auto& sorted = sortedRadii();
+    const std::size_t skip =
+        std::lower_bound(sorted.begin(), sorted.end(), radii_[r]) -
+        sorted.begin();
+    if (radiiApart(sorted, skip, pinfo_->fWithoutRadii[k], tol)) {
+      return std::nullopt;
+    }
+  }
+  if (!pWithout_ || pWithoutOf_ != r) {
+    pWithout_ = p_.without(r);
+    pWithoutOf_ = r;
+  }
+  return config::findSimilarity(fWithout(k), *pWithout_, true, tol);
 }
 
 Vec2 Analysis::centerP() {
@@ -108,17 +181,24 @@ std::optional<std::size_t> Analysis::selectedRobot() {
   if (selectedComputed_) return selected_;
   selectedComputed_ = true;
   if (!ok_) return selected_;
-  const Vec2 c{};  // SEC center of the normalized configuration
+  // Radii about the SEC center of the normalized configuration. Another
+  // robot lies strictly inside D(2 |r_i|) iff the smallest radius among the
+  // others does: the others' minimum is the overall minimum, except for the
+  // robot holding it, whose others' minimum is the second smallest.
   const double bound = lF() / 2.0;
-  for (std::size_t i = 0; i < p_.size(); ++i) {
-    const double ri = geom::dist(p_[i], c);
+  std::size_t first = 0;
+  for (std::size_t i = 1; i < radii_.size(); ++i) {
+    if (radii_[i] < radii_[first]) first = i;
+  }
+  double second = std::numeric_limits<double>::infinity();
+  for (std::size_t i = 0; i < radii_.size(); ++i) {
+    if (i != first) second = std::min(second, radii_[i]);
+  }
+  for (std::size_t i = 0; i < radii_.size(); ++i) {
+    const double ri = radii_[i];
     if (ri >= bound - 1e-12) continue;
-    bool alone = true;
-    for (std::size_t j = 0; j < p_.size() && alone; ++j) {
-      if (j == i) continue;
-      if (geom::dist(p_[j], c) < 2.0 * ri - 1e-12) alone = false;
-    }
-    if (alone) {
+    const double others = (i == first) ? second : radii_[first];
+    if (!(others < 2.0 * ri - 1e-12)) {
       selected_ = i;
       break;
     }
@@ -136,11 +216,15 @@ std::vector<std::size_t> Analysis::maxViewP() {
   // view sequences start with the (innermost radius / own radius) ratio,
   // which is maximal (= 1, or the atCenter flag) exactly for ring members.
   const Vec2 c = centerP();
+  const bool origin = c.x == 0.0 && c.y == 0.0;
+  auto radius = [&](std::size_t i) {
+    return origin ? radii_[i] : geom::dist(p_[i], c);
+  };
   double minR = std::numeric_limits<double>::infinity();
-  for (const Vec2& q : p_.points()) minR = std::min(minR, geom::dist(q, c));
+  for (std::size_t i = 0; i < p_.size(); ++i) minR = std::min(minR, radius(i));
   std::vector<std::size_t> ring;
   for (std::size_t i = 0; i < p_.size(); ++i) {
-    if (geom::dist(p_[i], c) <= minR + 1e-9) ring.push_back(i);
+    if (radius(i) <= minR + 1e-9) ring.push_back(i);
   }
   if (ring.size() == 1) return ring;
   std::vector<config::View> views;

@@ -8,6 +8,7 @@
 /// all robots observing the same instant agree on the analysis.
 
 #include <optional>
+#include <vector>
 
 #include "config/configuration.h"
 #include "config/regular.h"
@@ -74,15 +75,24 @@ class Analysis {
   const std::vector<std::size_t>& maxViewNonHoldersF() {
     return patternInfo().maxViewNonHolders;
   }
-  /// F().without(maxViewNonHoldersF()[k]); the cached pattern's copy, with
-  /// its circle computed, when F() is the cached pattern.
-  Configuration fWithout(std::size_t k) const;
+  /// F().without(maxViewNonHoldersF()[k]), with its circle computed.
+  const Configuration& fWithout(std::size_t k) const {
+    return patternShared_ ? pinfo_->fWithout[k] : fWithout_[k];
+  }
 
   /// The cached pattern-side analysis (l_F, f_s, fmax, circles, ...).
   const PatternInfo& patternInfo() const { return *pinfo_; }
 
-  /// Radius of robot i from centerP.
-  double radius(std::size_t i) { return geom::dist(p_[i], centerP()); }
+  /// Polar table: radii()[i] is robot i's distance from the origin, the
+  /// normalized SEC center (bitwise geom::dist(P()[i], Vec2{})).
+  const std::vector<double>& radii() const { return radii_; }
+
+  /// config::similar(P(), F(), tol), skipped when the radii rule it out.
+  bool similarToF(const geom::Tol& tol);
+  /// config::findSimilarity(fWithout(k), P().without(r), true, tol),
+  /// skipped when the radii rule it out. P().without(r) is built once.
+  std::optional<geom::Similarity> matchWithout(std::size_t r, std::size_t k,
+                                               const geom::Tol& tol);
 
  private:
   bool ok_ = false;
@@ -103,6 +113,13 @@ class Analysis {
   std::optional<std::vector<config::View>> viewsP_;
   const PatternInfo* pinfo_ = nullptr;
   bool patternShared_ = false;  ///< f_ is bitwise pinfo_->f
+  std::vector<Configuration> fWithout_;  ///< fWithout(k) when not shared
+  std::vector<double> radii_;
+  std::vector<double> sortedRadii_;  ///< radii_ ascending, built on demand
+  std::optional<Configuration> pWithout_;  ///< P().without(pWithoutOf_)
+  std::size_t pWithoutOf_ = 0;
+
+  const std::vector<double>& sortedRadii();
 };
 
 }  // namespace apf::core

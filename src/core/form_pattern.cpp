@@ -28,12 +28,10 @@ std::optional<Action> finalMove(Analysis& a) {
   const auto maxP = a.maxViewP();
   if (maxP.size() != 1) return std::nullopt;
   const std::size_t r = maxP.front();
-  const config::Configuration pWithout = a.P().without(r);
   const auto& fs = a.maxViewNonHoldersF();
   for (std::size_t k = 0; k < fs.size(); ++k) {
     const std::size_t f = fs[k];
-    const auto t =
-        config::findSimilarity(a.fWithout(k), pWithout, true, kMatchTol);
+    const auto t = a.matchWithout(r, k, kMatchTol);
     if (!t) continue;
     if (a.self() != r) return Action::stay(kFinalMove);
     const geom::Vec2 dest = t->apply(a.F()[f]);
@@ -78,7 +76,7 @@ Action FormPatternAlgorithm::compute(const sim::Snapshot& snap,
       }
       return *gather;
     }
-  } else if (config::similar(a.P(), a.F(), kMatchTol)) {
+  } else if (a.similarToF(kMatchTol)) {
     // Terminal: the pattern is formed; stay forever.
     return Action::stay(kTerminal);
   }

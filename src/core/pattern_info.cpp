@@ -18,6 +18,19 @@ using geom::Vec2;
 constexpr double kTol = 1e-9;
 constexpr double kAngTol = 1e-7;
 
+/// c's points' distances from its SEC center over its radius, ascending;
+/// the expression findSimilarity evaluates.
+std::vector<double> sortedSecRadii(const Configuration& c) {
+  const geom::Circle sec = c.sec();
+  std::vector<double> out;
+  out.reserve(c.size());
+  for (const Vec2& p : c.points()) {
+    out.push_back(geom::dist(p, sec.center) / sec.radius);
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
 PatternInfo build(const Configuration& f, bool multiplicity) {
   PatternInfo out;
   out.f = f;
@@ -41,8 +54,9 @@ PatternInfo build(const Configuration& f, bool multiplicity) {
   }
   for (std::size_t i : out.maxViewNonHolders) {
     out.fWithout.push_back(f.without(i));
-    (void)out.fWithout.back().sec();
+    out.fWithoutRadii.push_back(sortedSecRadii(out.fWithout.back()));
   }
+  out.radii = sortedSecRadii(out.f);
 
   if (f.size() < 4 || out.maxViewNonHolders.empty()) return out;
 
@@ -93,6 +107,14 @@ PatternInfo build(const Configuration& f, bool multiplicity) {
     } else {
       ++out.circleCounts.back();
     }
+  }
+  for (double radius : out.circleRadii) {
+    std::vector<double> angles;
+    for (const auto& t : out.targets) {
+      if (geom::distEq(t.radius, radius)) angles.push_back(t.angle);
+    }
+    std::sort(angles.begin(), angles.end());
+    out.circleTargets.push_back(std::move(angles));
   }
   out.valid = true;
   return out;

@@ -28,6 +28,11 @@ struct PatternInfo {
   std::vector<std::size_t> maxViewNonHolders;
   /// f.without(maxViewNonHolders[k]) for each k, with sec() computed.
   std::vector<config::Configuration> fWithout;
+  /// Distances from f's SEC center over its radius, ascending, and the
+  /// same for each fWithout[k]: bit for bit the radii findSimilarity
+  /// compares first when F or F - {f_k} is one of its two sides.
+  std::vector<double> radii;
+  std::vector<std::vector<double>> fWithoutRadii;
 
   // --- DPF decomposition ---
   std::size_t fs = 0;          ///< removed max-view non-holder
@@ -47,6 +52,9 @@ struct PatternInfo {
   /// Distinct target radii, descending, with per-circle counts.
   std::vector<double> circleRadii;
   std::vector<int> circleCounts;
+  /// Target angles on each circle (targets within tolerance of its
+  /// radius), ascending.
+  std::vector<std::vector<double>> circleTargets;
 
   /// Cached lookup (computes on first use per distinct pattern).
   static const PatternInfo& get(const config::Configuration& fNormalized,
