@@ -30,6 +30,7 @@
 #include "est/adaptive.h"
 #include "obs/json.h"
 #include "sim/campaign.h"
+#include "sim/shard.h"
 
 using namespace apf;
 using namespace apf::bench;
@@ -61,14 +62,13 @@ est::Trial makeTrial(const sim::Algorithm& algo, std::size_t n,
                      std::uint64_t maxEvents, bool chirality) {
   return [&algo, n, pattern, maxEvents, chirality](
              std::uint64_t seed, std::uint64_t) -> est::Sample {
-    config::Rng rng(seed + 7);
-    const auto start = config::randomConfiguration(n, rng, 5.0, 0.1);
     sim::EngineOptions opts;
     opts.seed = seed;
     opts.maxEvents = maxEvents;
     opts.commonChirality = chirality;
     opts.sched.kind = sched::SchedulerKind::Async;
-    sim::Engine engine(start, pattern, algo, opts);
+    sim::Engine engine(sim::generateStart("random", n, seed), pattern, algo,
+                       opts);
     const sim::RunResult res = engine.run();
     est::Sample s;
     s.success = res.success;

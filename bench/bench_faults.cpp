@@ -50,11 +50,9 @@ int main() {
   supOpts.cycleBudget = 3'000'000;
   sim::SupervisorReport supTotal;
 
-  // Per-cell seeds fan out across the campaign pool (sim/campaign.h); each
-  // worker builds its own start/pattern/fault plan, and the in-order merge
-  // keeps every CSV row identical for any APF_JOBS.
-  std::vector<int> seeds(kSeeds);
-  for (int s = 0; s < kSeeds; ++s) seeds[s] = s;
+  // Per-cell seeds 0..kSeeds-1 fan out across the campaign pool
+  // (sim/campaign.h); each worker builds its own start/pattern/fault plan,
+  // and the in-order merge keeps every CSV row identical for any APF_JOBS.
   long obsBase = 0;
 
   for (const int f : crashCounts) {
@@ -65,10 +63,11 @@ int main() {
           sim::RunResult res;
           bool approx = false;
         };
-        std::vector<CellRun> results(seeds.size());
+        std::vector<CellRun> results(kSeeds);
         const sim::SupervisorReport cellReport = sim::superviseCampaign(
-            seeds,
-            [&](int s, std::size_t, const sim::Attempt& att) {
+            0, kSeeds,
+            [&](std::size_t seedIndex, const sim::Attempt& att) {
+          const int s = static_cast<int>(seedIndex);
           // Reference configurations: identical to bench_scheduler's
           // ASYNC earlyStop=0.5 row so the clean cell cross-checks it.
           config::Rng rng(810 + s);

@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <stdexcept>
-#include <vector>
 
 #include "sched/seed.h"
-#include "sim/campaign.h"
 
 namespace apf::est {
 
@@ -142,59 +140,29 @@ ArmEstimate runAdaptive(const std::string& label, const Trial& trial,
         std::min(opts.stop.batchSize, opts.stop.maxSamples - scheduled);
     emit(obs::EventKind::BatchScheduled, arm.batches, scheduled, batchSize);
 
-    // Per-batch summaries, fed in strict global-index order.
+    // Per-batch summaries, fed in strict global-index order from each
+    // sample's payload, whether it ran now or replays from the journal.
     BernoulliSummary bSuccess;
     MomentSummary bCycles, bEvents, bBits;
-    auto feed = [&](const Sample& s) {
-      bSuccess.add(s.success);
-      bCycles.add(s.cycles);
-      bEvents.add(s.events);
-      bBits.add(static_cast<double>(s.bits));
-    };
-
-    if (opts.journal != nullptr) {
-      // Journaled path: run only the samples the journal does not already
-      // hold, checkpoint each under its GLOBAL sample index the moment it
-      // merges, then feed every batch sample from its decoded payload —
-      // fresh and resumed campaigns share one canonical summary path.
-      std::vector<std::uint64_t> todo;
-      todo.reserve(batchSize);
-      for (std::uint64_t i = scheduled; i < scheduled + batchSize; ++i) {
-        if (!opts.journal->has(static_cast<std::size_t>(i))) {
-          todo.push_back(i);
-        }
-      }
-      sim::runCampaign(
-          todo,
-          [&](std::uint64_t gi, std::size_t) {
-            return trial(sched::sampleSeed(opts.baseSeed, gi), gi).toJson();
-          },
-          [&](std::size_t k, std::string&& payload) {
-            opts.journal->append(static_cast<std::size_t>(todo[k]), payload);
-          },
-          opts.jobs);
-      for (std::uint64_t i = scheduled; i < scheduled + batchSize; ++i) {
-        const std::string* payload =
-            opts.journal->payload(static_cast<std::size_t>(i));
-        if (payload == nullptr) {
-          throw std::runtime_error(
-              "est: journal lost sample " + std::to_string(i) +
-              " it just acknowledged");
-        }
-        feed(Sample::fromJson(*payload));
-      }
-    } else {
-      std::vector<std::uint64_t> indices(batchSize);
-      for (std::uint64_t k = 0; k < batchSize; ++k) {
-        indices[k] = scheduled + k;
-      }
-      sim::runCampaign(
-          indices,
-          [&](std::uint64_t gi, std::size_t) {
-            return trial(sched::sampleSeed(opts.baseSeed, gi), gi);
-          },
-          [&](std::size_t, Sample&& s) { feed(s); },
-          opts.jobs);
+    sim::SupervisorOptions sopts;
+    sopts.maxRetries = 0;
+    const sim::SupervisorReport report = sim::superviseCampaign(
+        scheduled, scheduled + batchSize,
+        [&](std::size_t gi, const sim::Attempt&) {
+          return trial(sched::sampleSeed(opts.baseSeed, gi), gi).toJson();
+        },
+        [&](std::size_t, std::string&& payload) {
+          const Sample s = Sample::fromJson(payload);
+          bSuccess.add(s.success);
+          bCycles.add(s.cycles);
+          bEvents.add(s.events);
+          bBits.add(static_cast<double>(s.bits));
+        },
+        sopts, opts.journal, opts.jobs);
+    if (!report.quarantine.empty()) {
+      // With no retries a quarantined sample is a trial that threw.
+      throw std::runtime_error(
+          report.quarantine.front().attempts.front().message);
     }
 
     arm.success.merge(bSuccess);

@@ -2,8 +2,8 @@
 
 /// \file adaptive.h
 /// Adaptive Monte Carlo campaign driver (docs/STATISTICS.md): layered on
-/// sim::runCampaign, it schedules deterministic BATCHES of seeded trials,
-/// folds each batch's per-sample results into mergeable streaming
+/// sim::superviseCampaign, it schedules deterministic BATCHES of seeded
+/// trials, folds each batch's per-sample results into mergeable streaming
 /// summaries (estimators.h), and consults a sequential stopping rule
 /// (stopping.h) at every batch boundary — so a campaign spends exactly as
 /// many samples as the requested precision needs, instead of a guessed
@@ -17,17 +17,19 @@
 ///    [b*batchSize, min((b+1)*batchSize, maxSamples)). Scheduling is
 ///    decided BEFORE the batch runs; nothing mid-batch can alter it.
 ///  * Within a batch, samples feed the summaries in strict global-index
-///    order (sim::runCampaign's merge-order guarantee), and batch
+///    order (sim::superviseCampaign's merge-order guarantee), and batch
 ///    summaries merge into the arm total in batch order. The stopping
 ///    decision therefore sees bit-identical state at every boundary
 ///    REGARDLESS of APF_JOBS — the stopping batch, the final intervals,
 ///    and the serialized report are byte-identical for any thread count.
 ///  * The report contains no wall-clock fields.
-///  * With a sim::CampaignJournal attached, every completed sample is
-///    appended + fsync'd under its global index, and summaries are always
-///    fed from decoded journal payloads — so a campaign killed mid-batch
-///    and resumed converges to the byte-identical report (the PR 5
-///    decode(encode) fixed-point argument).
+///  * Every sample travels as its Sample::toJson() payload and the
+///    summaries are fed from Sample::fromJson of it, journal or not. With
+///    a sim::CampaignJournal attached, each batch is one journaled
+///    superviseCampaign call: completed samples are appended + fsync'd
+///    under their global index, and journaled ones replay their payload
+///    instead of running — so a campaign killed mid-batch and resumed
+///    converges to the byte-identical report.
 ///
 /// The driver is algorithm-agnostic: a Trial callback maps
 /// (seed, sample index) to a Sample {success, cycles, events, bits}. The
@@ -54,7 +56,7 @@ struct Sample {
   double events = 0.0;  ///< scheduler events (the ASYNC round currency)
   std::uint64_t bits = 0;  ///< algorithm random bits (sched/rng.h ledger)
 
-  /// Flat-JSON codec. decode(encode(s)) is exact (shortest round-trip
+  /// Flat-JSON encoding. fromJson(toJson()) is exact (shortest round-trip
   /// doubles, integer bits), which is what lets journaled and fresh
   /// campaigns share one canonical summary path.
   std::string toJson() const;
@@ -114,8 +116,9 @@ void appendManifest(const ArmEstimate& arm, obs::Manifest& manifest,
                     const std::string& prefix = "est.");
 
 /// Runs one adaptive estimation arm. Throws std::invalid_argument on bad
-/// stopping options; exceptions from `trial` propagate (the campaign
-/// cancels, same as runCampaign).
+/// stopping options. A `trial` that throws std::exception makes it throw
+/// std::runtime_error with the trial's message once that batch's other
+/// samples finish (and are journaled).
 ArmEstimate runAdaptive(const std::string& label, const Trial& trial,
                         const AdaptiveOptions& opts);
 

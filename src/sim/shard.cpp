@@ -47,6 +47,28 @@ std::string toJson(const ShardSpec& spec) {
 
 std::string shardConfigKey(const ShardSpec& spec) { return toJson(spec); }
 
+std::string validateStartKind(const std::string& kind, std::size_t n) {
+  if (kind != "random" && kind != "symmetric") {
+    return "unknown start \"" + kind + "\" (want random or symmetric)";
+  }
+  if (kind == "symmetric" && (n < 4 || n % 2 != 0)) {
+    return "symmetric start needs an even n >= 4, n is " + std::to_string(n);
+  }
+  return "";
+}
+
+config::Configuration generateStart(const std::string& kind, std::size_t n,
+                                    std::uint64_t seed) {
+  if (const std::string why = validateStartKind(kind, n); !why.empty()) {
+    throw std::invalid_argument(why);
+  }
+  config::Rng rng(seed + 7);
+  if (kind == "symmetric") {
+    return config::symmetricConfiguration(static_cast<int>(n / 2), 2, rng);
+  }
+  return config::randomConfiguration(n, rng, 5.0, 0.1);
+}
+
 std::string validateShardSpec(const ShardSpec& spec) {
   if (spec.n == 0) return "n must be at least 1";
   if (spec.runs == 0) return "runs must be at least 1";
@@ -54,11 +76,12 @@ std::string validateShardSpec(const ShardSpec& spec) {
     return "pattern has " + std::to_string(spec.pattern.size()) +
            " points but n is " + std::to_string(spec.n);
   }
-  if (spec.startKind != "random" && spec.startKind != "symmetric" &&
-      spec.startKind != "points") {
-    return "unknown start_kind \"" + spec.startKind + "\"";
-  }
-  if (spec.startKind == "points" && spec.start.size() != spec.n) {
+  if (spec.startKind != "points") {
+    if (std::string why = validateStartKind(spec.startKind, spec.n);
+        !why.empty()) {
+      return why;
+    }
+  } else if (spec.start.size() != spec.n) {
     return "start has " + std::to_string(spec.start.size()) +
            " points but n is " + std::to_string(spec.n);
   }
@@ -102,6 +125,23 @@ SupervisorOptions shardSupervisorOptions(const ShardSpec& spec,
   return opts;
 }
 
+EngineOptions scenarioOptions(const ShardSpec& spec, std::uint64_t seed) {
+  EngineOptions eopts;
+  eopts.seed = seed;
+  eopts.maxEvents = spec.maxEvents;
+  eopts.multiplicityDetection = spec.multiplicity;
+  eopts.commonChirality = spec.commonChirality;
+  eopts.sched.kind = spec.sched;
+  eopts.sched.delta = spec.delta;
+  const std::uint64_t fseed = spec.faultSeedSet ? spec.fault.seed : seed;
+  eopts.fault = spec.fault;
+  eopts.fault.crashes = fault::planWithRandomCrashes(spec.n, spec.crashF, fseed,
+                                                     spec.crashHorizon)
+                            .crashes;
+  eopts.fault.seed = fseed;
+  return eopts;
+}
+
 std::string runScenarioPayload(const ShardSpec& spec, const Algorithm& algo,
                                std::uint64_t runIndex, const Attempt& att) {
   // Field-by-field this is the campaign worker apf_sim always ran; it
@@ -111,44 +151,13 @@ std::string runScenarioPayload(const ShardSpec& spec, const Algorithm& algo,
   // per run so the campaign explores many crash schedules. The payload is
   // a flat JSON line with only deterministic fields, so campaign outputs
   // diff bit-identical across processes and machines.
-  const std::uint64_t runSeed = spec.baseSeed + runIndex;
-  const std::uint64_t eff = runSeed ^ att.seedSalt;
-
-  EngineOptions eopts;
-  eopts.seed = eff;
-  eopts.maxEvents = spec.maxEvents;
-  eopts.multiplicityDetection = spec.multiplicity;
-  eopts.commonChirality = spec.commonChirality;
-  eopts.sched.kind = spec.sched;
-  eopts.sched.delta = spec.delta;
+  const std::uint64_t eff = (spec.baseSeed + runIndex) ^ att.seedSalt;
+  EngineOptions eopts = scenarioOptions(spec, eff);
   eopts.watchdog = att.watchdog;
-
-  const std::uint64_t fseed = spec.faultSeedSet ? spec.fault.seed : eff;
-  fault::FaultPlan plan;
-  if (spec.crashF > 0) {
-    plan = fault::planWithRandomCrashes(spec.n, spec.crashF, fseed,
-                                        spec.crashHorizon);
-  }
-  plan.noiseSigma = spec.fault.noiseSigma;
-  plan.omitProb = spec.fault.omitProb;
-  plan.multFlipProb = spec.fault.multFlipProb;
-  plan.dropProb = spec.fault.dropProb;
-  plan.truncProb = spec.fault.truncProb;
-  plan.seed = fseed;
-  eopts.fault = plan;
-
-  config::Configuration runStart = spec.start;
-  if (spec.startKind != "points") {
-    config::Rng rng(eff + 7);
-    if (spec.startKind == "symmetric") {
-      const int rho = static_cast<int>(spec.n) / 2;
-      runStart = config::symmetricConfiguration(rho > 1 ? rho : 2, 2, rng);
-    } else {
-      runStart = config::randomConfiguration(spec.n, rng, 5.0, 0.1);
-    }
-  }
-
-  Engine eng(runStart, spec.pattern, algo, eopts);
+  Engine eng(spec.startKind == "points"
+                 ? spec.start
+                 : generateStart(spec.startKind, spec.n, eff),
+             spec.pattern, algo, eopts);
   const RunResult res = eng.run();
   obs::JsonObjectWriter w;
   w.field("seed", eff);
@@ -175,72 +184,15 @@ SupervisorReport runShard(const ShardSpec& spec, const Algorithm& algo,
   if (payloads != nullptr && payloads->size() < spec.runs) {
     payloads->resize(spec.runs);
   }
-  const SupervisorOptions opts = shardSupervisorOptions(spec, recorder);
-  SupervisorReport report;
-  report.items = hi - lo;
-  detail::MergeSink sink(report, opts);
-
-  // The journaled-superviseCampaign replay pattern, but over GLOBAL run
-  // indices: merge callbacks fire in ascending global order, journaled
-  // runs replay without re-execution, and journal appends happen before
-  // delivery — exactly the single-process semantics, restricted to
-  // [lo, hi). That restriction is the only difference, which is why a
-  // merged set of shard journals is byte-identical to one process's.
-  std::vector<std::uint64_t> todo;
-  todo.reserve(static_cast<std::size_t>(hi - lo));
-  for (std::uint64_t i = lo; i < hi; ++i) {
-    if (journal == nullptr || !journal->has(static_cast<std::size_t>(i))) {
-      todo.push_back(i);
-    }
-  }
-
-  auto deliver = [&](std::uint64_t index, std::string&& payload) {
-    if (payloads != nullptr) {
-      (*payloads)[static_cast<std::size_t>(index)] = std::move(payload);
-    }
-  };
-  std::uint64_t cursor = lo;
-  auto flushJournaled = [&](std::uint64_t limit) {
-    for (; cursor < limit; ++cursor) {
-      if (journal == nullptr) continue;
-      if (const std::string* p =
-              journal->payload(static_cast<std::size_t>(cursor))) {
-        ++report.replayed;
-        deliver(cursor, std::string(*p));
-      }
-    }
-  };
-
-  auto worker = [&](const std::uint64_t& index, std::size_t,
-                    const Attempt& att) -> std::string {
-    return runScenarioPayload(spec, algo, index, att);
-  };
-  runCampaign(
-      todo,
-      [&](const std::uint64_t& index, std::size_t) {
-        return detail::runAttempts<std::uint64_t, decltype(worker),
-                                   std::string>(index, index, worker, opts);
+  return superviseCampaign(
+      lo, hi,
+      [&](std::size_t index, const Attempt& att) {
+        return runScenarioPayload(spec, algo, index, att);
       },
-      [&](std::size_t t, detail::Supervised<std::string>&& s) {
-        const std::uint64_t index = todo[t];
-        flushJournaled(index);
-        cursor = index + 1;
-        const auto si = static_cast<std::size_t>(index);
-        if (s.ok) {
-          sink.recordRetries(si, s.failures);
-          if (journal != nullptr) {
-            journal->append(si, s.result);
-            sink.recordCheckpoint(si, s.result.size());
-          }
-          ++report.completed;
-          deliver(index, std::move(s.result));
-        } else {
-          sink.recordQuarantine(si, s.deterministic, std::move(s.failures));
-        }
+      [&](std::size_t index, std::string&& payload) {
+        if (payloads != nullptr) (*payloads)[index] = std::move(payload);
       },
-      jobs, stats);
-  flushJournaled(hi);
-  return report;
+      shardSupervisorOptions(spec, recorder), journal, jobs, stats);
 }
 
 std::size_t mergeShardJournals(const ShardSpec& spec,

@@ -40,6 +40,7 @@
 #include "fault/fault.h"
 #include "sched/scheduler.h"
 #include "sim/algorithm.h"
+#include "sim/engine.h"
 #include "sim/supervisor.h"
 
 namespace apf::sim {
@@ -91,8 +92,22 @@ std::string toJson(const ShardSpec& spec);
 std::string shardConfigKey(const ShardSpec& spec);
 
 /// Empty string when the spec is executable; otherwise a human-readable
-/// reason (pattern/robot count mismatch, crashF >= n, invalid plan, ...).
+/// reason (pattern/robot count mismatch, bad start, crashF >= n, invalid
+/// plan, ...).
 std::string validateShardSpec(const ShardSpec& spec);
+
+/// Empty string when `kind` names a generated start for n robots —
+/// exactly "random", or "symmetric" with an even n >= 4 — otherwise a
+/// human-readable reason.
+std::string validateStartKind(const std::string& kind, std::size_t n);
+
+/// The generated start of the run seeded `seed`, drawn from
+/// config::Rng(seed + 7): "random" scatters n robots, "symmetric" places
+/// two rings of n/2 (rho = n/2). Throws std::invalid_argument on a kind
+/// validateStartKind rejects. apf_sim, every campaign run and
+/// apf_estimate's trials all build their start here.
+config::Configuration generateStart(const std::string& kind, std::size_t n,
+                                    std::uint64_t seed);
 
 /// Contiguous, balanced partition of [0, runs): shard `index` of `count`
 /// owns [lo, hi). Shards differ in size by at most one run and cover the
@@ -108,6 +123,14 @@ ShardRange shardRange(std::uint64_t runs, unsigned index, unsigned count);
 SupervisorOptions shardSupervisorOptions(const ShardSpec& spec,
                                          obs::Recorder* recorder = nullptr);
 
+/// Engine options of the campaign run seeded `seed` (baseSeed + run index,
+/// XOR the retry salt), without a watchdog. Its fault plan is the spec's
+/// sensor/compute knobs plus crashF victims re-drawn by
+/// fault::planWithRandomCrashes from the pinned fault seed, or else from
+/// `seed`, which is also the fault-stream seed then. apf_sim's single run
+/// is run 0 of its spec and takes its options from here too.
+EngineOptions scenarioOptions(const ShardSpec& spec, std::uint64_t seed);
+
 /// Executes ONE run of the campaign: global index `runIndex`, retry salt
 /// folded in via `att`. Deterministic given (spec, runIndex, att.seedSalt)
 /// — the payload carries no wall-clock or process-identity fields, which
@@ -117,13 +140,13 @@ SupervisorOptions shardSupervisorOptions(const ShardSpec& spec,
 std::string runScenarioPayload(const ShardSpec& spec, const Algorithm& algo,
                                std::uint64_t runIndex, const Attempt& att);
 
-/// Runs the spec's global index range [lo, hi) under the supervisor,
-/// journaling (when `journal` is non-null) and reporting with GLOBAL run
-/// indices. Already-journaled runs replay without re-execution. When
-/// `payloads` is non-null it must have spec.runs slots; completed and
-/// replayed payloads land at their global index. jobs follows
-/// campaignJobs() resolution. The whole campaign is runShard(spec, algo,
-/// 0, spec.runs, ...).
+/// Runs the spec's global index range [lo, hi) as one superviseCampaign
+/// call with runScenarioPayload as the worker: journaling (when `journal`
+/// is non-null) and reporting use GLOBAL run indices, and already-journaled
+/// runs replay without re-execution. When `payloads` is non-null it is
+/// grown to spec.runs slots; completed and replayed payloads land at their
+/// global index. jobs follows campaignJobs() resolution. The whole campaign
+/// is runShard(spec, algo, 0, spec.runs, ...).
 SupervisorReport runShard(const ShardSpec& spec, const Algorithm& algo,
                           std::uint64_t lo, std::uint64_t hi,
                           CampaignJournal* journal, obs::Recorder* recorder,

@@ -23,10 +23,11 @@
 ///    quarantined immediately with `deterministic = true`. Only a
 ///    *differing* second failure rotates the seed (retrySeedSalt) for
 ///    later attempts.
-///  * With a CampaignJournal attached, merged results always pass through
-///    the codec (decode(encode(r))), so a resumed campaign — which replays
-///    decoded journal payloads for completed items — merges bit-identical
-///    to an uninterrupted one by construction.
+///  * With a CampaignJournal attached, a completed run's payload is
+///    journaled before it merges, and a resumed campaign merges the
+///    journaled bytes of the runs it skips — the same bytes a fresh run
+///    merges — so it is bit-identical to an uninterrupted one by
+///    construction.
 ///
 /// Quarantine is a structured report, not an abort: persistently failing
 /// items are recorded (index, classified failure kinds, per-attempt
@@ -35,11 +36,9 @@
 
 #include <cstdint>
 #include <cstdio>
-#include <functional>
 #include <map>
 #include <stdexcept>
 #include <string>
-#include <string_view>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -250,16 +249,6 @@ class CampaignJournal {
   bool recoveredTornLine_ = false;
 };
 
-/// Result codec for journaled campaigns. `decode(encode(r))` must be a
-/// fixed point w.r.t. merge (the supervisor ALWAYS merges the decoded
-/// re-encoding when a journal is attached, so fresh and resumed campaigns
-/// cannot diverge even if the codec is lossy).
-template <typename Result>
-struct JournalCodec {
-  std::function<std::string(const Result&)> encode;
-  std::function<Result(const std::string&)> decode;
-};
-
 namespace detail {
 
 /// Per-item record the supervised worker posts through the mailbox.
@@ -271,11 +260,10 @@ struct Supervised {
   std::vector<AttemptFailure> failures;  // non-empty iff retried or !ok
 };
 
-/// Runs the attempt loop for one item. Worker signature:
-///   Result worker(const Item& item, std::size_t index, const Attempt&)
-template <typename Item, typename Worker, typename Result>
-Supervised<Result> runAttempts(const Item& item, std::size_t index,
-                               Worker& worker,
+/// Runs the attempt loop for run `index`. Worker signature:
+///   Result worker(std::size_t index, const Attempt&)
+template <typename Result, typename Worker>
+Supervised<Result> runAttempts(std::size_t index, Worker& worker,
                                const SupervisorOptions& opts) {
   Supervised<Result> out;
   const int maxAttempts = 1 + (opts.maxRetries > 0 ? opts.maxRetries : 0);
@@ -286,7 +274,7 @@ Supervised<Result> runAttempts(const Item& item, std::size_t index,
     attempt.seedSalt = retrySeedSalt(number);
     attempt.watchdog = &dog;
     try {
-      out.result = worker(item, index, attempt);
+      out.result = worker(index, attempt);
       out.ok = true;
       return out;
     } catch (const WatchdogExpired& e) {
@@ -306,10 +294,10 @@ Supervised<Result> runAttempts(const Item& item, std::size_t index,
   return out;
 }
 
-/// Merge-thread bookkeeping shared by the plain and journaled overloads:
-/// classifies failures into the report and emits supervisor events (on the
-/// merge thread only — Recorder is not thread-safe, and merge order makes
-/// the event log deterministic).
+/// Merge-thread bookkeeping of superviseCampaign: classifies failures into
+/// the report and emits supervisor events (on the merge thread only —
+/// Recorder is not thread-safe, and merge order makes the event log
+/// deterministic).
 class MergeSink {
  public:
   MergeSink(SupervisorReport& report, const SupervisorOptions& opts)
@@ -334,107 +322,87 @@ class MergeSink {
 
 }  // namespace detail
 
-/// Supervised analogue of runCampaign. Worker signature gains the Attempt:
-///   Result worker(const Item& item, std::size_t index, const Attempt&)
-/// merge(index, Result&&) is only called for items that completed; failed
-/// items land in the returned report's quarantine instead of aborting the
-/// pool. Exceptions escaping merge itself still cancel the campaign.
-template <typename Item, typename Worker, typename Merge>
-SupervisorReport superviseCampaign(const std::vector<Item>& items,
+/// Supervised, optionally journaled campaign over the GLOBAL run indices
+/// [lo, hi) — the one campaign driver behind apf_sim's campaigns and
+/// shards (sim/shard.h), est::runAdaptive and the supervised benches.
+///   Result worker(std::size_t index, const Attempt&)
+///   void merge(std::size_t index, Result&&)
+/// merge is only called for runs that completed, on the calling thread, in
+/// ascending index order; failed runs land in the returned report's
+/// quarantine instead of aborting the pool. Exceptions escaping merge
+/// itself still cancel the campaign.
+///
+/// With a journal (Result must then be std::string), runs the journal
+/// already holds are NOT re-executed: their payloads merge in place
+/// (report.replayed). Every fresh result is appended + fsync'd before its
+/// merge call, so a crash after the call never loses the run. Replayed and
+/// fresh runs hand merge the same bytes, which is why a resumed campaign
+/// merges bit-identical to an uninterrupted one.
+template <typename Worker, typename Merge>
+SupervisorReport superviseCampaign(std::size_t lo, std::size_t hi,
                                    Worker&& worker, Merge&& merge,
                                    const SupervisorOptions& opts = {},
+                                   CampaignJournal* journal = nullptr,
                                    int jobs = 0,
                                    CampaignStats* stats = nullptr) {
-  using Result = std::invoke_result_t<Worker&, const Item&, std::size_t,
-                                      const Attempt&>;
-  SupervisorReport report;
-  report.items = items.size();
-  detail::MergeSink sink(report, opts);
-  runCampaign(
-      items,
-      [&worker, &opts](const Item& item, std::size_t index) {
-        return detail::runAttempts<Item, Worker, Result>(item, index, worker,
-                                                         opts);
-      },
-      [&](std::size_t index, detail::Supervised<Result>&& s) {
-        if (s.ok) {
-          sink.recordRetries(index, s.failures);
-          ++report.completed;
-          merge(index, std::move(s.result));
-        } else {
-          sink.recordQuarantine(index, s.deterministic,
-                                std::move(s.failures));
-        }
-      },
-      jobs, stats);
-  return report;
-}
-
-/// Journaled overload: items already present in `journal` are NOT re-run —
-/// their payloads are decoded and merged in place (report.replayed) — and
-/// every freshly completed item is appended + fsync'd before its merge
-/// callback runs, so a crash after the callback never loses the item.
-/// Merged values always pass through decode(encode(...)); see
-/// JournalCodec for why that makes resume bit-identical by construction.
-template <typename Item, typename Worker, typename Merge>
-SupervisorReport superviseCampaign(const std::vector<Item>& items,
-                                   Worker&& worker, Merge&& merge,
-                                   CampaignJournal& journal,
-                                   const JournalCodec<std::invoke_result_t<
-                                       Worker&, const Item&, std::size_t,
-                                       const Attempt&>>& codec,
-                                   const SupervisorOptions& opts = {},
-                                   int jobs = 0,
-                                   CampaignStats* stats = nullptr) {
-  using Result = std::invoke_result_t<Worker&, const Item&, std::size_t,
-                                      const Attempt&>;
-  SupervisorReport report;
-  report.items = items.size();
-  detail::MergeSink sink(report, opts);
-
-  // Only the incomplete indices go to the pool; completed ones replay from
-  // the journal. Merge callbacks still fire in GLOBAL index order: before
-  // merging fresh item i, every journaled item < i is flushed first.
-  std::vector<std::size_t> todo;
-  todo.reserve(items.size());
-  for (std::size_t i = 0; i < items.size(); ++i) {
-    if (!journal.has(i)) todo.push_back(i);
+  using Result = std::invoke_result_t<Worker&, std::size_t, const Attempt&>;
+  constexpr bool kJournalable = std::is_same_v<Result, std::string>;
+  if (!kJournalable && journal != nullptr) {
+    throw std::invalid_argument(
+        "superviseCampaign: a journal needs std::string results");
   }
+  SupervisorReport report;
+  report.items = hi - lo;
+  detail::MergeSink sink(report, opts);
 
-  std::size_t cursor = 0;  // first index not yet handed to merge
-  auto flushJournaled = [&](std::size_t limit) {
+  // Only the runs the journal lacks go to the pool. Before fresh run i
+  // merges, every journaled run below i is replayed, so merge still sees
+  // [lo, hi) in ascending order.
+  std::vector<std::size_t> todo;
+  todo.reserve(hi - lo);
+  for (std::size_t i = lo; i < hi; ++i) {
+    if (journal == nullptr || !journal->has(i)) todo.push_back(i);
+  }
+  std::size_t cursor = lo;  // first index not yet handed to merge
+  auto replayBelow = [&](std::size_t limit) {
     for (; cursor < limit; ++cursor) {
-      if (const std::string* payload = journal.payload(cursor)) {
-        ++report.replayed;
-        merge(cursor, codec.decode(*payload));
+      if constexpr (kJournalable) {
+        const std::string* payload =
+            journal != nullptr ? journal->payload(cursor) : nullptr;
+        if (payload != nullptr) {
+          ++report.replayed;
+          merge(cursor, std::string(*payload));
+        }
       }
     }
   };
 
   runCampaign(
       todo,
-      [&worker, &opts, &items](std::size_t index, std::size_t) {
-        return detail::runAttempts<Item, Worker, Result>(items[index], index,
-                                                         worker, opts);
+      [&worker, &opts](std::size_t index, std::size_t) {
+        return detail::runAttempts<Result>(index, worker, opts);
       },
       [&](std::size_t t, detail::Supervised<Result>&& s) {
         const std::size_t index = todo[t];
-        flushJournaled(index);
+        replayBelow(index);
         cursor = index + 1;
-        if (s.ok) {
-          sink.recordRetries(index, s.failures);
-          const std::string payload = codec.encode(s.result);
-          journal.append(index, payload);
-          sink.recordCheckpoint(index, payload.size());
-          ++report.completed;
-          merge(index, codec.decode(payload));
-        } else {
+        if (!s.ok) {
           sink.recordQuarantine(index, s.deterministic,
                                 std::move(s.failures));
+          return;
         }
+        sink.recordRetries(index, s.failures);
+        if constexpr (kJournalable) {
+          if (journal != nullptr) {
+            journal->append(index, s.result);
+            sink.recordCheckpoint(index, s.result.size());
+          }
+        }
+        ++report.completed;
+        merge(index, std::move(s.result));
       },
       jobs, stats);
-  flushJournaled(items.size());
+  replayBelow(hi);
   return report;
 }
 

@@ -11,6 +11,9 @@
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
+#include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -392,6 +395,101 @@ TEST(AdaptiveTest, JournalResumeRerunsNothing) {
     EXPECT_EQ(again.toJson(), first);
   }
   EXPECT_EQ(executed.load(), 0);
+  std::filesystem::remove(path);
+}
+
+std::string slurp(const std::string& path) {
+  std::ifstream is(path, std::ios::binary);
+  std::ostringstream buf;
+  buf << is.rdbuf();
+  return buf.str();
+}
+
+TEST(AdaptiveTest, JournalCutMidBatchResumesByteIdentical) {
+  // Two batches of 8; the journal is cut after 11 of the 16 samples with a
+  // torn final line, so batch 1 mixes 3 replayed samples with 5 fresh ones.
+  const std::filesystem::path dir(::testing::TempDir());
+  const std::string full = (dir / "est_cut_full.journal").string();
+  est::AdaptiveOptions opts;
+  opts.baseSeed = 17;
+  opts.jobs = 1;
+  opts.stop.batchSize = 8;
+  opts.stop.minSamples = 16;
+  opts.stop.maxSamples = 16;
+  opts.stop.targetHalfWidth = 0.0;
+  const std::string key = "{\"k\":\"est_cut\"}";
+
+  std::string reference;
+  {
+    sim::CampaignJournal journal(full, key, false);
+    opts.journal = &journal;
+    reference = est::runAdaptive("cut", syntheticTrial, opts).toJson();
+  }
+  const std::string fullBytes = slurp(full);
+  std::istringstream lines(fullBytes);
+  std::string line, cut;
+  for (int keep = 0; keep < 12 && std::getline(lines, line); ++keep) {
+    cut += line + "\n";  // header + samples 0..10
+  }
+  cut += "{\"i\":11,\"payl";  // torn mid-write
+
+  for (int jobs : {1, 4}) {
+    const std::string path =
+        (dir / ("est_cut_" + std::to_string(jobs) + ".journal")).string();
+    {
+      std::ofstream os(path, std::ios::binary);
+      os << cut;
+    }
+    std::atomic<int> executed{0};
+    {
+      sim::CampaignJournal journal(path, key, true);
+      EXPECT_TRUE(journal.recoveredTornLine());
+      EXPECT_EQ(journal.completedCount(), 11u);
+      opts.journal = &journal;
+      opts.jobs = jobs;
+      const est::ArmEstimate resumed = est::runAdaptive(
+          "cut",
+          [&executed](std::uint64_t seed, std::uint64_t index) {
+            executed.fetch_add(1);
+            return syntheticTrial(seed, index);
+          },
+          opts);
+      EXPECT_EQ(resumed.toJson(), reference) << "jobs=" << jobs;
+    }
+    EXPECT_EQ(executed.load(), 5) << "jobs=" << jobs;
+    EXPECT_EQ(slurp(path), fullBytes) << "jobs=" << jobs;
+    std::filesystem::remove(path);
+  }
+  std::filesystem::remove(full);
+}
+
+TEST(AdaptiveTest, ThrowingTrialPropagates) {
+  const std::string path =
+      (std::filesystem::path(::testing::TempDir()) / "est_throw.journal")
+          .string();
+  est::AdaptiveOptions opts;
+  opts.baseSeed = 3;
+  opts.stop.batchSize = 8;
+  opts.stop.minSamples = 16;
+  opts.stop.maxSamples = 16;
+  auto trial = [](std::uint64_t seed, std::uint64_t index) {
+    if (index == 11) throw std::runtime_error("trial 11 exploded");
+    return syntheticTrial(seed, index);
+  };
+  for (bool journaled : {false, true}) {
+    for (int jobs : {1, 4}) {
+      std::filesystem::remove(path);
+      sim::CampaignJournal journal(path, "{\"k\":\"est_throw\"}", false);
+      opts.journal = journaled ? &journal : nullptr;
+      opts.jobs = jobs;
+      try {
+        est::runAdaptive("throws", trial, opts);
+        ADD_FAILURE() << "runAdaptive returned; jobs=" << jobs;
+      } catch (const std::runtime_error& e) {
+        EXPECT_STREQ(e.what(), "trial 11 exploded") << "jobs=" << jobs;
+      }
+    }
+  }
   std::filesystem::remove(path);
 }
 

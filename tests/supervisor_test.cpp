@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
@@ -130,14 +131,14 @@ TEST(SupervisorTest, ZeroFaultCampaignBitIdenticalToUnsupervised) {
   for (int jobs : {1, 4}) {
     std::vector<std::string> supervised;
     const SupervisorReport report = superviseCampaign(
-        seeds,
-        [](std::uint64_t s, std::size_t, const Attempt& att) {
-          return engineSummary(s, att.watchdog);
+        0, seeds.size(),
+        [&](std::size_t i, const Attempt& att) {
+          return engineSummary(seeds[i], att.watchdog);
         },
         [&](std::size_t, std::string&& r) {
           supervised.push_back(std::move(r));
         },
-        SupervisorOptions{}, jobs);
+        SupervisorOptions{}, /*journal=*/nullptr, jobs);
     EXPECT_EQ(supervised, bare) << "jobs=" << jobs;
     EXPECT_EQ(report.items, seeds.size());
     EXPECT_EQ(report.completed, seeds.size());
@@ -155,12 +156,12 @@ TEST(SupervisorTest, SameSeedRetryReproducesIdenticalFailureAndQuarantines) {
   opts.maxRetries = 5;  // must NOT be exhausted: determinism short-circuits
   std::vector<std::string> merged;
   const SupervisorReport report = superviseCampaign(
-      seeds,
-      [](std::uint64_t s, std::size_t, const Attempt&) -> std::string {
-        throw std::runtime_error("boom seed " + std::to_string(s));
+      0, seeds.size(),
+      [&](std::size_t i, const Attempt&) -> std::string {
+        throw std::runtime_error("boom seed " + std::to_string(seeds[i]));
       },
       [&](std::size_t, std::string&& r) { merged.push_back(std::move(r)); },
-      opts, /*jobs=*/4);
+      opts, /*journal=*/nullptr, /*jobs=*/4);
 
   EXPECT_TRUE(merged.empty());
   EXPECT_EQ(report.quarantined, seeds.size());
@@ -189,12 +190,12 @@ TEST(SupervisorTest, EngineWatchdogTimeoutIsDeterministic) {
   opts.maxRetries = 4;
   std::vector<std::string> merged;
   const SupervisorReport report = superviseCampaign(
-      seeds,
-      [](std::uint64_t s, std::size_t, const Attempt& att) {
-        return engineSummary(s, att.watchdog);
+      0, seeds.size(),
+      [&](std::size_t i, const Attempt& att) {
+        return engineSummary(seeds[i], att.watchdog);
       },
       [&](std::size_t, std::string&& r) { merged.push_back(std::move(r)); },
-      opts, /*jobs=*/2);
+      opts, /*journal=*/nullptr, /*jobs=*/2);
 
   EXPECT_TRUE(merged.empty());
   EXPECT_EQ(report.quarantined, seeds.size());
@@ -213,15 +214,14 @@ TEST(SupervisorTest, EngineWatchdogTimeoutIsDeterministic) {
 TEST(SupervisorTest, RetrySaltsRotateAfterDifferingFailures) {
   // Failures that differ between attempts 0 and 1 are scheduling-flavored,
   // not deterministic: the supervisor keeps retrying with rotated salts.
-  const std::vector<int> items{7};
   SupervisorOptions opts;
   opts.maxRetries = 2;
   obs::MemoryRecorder recorder;
   opts.recorder = &recorder;
   std::vector<std::uint64_t> salts;
   const SupervisorReport report = superviseCampaign(
-      items,
-      [](int, std::size_t, const Attempt& att) -> std::uint64_t {
+      0, 1,
+      [](std::size_t, const Attempt& att) -> std::uint64_t {
         if (att.number < 2) {
           throw std::runtime_error("flaky attempt " +
                                    std::to_string(att.number));
@@ -229,7 +229,7 @@ TEST(SupervisorTest, RetrySaltsRotateAfterDifferingFailures) {
         return att.seedSalt;
       },
       [&](std::size_t, std::uint64_t&& salt) { salts.push_back(salt); },
-      opts, /*jobs=*/1);
+      opts, /*journal=*/nullptr, /*jobs=*/1);
 
   ASSERT_EQ(salts.size(), 1u);
   EXPECT_EQ(salts[0], retrySeedSalt(2));
@@ -261,15 +261,14 @@ TEST(SupervisorTest, SupervisorEventLogDeterministicAcrossJobCounts) {
     opts.maxRetries = 2;
     opts.recorder = &recorder;
     superviseCampaign(
-        seeds,
-        [](std::uint64_t s, std::size_t index, const Attempt& att)
-            -> std::string {
+        0, seeds.size(),
+        [&](std::size_t index, const Attempt& att) -> std::string {
           if (index % 2 == 1 && att.number == 0) {
             throw std::runtime_error("transient attempt 0");
           }
-          return "ok " + std::to_string(s);
+          return "ok " + std::to_string(seeds[index]);
         },
-        [](std::size_t, std::string&&) {}, opts, jobs);
+        [](std::size_t, std::string&&) {}, opts, /*journal=*/nullptr, jobs);
     std::vector<std::string> lines;
     for (const obs::Event& e : recorder.events()) {
       lines.push_back(obs::toJsonLine(e));
@@ -292,22 +291,21 @@ TEST(SupervisorTest, OutOfOrderMailboxBuffersWhileIndexZeroRetries) {
   CampaignStats stats;
   std::size_t expected = 0;
   const SupervisorReport report = superviseCampaign(
-      seeds,
-      [](std::uint64_t s, std::size_t index, const Attempt& att)
-          -> std::string {
+      0, seeds.size(),
+      [&](std::size_t index, const Attempt& att) -> std::string {
         if (index == 0) {
           std::this_thread::sleep_for(std::chrono::milliseconds(2));
           if (att.number == 0) {
             throw std::runtime_error("slow transient");
           }
         }
-        return "r" + std::to_string(s);
+        return "r" + std::to_string(seeds[index]);
       },
       [&](std::size_t index, std::string&&) {
         EXPECT_EQ(index, expected) << "merge out of order";
         ++expected;
       },
-      opts, /*jobs=*/4, &stats);
+      opts, /*journal=*/nullptr, /*jobs=*/4, &stats);
 
   EXPECT_EQ(expected, seeds.size());
   EXPECT_EQ(report.completed, seeds.size());
@@ -349,11 +347,8 @@ class JournalDir : public ::testing::Test {
 TEST_F(JournalDir, KillAndResumeMergesAndConvergesBitIdentical) {
   const auto seeds = seedItems(16);
   const std::string key = "journal-test-v1";
-  JournalCodec<std::string> codec;
-  codec.encode = [](const std::string& s) { return s; };
-  codec.decode = [](const std::string& s) { return s; };
-  auto worker = [](std::uint64_t s, std::size_t, const Attempt& att) {
-    return "payload " + std::to_string(s ^ att.seedSalt);
+  auto worker = [&](std::size_t i, const Attempt& att) {
+    return "payload " + std::to_string(seeds[i] ^ att.seedSalt);
   };
 
   // Uninterrupted reference campaign.
@@ -361,11 +356,11 @@ TEST_F(JournalDir, KillAndResumeMergesAndConvergesBitIdentical) {
   {
     CampaignJournal journal(path("full.journal"), key, /*resume=*/false);
     superviseCampaign(
-        seeds, worker,
+        0, seeds.size(), worker,
         [&](std::size_t, std::string&& r) {
           reference.push_back(std::move(r));
         },
-        journal, codec, SupervisorOptions{}, /*jobs=*/1);
+        SupervisorOptions{}, &journal, /*jobs=*/1);
   }
   const std::string fullBytes = slurp(path("full.journal"));
   ASSERT_EQ(reference.size(), seeds.size());
@@ -392,11 +387,11 @@ TEST_F(JournalDir, KillAndResumeMergesAndConvergesBitIdentical) {
       EXPECT_TRUE(journal.recoveredTornLine());
       EXPECT_EQ(journal.completedCount(), 5u);
       report = superviseCampaign(
-          seeds, worker,
+          0, seeds.size(), worker,
           [&](std::size_t, std::string&& r) {
             resumed.push_back(std::move(r));
           },
-          journal, codec, SupervisorOptions{}, jobs);
+          SupervisorOptions{}, &journal, jobs);
     }
     // Merged output AND the journal file itself converge bit-identical.
     EXPECT_EQ(resumed, reference) << "jobs=" << jobs;
@@ -404,6 +399,57 @@ TEST_F(JournalDir, KillAndResumeMergesAndConvergesBitIdentical) {
     EXPECT_EQ(report.replayed, 5u);
     EXPECT_EQ(report.completed, seeds.size() - 5u);
   }
+}
+
+TEST_F(JournalDir, GlobalRangeReplaysJournaledRunsInIndexOrder) {
+  // A slice [4, 10) of a larger campaign whose journal already holds runs
+  // 5 and 7: only the other four execute, merge still sees 4..9 in order,
+  // and the journal gains exactly the fresh runs, under global indices.
+  for (int jobs : {1, 4}) {
+    const std::string file = path("slice" + std::to_string(jobs));
+    {
+      CampaignJournal journal(file, "k", /*resume=*/false);
+      journal.append(5, "journaled 5");
+      journal.append(7, "journaled 7");
+    }
+    CampaignJournal journal(file, "k", /*resume=*/true);
+    std::atomic<int> executed{0};
+    std::vector<std::size_t> order;
+    std::vector<std::string> merged;
+    const SupervisorReport report = superviseCampaign(
+        4, 10,
+        [&](std::size_t i, const Attempt&) {
+          executed.fetch_add(1);
+          return "fresh " + std::to_string(i);
+        },
+        [&](std::size_t i, std::string&& r) {
+          order.push_back(i);
+          merged.push_back(std::move(r));
+        },
+        SupervisorOptions{}, &journal, jobs);
+    EXPECT_EQ(order, (std::vector<std::size_t>{4, 5, 6, 7, 8, 9}));
+    EXPECT_EQ(merged, (std::vector<std::string>{"fresh 4", "journaled 5",
+                                                "fresh 6", "journaled 7",
+                                                "fresh 8", "fresh 9"}));
+    EXPECT_EQ(executed.load(), 4);
+    EXPECT_EQ(report.items, 6u);
+    EXPECT_EQ(report.replayed, 2u);
+    EXPECT_EQ(report.completed, 4u);
+    EXPECT_EQ(journal.completedCount(), 6u);
+    ASSERT_NE(journal.payload(9), nullptr);
+    EXPECT_EQ(*journal.payload(9), "fresh 9");
+    EXPECT_FALSE(journal.has(3));
+    EXPECT_FALSE(journal.has(10));
+  }
+}
+
+TEST_F(JournalDir, JournalNeedsStringResults) {
+  CampaignJournal journal(path("j"), "k", /*resume=*/false);
+  EXPECT_THROW(superviseCampaign(
+                   0, 2, [](std::size_t i, const Attempt&) { return i; },
+                   [](std::size_t, std::size_t&&) {}, SupervisorOptions{},
+                   &journal),
+               std::invalid_argument);
 }
 
 TEST_F(JournalDir, ResumeWithNoJournalFileStartsFresh) {

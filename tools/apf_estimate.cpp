@@ -23,7 +23,6 @@
 #include <memory>
 #include <string>
 
-#include "config/generator.h"
 #include "est/ab.h"
 #include "est/adaptive.h"
 #include "io/patterns.h"
@@ -32,6 +31,7 @@
 #include "obs/recorder.h"
 #include "sched/seed.h"
 #include "sim/engine.h"
+#include "sim/shard.h"
 #include "sim/supervisor.h"
 #include "algo_select.h"
 #include "cli_parse.h"
@@ -69,7 +69,8 @@ void registerFlags(apf::cli::ArgParser& args, Options& o) {
   args.str("--pattern", &o.pattern, "NAME",
            "target pattern (io/patterns.h names; default\nstar)");
   args.str("--start", &o.startKind, "KIND",
-           "random|symmetric start per trial (default\nrandom)");
+           "random|symmetric start per trial (default\n"
+           "random; symmetric needs an even n >= 4)");
   args.str("--sched", &o.sched, "S", "fsync|ssync|async (default async)");
   args.str("--algo", &o.algo, "A",
            std::string(apf::cli::algorithmNames()) + " (default form)");
@@ -149,17 +150,10 @@ apf::est::Trial makeTrial(const Options& o,
   const auto n = static_cast<std::size_t>(o.n);
   return [eopts, startKind, n, pattern, &algo](
              std::uint64_t seed, std::uint64_t) -> est::Sample {
-    config::Rng rng(seed + 7);
-    config::Configuration start;
-    if (startKind == "symmetric") {
-      const int rho = static_cast<int>(n) / 2;
-      start = config::symmetricConfiguration(rho > 1 ? rho : 2, 2, rng);
-    } else {
-      start = config::randomConfiguration(n, rng, 5.0, 0.1);
-    }
     sim::EngineOptions opts = eopts;
     opts.seed = seed;
-    sim::Engine engine(start, pattern, algo, opts);
+    sim::Engine engine(sim::generateStart(startKind, n, seed), pattern, algo,
+                       opts);
     const sim::RunResult res = engine.run();
     est::Sample s;
     s.success = res.success;
@@ -275,6 +269,11 @@ int main(int argc, char** argv) try {
     o.stop.validate();
   } catch (const std::exception& e) {
     std::fprintf(stderr, "apf_estimate: %s\n", e.what());
+    return 2;
+  }
+  if (const std::string why = sim::validateStartKind(o.startKind, o.n);
+      !why.empty()) {
+    std::fprintf(stderr, "apf_estimate: %s\n", why.c_str());
     return 2;
   }
   if (!o.journalPath.empty() && !o.resumePath.empty()) {

@@ -43,7 +43,6 @@
 #include <vector>
 
 #include "config/classify.h"
-#include "config/generator.h"
 #include "core/phases.h"
 #include "fault/fault.h"
 #include "io/patterns.h"
@@ -129,7 +128,8 @@ void registerFlags(apf::cli::ArgParser& args, Options& o) {
   args.str("--pattern-file", &o.patternFile, "F",
            "load pattern points from file ('x y' per line)");
   args.str("--start", &o.startKind, "KIND",
-           "random|symmetric (default random)");
+           "random|symmetric (default random; symmetric\n"
+           "needs an even n >= 4)");
   args.str("--start-file", &o.startFile, "F", "load start points from file");
   args.str("--sched", &o.sched, "S", "fsync|ssync|async (default async)");
   args.str("--algo", &o.algo, "A",
@@ -297,7 +297,7 @@ apf::sim::ShardSpec specFromOptions(const Options& o,
   spec.crashHorizon = o.crashHorizon;
   // Base plan: sensor/compute knobs + fault-stream seed only. Crash
   // victims/timings are re-drawn per run from the effective seed (or the
-  // pinned fault seed) inside runScenarioPayload.
+  // pinned fault seed) inside scenarioOptions.
   spec.fault.noiseSigma = o.noiseSigma;
   spec.fault.omitProb = o.omitProb;
   spec.fault.multFlipProb = o.multFlipProb;
@@ -395,13 +395,12 @@ int main(int argc, char** argv) try {
   config::Configuration start;
   if (!o.startFile.empty()) {
     start = io::loadConfiguration(o.startFile);
-  } else if (o.startKind == "symmetric") {
-    config::Rng rng(o.seed + 7);
-    const int rho = static_cast<int>(o.n) / 2;
-    start = config::symmetricConfiguration(rho > 1 ? rho : 2, 2, rng);
+  } else if (const std::string why = sim::validateStartKind(o.startKind, o.n);
+             !why.empty()) {
+    std::fprintf(stderr, "apf_sim: %s\n", why.c_str());
+    return 2;
   } else {
-    config::Rng rng(o.seed + 7);
-    start = config::randomConfiguration(o.n, rng, 5.0, 0.1);
+    start = sim::generateStart(o.startKind, o.n, o.seed);
   }
   if (o.analyze) {
     const auto report = config::classify(start);
@@ -424,41 +423,28 @@ int main(int argc, char** argv) try {
     return 2;
   }
 
-  sim::EngineOptions opts;
-  opts.seed = o.seed;
-  opts.maxEvents = o.maxEvents;
-  opts.multiplicityDetection = o.multiplicity;
-  opts.commonChirality = o.commonChirality;
-  opts.sched.delta = o.delta;
   const auto kind = sched::schedulerFromName(o.sched);
   if (!kind) {
     std::fprintf(stderr, "unknown scheduler: %s\n", o.sched.c_str());
     return 2;
   }
-  opts.sched.kind = *kind;
+  if (o.crashF > 0 && static_cast<std::size_t>(o.crashF) >= start.size()) {
+    std::fprintf(stderr,
+                 "apf_sim: --crash %d must leave at least one live robot "
+                 "(n = %zu)\n",
+                 o.crashF, start.size());
+    return 2;
+  }
+  const std::string patternLabel =
+      !o.patternFile.empty() ? o.patternFile : o.pattern;
+  const sim::ShardSpec spec =
+      specFromOptions(o, pattern, start, patternLabel, *kind);
 
-  // Fault plan (empty by default — the engine is then bit-identical to a
+  // A single run is run 0 of the spec: the same engine options and fault
+  // plan (empty by default — the engine is then bit-identical to a
   // fault-free build). Crash victims/timings are drawn here so the summary
   // and manifest record the concrete plan, not just "F crashes".
-  const std::uint64_t faultSeed = o.faultSeedSet ? o.faultSeed : o.seed;
-  if (o.crashF > 0) {
-    if (static_cast<std::size_t>(o.crashF) >= start.size()) {
-      std::fprintf(stderr,
-                   "apf_sim: --crash %d must leave at least one live robot "
-                   "(n = %zu)\n",
-                   o.crashF, start.size());
-      return 2;
-    }
-    opts.fault = fault::planWithRandomCrashes(start.size(), o.crashF,
-                                              faultSeed, o.crashHorizon);
-  }
-  opts.fault.noiseSigma = o.noiseSigma;
-  opts.fault.omitProb = o.omitProb;
-  opts.fault.multFlipProb = o.multFlipProb;
-  opts.fault.dropProb = o.dropProb;
-  opts.fault.truncProb = o.truncProb;
-  opts.fault.seed = faultSeed;
-
+  sim::EngineOptions opts = sim::scenarioOptions(spec, o.seed);
   std::unique_ptr<obs::JsonlRecorder> sink;
   if (!o.jsonlPath.empty()) {
     sink = std::make_unique<obs::JsonlRecorder>(o.jsonlPath);
@@ -469,10 +455,6 @@ int main(int argc, char** argv) try {
 
   // ------------------------------------------------ supervised campaign --
   if (o.campaignRuns > 0) {
-    const std::string patternLabel =
-        !o.patternFile.empty() ? o.patternFile : o.pattern;
-    const sim::ShardSpec spec =
-        specFromOptions(o, pattern, start, patternLabel, *kind);
     if (const std::string why = sim::validateShardSpec(spec); !why.empty()) {
       std::fprintf(stderr, "apf_sim: invalid campaign: %s\n", why.c_str());
       return 2;
@@ -651,8 +633,6 @@ int main(int argc, char** argv) try {
     spans->writeChromeTrace(o.tracePath);
   }
 
-  const std::string patternLabel =
-      !o.patternFile.empty() ? o.patternFile : o.pattern;
   obs::Manifest manifest =
       sim::describeRun(opts, algo->name(), patternLabel, start.size());
   sim::appendResult(manifest, res);
