@@ -39,12 +39,12 @@ int main() {
           config::Rng rng(100 + s);
           const auto start = config::randomConfiguration(n, rng, 3.0, 0.1);
           const auto pattern = io::randomPatternByName(n, 1000 + s);
-          RunSpec spec;
-          spec.sched = sched::SchedulerKind::SSync;
-          spec.seed = s + 1;
-          spec.maxEvents = 300000;
-          spec.commonChirality = chirality;
-          const auto res = runOnce(start, pattern, *algo, spec);
+          sim::EngineOptions opts;
+          opts.sched.kind = sched::SchedulerKind::SSync;
+          opts.seed = s + 1;
+          opts.maxEvents = 300000;
+          opts.commonChirality = chirality;
+          const auto res = runOnce(start, pattern, *algo, opts);
           ok += res.success;
           if (res.success) {
             cycles.push_back(static_cast<double>(res.metrics.cycles));

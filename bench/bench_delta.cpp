@@ -31,12 +31,12 @@ int main() {
       const std::size_t n = 8;
       const auto start = config::randomConfiguration(n, rng, 5.0, 0.1);
       const auto pattern = io::starPattern(n);
-      RunSpec spec;
-      spec.seed = 19 * s + 7;
-      spec.delta = delta;
-      spec.earlyStopProb = 0.9;
-      spec.maxEvents = 3000000;
-      const auto res = runOnce(start, pattern, algo, spec);
+      sim::EngineOptions opts;
+      opts.seed = 19 * s + 7;
+      opts.sched.delta = delta;
+      opts.sched.earlyStopProb = 0.9;
+      opts.maxEvents = 3000000;
+      const auto res = runOnce(start, pattern, algo, opts);
       ok += res.success;
       if (res.success) {
         cycles.push_back(static_cast<double>(res.metrics.cycles));

@@ -48,9 +48,10 @@ int main() {
             start = symmetricStart(n, 600 + s);
           }
           const auto pattern = io::randomPatternByName(n, 300 + s);
-          RunSpec spec;
-          spec.seed = 37 * s + 11;
-          const auto res = runOnce(start, pattern, *algo, spec);
+          sim::EngineOptions opts;
+          opts.seed = 37 * s + 11;
+          opts.maxEvents = kMaxEvents;
+          const auto res = runOnce(start, pattern, *algo, opts);
           ok += res.success;
           // "Stuck": terminated without success and without any movement —
           // the deterministic impossibility made visible.

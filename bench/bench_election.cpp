@@ -42,11 +42,11 @@ int main() {
       const auto results = sim::campaignMap(seeds, [&](int s, std::size_t) {
         const auto start = symmetricStart(n, 1000 + s);
         const auto pattern = io::starPattern(n);
-        RunSpec spec;
-        spec.sched = kind;
-        spec.seed = 7 * s + 1;
-        spec.obsIndex = obsBase + s;
-        return runOnce(start, pattern, rsb, spec);
+        sim::EngineOptions opts;
+        opts.sched.kind = kind;
+        opts.seed = 7 * s + 1;
+        opts.maxEvents = kMaxEvents;
+        return runOnce(start, pattern, rsb, opts, "", obsBase + s);
       });
       obsBase += kSeeds;
       int ok = 0;

@@ -30,7 +30,6 @@
 #include "est/adaptive.h"
 #include "obs/json.h"
 #include "sim/campaign.h"
-#include "sim/shard.h"
 
 using namespace apf;
 using namespace apf::bench;
@@ -54,30 +53,6 @@ double timeMs(F&& f) {
   return static_cast<double>(obs::nowNanos() - t0) / 1e6;
 }
 
-/// One arm's Trial: a pure function of (seed, index) building its own
-/// start and Engine (the campaign worker contract) — the same wiring as
-/// tools/apf_estimate.cpp, shrunk to the bench's fixed experiment.
-est::Trial makeTrial(const sim::Algorithm& algo, std::size_t n,
-                     const config::Configuration& pattern,
-                     std::uint64_t maxEvents, bool chirality) {
-  return [&algo, n, pattern, maxEvents, chirality](
-             std::uint64_t seed, std::uint64_t) -> est::Sample {
-    sim::EngineOptions opts;
-    opts.seed = seed;
-    opts.maxEvents = maxEvents;
-    opts.commonChirality = chirality;
-    opts.sched.kind = sched::SchedulerKind::Async;
-    sim::Engine engine(sim::generateStart("random", n, seed), pattern, algo,
-                       opts);
-    const sim::RunResult res = engine.run();
-    est::Sample s;
-    s.success = res.success;
-    s.cycles = static_cast<double>(res.metrics.cycles);
-    s.events = static_cast<double>(res.metrics.events);
-    s.bits = res.metrics.randomBits;
-    return s;
-  };
-}
 
 }  // namespace
 
@@ -119,9 +94,11 @@ int main(int argc, char** argv) {
     const sim::Algorithm& algo =
         cell.yy ? static_cast<const sim::Algorithm&>(yy)
                 : static_cast<const sim::Algorithm&>(form);
-    const config::Configuration pattern = io::starPattern(cell.n);
-    const est::Trial trial =
-        makeTrial(algo, cell.n, pattern, cell.maxEvents, cell.yy);
+    sim::Scenario sc;
+    sc.pattern = io::starPattern(cell.n);
+    sc.maxEvents = cell.maxEvents;
+    sc.commonChirality = cell.yy;
+    const est::Trial trial = est::scenarioTrial(sc, algo);
 
     est::AdaptiveOptions aopts;
     aopts.baseSeed = 9000 + cell.n;

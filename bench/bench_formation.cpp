@@ -37,10 +37,10 @@ int main() {
         config::Rng rng(500 + s);
         const auto start = config::randomConfiguration(n, rng, 5.0, 0.1);
         const auto pattern = io::patternByName(pat, n, 40 + s);
-        RunSpec spec;
-        spec.seed = 13 * s + 2;
-        spec.obsIndex = obsBase + s;
-        return runOnce(start, pattern, algo, spec);
+        sim::EngineOptions opts;
+        opts.seed = 13 * s + 2;
+        opts.maxEvents = kMaxEvents;
+        return runOnce(start, pattern, algo, opts, "", obsBase + s);
       });
       obsBase += kSeeds;
       int ok = 0;
@@ -71,10 +71,10 @@ int main() {
     const auto results = sim::campaignMap(seeds, [&](int s, std::size_t) {
       const auto start = symmetricStart(n, 900 + s);
       const auto pattern = io::randomPatternByName(n, 60 + s);
-      RunSpec spec;
-      spec.seed = 17 * s + 3;
-      spec.obsIndex = obsBase + s;
-      return runOnce(start, pattern, algo, spec);
+      sim::EngineOptions opts;
+      opts.seed = 17 * s + 3;
+      opts.maxEvents = kMaxEvents;
+      return runOnce(start, pattern, algo, opts, "", obsBase + s);
     });
     obsBase += kSeeds;
     int ok = 0;

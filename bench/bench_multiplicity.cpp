@@ -36,10 +36,11 @@ int main() {
       for (int s = 0; s < kSeeds; ++s) {
         config::Rng rng(1010 + s);
         const auto start = config::randomConfiguration(n, rng, 5.0, 0.1);
-        RunSpec spec;
-        spec.seed = 31 * s + 13;
-        spec.multiplicity = true;
-        const auto res = runOnce(start, make(n), algo, spec);
+        sim::EngineOptions opts;
+        opts.seed = 31 * s + 13;
+        opts.maxEvents = kMaxEvents;
+        opts.multiplicityDetection = true;
+        const auto res = runOnce(start, make(n), algo, opts);
         ok += res.success;
         if (res.success) {
           cycles.push_back(static_cast<double>(res.metrics.cycles));

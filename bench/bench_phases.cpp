@@ -36,9 +36,10 @@ int main() {
                              ? config::randomConfiguration(n, rng, 5.0, 0.1)
                              : symmetricStart(n, 910 + s);
       const auto pattern = io::randomPatternByName(n, 130 + s);
-      RunSpec spec;
-      spec.seed = 29 * s + 11;
-      const auto res = runOnce(start, pattern, algo, spec);
+      sim::EngineOptions opts;
+      opts.seed = 29 * s + 11;
+      opts.maxEvents = kMaxEvents;
+      const auto res = runOnce(start, pattern, algo, opts);
       for (const auto& [tag, cnt] : res.metrics.phaseActivations) {
         acc[tag] += static_cast<double>(cnt);
         total += static_cast<double>(cnt);

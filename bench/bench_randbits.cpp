@@ -40,11 +40,12 @@ int main() {
       for (int s = 0; s < kSeeds; ++s) {
         const auto start = symmetricStart(n, 300 + s);
         const auto pattern = io::randomPatternByName(n, 70 + s);
-        RunSpec spec;
-        spec.sched = sched::SchedulerKind::SSync;
-        spec.seed = 11 * s + 5;
-        spec.commonChirality = true;
-        const auto res = runOnce(start, pattern, *algo, spec);
+        sim::EngineOptions opts;
+        opts.sched.kind = sched::SchedulerKind::SSync;
+        opts.seed = 11 * s + 5;
+        opts.maxEvents = kMaxEvents;
+        opts.commonChirality = true;
+        const auto res = runOnce(start, pattern, *algo, opts);
         ok += res.success;
         bits.push_back(static_cast<double>(res.metrics.randomBits));
         if (res.metrics.cycles > 0) {

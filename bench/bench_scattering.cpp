@@ -42,12 +42,13 @@ int main() {
       int ok = 0;
       std::vector<double> cycles, bits;
       for (int s = 0; s < kSeeds; ++s) {
-        RunSpec spec;
-        spec.sched = sched::SchedulerKind::SSync;
-        spec.seed = 41 * s + 3;
-        spec.multiplicity = true;
+        sim::EngineOptions opts;
+        opts.sched.kind = sched::SchedulerKind::SSync;
+        opts.seed = 41 * s + 3;
+        opts.maxEvents = kMaxEvents;
+        opts.multiplicityDetection = true;
         const auto res = runOnce(clusteredStart(n, 100 + s),
-                                 io::starPattern(n), scatterOnly, spec);
+                                 io::starPattern(n), scatterOnly, opts);
         ok += res.terminated;
         cycles.push_back(static_cast<double>(res.metrics.cycles));
         bits.push_back(static_cast<double>(res.metrics.randomBits));
@@ -62,13 +63,14 @@ int main() {
       int ok = 0;
       std::vector<double> cycles, bits;
       for (int s = 0; s < kSeeds; ++s) {
-        RunSpec spec;
-        spec.sched = sched::SchedulerKind::SSync;
-        spec.seed = 41 * s + 3;
-        spec.multiplicity = true;
+        sim::EngineOptions opts;
+        opts.sched.kind = sched::SchedulerKind::SSync;
+        opts.seed = 41 * s + 3;
+        opts.maxEvents = kMaxEvents;
+        opts.multiplicityDetection = true;
         const auto res =
             runOnce(clusteredStart(n, 100 + s),
-                    io::randomPatternByName(n, 200 + s), algo, spec);
+                    io::randomPatternByName(n, 200 + s), algo, opts);
         ok += res.success;
         if (res.success) {
           cycles.push_back(static_cast<double>(res.metrics.cycles));

@@ -49,13 +49,12 @@ int main() {
       const std::size_t n = 10;
       const auto start = config::randomConfiguration(n, rng, 5.0, 0.1);
       const auto pattern = io::randomPatternByName(n, 90 + s);
-      RunSpec spec;
-      spec.sched = cell.kind;
-      spec.seed = 23 * s + 9;
-      spec.earlyStopProb = cell.earlyStop;
-      spec.maxEvents = 2000000;
-      spec.obsIndex = obsBase + s;
-      return runOnce(start, pattern, algo, spec);
+      sim::EngineOptions opts;
+      opts.sched.kind = cell.kind;
+      opts.seed = 23 * s + 9;
+      opts.sched.earlyStopProb = cell.earlyStop;
+      opts.maxEvents = 2000000;
+      return runOnce(start, pattern, algo, opts, "", obsBase + s);
     });
     obsBase += kSeeds;
     int ok = 0;

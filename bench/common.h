@@ -38,29 +38,8 @@
 
 namespace apf::bench {
 
-struct RunSpec {
-  sched::SchedulerKind sched = sched::SchedulerKind::Async;
-  std::uint64_t seed = 1;
-  std::uint64_t maxEvents = 600000;
-  double delta = 0.05;
-  double earlyStopProb = 0.5;
-  double activationProb = 0.5;
-  bool multiplicity = false;
-  bool commonChirality = false;
-  /// Fault injectors for this run (empty = faithful paper model); always
-  /// recorded in the run manifest under `fault.*`.
-  fault::FaultPlan fault;
-  /// Free-form label recorded in the run manifest (e.g. pattern name).
-  std::string label;
-  /// Telemetry file index: when >= 0, APF_OBS_DIR artifacts for this run
-  /// are numbered with it instead of the process-wide counter, so names
-  /// stay deterministic when runs execute on a campaign thread pool.
-  long obsIndex = -1;
-  /// Supervisor deadline for this run (not owned; sim/supervisor.h).
-  /// Benches running under superviseCampaign pass Attempt::watchdog here so
-  /// a livelocked cell times out instead of wedging the whole table.
-  sim::Watchdog* watchdog = nullptr;
-};
+/// Event cap of a bench run that sets no cap of its own.
+inline constexpr std::uint64_t kMaxEvents = 600000;
 
 /// Directory every bench CSV (and its manifest) is written under:
 /// APF_RESULTS_DIR when set, else "results" relative to the working
@@ -143,36 +122,29 @@ class TraceSession {
   std::string path_;
 };
 
+/// Runs one simulation. Under APF_OBS_DIR it writes a manifest recording
+/// `label` (and the JSONL log) numbered `obsIndex`; pass one on a campaign
+/// pool so names stay deterministic (-1 numbers in allocation order).
 inline sim::RunResult runOnce(const config::Configuration& start,
                               const config::Configuration& pattern,
                               const sim::Algorithm& algo,
-                              const RunSpec& spec) {
-  sim::EngineOptions opts;
-  opts.seed = spec.seed;
-  opts.maxEvents = spec.maxEvents;
-  opts.multiplicityDetection = spec.multiplicity;
-  opts.commonChirality = spec.commonChirality;
-  opts.sched.kind = spec.sched;
-  opts.sched.delta = spec.delta;
-  opts.sched.earlyStopProb = spec.earlyStopProb;
-  opts.sched.activationProb = spec.activationProb;
-  opts.fault = spec.fault;
-  opts.watchdog = spec.watchdog;
-
+                              sim::EngineOptions opts,
+                              const std::string& label = "",
+                              long obsIndex = -1) {
   const char* dir = obsDir();
   std::unique_ptr<obs::JsonlRecorder> sink;
   std::string base;
   if (dir != nullptr) {
-    // Fallback numbering for callers that don't pass RunSpec::obsIndex;
-    // atomic because runOnce may execute on campaign worker threads (the
-    // numbers are then allocation-ordered, not run-ordered).
+    // Fallback numbering for callers that don't pass obsIndex; atomic
+    // because runOnce may execute on campaign worker threads (the numbers
+    // are then allocation-ordered, not run-ordered).
     static std::atomic<long> runCounter{0};
-    const long idx = spec.obsIndex >= 0
-                         ? spec.obsIndex
+    const long idx = obsIndex >= 0
+                         ? obsIndex
                          : runCounter.fetch_add(1, std::memory_order_relaxed);
     std::filesystem::create_directories(dir);
     base = std::string(dir) + "/" + algo.name() + "_" +
-           sched::schedulerName(spec.sched) + "_n" +
+           sched::schedulerName(opts.sched.kind) + "_n" +
            std::to_string(start.size()) + "_" + std::to_string(idx);
     opts.collectTimings = true;
     if (obsEvents()) {
@@ -186,7 +158,7 @@ inline sim::RunResult runOnce(const config::Configuration& start,
 
   if (dir != nullptr) {
     obs::Manifest m = sim::describeRun(
-        opts, algo.name(), spec.label.empty() ? "(inline points)" : spec.label,
+        opts, algo.name(), label.empty() ? "(inline points)" : label,
         start.size());
     sim::appendResult(m, res);
     m.write(base + ".manifest.json");

@@ -67,6 +67,7 @@
 #include "sim/engine.h"
 #include "sim/fuzzer.h"
 #include "sim/metrics.h"
+#include "sim/scenario.h"
 #include "sim/shard.h"
 #include "sim/shrink.h"
 #include "sim/supervisor.h"

@@ -57,6 +57,20 @@ std::string momentsJson(const MomentSummary& s, double confidence) {
 
 }  // namespace
 
+Trial scenarioTrial(const sim::Scenario& sc, const sim::Algorithm& algo) {
+  return [sc, &algo](std::uint64_t seed, std::uint64_t) {
+    sim::Engine engine(sim::startFor(sc, seed), sc.pattern, algo,
+                       sim::engineOptions(sc, seed));
+    const sim::RunResult res = engine.run();
+    Sample s;
+    s.success = res.success;
+    s.cycles = static_cast<double>(res.metrics.cycles);
+    s.events = static_cast<double>(res.metrics.events);
+    s.bits = res.metrics.randomBits;
+    return s;
+  };
+}
+
 std::string ArmEstimate::toJson() const {
   const Interval w = wilson(success, confidence);
   const Interval cp = clopperPearson(success, confidence);

@@ -45,6 +45,8 @@
 #include "est/stopping.h"
 #include "obs/manifest.h"
 #include "obs/recorder.h"
+#include "sim/algorithm.h"
+#include "sim/scenario.h"
 #include "sim/supervisor.h"
 
 namespace apf::est {
@@ -67,6 +69,11 @@ struct Sample {
 /// function of its arguments plus thread-confined state (it runs on
 /// campaign worker threads; see sim/campaign.h's worker contract).
 using Trial = std::function<Sample(std::uint64_t seed, std::uint64_t index)>;
+
+/// The Trial that runs one engine run of `sc` per sample: start
+/// startFor(sc, seed), options engineOptions(sc, seed). `algo` must
+/// outlive the trial.
+Trial scenarioTrial(const sim::Scenario& sc, const sim::Algorithm& algo);
 
 struct AdaptiveOptions {
   StoppingOptions stop;

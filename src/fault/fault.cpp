@@ -106,39 +106,32 @@ std::string toJson(const FaultPlan& plan) {
 }
 
 FaultPlan planFromJson(const obs::JsonNode& node) {
-  if (node.kind != obs::JsonNode::Kind::Object) {
-    throw std::runtime_error("FaultPlan: JSON value is not an object");
-  }
+  using Kind = obs::JsonNode::Kind;
+  const std::string what = "FaultPlan";
+  static constexpr std::string_view kKeys[] = {
+      "crashes",   "noise_sigma", "omit_prob", "mult_flip_prob",
+      "drop_prob", "trunc_prob",  "seed"};
+  static constexpr std::string_view kCrashKeys[] = {"robot", "at_event"};
+  obs::rejectUnknownKeys(node, kKeys, what);
   FaultPlan plan;
-  if (const obs::JsonNode* crashes = node.find("crashes")) {
-    if (crashes->kind != obs::JsonNode::Kind::Array) {
-      throw std::runtime_error("FaultPlan: \"crashes\" is not an array");
-    }
-    for (const obs::JsonNode& entry : crashes->items) {
-      const obs::JsonNode* robot = entry.find("robot");
-      const obs::JsonNode* atEvent = entry.find("at_event");
-      if (entry.kind != obs::JsonNode::Kind::Object || robot == nullptr ||
-          atEvent == nullptr) {
-        throw std::runtime_error(
-            "FaultPlan: crash entry needs {\"robot\", \"at_event\"}");
-      }
-      CrashFault c;
-      c.robot = static_cast<std::size_t>(robot->asU64());
-      c.atEvent = atEvent->asU64();
-      plan.crashes.push_back(c);
-    }
+  for (const obs::JsonNode& entry :
+       obs::requireMember(node, "crashes", Kind::Array, what).items) {
+    // A non-object entry has no members, so it fails as a missing key.
+    obs::rejectUnknownKeys(entry, kCrashKeys, what + " crash");
+    CrashFault c;
+    c.robot = static_cast<std::size_t>(obs::requireU64(entry, "robot", what));
+    c.atEvent = obs::requireU64(entry, "at_event", what);
+    plan.crashes.push_back(c);
   }
-  if (const obs::JsonNode* v = node.find("noise_sigma"))
-    plan.noiseSigma = v->asNumber();
-  if (const obs::JsonNode* v = node.find("omit_prob"))
-    plan.omitProb = v->asNumber();
-  if (const obs::JsonNode* v = node.find("mult_flip_prob"))
-    plan.multFlipProb = v->asNumber();
-  if (const obs::JsonNode* v = node.find("drop_prob"))
-    plan.dropProb = v->asNumber();
-  if (const obs::JsonNode* v = node.find("trunc_prob"))
-    plan.truncProb = v->asNumber();
-  if (const obs::JsonNode* v = node.find("seed")) plan.seed = v->asU64();
+  const auto number = [&](const char* key) {
+    return obs::requireMember(node, key, Kind::Number, what).number;
+  };
+  plan.noiseSigma = number("noise_sigma");
+  plan.omitProb = number("omit_prob");
+  plan.multFlipProb = number("mult_flip_prob");
+  plan.dropProb = number("drop_prob");
+  plan.truncProb = number("trunc_prob");
+  plan.seed = obs::requireU64(node, "seed", what);
   return plan;
 }
 

@@ -108,9 +108,9 @@ void appendManifest(const FaultPlan& plan, obs::Manifest& manifest);
 /// `planFromJson(parseJson(toJson(p)))` reproduces `p` field for field.
 std::string toJson(const FaultPlan& plan);
 
-/// Inverse of toJson. Missing keys keep their defaults and unknown keys
-/// are ignored (forward compatibility); throws std::runtime_error when
-/// `node` is not an object or a crash entry is malformed.
+/// Inverse of toJson. Strict, like the scenario decoder that embeds it
+/// (sim/scenario.h): throws std::runtime_error when a key is missing,
+/// unknown or of the wrong type (a non-object has every key missing).
 FaultPlan planFromJson(const obs::JsonNode& node);
 
 /// Mixes the engine seed and plan seed into the fault-stream seed with a

@@ -1,9 +1,11 @@
 #include "obs/json.h"
 
+#include <algorithm>
 #include <cerrno>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <stdexcept>
 
 namespace apf::obs {
 
@@ -325,6 +327,50 @@ std::uint64_t JsonNode::asU64(std::uint64_t fallback) const {
   const unsigned long long v = std::strtoull(string.c_str(), &end, 10);
   if (errno != 0 || end != string.c_str() + string.size()) return fallback;
   return static_cast<std::uint64_t>(v);
+}
+
+namespace {
+
+// Built by appends: GCC 12 false-fires -Wrestrict on "literal" + string
+// chains at -O3.
+[[noreturn]] void keyError(const std::string& what, std::string_view key,
+                           const char* problem) {
+  std::string msg = what;
+  msg += ": key \"";
+  msg += key;
+  msg += "\" ";
+  msg += problem;
+  throw std::runtime_error(msg);
+}
+
+}  // namespace
+
+const JsonNode& requireMember(const JsonNode& obj, std::string_view key,
+                              JsonNode::Kind kind, const std::string& what) {
+  const JsonNode* v = obj.find(key);
+  if (v == nullptr) keyError(what, key, "is missing");
+  if (v->kind != kind) keyError(what, key, "has the wrong type");
+  return *v;
+}
+
+std::uint64_t requireU64(const JsonNode& obj, std::string_view key,
+                         const std::string& what) {
+  const JsonNode& v = requireMember(obj, key, JsonNode::Kind::Number, what);
+  if (v.string.empty() ||
+      v.string.find_first_not_of("0123456789") != std::string::npos) {
+    keyError(what, key, "is not an unsigned integer");
+  }
+  return v.asU64();
+}
+
+void rejectUnknownKeys(const JsonNode& obj,
+                       std::span<const std::string_view> known,
+                       const std::string& what) {
+  for (const auto& [key, value] : obj.members) {
+    if (std::find(known.begin(), known.end(), key) == known.end()) {
+      keyError(what, key, "is unknown");
+    }
+  }
 }
 
 std::optional<JsonNode> parseJson(std::string_view text) {

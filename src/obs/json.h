@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <map>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -111,5 +112,17 @@ struct JsonNode {
 /// Parses an arbitrary JSON document (object/array/scalar root, any
 /// nesting). Returns nullopt on malformed input or trailing garbage.
 std::optional<JsonNode> parseJson(std::string_view text);
+
+/// Strict readers for documents whose every key matters. Each throws
+/// std::runtime_error prefixed with `what`: requireMember when member `key`
+/// of `obj` is missing or not of `kind`, requireU64 also when it is not a
+/// plain unsigned integer, rejectUnknownKeys on a key outside `known`.
+const JsonNode& requireMember(const JsonNode& obj, std::string_view key,
+                              JsonNode::Kind kind, const std::string& what);
+std::uint64_t requireU64(const JsonNode& obj, std::string_view key,
+                         const std::string& what);
+void rejectUnknownKeys(const JsonNode& obj,
+                       std::span<const std::string_view> known,
+                       const std::string& what);
 
 }  // namespace apf::obs

@@ -11,26 +11,6 @@ namespace apf::sim {
 
 namespace {
 
-fault::FaultPlan planForRun(const FuzzOptions& opts, std::size_t n,
-                            std::uint64_t engineSeed) {
-  fault::FaultPlan plan;
-  if (!opts.faultsRequested()) return plan;
-  plan.noiseSigma = opts.noiseSigma;
-  plan.omitProb = opts.omitProb;
-  plan.multFlipProb = opts.multFlipProb;
-  plan.dropProb = opts.dropProb;
-  plan.truncProb = opts.truncProb;
-  plan.seed = engineSeed;
-  if (opts.crashCount > 0) {
-    // Re-draw victims and crash timings per run: a campaign should explore
-    // many crash interleavings, not one.
-    plan.crashes = fault::planWithRandomCrashes(n, opts.crashCount,
-                                                engineSeed, opts.crashHorizon)
-                       .crashes;
-  }
-  return plan;
-}
-
 /// Everything one schedule contributes to the campaign; produced on a
 /// worker thread, merged on the calling thread in run-index order.
 struct RunRecord {
@@ -43,18 +23,17 @@ struct RunRecord {
   Outcome outcome = Outcome::Stalled;
   std::string violation;  // first violation of this run (empty when clean)
   std::string violationKind;  // "collision" / "sec_growth"
-  fault::FaultPlan plan;
   std::uint64_t seed = 0;
   double earlyStopProb = 0.0;
 };
 
 }  // namespace
 
-FuzzResult fuzzSchedules(const Algorithm& algo,
-                         const config::Configuration& start,
-                         const config::Configuration& pattern,
+FuzzResult fuzzSchedules(const Algorithm& algo, const Scenario& sc,
                          const FuzzOptions& opts) {
   FuzzResult out;
+  const config::Configuration start = startFor(sc, sc.baseSeed);
+  const config::Configuration& pattern = sc.pattern;
   std::set<config::CanonicalSignature> seen;
   seen.insert(config::canonicalSignature(start));
   // Computed before the fan-out: warms `start`'s SEC cache, so worker
@@ -77,18 +56,11 @@ FuzzResult fuzzSchedules(const Algorithm& algo,
   auto worker = [&](int run, std::size_t) -> RunRecord {
     obs::ScopedSpan span("fuzz_run", "fuzzer", "run", run);
     RunRecord rec;
-    EngineOptions eopts;
-    eopts.seed = 0x5eedu + 77u * static_cast<std::uint64_t>(run);
-    eopts.maxEvents = opts.maxEventsPerRun;
-    eopts.multiplicityDetection = opts.multiplicityDetection;
-    eopts.sched.kind = sched::SchedulerKind::Async;
-    eopts.sched.delta = opts.delta;
-    eopts.sched.earlyStopProb =
-        opts.sweepAggression ? kAggression[run % 3] : 0.5;
-    eopts.fault = planForRun(opts, start.size(), eopts.seed);
+    EngineOptions eopts =
+        engineOptions(sc, 0x5eedu + 77u * static_cast<std::uint64_t>(run));
+    eopts.sched.earlyStopProb = kAggression[run % 3];
     rec.seed = eopts.seed;
     rec.earlyStopProb = eopts.sched.earlyStopProb;
-    rec.plan = eopts.fault;
     Engine eng(start, pattern, algo, eopts);
 
     // Incremental safety-check state. The observer only fires on position
@@ -211,7 +183,6 @@ FuzzResult fuzzSchedules(const Algorithm& algo,
           failure.earlyStopProb = rec.earlyStopProb;
           failure.violation = rec.violation;
           failure.violationKind = rec.violationKind;
-          failure.plan = std::move(rec.plan);
           failure.run = static_cast<int>(i);
           out.failures.push_back(std::move(failure));
           if (out.firstViolation.empty()) out.firstViolation = rec.violation;

@@ -25,59 +25,30 @@
 #include "fault/fault.h"
 #include "sim/algorithm.h"
 #include "sim/engine.h"
+#include "sim/scenario.h"
 
 namespace apf::sim {
 
+/// What the fuzzer needs beyond its Scenario.
 struct FuzzOptions {
   /// Number of distinct schedules (engine seeds) to explore.
   int schedules = 40;
-  std::uint64_t maxEventsPerRun = 300000;
-  double delta = 0.05;
-  /// Adversary aggression sweep: each run alternates earlyStopProb across
-  /// {0.1, 0.5, 0.9}.
-  bool sweepAggression = true;
-  bool multiplicityDetection = false;
-  /// Expect every run to terminate successfully (pattern formed); when
-  /// false only safety is checked.
-  bool expectSuccess = true;
   /// Worker threads for the campaign (see sim/campaign.h): 0 = resolve from
   /// APF_JOBS / hardware concurrency, 1 = serial (no threads spawned). The
   /// merged FuzzResult is bit-identical for every value.
   int jobs = 0;
-
-  // --- fault campaign knobs (all off by default) -----------------------
-  /// Crash-stop faults per run; victims and crash events are re-drawn per
-  /// run from the engine seed, so a campaign explores many crash timings.
-  int crashCount = 0;
-  /// Scheduler-event horizon within which crashes are scheduled.
-  std::uint64_t crashHorizon = 4000;
-  /// Sensor/compute fault probabilities, applied to every run (see
-  /// fault::FaultPlan for semantics).
-  double noiseSigma = 0.0;
-  double omitProb = 0.0;
-  double multFlipProb = 0.0;
-  double dropProb = 0.0;
-  double truncProb = 0.0;
-
-  bool faultsRequested() const {
-    return crashCount > 0 || noiseSigma > 0.0 || omitProb > 0.0 ||
-           multFlipProb > 0.0 || dropProb > 0.0 || truncProb > 0.0;
-  }
 };
 
-/// One run that violated a safety invariant: everything needed to replay
-/// it exactly. `seed`/`earlyStopProb`/`plan` plug straight into
-/// EngineOptions with the same start and pattern; sim/shrink.h turns a
-/// failure into a minimized, self-contained `.repro.json`.
+/// One run that violated a safety invariant: with the scenario, everything
+/// needed to replay it exactly (engineOptions(sc, seed) with
+/// `earlyStopProb`); sim/shrink.h turns a failure into a minimized,
+/// self-contained `.repro.json`.
 struct FuzzFailure {
   std::uint64_t seed = 0;
   double earlyStopProb = 0.0;
   std::string violation;
   /// Which invariant broke: "collision" or "sec_growth".
   std::string violationKind;
-  /// The exact per-run fault plan (crash victims/timings are re-drawn per
-  /// run, so the campaign-level FuzzOptions are not enough to replay).
-  fault::FaultPlan plan;
   /// Campaign run index the failure came from.
   int run = 0;
 };
@@ -111,10 +82,11 @@ struct FuzzResult {
   bool clean() const { return collisionFree && secBounded; }
 };
 
-/// Runs the fuzz campaign. Deterministic given the inputs.
-FuzzResult fuzzSchedules(const Algorithm& algo,
-                         const config::Configuration& start,
-                         const config::Configuration& pattern,
+/// Fuzzes the scenario (sim/scenario.h) from startFor(sc, sc.baseSeed).
+/// Schedule i runs with engineOptions(sc, 0x5eed + 77 i), so crash victims
+/// are re-drawn per schedule, and earlyStopProb 0.1, 0.5 or 0.9 (i mod 3);
+/// `sc.runs` is unused. Deterministic given the inputs.
+FuzzResult fuzzSchedules(const Algorithm& algo, const Scenario& sc,
                          const FuzzOptions& opts = {});
 
 }  // namespace apf::sim

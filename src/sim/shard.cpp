@@ -4,10 +4,8 @@
 #include <map>
 #include <stdexcept>
 
-#include "config/generator.h"
 #include "obs/json.h"
 #include "sim/engine.h"
-#include "sim/shrink.h"
 
 namespace fs = std::filesystem;
 
@@ -18,27 +16,7 @@ namespace apf::sim {
 std::string toJson(const ShardSpec& spec) {
   obs::JsonObjectWriter w;
   w.field("shard", ShardSpec::kSchema);
-  w.field("algo", spec.algo);
-  w.field("n", static_cast<std::uint64_t>(spec.n));
-  w.field("pattern_label", spec.patternLabel);
-  w.rawField("pattern", pointsJson(spec.pattern));
-  w.field("start_kind", spec.startKind);
-  // The fixed start is only on the wire when it is authoritative, so two
-  // behaviorally identical specs get the same shardConfigKey.
-  if (spec.startKind == "points") {
-    w.rawField("start", pointsJson(spec.start));
-  }
-  w.field("sched", sched::schedulerName(spec.sched));
-  w.field("base_seed", spec.baseSeed);
-  w.field("runs", spec.runs);
-  w.field("max_events", spec.maxEvents);
-  w.field("delta", spec.delta);
-  w.field("multiplicity", spec.multiplicity);
-  w.field("chirality", spec.commonChirality);
-  w.field("crash_f", spec.crashF);
-  w.field("crash_horizon", spec.crashHorizon);
-  w.rawField("fault", fault::toJson(spec.fault));
-  w.field("fault_seed_set", spec.faultSeedSet);
+  writeScenario(w, spec);
   w.field("watchdog_events", spec.watchdogEvents);
   w.field("watchdog_ms", spec.watchdogMs);
   w.field("retries", spec.retries);
@@ -46,57 +24,6 @@ std::string toJson(const ShardSpec& spec) {
 }
 
 std::string shardConfigKey(const ShardSpec& spec) { return toJson(spec); }
-
-std::string validateStartKind(const std::string& kind, std::size_t n) {
-  if (kind != "random" && kind != "symmetric") {
-    return "unknown start \"" + kind + "\" (want random or symmetric)";
-  }
-  if (kind == "symmetric" && (n < 4 || n % 2 != 0)) {
-    return "symmetric start needs an even n >= 4, n is " + std::to_string(n);
-  }
-  return "";
-}
-
-config::Configuration generateStart(const std::string& kind, std::size_t n,
-                                    std::uint64_t seed) {
-  if (const std::string why = validateStartKind(kind, n); !why.empty()) {
-    throw std::invalid_argument(why);
-  }
-  config::Rng rng(seed + 7);
-  if (kind == "symmetric") {
-    return config::symmetricConfiguration(static_cast<int>(n / 2), 2, rng);
-  }
-  return config::randomConfiguration(n, rng, 5.0, 0.1);
-}
-
-std::string validateShardSpec(const ShardSpec& spec) {
-  if (spec.n == 0) return "n must be at least 1";
-  if (spec.runs == 0) return "runs must be at least 1";
-  if (spec.pattern.size() != spec.n) {
-    return "pattern has " + std::to_string(spec.pattern.size()) +
-           " points but n is " + std::to_string(spec.n);
-  }
-  if (spec.startKind != "points") {
-    if (std::string why = validateStartKind(spec.startKind, spec.n);
-        !why.empty()) {
-      return why;
-    }
-  } else if (spec.start.size() != spec.n) {
-    return "start has " + std::to_string(spec.start.size()) +
-           " points but n is " + std::to_string(spec.n);
-  }
-  if (spec.crashF < 0) return "crash_f must be non-negative";
-  if (spec.crashF > 0 &&
-      static_cast<std::size_t>(spec.crashF) >= spec.n) {
-    return "crash_f must leave at least one live robot";
-  }
-  if (spec.crashF > 0 && spec.crashHorizon == 0) {
-    return "crash_horizon must be positive";
-  }
-  if (spec.retries < 0) return "retries must be non-negative";
-  if (const auto why = fault::validate(spec.fault)) return *why;
-  return "";
-}
 
 ShardRange shardRange(std::uint64_t runs, unsigned index, unsigned count) {
   if (count == 0 || index >= count) {
@@ -125,23 +52,6 @@ SupervisorOptions shardSupervisorOptions(const ShardSpec& spec,
   return opts;
 }
 
-EngineOptions scenarioOptions(const ShardSpec& spec, std::uint64_t seed) {
-  EngineOptions eopts;
-  eopts.seed = seed;
-  eopts.maxEvents = spec.maxEvents;
-  eopts.multiplicityDetection = spec.multiplicity;
-  eopts.commonChirality = spec.commonChirality;
-  eopts.sched.kind = spec.sched;
-  eopts.sched.delta = spec.delta;
-  const std::uint64_t fseed = spec.faultSeedSet ? spec.fault.seed : seed;
-  eopts.fault = spec.fault;
-  eopts.fault.crashes = fault::planWithRandomCrashes(spec.n, spec.crashF, fseed,
-                                                     spec.crashHorizon)
-                            .crashes;
-  eopts.fault.seed = fseed;
-  return eopts;
-}
-
 std::string runScenarioPayload(const ShardSpec& spec, const Algorithm& algo,
                                std::uint64_t runIndex, const Attempt& att) {
   // Field-by-field this is the campaign worker apf_sim always ran; it
@@ -152,12 +62,9 @@ std::string runScenarioPayload(const ShardSpec& spec, const Algorithm& algo,
   // a flat JSON line with only deterministic fields, so campaign outputs
   // diff bit-identical across processes and machines.
   const std::uint64_t eff = (spec.baseSeed + runIndex) ^ att.seedSalt;
-  EngineOptions eopts = scenarioOptions(spec, eff);
+  EngineOptions eopts = engineOptions(spec, eff);
   eopts.watchdog = att.watchdog;
-  Engine eng(spec.startKind == "points"
-                 ? spec.start
-                 : generateStart(spec.startKind, spec.n, eff),
-             spec.pattern, algo, eopts);
+  Engine eng(startFor(spec, eff), spec.pattern, algo, eopts);
   const RunResult res = eng.run();
   obs::JsonObjectWriter w;
   w.field("seed", eff);

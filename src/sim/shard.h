@@ -11,12 +11,11 @@
 /// slice, on any machine), and merges the per-shard journals back into one
 /// file (`apf_sim --merge`).
 ///
-/// ShardSpec (`apf.shard.v1`) describes a whole campaign: scenario
-/// (algorithm name, robot count, resolved pattern points, start recipe,
-/// scheduler), seeds, the base fault plan (fault::toJson), and the
-/// supervisor knobs (watchdog budgets, retry policy). The spec's canonical
-/// JSON is the journal config key, so a shard journal of a DIFFERENT
-/// campaign refuses loudly instead of merging garbage.
+/// ShardSpec (`apf.shard.v1`) describes a whole campaign: a Scenario
+/// (sim/scenario.h) plus the supervisor knobs (watchdog budgets, retry
+/// policy). The spec's canonical JSON is the journal config key, so a
+/// shard journal of a DIFFERENT campaign refuses loudly instead of merging
+/// garbage.
 ///
 /// Determinism contract (tests/shard_test.cpp, tests/shard_cli_test.sh,
 /// tools/kill_resume_check.sh):
@@ -36,78 +35,32 @@
 #include <string>
 #include <vector>
 
-#include "config/configuration.h"
-#include "fault/fault.h"
-#include "sched/scheduler.h"
 #include "sim/algorithm.h"
 #include "sim/engine.h"
+#include "sim/scenario.h"
 #include "sim/supervisor.h"
 
 namespace apf::sim {
 
-/// Versioned description of a whole campaign (`apf.shard.v1`). Value
-/// semantics; every field is part of `toJson`, so any two specs that would
-/// run different experiments get different journal config keys.
-struct ShardSpec {
+/// A whole campaign (`apf.shard.v1`): the scenario plus the per-run
+/// supervisor policy. Every field is part of `toJson`, so specs of
+/// different experiments get different journal config keys.
+struct ShardSpec : Scenario {
   static constexpr const char* kSchema = "apf.shard.v1";
 
-  std::string algo = "form";     ///< algorithm name (apf_sim --algo spelling)
-  std::size_t n = 8;             ///< robots per run
-  /// Human label for the pattern ("star", a file path, ...). The points
-  /// below are authoritative; the label is bookkeeping for reports.
-  std::string patternLabel = "star";
-  config::Configuration pattern; ///< resolved target points (wire-embedded)
-  /// "random" | "symmetric": regenerated per run from the effective seed.
-  /// "points": the fixed `start` configuration below is used for every run.
-  std::string startKind = "random";
-  config::Configuration start;   ///< only meaningful for startKind "points"
-  sched::SchedulerKind sched = sched::SchedulerKind::Async;
-  std::uint64_t baseSeed = 1;    ///< run i executes with seed baseSeed + i
-  std::uint64_t runs = 1;
-  std::uint64_t maxEvents = 1000000;
-  double delta = 0.05;
-  bool multiplicity = false;
-  bool commonChirality = false;
-  /// Crash-stop faults: f victims re-drawn per run inside `crashHorizon`
-  /// events (fault::planWithRandomCrashes), matching apf_sim --crash.
-  int crashF = 0;
-  std::uint64_t crashHorizon = 2000;
-  /// Base fault plan: the sensor/compute knobs plus the fault-stream seed.
-  /// Per-run plans re-draw crash victims from the effective per-run seed
-  /// unless `faultSeedSet` pins `fault.seed` for every run.
-  fault::FaultPlan fault;
-  bool faultSeedSet = false;
-  // Supervisor knobs, per run.
   std::uint64_t watchdogEvents = 0;
   std::uint64_t watchdogMs = 0;
   int retries = 2;
 };
 
-/// Canonical single-line JSON encoding (schema field first).
+/// Canonical single-line JSON encoding: the schema field, the scenario's
+/// fields (writeScenario), then the supervisor knobs.
 std::string toJson(const ShardSpec& spec);
 
 /// The journal config key: the spec's canonical JSON itself. Any spec
 /// difference — including a future schema bump — makes shard journals
 /// refuse to merge (CampaignJournal's config-mismatch check).
 std::string shardConfigKey(const ShardSpec& spec);
-
-/// Empty string when the spec is executable; otherwise a human-readable
-/// reason (pattern/robot count mismatch, bad start, crashF >= n, invalid
-/// plan, ...).
-std::string validateShardSpec(const ShardSpec& spec);
-
-/// Empty string when `kind` names a generated start for n robots —
-/// exactly "random", or "symmetric" with an even n >= 4 — otherwise a
-/// human-readable reason.
-std::string validateStartKind(const std::string& kind, std::size_t n);
-
-/// The generated start of the run seeded `seed`, drawn from
-/// config::Rng(seed + 7): "random" scatters n robots, "symmetric" places
-/// two rings of n/2 (rho = n/2). Throws std::invalid_argument on a kind
-/// validateStartKind rejects. apf_sim, every campaign run and
-/// apf_estimate's trials all build their start here.
-config::Configuration generateStart(const std::string& kind, std::size_t n,
-                                    std::uint64_t seed);
 
 /// Contiguous, balanced partition of [0, runs): shard `index` of `count`
 /// owns [lo, hi). Shards differ in size by at most one run and cover the
@@ -122,14 +75,6 @@ ShardRange shardRange(std::uint64_t runs, unsigned index, unsigned count);
 /// The per-run supervisor policy encoded in the spec.
 SupervisorOptions shardSupervisorOptions(const ShardSpec& spec,
                                          obs::Recorder* recorder = nullptr);
-
-/// Engine options of the campaign run seeded `seed` (baseSeed + run index,
-/// XOR the retry salt), without a watchdog. Its fault plan is the spec's
-/// sensor/compute knobs plus crashF victims re-drawn by
-/// fault::planWithRandomCrashes from the pinned fault seed, or else from
-/// `seed`, which is also the fault-stream seed then. apf_sim's single run
-/// is run 0 of its spec and takes its options from here too.
-EngineOptions scenarioOptions(const ShardSpec& spec, std::uint64_t seed);
 
 /// Executes ONE run of the campaign: global index `runIndex`, retry salt
 /// folded in via `att`. Deterministic given (spec, runIndex, att.seedSalt)

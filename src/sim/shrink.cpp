@@ -11,50 +11,9 @@
 
 namespace apf::sim {
 
-/// JSON `[[x,y],...]` with exact (shortest round-trip) coordinates.
-std::string pointsJson(const config::Configuration& c) {
-  std::string out = "[";
-  for (std::size_t i = 0; i < c.size(); ++i) {
-    if (i) out += ',';
-    out += '[';
-    out += obs::jsonNumber(c[i].x);
-    out += ',';
-    out += obs::jsonNumber(c[i].y);
-    out += ']';
-  }
-  out += ']';
-  return out;
-}
-
-config::Configuration pointsFromJson(const obs::JsonNode& node,
-                                     const char* what) {
-  if (node.kind != obs::JsonNode::Kind::Array) {
-    throw std::runtime_error(std::string(what) + " is not an array");
-  }
-  std::vector<geom::Vec2> pts;
-  pts.reserve(node.items.size());
-  for (const obs::JsonNode& p : node.items) {
-    if (p.kind != obs::JsonNode::Kind::Array || p.items.size() != 2 ||
-        p.items[0].kind != obs::JsonNode::Kind::Number ||
-        p.items[1].kind != obs::JsonNode::Kind::Number) {
-      throw std::runtime_error(std::string(what) +
-                               " entries must be [x,y] pairs");
-    }
-    pts.push_back({p.items[0].number, p.items[1].number});
-  }
-  return config::Configuration(std::move(pts));
-}
-
 ReplayResult replay(const ReproCase& c, const Algorithm& algo) {
-  EngineOptions eopts;
-  eopts.seed = c.seed;
-  eopts.maxEvents = c.maxEvents;
-  eopts.multiplicityDetection = c.multiplicityDetection;
-  eopts.commonChirality = c.commonChirality;
-  eopts.sched.kind = c.sched;
-  eopts.sched.delta = c.delta;
+  EngineOptions eopts = engineOptions(c, c.baseSeed);
   eopts.sched.earlyStopProb = c.earlyStopProb;
-  eopts.fault = c.fault;
 
   // Local copies: replay probes run back to back and must not share a lazy
   // SEC cache with the caller's instances.
@@ -111,22 +70,26 @@ ReplayResult replay(const ReproCase& c, const Algorithm& algo) {
   return out;
 }
 
-ReproCase reproFromFailure(const std::string& algoName,
-                           const config::Configuration& start,
-                           const config::Configuration& pattern,
-                           const FuzzOptions& opts,
-                           const FuzzFailure& failure) {
+ReproCase reproOf(const Scenario& sc, config::Configuration start,
+                  std::uint64_t seed, double earlyStopProb,
+                  fault::FaultPlan plan) {
   ReproCase c;
-  c.algo = algoName;
-  c.start = start;
-  c.pattern = pattern;
-  c.seed = failure.seed;
-  c.maxEvents = opts.maxEventsPerRun;
-  c.delta = opts.delta;
-  c.earlyStopProb = failure.earlyStopProb;
-  c.multiplicityDetection = opts.multiplicityDetection;
-  c.sched = sched::SchedulerKind::Async;  // the fuzzer's scheduler
-  c.fault = failure.plan;
+  static_cast<Scenario&>(c) = sc;
+  c.startKind = "points";
+  c.start = std::move(start);
+  c.baseSeed = seed;
+  c.runs = 1;
+  c.crashF = 0;
+  c.fault = std::move(plan);
+  c.faultSeedSet = true;
+  c.earlyStopProb = earlyStopProb;
+  return c;
+}
+
+ReproCase reproFromFailure(const Scenario& sc, const FuzzFailure& failure) {
+  ReproCase c = reproOf(sc, startFor(sc, sc.baseSeed), failure.seed,
+                        failure.earlyStopProb,
+                        engineOptions(sc, failure.seed).fault);
   c.violationKind = failure.violationKind;
   return c;
 }
@@ -134,67 +97,30 @@ ReproCase reproFromFailure(const std::string& algoName,
 std::string toJson(const ReproCase& c) {
   obs::JsonObjectWriter w;
   w.field("repro", ReproCase::kSchema);
-  w.field("algo", c.algo);
-  w.rawField("start", pointsJson(c.start));
-  w.rawField("pattern", pointsJson(c.pattern));
-  w.field("seed", c.seed);
-  w.field("max_events", c.maxEvents);
-  w.field("delta", c.delta);
+  writeScenario(w, c);
   w.field("early_stop_prob", c.earlyStopProb);
-  w.field("multiplicity_detection", c.multiplicityDetection);
-  w.field("common_chirality", c.commonChirality);
-  w.field("sched", sched::schedulerName(c.sched));
-  w.rawField("fault", fault::toJson(c.fault));
   w.field("violation_kind", c.violationKind);
   return w.str();
 }
 
 ReproCase reproFromJson(std::string_view text) {
-  const auto doc = obs::parseJson(text);
-  if (!doc || doc->kind != obs::JsonNode::Kind::Object) {
-    throw std::runtime_error("repro: malformed JSON");
-  }
-  const obs::JsonNode* schema = doc->find("repro");
-  if (schema == nullptr || schema->asString() != ReproCase::kSchema) {
-    throw std::runtime_error("repro: not an apf.repro.v1 document");
-  }
+  using Kind = obs::JsonNode::Kind;
+  obs::JsonNode doc;
   ReproCase c;
-  if (const obs::JsonNode* v = doc->find("algo")) c.algo = v->asString();
-  const obs::JsonNode* start = doc->find("start");
-  const obs::JsonNode* pattern = doc->find("pattern");
-  if (start == nullptr || pattern == nullptr) {
-    throw std::runtime_error("repro: missing start/pattern");
+  static_cast<Scenario&>(c) = scenarioFromJson(
+      text, "repro", ReproCase::kSchema, {"early_stop_prob", "violation_kind"},
+      doc);
+  if (c.startKind != "points" || c.runs != 1 || c.crashF != 0) {
+    throw std::runtime_error(
+        "repro: needs start_kind \"points\", runs 1 and crash_f 0");
   }
-  c.start = pointsFromJson(*start, "repro: start");
-  c.pattern = pointsFromJson(*pattern, "repro: pattern");
-  if (const obs::JsonNode* v = doc->find("seed")) c.seed = v->asU64(c.seed);
-  if (const obs::JsonNode* v = doc->find("max_events")) {
-    c.maxEvents = v->asU64(c.maxEvents);
+  c.earlyStopProb =
+      obs::requireMember(doc, "early_stop_prob", Kind::Number, "repro").number;
+  if (!(c.earlyStopProb >= 0.0 && c.earlyStopProb <= 1.0)) {
+    throw std::runtime_error("repro: early_stop_prob must be in [0, 1]");
   }
-  if (const obs::JsonNode* v = doc->find("delta")) c.delta = v->asNumber();
-  if (const obs::JsonNode* v = doc->find("early_stop_prob")) {
-    c.earlyStopProb = v->asNumber();
-  }
-  if (const obs::JsonNode* v = doc->find("multiplicity_detection")) {
-    c.multiplicityDetection = v->asBool();
-  }
-  if (const obs::JsonNode* v = doc->find("common_chirality")) {
-    c.commonChirality = v->asBool();
-  }
-  if (const obs::JsonNode* v = doc->find("sched")) {
-    const auto kind = sched::schedulerFromName(v->asString());
-    if (!kind) {
-      throw std::runtime_error("repro: unknown scheduler \"" +
-                               v->asString() + "\"");
-    }
-    c.sched = *kind;
-  }
-  if (const obs::JsonNode* v = doc->find("fault")) {
-    c.fault = fault::planFromJson(*v);
-  }
-  if (const obs::JsonNode* v = doc->find("violation_kind")) {
-    c.violationKind = v->asString();
-  }
+  c.violationKind =
+      obs::requireMember(doc, "violation_kind", Kind::String, "repro").string;
   return c;
 }
 

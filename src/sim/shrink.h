@@ -2,15 +2,16 @@
 
 /// \file shrink.h
 /// Delta-debugging minimizer for fuzzer counterexamples
-/// (docs/RESILIENCE.md). A FuzzFailure is an exact replay coordinate (seed
-/// + adversary aggression + per-run fault plan) but usually a needlessly
+/// (docs/RESILIENCE.md). A FuzzFailure is an exact replay coordinate (its
+/// scenario + seed + adversary aggression) but usually a needlessly
 /// BIG one: the violation that needed 10 robots and 3 crash faults to be
 /// *found* often reproduces with 4 robots and none. The shrinker greedily
 /// removes robots, fault-plan entries, and adversary aggression while the
 /// violation still reproduces, and the result serializes as a
-/// self-contained `.repro.json` (schema "apf.repro.v1") that
-/// `apf_sim --replay` re-executes exactly — the minimal artifact the
-/// paper-style case analysis actually wants to look at.
+/// self-contained `.repro.json` (schema "apf.repro.v2": the scenario's
+/// fields, sim/scenario.h, plus the adversary aggression and the expected
+/// violation) that `apf_sim --replay` re-executes exactly — the minimal
+/// artifact the paper-style case analysis actually wants to look at.
 ///
 /// Layering: the shrinker never names a concrete algorithm (core depends
 /// on sim, not vice versa) — callers pass the `Algorithm&` and the repro
@@ -23,29 +24,25 @@
 
 #include "config/configuration.h"
 #include "fault/fault.h"
-#include "obs/json.h"
-#include "sched/scheduler.h"
 #include "sim/algorithm.h"
 #include "sim/fuzzer.h"
 #include "sim/metrics.h"
+#include "sim/scenario.h"
 
 namespace apf::sim {
 
-/// A self-contained, exactly replayable counterexample.
-struct ReproCase {
-  static constexpr const char* kSchema = "apf.repro.v1";
+/// A self-contained, exactly replayable counterexample: one run of a
+/// scenario from fixed points, seeded `baseSeed`, under the run's concrete
+/// fault plan (explicit crashes, crashF 0, pinned fault seed).
+struct ReproCase : Scenario {
+  static constexpr const char* kSchema = "apf.repro.v2";
 
-  std::string algo = "form";  ///< algorithm name (apf_sim --algo spelling)
-  config::Configuration start;
-  config::Configuration pattern;
-  std::uint64_t seed = 1;
-  std::uint64_t maxEvents = 300000;
-  double delta = 0.05;
+  ReproCase() {
+    startKind = "points";
+    faultSeedSet = true;
+  }
+
   double earlyStopProb = 0.5;
-  bool multiplicityDetection = false;
-  bool commonChirality = false;
-  sched::SchedulerKind sched = sched::SchedulerKind::Async;
-  fault::FaultPlan fault;
   /// Expected safety violation: "collision" or "sec_growth".
   std::string violationKind;
 };
@@ -70,29 +67,21 @@ struct ReplayResult {
 /// Deterministic given (case, algo).
 ReplayResult replay(const ReproCase& c, const Algorithm& algo);
 
-/// Builds the (unshrunk) ReproCase for one fuzzer failure. `opts` must be
-/// the FuzzOptions the campaign ran with; start/pattern likewise.
-ReproCase reproFromFailure(const std::string& algoName,
-                           const config::Configuration& start,
-                           const config::Configuration& pattern,
-                           const FuzzOptions& opts,
-                           const FuzzFailure& failure);
+/// The repro of one run of `sc` from `start`, seeded `seed`, under
+/// `earlyStopProb` and the run's concrete plan (EngineOptions::fault).
+ReproCase reproOf(const Scenario& sc, config::Configuration start,
+                  std::uint64_t seed, double earlyStopProb,
+                  fault::FaultPlan plan);
 
-/// Exact configuration (de)serialization shared by every wire schema that
-/// embeds robot coordinates (apf.repro.v1, apf.shard.v1): a JSON
-/// `[[x,y],...]` array whose doubles use the shortest form that parses
-/// back bit-identical (obs::jsonNumber), so embedded configurations never
-/// perturb a replay. pointsFromJson throws std::runtime_error (prefixed
-/// with `what`) on anything that is not an array of [x,y] pairs.
-std::string pointsJson(const config::Configuration& c);
-config::Configuration pointsFromJson(const obs::JsonNode& node,
-                                     const char* what);
+/// The (unshrunk) ReproCase of one failure of fuzzSchedules(algo, sc).
+ReproCase reproFromFailure(const Scenario& sc, const FuzzFailure& failure);
 
 /// Nested-JSON (de)serialization. Doubles use the shortest exact form and
 /// 64-bit seeds survive via raw-token parsing, so
 /// `reproFromJson(toJson(c))` round-trips every field bit for bit.
-/// reproFromJson/loadRepro throw std::runtime_error on malformed input or
-/// a schema mismatch.
+/// reproFromJson/loadRepro throw std::runtime_error on malformed input, a
+/// schema mismatch (an apf.repro.v1 file must be re-captured), a missing
+/// or unknown key, or a case validate() rejects.
 std::string toJson(const ReproCase& c);
 ReproCase reproFromJson(std::string_view text);
 ReproCase loadRepro(const std::string& path);

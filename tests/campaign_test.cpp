@@ -234,20 +234,16 @@ void expectFuzzEqual(const FuzzResult& a, const FuzzResult& b) {
 TEST(CampaignTest, FuzzResultIdenticalAcrossJobCounts) {
   core::FormPatternAlgorithm algo;
   config::Rng rng(21);
-  const auto start = config::randomConfiguration(6, rng, 4.0, 0.1);
-  const auto pattern = io::starPattern(6);
-  FuzzOptions opts;
-  opts.schedules = 6;
-  const FuzzResult serial = [&] {
-    FuzzOptions o = opts;
-    o.jobs = 1;
-    return fuzzSchedules(algo, start, pattern, o);
-  }();
+  const Scenario sc{.pattern = io::starPattern(6),
+                    .startKind = "points",
+                    .start = config::randomConfiguration(6, rng, 4.0, 0.1),
+                    .maxEvents = 300000};
+  const FuzzResult serial =
+      fuzzSchedules(algo, sc, {.schedules = 6, .jobs = 1});
   EXPECT_EQ(serial.successes, serial.runs) << serial.firstViolation;
   for (int jobs : {4, campaignJobs()}) {
-    FuzzOptions o = opts;
-    o.jobs = jobs;
-    expectFuzzEqual(serial, fuzzSchedules(algo, start, pattern, o));
+    expectFuzzEqual(serial,
+                    fuzzSchedules(algo, sc, {.schedules = 6, .jobs = jobs}));
   }
 }
 
@@ -338,26 +334,20 @@ TEST(CampaignTest, StatsManifestKeysComplete) {
 TEST(CampaignTest, FuzzResultIdenticalAcrossJobCountsWithFaultPlan) {
   core::FormPatternAlgorithm algo;
   config::Rng rng(23);
-  const auto start = config::randomConfiguration(6, rng, 4.0, 0.1);
-  const auto pattern = io::randomPatternByName(6, 31);
-  FuzzOptions opts;
-  opts.schedules = 6;
-  opts.expectSuccess = false;
   // Sensor-faulted runs never end by quiescence; keep the budget small so
   // this stays fast under TSan.
-  opts.maxEventsPerRun = 4000;
-  opts.crashCount = 1;
-  opts.crashHorizon = 500;
-  opts.noiseSigma = 0.01;
-  const FuzzResult serial = [&] {
-    FuzzOptions o = opts;
-    o.jobs = 1;
-    return fuzzSchedules(algo, start, pattern, o);
-  }();
+  Scenario sc{.pattern = io::randomPatternByName(6, 31),
+              .startKind = "points",
+              .start = config::randomConfiguration(6, rng, 4.0, 0.1),
+              .maxEvents = 4000,
+              .crashF = 1,
+              .crashHorizon = 500};
+  sc.fault.noiseSigma = 0.01;
+  const FuzzResult serial =
+      fuzzSchedules(algo, sc, {.schedules = 6, .jobs = 1});
   for (int jobs : {4, campaignJobs()}) {
-    FuzzOptions o = opts;
-    o.jobs = jobs;
-    expectFuzzEqual(serial, fuzzSchedules(algo, start, pattern, o));
+    expectFuzzEqual(serial,
+                    fuzzSchedules(algo, sc, {.schedules = 6, .jobs = jobs}));
   }
 }
 

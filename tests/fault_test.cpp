@@ -281,11 +281,13 @@ TEST(FaultTest, FuzzerSurfacesPerRunFailureSeeds) {
   // surfaced with its replay seed, not just the first one.
   const Configuration start({{0, 0}, {4, 0}, {0, 3}});
   MeetFarthest algo;
+  const Scenario sc{.pattern = start,
+                    .startKind = "points",
+                    .start = start,
+                    .maxEvents = 500};
   FuzzOptions fopts;
   fopts.schedules = 6;
-  fopts.maxEventsPerRun = 500;
-  fopts.expectSuccess = false;
-  const FuzzResult res = fuzzSchedules(algo, start, start, fopts);
+  const FuzzResult res = fuzzSchedules(algo, sc, fopts);
   EXPECT_FALSE(res.collisionFree);
   ASSERT_FALSE(res.failures.empty());
   EXPECT_EQ(res.failures.front().violation, res.firstViolation);
@@ -299,15 +301,15 @@ TEST(FaultTest, FuzzerSurfacesPerRunFailureSeeds) {
 TEST(FaultTest, CrashCampaignTalliesEveryOutcome) {
   core::FormPatternAlgorithm algo;
   config::Rng rng(31);
-  const auto start = config::randomConfiguration(6, rng, 5.0, 0.1);
-  const auto pattern = io::randomPatternByName(6, 8);
+  const Scenario sc{.pattern = io::randomPatternByName(6, 8),
+                    .startKind = "points",
+                    .start = config::randomConfiguration(6, rng, 5.0, 0.1),
+                    .maxEvents = 60000,
+                    .crashF = 1,
+                    .crashHorizon = 500};
   FuzzOptions fopts;
   fopts.schedules = 6;
-  fopts.maxEventsPerRun = 60000;
-  fopts.expectSuccess = false;
-  fopts.crashCount = 1;
-  fopts.crashHorizon = 500;
-  const FuzzResult res = fuzzSchedules(algo, start, pattern, fopts);
+  const FuzzResult res = fuzzSchedules(algo, sc, fopts);
   EXPECT_EQ(res.runs, 6);
   int tallied = 0;
   for (const auto& [outcome, n] : res.outcomes) tallied += n;

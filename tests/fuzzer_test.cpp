@@ -19,10 +19,13 @@ TEST(FuzzerTest, RandomStartManySchedulesSafeAndSuccessful) {
   core::FormPatternAlgorithm algo;
   config::Rng rng(5);
   const Configuration start = config::randomConfiguration(8, rng, 4.0, 0.1);
+  const Scenario sc{.pattern = io::starPattern(8),
+                    .startKind = "points",
+                    .start = start,
+                    .maxEvents = 300000};
   FuzzOptions opts;
   opts.schedules = 12;
-  const FuzzResult res =
-      fuzzSchedules(algo, start, io::starPattern(8), opts);
+  const FuzzResult res = fuzzSchedules(algo, sc, opts);
   EXPECT_EQ(res.successes, res.runs) << res.firstViolation;
   EXPECT_TRUE(res.collisionFree) << res.firstViolation;
   EXPECT_TRUE(res.secBounded) << res.firstViolation;
@@ -34,10 +37,13 @@ TEST(FuzzerTest, SymmetricStartElectionSafety) {
   core::FormPatternAlgorithm algo;
   config::Rng rng(7);
   const Configuration start = config::symmetricConfiguration(4, 2, rng);
+  const Scenario sc{.pattern = io::randomPatternByName(start.size(), 9),
+                    .startKind = "points",
+                    .start = start,
+                    .maxEvents = 300000};
   FuzzOptions opts;
   opts.schedules = 9;
-  const FuzzResult res = fuzzSchedules(
-      algo, start, io::randomPatternByName(start.size(), 9), opts);
+  const FuzzResult res = fuzzSchedules(algo, sc, opts);
   EXPECT_EQ(res.successes, res.runs) << res.firstViolation;
   EXPECT_TRUE(res.clean()) << res.firstViolation;
 }
@@ -46,13 +52,16 @@ TEST(FuzzerTest, MultiplicityPatternAllowsOnlyTargetMerges) {
   core::FormPatternAlgorithm algo;
   config::Rng rng(9);
   const Configuration start = config::randomConfiguration(9, rng, 4.0, 0.1);
+  const Scenario sc{.pattern = io::multiplicityPattern(9),
+                    .startKind = "points",
+                    .start = start,
+                    .maxEvents = 300000,
+                    .multiplicity = true};
   FuzzOptions opts;
   opts.schedules = 6;
-  opts.multiplicityDetection = true;
   // Target multiplicity: collision checking is disabled for such targets
   // (merging IS the goal); safety = SEC stability + success.
-  const FuzzResult res =
-      fuzzSchedules(algo, start, io::multiplicityPattern(9), opts);
+  const FuzzResult res = fuzzSchedules(algo, sc, opts);
   EXPECT_EQ(res.successes, res.runs) << res.firstViolation;
   EXPECT_TRUE(res.secBounded) << res.firstViolation;
 }
@@ -61,12 +70,14 @@ TEST(FuzzerTest, TinyDeltaAggressiveAdversary) {
   core::FormPatternAlgorithm algo;
   config::Rng rng(11);
   const Configuration start = config::randomConfiguration(7, rng, 4.0, 0.1);
+  const Scenario sc{.pattern = io::gridPattern(7),
+                    .startKind = "points",
+                    .start = start,
+                    .maxEvents = 1500000,
+                    .delta = 0.01};
   FuzzOptions opts;
   opts.schedules = 6;
-  opts.delta = 0.01;
-  opts.maxEventsPerRun = 1500000;
-  const FuzzResult res =
-      fuzzSchedules(algo, start, io::gridPattern(7), opts);
+  const FuzzResult res = fuzzSchedules(algo, sc, opts);
   EXPECT_EQ(res.successes, res.runs) << res.firstViolation;
   EXPECT_TRUE(res.clean()) << res.firstViolation;
 }

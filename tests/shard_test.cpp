@@ -2,9 +2,10 @@
 /// The apf.shard.v1 journal key and the sharded-execution determinism
 /// guarantees (src/sim/shard.h):
 ///
-///  * Every ShardSpec field reaches the wire losslessly, and reading the
-///    wire back then re-encoding is a byte-level fixed point — the key a
-///    journal written by an earlier build carries must stay reproducible.
+///  * Three specs encode to literal, pinned key bytes, every ShardSpec
+///    field reaches the wire losslessly, and reading the wire back then
+///    re-encoding is a byte-level fixed point — the key a journal written
+///    by an earlier build carries must stay reproducible.
 ///  * Changing any single ShardSpec field changes shardConfigKey — the
 ///    property the journal's cross-campaign refusal relies on.
 ///  * shardRange is a contiguous, balanced, exact partition of [0, runs).
@@ -58,7 +59,6 @@ std::string tempPath(const std::string& name) {
 ShardSpec scriptedSpec() {
   ShardSpec s;
   s.algo = "form";
-  s.n = 6;
   s.patternLabel = "star";
   s.pattern = io::starPattern(6);
   s.startKind = "points";
@@ -75,7 +75,6 @@ ShardSpec scriptedSpec() {
 ShardSpec fuzzSpec() {
   ShardSpec s;
   s.algo = "form";
-  s.n = 6;
   s.patternLabel = "star";
   s.pattern = io::starPattern(6);
   s.startKind = "random";
@@ -99,47 +98,104 @@ ShardSpec faultSpec() {
 
 // ------------------------------------------------------------------ wire --
 
-/// Reads an apf.shard.v1 line back into a ShardSpec with the generic JSON
-/// parser. The library keeps only the encoder (the key is compared, never
-/// decoded); this reader exists so the tests can prove the encoding loses
-/// nothing.
-ShardSpec specFromWire(const std::string& wire) {
-  const auto doc = obs::parseJson(wire);
-  EXPECT_TRUE(doc && doc->kind == obs::JsonNode::Kind::Object) << wire;
-  if (!doc) return {};
-  const auto at = [&](const char* key) -> const obs::JsonNode& {
-    static const obs::JsonNode missing;
-    const obs::JsonNode* v = doc->find(key);
-    EXPECT_NE(v, nullptr) << "wire lacks \"" << key << "\"";
-    return v != nullptr ? *v : missing;
-  };
-  EXPECT_EQ(at("shard").asString(), ShardSpec::kSchema);
+/// Reads an apf.shard.v1 line back: the scenario fields through the
+/// library's strict decoder, then the three supervisor knobs. Tools never
+/// decode the key; this proves the encoding loses nothing.
+ShardSpec readKey(const std::string& wire) {
+  obs::JsonNode doc;
   ShardSpec s;
-  s.algo = at("algo").asString();
-  s.n = static_cast<std::size_t>(at("n").asU64());
-  s.patternLabel = at("pattern_label").asString();
-  s.pattern = pointsFromJson(at("pattern"), "pattern");
-  s.startKind = at("start_kind").asString();
-  if (const obs::JsonNode* v = doc->find("start")) {
-    s.start = pointsFromJson(*v, "start");
-  }
-  const auto kind = sched::schedulerFromName(at("sched").asString());
-  EXPECT_TRUE(kind.has_value());
-  if (kind) s.sched = *kind;
-  s.baseSeed = at("base_seed").asU64();
-  s.runs = at("runs").asU64();
-  s.maxEvents = at("max_events").asU64();
-  s.delta = at("delta").asNumber();
-  s.multiplicity = at("multiplicity").asBool();
-  s.commonChirality = at("chirality").asBool();
-  s.crashF = static_cast<int>(at("crash_f").asNumber());
-  s.crashHorizon = at("crash_horizon").asU64();
-  s.fault = fault::planFromJson(at("fault"));
-  s.faultSeedSet = at("fault_seed_set").asBool();
-  s.watchdogEvents = at("watchdog_events").asU64();
-  s.watchdogMs = at("watchdog_ms").asU64();
-  s.retries = static_cast<int>(at("retries").asNumber());
+  static_cast<Scenario&>(s) =
+      scenarioFromJson(wire, "shard", ShardSpec::kSchema,
+                       {"watchdog_events", "watchdog_ms", "retries"}, doc);
+  s.watchdogEvents = obs::requireU64(doc, "watchdog_events", "shard");
+  s.watchdogMs = obs::requireU64(doc, "watchdog_ms", "shard");
+  s.retries = static_cast<int>(obs::requireU64(doc, "retries", "shard"));
   return s;
+}
+
+/// Three specs with exactly representable coordinates, so their keys can
+/// be spelled out below.
+ShardSpec pinnedPointsSpec() {
+  ShardSpec s;
+  s.algo = "form";
+  s.patternLabel = "square";
+  s.pattern = config::Configuration({{0, 0}, {1, 0}, {1, 1}, {0, 1}});
+  s.startKind = "points";
+  s.start =
+      config::Configuration({{0.5, 0.25}, {3, -1}, {-2, 1.5}, {1.125, 4}});
+  s.baseSeed = 11;
+  s.runs = 8;
+  s.maxEvents = 1500;
+  return s;
+}
+
+ShardSpec pinnedRandomSpec() {
+  ShardSpec s = pinnedPointsSpec();
+  s.algo = "rsb";
+  s.patternLabel = "star";
+  s.startKind = "random";
+  s.sched = sched::SchedulerKind::SSync;
+  s.baseSeed = 0x9E3779B97F4A7C15ull;
+  s.runs = 24;
+  s.delta = 0.125;
+  s.multiplicity = true;
+  s.commonChirality = true;
+  return s;
+}
+
+ShardSpec pinnedFaultSpec() {
+  ShardSpec s = pinnedPointsSpec();
+  s.startKind = "symmetric";
+  s.crashF = 2;
+  s.crashHorizon = 500;
+  s.fault.noiseSigma = 0.01;
+  s.fault.seed = 9;
+  s.faultSeedSet = true;
+  s.watchdogEvents = 50000;
+  s.watchdogMs = 1234;
+  s.retries = 5;
+  return s;
+}
+
+TEST(ShardSpecTest, PinnedKeyBytes) {
+  // Literal keys: a journal written by any earlier build must keep
+  // merging and resuming, so neither a field name nor the field order
+  // may change, on the encoder's side or anywhere else.
+  const std::string noFault =
+      R"("fault":{"crashes":[],"noise_sigma":0,"omit_prob":0,)"
+      R"("mult_flip_prob":0,"drop_prob":0,"trunc_prob":0,"seed":0},)";
+  EXPECT_EQ(shardConfigKey(pinnedPointsSpec()),
+            R"({"shard":"apf.shard.v1","algo":"form","n":4,)"
+            R"("pattern_label":"square","pattern":[[0,0],[1,0],[1,1],[0,1]],)"
+            R"("start_kind":"points",)"
+            R"("start":[[0.5,0.25],[3,-1],[-2,1.5],[1.125,4]],)"
+            R"("sched":"ASYNC","base_seed":11,"runs":8,"max_events":1500,)"
+            R"("delta":0.05,"multiplicity":false,"chirality":false,)"
+            R"("crash_f":0,"crash_horizon":2000,)" +
+                noFault +
+                R"("fault_seed_set":false,"watchdog_events":0,)"
+                R"("watchdog_ms":0,"retries":2})");
+  EXPECT_EQ(shardConfigKey(pinnedRandomSpec()),
+            R"({"shard":"apf.shard.v1","algo":"rsb","n":4,)"
+            R"("pattern_label":"star","pattern":[[0,0],[1,0],[1,1],[0,1]],)"
+            R"("start_kind":"random","sched":"SSYNC",)"
+            R"("base_seed":11400714819323198485,"runs":24,)"
+            R"("max_events":1500,"delta":0.125,"multiplicity":true,)"
+            R"("chirality":true,"crash_f":0,"crash_horizon":2000,)" +
+                noFault +
+                R"("fault_seed_set":false,"watchdog_events":0,)"
+                R"("watchdog_ms":0,"retries":2})");
+  EXPECT_EQ(shardConfigKey(pinnedFaultSpec()),
+            R"({"shard":"apf.shard.v1","algo":"form","n":4,)"
+            R"("pattern_label":"square","pattern":[[0,0],[1,0],[1,1],[0,1]],)"
+            R"("start_kind":"symmetric","sched":"ASYNC","base_seed":11,)"
+            R"("runs":8,"max_events":1500,"delta":0.05,)"
+            R"("multiplicity":false,"chirality":false,"crash_f":2,)"
+            R"("crash_horizon":500,"fault":{"crashes":[],)"
+            R"("noise_sigma":0.01,"omit_prob":0,"mult_flip_prob":0,)"
+            R"("drop_prob":0,"trunc_prob":0,"seed":9},)"
+            R"("fault_seed_set":true,"watchdog_events":50000,)"
+            R"("watchdog_ms":1234,"retries":5})");
 }
 
 TEST(ShardSpecTest, RoundTripPreservesEveryField) {
@@ -157,9 +213,8 @@ TEST(ShardSpecTest, RoundTripPreservesEveryField) {
   s.watchdogMs = 1234;
   s.retries = 5;
 
-  const ShardSpec d = specFromWire(toJson(s));
+  const ShardSpec d = readKey(toJson(s));
   EXPECT_EQ(d.algo, s.algo);
-  EXPECT_EQ(d.n, s.n);
   EXPECT_EQ(d.patternLabel, s.patternLabel);
   ASSERT_EQ(d.pattern.size(), s.pattern.size());
   for (std::size_t i = 0; i < s.pattern.size(); ++i) {
@@ -197,13 +252,14 @@ TEST(ShardSpecTest, EncodingIsAFixedPointProperty) {
   for (std::uint64_t i = 0; i < 32; ++i) {
     ShardSpec s;
     s.algo = (i % 2) != 0u ? "rsb" : "form";
-    s.n = 4 + (i % 5);
-    s.pattern = io::starPattern(s.n);
     s.startKind = (i % 3) == 0 ? "points" : ((i % 3) == 1 ? "random"
                                                           : "symmetric");
+    std::size_t n = 4 + (i % 5);
+    if (s.startKind == "symmetric") n += n % 2;  // needs an even n
+    s.pattern = io::starPattern(n);
     if (s.startKind == "points") {
       config::Rng rng(100 + i);
-      s.start = config::randomConfiguration(s.n, rng, 5.0, 0.1);
+      s.start = config::randomConfiguration(n, rng, 5.0, 0.1);
     }
     s.baseSeed = i * 0x9E3779B97F4A7C15ull + 1;
     s.runs = 1 + i;
@@ -214,7 +270,7 @@ TEST(ShardSpecTest, EncodingIsAFixedPointProperty) {
     s.faultSeedSet = (i % 4) == 0;
     s.fault.seed = i;
     const std::string j1 = toJson(s);
-    const std::string j2 = toJson(specFromWire(j1));
+    const std::string j2 = toJson(readKey(j1));
     EXPECT_EQ(j1, j2) << "spec " << i << " is not a re-encoding fixed point";
     EXPECT_EQ(shardConfigKey(s), j1);
   }
@@ -228,7 +284,6 @@ TEST(ShardSpecTest, EveryFieldChangesTheConfigKey) {
   using Mutation = void (*)(ShardSpec&);
   const Mutation mutations[] = {
       [](ShardSpec& s) { s.algo = "rsb"; },
-      [](ShardSpec& s) { s.n = 7; },
       [](ShardSpec& s) { s.patternLabel = "other"; },
       [](ShardSpec& s) { s.pattern = io::polygonPattern(6); },
       [](ShardSpec& s) { s.startKind = "random"; },
@@ -273,20 +328,25 @@ TEST(ShardSpecTest, StartPointsOnlyOnWireWhenAuthoritative) {
 }
 
 TEST(ShardSpecTest, ValidateCatchesInconsistentSpecs) {
-  EXPECT_EQ(validateShardSpec(scriptedSpec()), "");
-  EXPECT_EQ(validateShardSpec(faultSpec()), "");
+  EXPECT_EQ(validate(scriptedSpec()), "");
+  EXPECT_EQ(validate(faultSpec()), "");
   ShardSpec bad = scriptedSpec();
-  bad.n = 7;  // pattern still has 6 points
-  EXPECT_NE(validateShardSpec(bad), "");
+  bad.pattern = io::starPattern(7);  // the start still has 6 points
+  EXPECT_NE(validate(bad), "");
   bad = scriptedSpec();
   bad.startKind = "weird";
-  EXPECT_NE(validateShardSpec(bad), "");
+  EXPECT_NE(validate(bad), "");
   bad = fuzzSpec();
   bad.crashF = 6;  // no live robot left
-  EXPECT_NE(validateShardSpec(bad), "");
+  EXPECT_NE(validate(bad), "");
+  bad = fuzzSpec();
+  bad.fault.crashes = {{6, 10}};  // robots are 0..5
+  EXPECT_NE(validate(bad), "");
   bad = fuzzSpec();
   bad.runs = 0;
-  EXPECT_NE(validateShardSpec(bad), "");
+  EXPECT_NE(validate(bad), "");
+  // The decoder runs the same check.
+  EXPECT_THROW(readKey(toJson(bad)), std::runtime_error);
 }
 
 // ------------------------------------------------------------ partition --

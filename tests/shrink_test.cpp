@@ -23,7 +23,7 @@ namespace {
 
 fault::FaultPlan densePlan() {
   fault::FaultPlan p;
-  p.crashes = {{2, 1500}, {5, 40}};
+  p.crashes = {{2, 1500}, {4, 40}};
   p.noiseSigma = 0.1;
   p.omitProb = 0.25;
   p.multFlipProb = 0.125;
@@ -60,11 +60,12 @@ ReproCase denseCase() {
   config::Rng rng(17);
   c.start = config::randomConfiguration(5, rng, 5.0, 0.1);
   c.pattern = io::randomPatternByName(5, 93);
-  c.seed = 0xFFFFFFFFFFFFFFF1ull;  // > 2^53
+  c.patternLabel = "random";
+  c.baseSeed = 0xFFFFFFFFFFFFFFF1ull;  // > 2^53
   c.maxEvents = 12345;
   c.delta = 0.075;
   c.earlyStopProb = 0.9;
-  c.multiplicityDetection = true;
+  c.multiplicity = true;
   c.commonChirality = true;
   c.sched = sched::SchedulerKind::SSync;
   c.fault = densePlan();
@@ -82,14 +83,18 @@ TEST(ShrinkTest, ReproCaseJsonRoundTripsBitExact) {
     EXPECT_EQ(d.start[i].y, c.start[i].y);
   }
   ASSERT_EQ(d.pattern.size(), c.pattern.size());
-  EXPECT_EQ(d.seed, c.seed);
+  EXPECT_EQ(d.patternLabel, c.patternLabel);
+  EXPECT_EQ(d.startKind, "points");
+  EXPECT_EQ(d.baseSeed, c.baseSeed);
+  EXPECT_EQ(d.runs, 1u);
   EXPECT_EQ(d.maxEvents, c.maxEvents);
   EXPECT_EQ(d.delta, c.delta);
   EXPECT_EQ(d.earlyStopProb, c.earlyStopProb);
-  EXPECT_EQ(d.multiplicityDetection, c.multiplicityDetection);
+  EXPECT_EQ(d.multiplicity, c.multiplicity);
   EXPECT_EQ(d.commonChirality, c.commonChirality);
   EXPECT_EQ(d.sched, c.sched);
   EXPECT_EQ(d.fault.seed, c.fault.seed);
+  EXPECT_TRUE(d.faultSeedSet);
   EXPECT_EQ(d.violationKind, c.violationKind);
   // Bit-exactness collapses to string equality of the canonical encoding.
   EXPECT_EQ(toJson(d), toJson(c));
@@ -118,30 +123,125 @@ TEST(ShrinkTest, LoadReproRejectsWrongSchema) {
   std::filesystem::remove_all(dir);
 }
 
+/// The encoding of denseCase() with `from` replaced by `to` (exactly one
+/// occurrence).
+std::string editedDenseCase(const std::string& from, const std::string& to) {
+  std::string text = toJson(denseCase());
+  const std::size_t at = text.find(from);
+  EXPECT_NE(at, std::string::npos) << from;
+  EXPECT_EQ(text.find(from, at + 1), std::string::npos) << from;
+  return text.replace(at, from.size(), to);
+}
+
+/// reproFromJson's error message for `text` ("" when it decodes).
+std::string decodeError(const std::string& text) {
+  try {
+    reproFromJson(text);
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(ShrinkTest, ReproDecoderRejectsMalformedCases) {
+  EXPECT_EQ(decodeError(toJson(denseCase())), "");
+  // A v1 file is refused with a pointer to the fix.
+  EXPECT_NE(decodeError(editedDenseCase("apf.repro.v2", "apf.repro.v1"))
+                .find("found apf.repro.v1; re-create it"),
+            std::string::npos);
+  // Unknown keys (the v1 spelling, a shard key) and missing keys.
+  EXPECT_NE(decodeError(editedDenseCase("\"multiplicity\":",
+                                        "\"multiplicity_detection\":")),
+            "");
+  EXPECT_NE(decodeError(editedDenseCase("\"algo\":", "\"retries\":2,"
+                                                      "\"algo\":")),
+            "");
+  EXPECT_NE(decodeError(editedDenseCase("\"delta\":0.075,", "")), "");
+  EXPECT_NE(decodeError(editedDenseCase("\"early_stop_prob\":0.9,", "")), "");
+  // The same holds inside the fault plan.
+  EXPECT_NE(decodeError(editedDenseCase("\"drop_prob\":0.0625,", "")), "");
+  EXPECT_NE(decodeError(editedDenseCase("\"noise_sigma\":",
+                                        "\"noise_sigmaa\":")),
+            "");
+  EXPECT_NE(decodeError(editedDenseCase("\"at_event\":40",
+                                        "\"at_event\":-40")),
+            "");
+  // n must match the pattern, the start must match n, and every crash
+  // victim must be a robot.
+  EXPECT_NE(decodeError(editedDenseCase("\"n\":5", "\"n\":6")), "");
+  const ReproCase c = denseCase();
+  ReproCase shortStart = c;
+  shortStart.start = c.start.without(0);
+  EXPECT_NE(decodeError(toJson(shortStart)).find("start has 4 points"),
+            std::string::npos);
+  ReproCase badVictim = c;
+  badVictim.fault.crashes.push_back({20, 7});
+  EXPECT_NE(decodeError(toJson(badVictim)).find("crash victim 20"),
+            std::string::npos);
+  // Wrong types are errors, not defaults.
+  EXPECT_NE(decodeError(editedDenseCase("\"chirality\":true",
+                                        "\"chirality\":1")),
+            "");
+}
+
 TEST(ShrinkTest, ReproFromFailureCarriesExactReplayCoordinates) {
-  FuzzOptions opts;
-  opts.maxEventsPerRun = 7777;
-  opts.delta = 0.03;
-  opts.multiplicityDetection = true;
+  config::Rng rng(3);
+  Scenario sc{.algo = "form",
+              .pattern = io::randomPatternByName(4, 90),
+              .startKind = "points",
+              .start = config::randomConfiguration(4, rng, 5.0, 0.1),
+              .maxEvents = 7777,
+              .delta = 0.03,
+              .multiplicity = true,
+              .crashF = 2,
+              .crashHorizon = 300};
+  sc.fault.noiseSigma = 0.1;
   FuzzFailure f;
   f.seed = 0xDEADBEEFCAFEF00Dull;
   f.earlyStopProb = 0.9;
   f.violationKind = "collision";
-  f.plan = densePlan();
-  config::Rng rng(3);
-  const auto start = config::randomConfiguration(4, rng, 5.0, 0.1);
-  const auto pattern = io::randomPatternByName(4, 90);
-  const ReproCase c = reproFromFailure("form", start, pattern, opts, f);
+  const ReproCase c = reproFromFailure(sc, f);
   EXPECT_EQ(c.algo, "form");
-  EXPECT_EQ(c.seed, f.seed);
+  EXPECT_EQ(c.baseSeed, f.seed);
+  EXPECT_EQ(c.runs, 1u);
   EXPECT_EQ(c.earlyStopProb, f.earlyStopProb);
-  EXPECT_EQ(c.maxEvents, opts.maxEventsPerRun);
-  EXPECT_EQ(c.delta, opts.delta);
-  EXPECT_TRUE(c.multiplicityDetection);
+  EXPECT_EQ(c.maxEvents, sc.maxEvents);
+  EXPECT_EQ(c.delta, sc.delta);
+  EXPECT_TRUE(c.multiplicity);
   EXPECT_EQ(c.violationKind, "collision");
-  EXPECT_EQ(c.fault.seed, f.plan.seed);
-  EXPECT_EQ(c.start.size(), start.size());
-  EXPECT_EQ(c.pattern.size(), pattern.size());
+  // The failing run's concrete plan: its two drawn crashes, pinned.
+  const fault::FaultPlan plan = engineOptions(sc, f.seed).fault;
+  ASSERT_EQ(plan.crashes.size(), 2u);
+  EXPECT_EQ(fault::toJson(c.fault), fault::toJson(plan));
+  EXPECT_EQ(c.crashF, 0);
+  EXPECT_TRUE(c.faultSeedSet);
+  EXPECT_EQ(engineOptions(c, c.baseSeed).fault.seed, plan.seed);
+  EXPECT_EQ(c.start.size(), sc.start.size());
+  EXPECT_EQ(c.pattern.size(), sc.pattern.size());
+}
+
+TEST(ShrinkTest, CapturedRunWithCrashesAndNoiseReplaysExactly) {
+  // The repro of a scenario run with drawn crash victims and sensor noise
+  // replays, after a JSON round trip, to the very same run.
+  core::FormPatternAlgorithm algo;
+  Scenario sc{.pattern = io::randomPatternByName(8, 90),
+              .maxEvents = 40000,
+              .crashF = 2,
+              .crashHorizon = 600};
+  sc.fault.noiseSigma = 0.01;
+  for (const std::uint64_t seed : {3ull, 4ull}) {
+    const EngineOptions eopts = engineOptions(sc, seed);
+    ASSERT_EQ(eopts.fault.crashes.size(), 2u);
+    const config::Configuration start = startFor(sc, seed);
+    const RunResult orig = Engine(start, sc.pattern, algo, eopts).run();
+    const ReproCase c = reproFromJson(toJson(
+        reproOf(sc, start, seed, eopts.sched.earlyStopProb, eopts.fault)));
+    const ReplayResult r = replay(c, algo);
+    EXPECT_EQ(r.run.metrics.cycles, orig.metrics.cycles) << seed;
+    EXPECT_EQ(r.run.metrics.events, orig.metrics.events) << seed;
+    EXPECT_EQ(r.run.metrics.distance, orig.metrics.distance) << seed;
+    EXPECT_EQ(r.run.metrics.crashed, orig.metrics.crashed) << seed;
+  }
 }
 
 TEST(ShrinkTest, ReplayIsDeterministic) {
@@ -150,7 +250,7 @@ TEST(ShrinkTest, ReplayIsDeterministic) {
   config::Rng rng(8);  // apf_sim's start stream for seed 1 (seed + 7)
   c.start = config::randomConfiguration(8, rng, 5.0, 0.1);
   c.pattern = io::randomPatternByName(8, 90);
-  c.seed = 1;
+  c.baseSeed = 1;
   c.maxEvents = 40000;
   c.fault.noiseSigma = 8.0;
   c.fault.seed = 1;
@@ -168,7 +268,7 @@ TEST(ShrinkTest, ShrinkLeavesCleanCaseUntouched) {
   config::Rng rng(5);
   c.start = config::randomConfiguration(4, rng, 5.0, 0.1);
   c.pattern = io::randomPatternByName(4, 90);
-  c.seed = 3;
+  c.baseSeed = 3;
   c.maxEvents = 200000;  // fault-free run: terminates well before this
   c.violationKind = "collision";
   const std::string before = toJson(c);
@@ -195,7 +295,7 @@ TEST(ShrinkTest, ShrinkerMinimizesSeededViolationAndReproReplays) {
     config::Rng rng(seed + 7);
     c.start = config::randomConfiguration(8, rng, 5.0, 0.1);
     c.pattern = io::randomPatternByName(8, 90);
-    c.seed = seed;
+    c.baseSeed = seed;
     c.maxEvents = 40000;
     c.earlyStopProb = 0.5;
     c.fault.noiseSigma = 8.0;

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Per-push check that apf_sim and apf_estimate accept exactly the generated
-# starts sim::validateStartKind allows ("random", and "symmetric" with an
+# starts sim::validate allows ("random", and "symmetric" with an
 # even n >= 4) and exit 2 on anything else, in single-run, campaign and
 # estimation mode alike.
 #

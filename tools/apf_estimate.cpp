@@ -31,7 +31,7 @@
 #include "obs/recorder.h"
 #include "sched/seed.h"
 #include "sim/engine.h"
-#include "sim/shard.h"
+#include "sim/scenario.h"
 #include "sim/supervisor.h"
 #include "algo_select.h"
 #include "cli_parse.h"
@@ -39,18 +39,12 @@
 namespace {
 
 struct Options {
+  /// The trials' scenario; each arm runs a copy with its own algorithm.
+  apf::sim::Scenario sc;
   std::uint64_t n = 8;
-  std::string pattern = "star";
-  std::string startKind = "random";  // random | symmetric
   std::string sched = "async";
-  std::string algo = "form";
   std::string algoB = "yy";  // --ab second arm
   bool ab = false;
-  std::uint64_t seed = 1;
-  double delta = 0.05;
-  std::uint64_t maxEvents = 1000000;
-  bool multiplicity = false;
-  bool commonChirality = false;
   apf::est::StoppingOptions stop;
   int jobs = 0;
   std::string outPath;
@@ -66,27 +60,27 @@ void registerFlags(apf::cli::ArgParser& args, Options& o) {
   args.section("experiment");
   args.u64("--n", &o.n, "N", "robots (default 8)", nullptr,
            /*positive=*/true);
-  args.str("--pattern", &o.pattern, "NAME",
+  args.str("--pattern", &o.sc.patternLabel, "NAME",
            "target pattern (io/patterns.h names; default\nstar)");
-  args.str("--start", &o.startKind, "KIND",
+  args.str("--start", &o.sc.startKind, "KIND",
            "random|symmetric start per trial (default\n"
            "random; symmetric needs an even n >= 4)");
   args.str("--sched", &o.sched, "S", "fsync|ssync|async (default async)");
-  args.str("--algo", &o.algo, "A",
+  args.str("--algo", &o.sc.algo, "A",
            std::string(apf::cli::algorithmNames()) + " (default form)");
   args.flag("--ab", &o.ab,
             "two-arm mode: estimate --algo and --algo-b,\n"
             "print comparison gates");
   args.str("--algo-b", &o.algoB, "A", "second arm for --ab (default yy)");
-  args.u64("--seed", &o.seed, "S",
+  args.u64("--seed", &o.sc.baseSeed, "S",
            "base seed; trial i uses sampleSeed(S, i)");
-  args.num("--delta", &o.delta, ArgParser::Num::NonNegative, "D",
+  args.num("--delta", &o.sc.delta, ArgParser::Num::NonNegative, "D",
            "adversary min-move distance (default 0.05)");
-  args.u64("--max-events", &o.maxEvents, "N",
+  args.u64("--max-events", &o.sc.maxEvents, "N",
            "per-trial event cap (default 1e6)");
-  args.flag("--multiplicity", &o.multiplicity,
+  args.flag("--multiplicity", &o.sc.multiplicity,
             "enable multiplicity detection");
-  args.flag("--chirality", &o.commonChirality,
+  args.flag("--chirality", &o.sc.commonChirality,
             "give all robots a common chirality");
 
   args.section("stopping rule (evaluated at batch boundaries only)");
@@ -127,43 +121,6 @@ void registerFlags(apf::cli::ArgParser& args, Options& o) {
   args.flag("--quiet", &o.quiet, "JSON document only, no human summary");
 }
 
-/// Builds one arm's Trial closure: a pure function of (seed, index) — its
-/// own start configuration, its own Engine, nothing shared (the
-/// sim::runCampaign worker contract).
-apf::est::Trial makeTrial(const Options& o,
-                          const apf::config::Configuration& pattern,
-                          apf::sim::Algorithm& algo, bool multiplicity) {
-  using namespace apf;
-  sim::EngineOptions eopts;
-  eopts.maxEvents = o.maxEvents;
-  eopts.multiplicityDetection = multiplicity || o.multiplicity;
-  eopts.commonChirality = o.commonChirality;
-  eopts.sched.delta = o.delta;
-  const auto kind = sched::schedulerFromName(o.sched);
-  if (!kind) {
-    std::fprintf(stderr, "apf_estimate: unknown scheduler: %s\n",
-                 o.sched.c_str());
-    std::exit(2);
-  }
-  eopts.sched.kind = *kind;
-  const std::string startKind = o.startKind;
-  const auto n = static_cast<std::size_t>(o.n);
-  return [eopts, startKind, n, pattern, &algo](
-             std::uint64_t seed, std::uint64_t) -> est::Sample {
-    sim::EngineOptions opts = eopts;
-    opts.seed = seed;
-    sim::Engine engine(sim::generateStart(startKind, n, seed), pattern, algo,
-                       opts);
-    const sim::RunResult res = engine.run();
-    est::Sample s;
-    s.success = res.success;
-    s.cycles = static_cast<double>(res.metrics.cycles);
-    s.events = static_cast<double>(res.metrics.events);
-    s.bits = res.metrics.randomBits;
-    return s;
-  };
-}
-
 /// Arm-defining options as a flat manifest; its JSON is the journal config
 /// key (resuming under ANY different option must be refused).
 apf::obs::Manifest armConfig(const Options& o, const std::string& label,
@@ -172,8 +129,8 @@ apf::obs::Manifest armConfig(const Options& o, const std::string& label,
   m.set("campaign", "apf_estimate");
   m.set("algo", label);
   m.set("n", static_cast<std::uint64_t>(o.n));
-  m.set("pattern", o.pattern);
-  m.set("start", o.startKind);
+  m.set("pattern", o.sc.patternLabel);
+  m.set("start", o.sc.startKind);
   m.set("sched", o.sched);
   m.set("base_seed", baseSeed);
   m.set("batch", o.stop.batchSize);
@@ -182,10 +139,10 @@ apf::obs::Manifest armConfig(const Options& o, const std::string& label,
   m.set("confidence", o.stop.confidence);
   m.set("half_width", o.stop.targetHalfWidth);
   m.set("futility", o.stop.futilityFloor);
-  m.set("max_events", o.maxEvents);
-  m.set("delta", o.delta);
-  m.set("multiplicity", o.multiplicity);
-  m.set("chirality", o.commonChirality);
+  m.set("max_events", o.sc.maxEvents);
+  m.set("delta", o.sc.delta);
+  m.set("multiplicity", o.sc.multiplicity);
+  m.set("chirality", o.sc.commonChirality);
   return m;
 }
 
@@ -198,16 +155,15 @@ Arm runArm(const Options& o, const std::string& algoName,
            std::uint64_t baseSeed, const std::string& journalSuffix,
            apf::obs::Recorder* recorder) {
   using namespace apf;
-  bool multiplicity = false;
+  sim::Scenario sc = o.sc;
+  sc.algo = algoName;
   std::unique_ptr<sim::Algorithm> algo =
-      cli::makeAlgorithm(algoName, multiplicity);
+      cli::makeAlgorithm(algoName, sc.multiplicity);
   if (algo == nullptr) {
     std::fprintf(stderr, "apf_estimate: unknown algorithm: %s (want %s)\n",
                  algoName.c_str(), cli::algorithmNames());
     std::exit(2);
   }
-  const config::Configuration pattern =
-      io::patternByName(o.pattern, o.n, o.seed + 1000);
 
   std::unique_ptr<sim::CampaignJournal> journal;
   const bool resuming = !o.resumePath.empty();
@@ -227,9 +183,8 @@ Arm runArm(const Options& o, const std::string& algoName,
 
   Arm arm;
   arm.label = algo->name();
-  arm.estimate = est::runAdaptive(algo->name(),
-                                  makeTrial(o, pattern, *algo, multiplicity),
-                                  aopts);
+  arm.estimate =
+      est::runAdaptive(algo->name(), est::scenarioTrial(sc, *algo), aopts);
   return arm;
 }
 
@@ -271,8 +226,16 @@ int main(int argc, char** argv) try {
     std::fprintf(stderr, "apf_estimate: %s\n", e.what());
     return 2;
   }
-  if (const std::string why = sim::validateStartKind(o.startKind, o.n);
-      !why.empty()) {
+  const auto kind = sched::schedulerFromName(o.sched);
+  if (!kind) {
+    std::fprintf(stderr, "apf_estimate: unknown scheduler: %s\n",
+                 o.sched.c_str());
+    return 2;
+  }
+  o.sc.sched = *kind;
+  o.sc.pattern =
+      io::patternByName(o.sc.patternLabel, o.n, o.sc.baseSeed + 1000);
+  if (const std::string why = sim::validate(o.sc); !why.empty()) {
     std::fprintf(stderr, "apf_estimate: %s\n", why.c_str());
     return 2;
   }
@@ -290,10 +253,10 @@ int main(int argc, char** argv) try {
   // Per-arm base seeds are derived, not shared: two arms must not reuse
   // the same trial seeds (that would correlate them), and the derivation
   // must be a pure function of --seed for reproducibility.
-  const std::uint64_t seedA = sched::sampleSeed(o.seed, 0);
-  const std::uint64_t seedB = sched::sampleSeed(o.seed, 1);
+  const std::uint64_t seedA = sched::sampleSeed(o.sc.baseSeed, 0);
+  const std::uint64_t seedB = sched::sampleSeed(o.sc.baseSeed, 1);
 
-  const Arm a = runArm(o, o.algo, seedA, o.ab ? ".a" : "", sink.get());
+  const Arm a = runArm(o, o.sc.algo, seedA, o.ab ? ".a" : "", sink.get());
   std::unique_ptr<Arm> b;
   if (o.ab) {
     b = std::make_unique<Arm>(runArm(o, o.algoB, seedB, ".b", sink.get()));
@@ -305,10 +268,10 @@ int main(int argc, char** argv) try {
   obs::JsonObjectWriter top;
   top.field("schema", "apf.estimate.v1");
   top.field("n", static_cast<std::uint64_t>(o.n));
-  top.field("pattern", o.pattern);
-  top.field("start", o.startKind);
+  top.field("pattern", o.sc.patternLabel);
+  top.field("start", o.sc.startKind);
   top.field("sched", o.sched);
-  top.field("seed", o.seed);
+  top.field("seed", o.sc.baseSeed);
   if (o.ab) {
     top.rawField("a", a.estimate.toJson());
     top.rawField("b", b->estimate.toJson());

@@ -30,7 +30,6 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <iterator>
 #include <map>
 #include <numeric>
 #include <string>
@@ -41,6 +40,7 @@
 #include "obs/json.h"
 #include "obs/manifest.h"
 #include "obs/stats.h"
+#include "sim/shrink.h"
 #include "cli/env.h"
 #include "cli_parse.h"
 
@@ -333,39 +333,20 @@ void ingestJsonl(const fs::path& path, Report& rep) {
 }
 
 void ingestRepro(const fs::path& path, Report& rep) {
-  std::ifstream is(path);
-  if (!is) {
-    std::fprintf(stderr, "apf_report: cannot open %s\n",
-                 path.string().c_str());
-    return;
-  }
-  std::string text((std::istreambuf_iterator<char>(is)),
-                   std::istreambuf_iterator<char>());
-  const auto doc = apf::obs::parseJson(text);
-  if (!doc || doc->kind != apf::obs::JsonNode::Kind::Object) {
-    std::fprintf(stderr, "apf_report: skipping malformed repro %s\n",
-                 path.string().c_str());
+  apf::sim::ReproCase c;
+  try {
+    c = apf::sim::loadRepro(path.string());
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "apf_report: skipping %s: %s\n",
+                 path.string().c_str(), e.what());
     return;
   }
   Report::ReproInfo info;
   info.file = path.filename().string();
-  const auto* algo = doc->find("algo");
-  const auto* kind = doc->find("violation_kind");
-  const auto* start = doc->find("start");
-  const auto* fault = doc->find("fault");
-  info.algo = algo != nullptr ? algo->asString("?") : "?";
-  info.kind = kind != nullptr ? kind->asString("") : "";
-  if (info.kind.empty()) info.kind = "(unpinned)";
-  if (start != nullptr && start->kind == apf::obs::JsonNode::Kind::Array) {
-    info.robots = start->items.size();
-  }
-  if (fault != nullptr) {
-    const auto* crashes = fault->find("crashes");
-    if (crashes != nullptr &&
-        crashes->kind == apf::obs::JsonNode::Kind::Array) {
-      info.crashes = crashes->items.size();
-    }
-  }
+  info.algo = c.algo;
+  info.kind = c.violationKind.empty() ? "(unpinned)" : c.violationKind;
+  info.robots = c.n();
+  info.crashes = c.fault.crashes.size();
   rep.repros.push_back(std::move(info));
 }
 

@@ -69,18 +69,12 @@
 namespace {
 
 struct Options {
+  /// What the flags describe; a single run is its run 0.
+  apf::sim::ShardSpec spec;
   std::uint64_t n = 8;
-  std::string pattern = "star";
   std::string patternFile;
   std::string startFile;
-  std::string startKind = "random";  // random | symmetric
   std::string sched = "async";
-  std::string algo = "form";  // form | rsb | yy | det | scatter-form
-  std::uint64_t seed = 1;
-  double delta = 0.05;
-  std::uint64_t maxEvents = 1000000;
-  bool multiplicity = false;
-  bool commonChirality = false;
   std::string svgPath;
   std::string tracePath;
   std::string jsonlPath;
@@ -89,25 +83,10 @@ struct Options {
   bool quiet = false;
   /// Analyze the start configuration (Definitions 1-3) instead of running.
   bool analyze = false;
-  // Fault injection (docs/FAULTS.md). Crash victims/timings are drawn from
-  // --fault-seed once n is known; the sensor/compute knobs go straight into
-  // the FaultPlan.
-  int crashF = 0;
-  std::uint64_t crashHorizon = 2000;
-  double noiseSigma = 0.0;
-  double omitProb = 0.0;
-  double multFlipProb = 0.0;
-  double dropProb = 0.0;
-  double truncProb = 0.0;
-  std::uint64_t faultSeed = 0;
-  bool faultSeedSet = false;
   // Supervised campaigns (docs/RESILIENCE.md).
-  std::uint64_t campaignRuns = 0;  // 0 = single-run mode
+  bool campaign = false;           // --campaign N given (N is spec.runs)
   std::string journalPath;         // fresh journal (truncates)
   std::string resumePath;          // resume an existing journal
-  std::uint64_t watchdogEvents = 0;
-  std::uint64_t watchdogMs = 0;
-  int retries = 2;
   std::string quarantinePath;
   // Sharding (sim/shard.h, docs/API.md).
   std::string shard;  // "I/K"; empty = the whole campaign
@@ -120,27 +99,28 @@ struct Options {
 
 void registerFlags(apf::cli::ArgParser& args, Options& o) {
   using apf::cli::ArgParser;
+  apf::sim::ShardSpec& s = o.spec;
   args.u64("--n", &o.n, "N", "robots (default 8)", nullptr,
            /*positive=*/true);
-  args.str("--pattern", &o.pattern, "NAME",
+  args.str("--pattern", &s.patternLabel, "NAME",
            "polygon|star|grid|spiral|ringcore|random|\n"
            "mult|center-mult (default star)");
   args.str("--pattern-file", &o.patternFile, "F",
            "load pattern points from file ('x y' per line)");
-  args.str("--start", &o.startKind, "KIND",
+  args.str("--start", &s.startKind, "KIND",
            "random|symmetric (default random; symmetric\n"
            "needs an even n >= 4)");
   args.str("--start-file", &o.startFile, "F", "load start points from file");
   args.str("--sched", &o.sched, "S", "fsync|ssync|async (default async)");
-  args.str("--algo", &o.algo, "A",
+  args.str("--algo", &s.algo, "A",
            std::string(apf::cli::algorithmNames()) + " (default form)");
-  args.u64("--seed", &o.seed, "S", "RNG seed (default 1)");
-  args.num("--delta", &o.delta, ArgParser::Num::NonNegative, "D",
+  args.u64("--seed", &s.baseSeed, "S", "RNG seed (default 1)");
+  args.num("--delta", &s.delta, ArgParser::Num::NonNegative, "D",
            "adversary min-move distance (default 0.05)");
-  args.u64("--max-events", &o.maxEvents, "N", "event cap (default 1e6)");
-  args.flag("--multiplicity", &o.multiplicity,
+  args.u64("--max-events", &s.maxEvents, "N", "event cap (default 1e6)");
+  args.flag("--multiplicity", &s.multiplicity,
             "enable multiplicity detection");
-  args.flag("--chirality", &o.commonChirality,
+  args.flag("--chirality", &s.commonChirality,
             "give all robots a common chirality");
   args.str("--svg", &o.svgPath, "FILE", "write trajectory SVG");
   args.str("--trace", &o.tracePath, "FILE",
@@ -154,42 +134,43 @@ void registerFlags(apf::cli::ArgParser& args, Options& o) {
            "write run manifest (reproducibility record)");
 
   args.section("fault injection (docs/FAULTS.md)");
-  args.intNonNegative("--crash", &o.crashF, "F",
+  args.intNonNegative("--crash", &s.crashF, "F",
                       "crash-stop F random robots (victims/timings\n"
                       "drawn from --fault-seed)");
-  args.u64("--crash-horizon", &o.crashHorizon, "N",
+  args.u64("--crash-horizon", &s.crashHorizon, "N",
            "scheduler-event window for crashes (default\n2000)",
            nullptr, /*positive=*/true);
-  args.num("--noise", &o.noiseSigma, ArgParser::Num::NonNegative, "S",
+  args.num("--noise", &s.fault.noiseSigma, ArgParser::Num::NonNegative, "S",
            "Gaussian snapshot noise, std dev S (global\nunits)");
-  args.num("--omit", &o.omitProb, ArgParser::Num::Probability, "P",
+  args.num("--omit", &s.fault.omitProb, ArgParser::Num::Probability, "P",
            "omit each observed robot with probability P");
-  args.num("--mult-flip", &o.multFlipProb, ArgParser::Num::Probability, "P",
+  args.num("--mult-flip", &s.fault.multFlipProb, ArgParser::Num::Probability,
+           "P",
            "flip perceived multiplicity with probability P");
-  args.num("--drop", &o.dropProb, ArgParser::Num::Probability, "P",
+  args.num("--drop", &s.fault.dropProb, ArgParser::Num::Probability, "P",
            "drop a computed path with probability P");
-  args.num("--trunc", &o.truncProb, ArgParser::Num::Probability, "P",
+  args.num("--trunc", &s.fault.truncProb, ArgParser::Num::Probability, "P",
            "truncate a computed path with probability P");
-  args.u64("--fault-seed", &o.faultSeed, "S",
-           "fault RNG stream seed (default: --seed)", &o.faultSeedSet);
+  args.u64("--fault-seed", &s.fault.seed, "S",
+           "fault RNG stream seed (default: --seed)", &s.faultSeedSet);
 
   args.section("supervised campaigns (docs/RESILIENCE.md)");
-  args.u64("--campaign", &o.campaignRuns, "N",
+  args.u64("--campaign", &s.runs, "N",
            "run N seeded runs (seeds --seed..+N-1) on the\n"
            "campaign pool under the supervisor; exit 0 iff\n"
            "nothing was quarantined",
-           nullptr, /*positive=*/true);
+           &o.campaign, /*positive=*/true);
   args.str("--journal", &o.journalPath, "F",
            "crash-safe checkpoint journal (fresh file)");
   args.str("--resume", &o.resumePath, "F",
            "resume from journal F (skips completed runs;\n"
            "merges bit-identical to an uninterrupted\ncampaign)");
-  args.u64("--watchdog-events", &o.watchdogEvents, "N",
+  args.u64("--watchdog-events", &s.watchdogEvents, "N",
            "per-attempt cycle budget (deterministic;\n"
            "also applies to single runs, exit code 3)");
-  args.u64("--watchdog-ms", &o.watchdogMs, "N",
+  args.u64("--watchdog-ms", &s.watchdogMs, "N",
            "per-attempt wall budget (nondeterministic)");
-  args.intNonNegative("--retries", &o.retries, "N",
+  args.intNonNegative("--retries", &s.retries, "N",
                       "retry budget per run (default 2; attempt 1\n"
                       "reuses the same seed to prove determinism)");
   args.str("--quarantine", &o.quarantinePath, "F",
@@ -267,50 +248,6 @@ void lockJournal(const std::string& journalPath) {
 #endif
 }
 
-/// Compiles the CLI options into the versioned spec (apf.shard.v1) that
-/// defines a campaign; its canonical JSON is the journal config key.
-/// `spec.algo` carries the CLI spelling, not Algorithm::name().
-apf::sim::ShardSpec specFromOptions(const Options& o,
-                                    const apf::config::Configuration& pattern,
-                                    const apf::config::Configuration& start,
-                                    const std::string& patternLabel,
-                                    apf::sched::SchedulerKind sched) {
-  apf::sim::ShardSpec spec;
-  spec.algo = o.algo;
-  spec.n = static_cast<std::size_t>(o.n);
-  spec.patternLabel = patternLabel;
-  spec.pattern = pattern;
-  if (!o.startFile.empty()) {
-    spec.startKind = "points";
-    spec.start = start;
-  } else {
-    spec.startKind = o.startKind;
-  }
-  spec.sched = sched;
-  spec.baseSeed = o.seed;
-  spec.runs = o.campaignRuns;
-  spec.maxEvents = o.maxEvents;
-  spec.delta = o.delta;
-  spec.multiplicity = o.multiplicity;
-  spec.commonChirality = o.commonChirality;
-  spec.crashF = o.crashF;
-  spec.crashHorizon = o.crashHorizon;
-  // Base plan: sensor/compute knobs + fault-stream seed only. Crash
-  // victims/timings are re-drawn per run from the effective seed (or the
-  // pinned fault seed) inside scenarioOptions.
-  spec.fault.noiseSigma = o.noiseSigma;
-  spec.fault.omitProb = o.omitProb;
-  spec.fault.multFlipProb = o.multFlipProb;
-  spec.fault.dropProb = o.dropProb;
-  spec.fault.truncProb = o.truncProb;
-  spec.fault.seed = o.faultSeedSet ? o.faultSeed : o.seed;
-  spec.faultSeedSet = o.faultSeedSet;
-  spec.watchdogEvents = o.watchdogEvents;
-  spec.watchdogMs = o.watchdogMs;
-  spec.retries = o.retries;
-  return spec;
-}
-
 /// The campaign-describing manifest fields, derived from the wire spec so
 /// sharded and in-process manifests cannot differ.
 apf::obs::Manifest campaignManifest(const apf::sim::ShardSpec& spec,
@@ -318,7 +255,7 @@ apf::obs::Manifest campaignManifest(const apf::sim::ShardSpec& spec,
   apf::obs::Manifest m;
   m.set("campaign", "apf_sim");
   m.set("algo", algoName);
-  m.set("n", static_cast<std::uint64_t>(spec.n));
+  m.set("n", static_cast<std::uint64_t>(spec.n()));
   m.set("pattern", spec.patternLabel);
   m.set("start", spec.startKind);
   m.set("sched", apf::sched::schedulerName(spec.sched));
@@ -350,9 +287,16 @@ int main(int argc, char** argv) try {
 
   // --replay re-executes a self-contained .repro.json exactly (same safety
   // observer as the fuzzer) and reports whether the recorded violation
-  // reproduces. Every run coordinate comes from the file, not the CLI.
+  // reproduces. Every run coordinate comes from the file, not the CLI; a
+  // file that does not decode to a valid case is a usage error.
   if (!o.replayPath.empty()) {
-    const sim::ReproCase repro = sim::loadRepro(o.replayPath);
+    sim::ReproCase repro;
+    try {
+      repro = sim::loadRepro(o.replayPath);
+    } catch (const std::exception& e) {
+      std::fprintf(stderr, "apf_sim: --replay: %s\n", e.what());
+      return 2;
+    }
     bool ignoredMult = false;
     const auto replayAlgo = cli::makeAlgorithm(repro.algo, ignoredMult);
     if (replayAlgo == nullptr) {
@@ -364,7 +308,7 @@ int main(int argc, char** argv) try {
     const bool ok = r.reproduces(repro);
     std::printf(
         "replay %s: algo=%s n=%zu expect=%s -> %s\n", o.replayPath.c_str(),
-        repro.algo.c_str(), repro.start.size(),
+        repro.algo.c_str(), repro.n(),
         repro.violationKind.empty() ? "(any violation)"
                                     : repro.violationKind.c_str(),
         ok ? "REPRODUCED" : (r.violated ? "different violation" : "clean"));
@@ -376,50 +320,42 @@ int main(int argc, char** argv) try {
     return ok ? 0 : 1;
   }
 
-  // Pattern.
-  config::Configuration pattern;
+  sim::ShardSpec& spec = o.spec;
   if (!o.patternFile.empty()) {
-    pattern = io::loadConfiguration(o.patternFile);
-    o.n = pattern.size();
-  } else if (o.pattern == "mult") {
-    pattern = io::multiplicityPattern(o.n);
-    o.multiplicity = true;
-  } else if (o.pattern == "center-mult") {
-    pattern = io::centerMultiplicityPattern(o.n);
-    o.multiplicity = true;
+    spec.pattern = io::loadConfiguration(o.patternFile);
+    spec.patternLabel = o.patternFile;
+  } else if (spec.patternLabel == "mult") {
+    spec.pattern = io::multiplicityPattern(o.n);
+    spec.multiplicity = true;
+  } else if (spec.patternLabel == "center-mult") {
+    spec.pattern = io::centerMultiplicityPattern(o.n);
+    spec.multiplicity = true;
   } else {
-    pattern = io::patternByName(o.pattern, o.n, o.seed + 1000);
+    spec.pattern =
+        io::patternByName(spec.patternLabel, o.n, spec.baseSeed + 1000);
   }
-
-  // Start.
-  config::Configuration start;
   if (!o.startFile.empty()) {
-    start = io::loadConfiguration(o.startFile);
-  } else if (const std::string why = sim::validateStartKind(o.startKind, o.n);
-             !why.empty()) {
+    spec.startKind = "points";
+    spec.start = io::loadConfiguration(o.startFile);
+  }
+  if (!spec.faultSeedSet) spec.fault.seed = spec.baseSeed;
+  if (const std::string why = sim::validate(spec); !why.empty()) {
     std::fprintf(stderr, "apf_sim: %s\n", why.c_str());
     return 2;
-  } else {
-    start = sim::generateStart(o.startKind, o.n, o.seed);
   }
+  const config::Configuration start = sim::startFor(spec, spec.baseSeed);
   if (o.analyze) {
     const auto report = config::classify(start);
     std::printf("%s", report.describe().c_str());
     return 0;
   }
 
-  if (start.size() != pattern.size()) {
-    std::fprintf(stderr, "start has %zu robots but pattern has %zu points\n",
-                 start.size(), pattern.size());
-    return 2;
-  }
-
   // Algorithm.
   std::unique_ptr<sim::Algorithm> algo =
-      cli::makeAlgorithm(o.algo, o.multiplicity);
+      cli::makeAlgorithm(spec.algo, spec.multiplicity);
   if (algo == nullptr) {
-    std::fprintf(stderr, "unknown algorithm: %s (want %s)\n", o.algo.c_str(),
-                 cli::algorithmNames());
+    std::fprintf(stderr, "unknown algorithm: %s (want %s)\n",
+                 spec.algo.c_str(), cli::algorithmNames());
     return 2;
   }
 
@@ -428,23 +364,13 @@ int main(int argc, char** argv) try {
     std::fprintf(stderr, "unknown scheduler: %s\n", o.sched.c_str());
     return 2;
   }
-  if (o.crashF > 0 && static_cast<std::size_t>(o.crashF) >= start.size()) {
-    std::fprintf(stderr,
-                 "apf_sim: --crash %d must leave at least one live robot "
-                 "(n = %zu)\n",
-                 o.crashF, start.size());
-    return 2;
-  }
-  const std::string patternLabel =
-      !o.patternFile.empty() ? o.patternFile : o.pattern;
-  const sim::ShardSpec spec =
-      specFromOptions(o, pattern, start, patternLabel, *kind);
+  spec.sched = *kind;
 
   // A single run is run 0 of the spec: the same engine options and fault
   // plan (empty by default — the engine is then bit-identical to a
   // fault-free build). Crash victims/timings are drawn here so the summary
   // and manifest record the concrete plan, not just "F crashes".
-  sim::EngineOptions opts = sim::scenarioOptions(spec, o.seed);
+  sim::EngineOptions opts = sim::engineOptions(spec, spec.baseSeed);
   std::unique_ptr<obs::JsonlRecorder> sink;
   if (!o.jsonlPath.empty()) {
     sink = std::make_unique<obs::JsonlRecorder>(o.jsonlPath);
@@ -454,11 +380,7 @@ int main(int argc, char** argv) try {
       !o.jsonlPath.empty() || !o.manifestPath.empty() || o.json;
 
   // ------------------------------------------------ supervised campaign --
-  if (o.campaignRuns > 0) {
-    if (const std::string why = sim::validateShardSpec(spec); !why.empty()) {
-      std::fprintf(stderr, "apf_sim: invalid campaign: %s\n", why.c_str());
-      return 2;
-    }
+  if (o.campaign) {
     // The spec's canonical JSON is the journal config key: resuming with
     // ANY different option is a different experiment and must be refused,
     // not silently merged — and every shard journal of this campaign
@@ -545,7 +467,7 @@ int main(int argc, char** argv) try {
       // lives in the human output and the --quarantine report.
       obs::JsonObjectWriter top;
       top.field("schema", "apf.campaign.v1");
-      top.field("runs", o.campaignRuns);
+      top.field("runs", spec.runs);
       top.field("finished", report.completed + report.replayed);
       top.field("retries", report.retries);
       top.field("quarantined", report.quarantined);
@@ -565,10 +487,10 @@ int main(int argc, char** argv) try {
       std::printf(
           "campaign: %llu runs  algo=%s n=%zu sched=%s seeds=%llu..%llu%s\n"
           "  completed=%llu replayed=%llu retries=%llu quarantined=%llu\n",
-          static_cast<unsigned long long>(o.campaignRuns),
-          algo->name().c_str(), static_cast<std::size_t>(o.n),
-          o.sched.c_str(), static_cast<unsigned long long>(o.seed),
-          static_cast<unsigned long long>(o.seed + o.campaignRuns - 1),
+          static_cast<unsigned long long>(spec.runs), algo->name().c_str(),
+          spec.n(), o.sched.c_str(),
+          static_cast<unsigned long long>(spec.baseSeed),
+          static_cast<unsigned long long>(spec.baseSeed + spec.runs - 1),
           o.shard.empty() ? "" : (" shard=" + o.shard).c_str(),
           static_cast<unsigned long long>(report.completed),
           static_cast<unsigned long long>(report.replayed),
@@ -604,12 +526,13 @@ int main(int argc, char** argv) try {
   // Single runs honor the watchdog flags too: a cycle budget makes a
   // suspected livelock reproducible ("times out at event N" is a fact, not
   // a wall-clock accident).
-  sim::Watchdog watchdog(o.watchdogEvents, o.watchdogMs * 1'000'000ull);
-  if (o.watchdogEvents != 0 || o.watchdogMs != 0) {
+  sim::Watchdog watchdog(spec.watchdogEvents,
+                         spec.watchdogMs * 1'000'000ull);
+  if (spec.watchdogEvents != 0 || spec.watchdogMs != 0) {
     opts.watchdog = &watchdog;
   }
 
-  sim::Engine engine(start, pattern, *algo, opts);
+  sim::Engine engine(start, spec.pattern, *algo, opts);
   sim::Trace trace;
   if (!o.svgPath.empty() || (!o.tracePath.empty() && !chromeTrace)) {
     trace.attach(engine);
@@ -634,7 +557,7 @@ int main(int argc, char** argv) try {
   }
 
   obs::Manifest manifest =
-      sim::describeRun(opts, algo->name(), patternLabel, start.size());
+      sim::describeRun(opts, algo->name(), spec.patternLabel, start.size());
   sim::appendResult(manifest, res);
   if (!o.manifestPath.empty()) manifest.write(o.manifestPath);
 
@@ -645,7 +568,7 @@ int main(int argc, char** argv) try {
         "algo=%s n=%zu sched=%s seed=%llu  terminated=%s success=%s "
         "outcome=%s  cycles=%llu bits=%llu distance=%.2f\n",
         algo->name().c_str(), start.size(), o.sched.c_str(),
-        static_cast<unsigned long long>(o.seed),
+        static_cast<unsigned long long>(spec.baseSeed),
         res.terminated ? "yes" : "no", res.success ? "yes" : "no",
         sim::outcomeName(res.outcome),
         static_cast<unsigned long long>(res.metrics.cycles),
@@ -669,18 +592,8 @@ int main(int argc, char** argv) try {
   // violation kind is pinned (and --shrink minimizes the case) so
   // `apf_sim --replay` asserts the same invariant breaks again.
   if (!o.reproOutPath.empty()) {
-    sim::ReproCase repro;
-    repro.algo = o.algo;
-    repro.start = start;
-    repro.pattern = pattern;
-    repro.seed = o.seed;
-    repro.maxEvents = o.maxEvents;
-    repro.delta = o.delta;
-    repro.earlyStopProb = opts.sched.earlyStopProb;
-    repro.multiplicityDetection = o.multiplicity;
-    repro.commonChirality = o.commonChirality;
-    repro.sched = opts.sched.kind;
-    repro.fault = opts.fault;
+    sim::ReproCase repro = sim::reproOf(spec, start, opts.seed,
+                                        opts.sched.earlyStopProb, opts.fault);
     const sim::ReplayResult probe = sim::replay(repro, *algo);
     if (probe.violated) {
       repro.violationKind = probe.violationKind;
@@ -696,7 +609,7 @@ int main(int argc, char** argv) try {
       sim::saveRepro(o.reproOutPath, repro);
       std::fprintf(stderr, "apf_sim: wrote %s (%s, n=%zu, %zu crash entries)\n",
                    o.reproOutPath.c_str(), repro.violationKind.c_str(),
-                   repro.start.size(), repro.fault.crashes.size());
+                   repro.n(), repro.fault.crashes.size());
     } else {
       sim::saveRepro(o.reproOutPath, repro);
       std::fprintf(stderr,
