@@ -2,9 +2,7 @@
 /// TE — adaptive estimation throughput bench. Times est::runAdaptive
 /// campaigns (src/est/adaptive.h) end to end — seeded trials on the
 /// campaign pool, streaming summary merges, sequential stopping — and
-/// emits a machine-readable `BENCH_estimate.json` so the estimate-smoke CI
-/// job can gate regressions with apf_bench_diff (same row schema as
-/// BENCH_perf.json, schema tag "apf.bench_estimate.v1").
+/// prints a table plus `bench_estimate.csv`.
 ///
 /// Every adaptive cell is measured serially (jobs = 1) and on the pool,
 /// with an in-process determinism cross-check: the two ArmEstimate JSON
@@ -16,35 +14,21 @@
 /// quantile + Beta-quantile bisection) — the only estimator with a real
 /// inner loop; Wilson and the streaming merges are a handful of flops.
 ///
-/// `--quick` shrinks the sample budgets for the CI smoke job.
+/// `--quick` shrinks the sample budgets.
 
 #include <cstring>
-#include <fstream>
 #include <string>
-#include <thread>
-#include <vector>
 
 #include "baseline/yy.h"
 #include "bench/common.h"
 #include "core/form_pattern.h"
 #include "est/adaptive.h"
-#include "obs/json.h"
 #include "sim/campaign.h"
 
 using namespace apf;
 using namespace apf::bench;
 
 namespace {
-
-struct WorkloadResult {
-  std::string workload;
-  std::size_t n = 0;
-  int jobs = 1;
-  int runs = 0;  ///< samples the adaptive run consumed, or micro iterations
-  double wallMs = 0.0;
-  double perSec = 0.0;   ///< samples (or ops) per second
-  double speedup = 1.0;  ///< vs. the serial baseline
-};
 
 template <typename F>
 double timeMs(F&& f) {
@@ -68,7 +52,6 @@ int main(int argc, char** argv) {
               "bench_estimate.csv",
               {"workload", "n", "jobs", "samples", "wall_ms", "per_sec",
                "speedup", "stop"});
-  std::vector<WorkloadResult> out;
 
   // --- adaptive campaign cells -------------------------------------------
   // form converges on random starts, so its cells exercise the early-stop
@@ -128,15 +111,6 @@ int main(int argc, char** argv) {
                  std::to_string(samples), io::fmt(wallMs, 1),
                  io::fmt(1000.0 * samples / wallMs, 2), io::fmt(speedup, 2),
                  est::stopReasonName(serial.stopReason)});
-      WorkloadResult w;
-      w.workload = cell.name;
-      w.n = cell.n;
-      w.jobs = jobs;
-      w.runs = samples;
-      w.wallMs = wallMs;
-      w.perSec = 1000.0 * samples / wallMs;
-      w.speedup = speedup;
-      out.push_back(std::move(w));
     };
     emit(1, serialMs, 1.0);
     emit(parJobs, parMs, serialMs / parMs);
@@ -165,48 +139,9 @@ int main(int argc, char** argv) {
                io::fmt(cpMs, 1), io::fmt(1000.0 * iters / cpMs, 2), "1.00",
                "-"});
     table.recordRuns("clopper_pearson", static_cast<std::uint64_t>(iters));
-    WorkloadResult w;
-    w.workload = "clopper_pearson";
-    w.n = 0;
-    w.jobs = 1;
-    w.runs = iters;
-    w.wallMs = cpMs;
-    w.perSec = 1000.0 * iters / cpMs;
-    out.push_back(std::move(w));
     std::printf("(checksum %.3f)\n", checksum);
   }
 
   table.print();
-
-  // --- BENCH_estimate.json ------------------------------------------------
-  std::string entries;
-  for (const WorkloadResult& w : out) {
-    obs::JsonObjectWriter jw;
-    jw.field("workload", w.workload);
-    jw.field("n", static_cast<std::uint64_t>(w.n));
-    jw.field("jobs", w.jobs);
-    jw.field("runs", w.runs);
-    jw.field("wall_ms", w.wallMs);
-    jw.field("runs_per_sec", w.perSec);
-    jw.field("speedup_vs_serial", w.speedup);
-    if (!entries.empty()) entries += ",";
-    entries += jw.str();
-  }
-  obs::JsonObjectWriter top;
-  top.field("schema", "apf.bench_estimate.v1");
-  top.field("quick", quick);
-  top.field("hardware_concurrency",
-            static_cast<std::uint64_t>(std::thread::hardware_concurrency()));
-  top.field("serial_jobs", 1);
-  top.field("parallel_jobs", parJobs);
-  top.rawField("workloads", "[" + entries + "]");
-  const std::string jsonPath = resultsPath("BENCH_estimate.json");
-  std::ofstream js(jsonPath);
-  js << top.str() << "\n";
-  if (!js) {
-    std::fprintf(stderr, "FATAL: cannot write %s\n", jsonPath.c_str());
-    return 1;
-  }
-  std::printf("wrote %s\n", jsonPath.c_str());
   return 0;
 }

@@ -18,7 +18,6 @@
 // geometry kernel (apf_geom)
 #include "geom/angle.h"
 #include "geom/circle.h"
-#include "geom/intersect.h"
 #include "geom/path.h"
 #include "geom/sec.h"
 #include "geom/tolerance.h"

@@ -27,15 +27,31 @@ struct MultiPoint {
 };
 
 /// Hit/miss counters for Configuration's memoized geometry (sec() and
-/// weberPoint()). Thread-local — campaign workers are thread-confined, so a
-/// per-run delta of these counters is deterministic for any APF_JOBS (the
-/// engine folds that delta into sim::Metrics). The update is two non-atomic
-/// integer adds; the cached fast path stays branch-plus-increment cheap.
+/// weberPoint()), plus exact work counts of the configuration kernels.
+/// Thread-local — campaign workers are thread-confined, so a per-run delta
+/// of these counters is deterministic for any APF_JOBS (the engine folds
+/// the four cache fields into sim::Metrics; tests/work_gate_test.cpp pins
+/// the rest). Each update is a non-atomic integer add, a few per kernel
+/// call; loops tally locally and add once.
 struct GeomCacheCounters {
   std::uint64_t secHits = 0;
   std::uint64_t secMisses = 0;
   std::uint64_t weberHits = 0;
   std::uint64_t weberMisses = 0;
+
+  std::uint64_t axesCalls = 0;          ///< symmetryAxes
+  std::uint64_t axesCandidates = 0;     ///< candidate axes it filtered
+  std::uint64_t reflectionsTried = 0;   ///< reflectionMapsToSelf
+  std::uint64_t symmetricityCalls = 0;  ///< symmetricity
+  std::uint64_t rotationsTried = 0;     ///< rotationMapsToSelf
+  std::uint64_t regularCalls = 0;       ///< regularSetOf
+  std::uint64_t regularPrefixes = 0;    ///< view-class prefixes it checked
+  std::uint64_t shiftedCalls = 0;       ///< shiftedRegularSetOf
+  std::uint64_t shiftVerifies = 0;      ///< shifted candidates verified
+  std::uint64_t viewsBuilt = 0;         ///< localView / allViews entries
+  std::uint64_t similarityCalls = 0;    ///< findSimilarity
+  std::uint64_t similarityTransforms = 0;  ///< rotations matched against B
+  std::uint64_t gridFits = 0;           ///< geom::fitAngularGrid
 };
 
 /// This thread's counters (mutable; reset by assigning {}).

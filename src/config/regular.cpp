@@ -153,6 +153,7 @@ std::optional<RegularSetInfo> checkRegularFreeCenter(const Configuration& p,
   init.alpha = cls.alpha;
   init.beta = cls.beta;
   init.numRays = static_cast<int>(n);
+  ++geomCacheCounters().gridFits;
   const auto fit = geom::fitAngularGrid(pts, rayIndex, static_cast<int>(n),
                                         biangular, init);
   if (!fit || fit->maxResidual > tol.ang) return std::nullopt;
@@ -168,6 +169,7 @@ std::optional<RegularSetInfo> checkRegularFreeCenter(const Configuration& p,
 
 std::optional<RegularSetInfo> regularSetOf(const Configuration& p,
                                            const Tol& tol) {
+  ++geomCacheCounters().regularCalls;
   if (auto whole = checkRegularFreeCenter(p, tol)) return whole;
 
   // Hoisted once per call; repeated sec() lookups below and in the callers
@@ -188,6 +190,7 @@ std::optional<RegularSetInfo> regularSetOf(const Configuration& p,
   }
 
   std::optional<RegularSetInfo> best;
+  std::uint64_t prefixes = 0;
   for (std::size_t i = 2; i <= nonHolders.size(); ++i) {
     // Only cut at view-class boundaries: a prefix that splits a tie class of
     // equivalent robots is not uniquely defined (cf. Property 1's proof,
@@ -197,6 +200,7 @@ std::optional<RegularSetInfo> regularSetOf(const Configuration& p,
       continue;
     }
     std::span<const std::size_t> prefix(nonHolders.data(), i);
+    ++prefixes;
     auto info = checkRegularKnownCenter(p, prefix, c, tol);
     if (!info) continue;
 
@@ -221,6 +225,7 @@ std::optional<RegularSetInfo> regularSetOf(const Configuration& p,
     }
     best = std::move(info);  // keep the largest prefix that qualifies
   }
+  geomCacheCounters().regularPrefixes += prefixes;
   return best;
 }
 

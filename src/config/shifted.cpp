@@ -31,6 +31,7 @@ struct VacancyCandidate {
 std::optional<ShiftedSetInfo> verifyShift(const Configuration& p,
                                           std::size_t ir, Vec2 rPrime,
                                           Vec2 cApprox, const Tol& tol) {
+  ++geomCacheCounters().shiftVerifies;
   const Vec2 r = p[ir];
   if (geom::nearlyEqual(r, rPrime, tol)) return std::nullopt;  // eps > 0
   if (p.distanceTo(rPrime) <= tol.dist) return std::nullopt;   // r' not in P
@@ -237,6 +238,7 @@ std::vector<Vec2> refineWholeGridCandidates(const Configuration& p,
         init.theta0 = dirs[(v + 1) % m].a - base;
         init.alpha = init.beta = base;
         init.numRays = n;
+        ++geomCacheCounters().gridFits;
         if (auto fit = geom::fitAngularGrid(pts, rayIndex, n, false, init);
             fit && fit->maxResidual <= tol.ang) {
           const Vec2 c = fit->grid.center;
@@ -272,6 +274,7 @@ std::vector<Vec2> refineWholeGridCandidates(const Configuration& p,
         init.alpha = alphaInit;
         init.beta = betaInit;
         init.numRays = n;
+        ++geomCacheCounters().gridFits;
         if (auto fit = geom::fitAngularGrid(pts, rayIndex, n, true, init);
             fit && fit->maxResidual <= tol.ang) {
           const Vec2 c = fit->grid.center;
@@ -290,6 +293,7 @@ std::vector<Vec2> refineWholeGridCandidates(const Configuration& p,
 
 std::optional<ShiftedSetInfo> shiftedRegularSetOf(const Configuration& p,
                                                   const Tol& tol) {
+  ++geomCacheCounters().shiftedCalls;
   const std::size_t n = p.size();
   if (n < 4) return std::nullopt;
 

@@ -36,6 +36,8 @@ std::optional<Similarity> findSimilarity(const Configuration& a,
                                          const Configuration& b,
                                          bool allowReflection,
                                          const Tol& tol) {
+  auto& work = geomCacheCounters();
+  ++work.similarityCalls;
   if (a.size() != b.size()) return std::nullopt;
   if (a.empty()) return Similarity::identity();
 
@@ -97,6 +99,7 @@ std::optional<Similarity> findSimilarity(const Configuration& a,
     const double baseRefArg = (refl == 1) ? -refArg : refArg;
     for (const Vec2& target : nb) {
       if (!geom::distEq(target.norm(), refNorm, tol)) continue;
+      ++work.similarityTransforms;
       const double theta = target.arg() - baseRefArg;
       std::vector<Vec2> rotated;
       rotated.reserve(base.size());

@@ -86,6 +86,7 @@ class ReflectionFilter {
 
 bool rotationMapsToSelf(const Configuration& p, Vec2 center, double angle,
                         const Tol& tol) {
+  ++geomCacheCounters().rotationsTried;
   std::vector<Vec2> rotated;
   rotated.reserve(p.size());
   for (const Vec2& q : p.points()) {
@@ -96,6 +97,7 @@ bool rotationMapsToSelf(const Configuration& p, Vec2 center, double angle,
 
 bool reflectionMapsToSelf(const Configuration& p, Vec2 center, double axisDir,
                           const Tol& tol) {
+  ++geomCacheCounters().reflectionsTried;
   const Vec2 u{std::cos(axisDir), std::sin(axisDir)};
   std::vector<Vec2> reflected;
   reflected.reserve(p.size());
@@ -106,6 +108,7 @@ bool reflectionMapsToSelf(const Configuration& p, Vec2 center, double axisDir,
 }
 
 int symmetricity(const Configuration& p, Vec2 center, const Tol& tol) {
+  ++geomCacheCounters().symmetricityCalls;
   const int n = static_cast<int>(p.size());
   if (n <= 1) return std::max(n, 1);
   // Points at the center are fixed by every rotation; symmetricity is
@@ -126,6 +129,7 @@ int symmetricity(const Configuration& p, Vec2 center, const Tol& tol) {
 
 std::vector<double> symmetryAxes(const Configuration& p, Vec2 center,
                                  const Tol& tol) {
+  ++geomCacheCounters().axesCalls;
   const auto& pts = p.points();
   if (pts.empty()) return {};
   // Each point's radius and direction, computed once instead of per pair.
@@ -150,7 +154,9 @@ std::vector<double> symmetryAxes(const Configuration& p, Vec2 center,
     return a == 0.0 && std::signbit(a);
   });
   std::vector<double> candidates;
+  std::uint64_t examined = 0;
   auto consider = [&](double a) {
+    ++examined;
     if (negativeZero || filter.admits(a)) candidates.push_back(a);
   };
   for (std::size_t i = 0; i < pts.size(); ++i) {
@@ -164,6 +170,7 @@ std::vector<double> symmetryAxes(const Configuration& p, Vec2 center,
       consider(std::fmod((ai + aj) / 2.0 + geom::kPi / 2.0, geom::kPi));
     }
   }
+  geomCacheCounters().axesCandidates += examined;
   std::sort(candidates.begin(), candidates.end());
   std::vector<double> axes;
   for (double a : candidates) {

@@ -87,11 +87,13 @@ View localViewGrouped(const Configuration& p, std::size_t i,
 
 View localView(const Configuration& p, std::size_t i, Vec2 center,
                bool withMultiplicity, const Tol& tol) {
+  ++geomCacheCounters().viewsBuilt;
   return localViewGrouped(p, i, p.grouped(tol), center, withMultiplicity, tol);
 }
 
 std::vector<View> allViews(const Configuration& p, Vec2 center,
                            bool withMultiplicity, const Tol& tol) {
+  geomCacheCounters().viewsBuilt += p.size();
   const auto groups = p.grouped(tol);
   std::vector<View> out;
   out.reserve(p.size());

@@ -15,8 +15,8 @@
 /// operator-new layer, so the counting wrapper composes with it; the CI
 /// ASan lane runs scratch_test, which links the hook, to prove it).
 ///
-/// Measurement protocol (see bench_perf's engine hot loop): snapshot
-/// `allocStats()`, run the region of interest, subtract. Counters are
+/// Measurement protocol (see tests/scratch_test.cpp's engine hot loop):
+/// snapshot `allocStats()`, run the region of interest, subtract. Counters are
 /// monotonically increasing and never reset.
 
 #include <cstdint>

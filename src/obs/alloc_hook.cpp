@@ -1,7 +1,7 @@
 /// \file alloc_hook.cpp
 /// Opt-in allocation-counting hook. NOT part of any library: an executable
 /// that wants apf::obs::allocStats() to report real numbers adds this file
-/// to its own sources (bench_perf, scratch_test). Linking it does two
+/// to its own sources (scratch_test). Linking it does two
 /// things: the strong definitions below override the weak inactive ones in
 /// alloc.cpp, and the global operator new/delete replacements route every
 /// allocation through two relaxed atomic increments.

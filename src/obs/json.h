@@ -76,9 +76,9 @@ std::optional<JsonObject> parseFlatObject(std::string_view text);
 
 /// One node of a fully general JSON document. The flat dialect above stays
 /// the interchange format for manifests and event logs; this tree form
-/// exists for the few documents that are nested by an external schema —
-/// `BENCH_perf.json` (array of workload objects, read by `apf_bench_diff`)
-/// and Chrome trace-event files (validated structurally by tests).
+/// exists for the few documents that are nested by their schema — scenarios
+/// with their fault plans (shard keys and repro files; sim/scenario.h) and
+/// Chrome trace-event files (validated structurally by tests).
 struct JsonNode {
   enum class Kind { Null, Bool, Number, String, Array, Object };
   Kind kind = Kind::Null;

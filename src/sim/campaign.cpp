@@ -14,17 +14,4 @@ int campaignJobs(int requested) {
   return hw == 0 ? 1 : static_cast<int>(hw);
 }
 
-void appendManifest(const CampaignStats& stats, obs::Manifest& manifest) {
-  manifest.set("campaign.jobs", stats.jobs);
-  manifest.set("campaign.items", stats.items);
-  manifest.set("campaign.wall_nanos", stats.wallNanos);
-  manifest.set("campaign.worker_busy_nanos", stats.workerBusyNanos);
-  manifest.set("campaign.worker_idle_nanos", stats.workerIdleNanos);
-  manifest.set("campaign.utilization", stats.utilization());
-  manifest.set("campaign.mailbox_high_water", stats.mailboxHighWater);
-  manifest.set("campaign.pending_high_water", stats.pendingHighWater);
-  manifest.set("campaign.merge_stall_nanos", stats.mergeStallNanos);
-  manifest.set("campaign.merge_nanos", stats.mergeNanos);
-}
-
 }  // namespace apf::sim

@@ -36,8 +36,7 @@
 ///    pool wall-clock goes.
 ///  * Passing a CampaignStats* fills a summary of the pool's behavior:
 ///    busy vs idle worker time, mailbox and out-of-order buffer high-water
-///    marks, merge-stall time. `appendManifest` serializes it under
-///    `campaign.*` keys for bench manifests and `apf_report`.
+///    marks, merge-stall time.
 
 #include <algorithm>
 #include <atomic>
@@ -51,7 +50,6 @@
 #include <utility>
 #include <vector>
 
-#include "obs/manifest.h"
 #include "obs/span.h"
 #include "obs/stats.h"
 
@@ -97,10 +95,6 @@ struct CampaignStats {
                         : static_cast<double>(workerBusyNanos) / total;
   }
 };
-
-/// Serializes pool telemetry under `campaign.*` keys (consumed by
-/// apf_report's campaign-pool section).
-void appendManifest(const CampaignStats& stats, obs::Manifest& manifest);
 
 template <typename Item, typename Worker, typename Merge>
 void runCampaign(const std::vector<Item>& items, Worker&& worker,

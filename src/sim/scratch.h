@@ -8,8 +8,8 @@
 /// scans, eligible/mover index sets). Every one of those allocations is
 /// replaced by a buffer here with clear-and-reuse semantics: the buffer is
 /// cleared (capacity retained) at the top of each use, so after the first few
-/// events the hot path performs zero allocations — the property bench_perf's
-/// `allocs_per_event` row measures and tools/apf_bench_diff gates.
+/// events the hot path performs zero allocations — the property
+/// tests/scratch_test.cpp's allocation gate checks exactly.
 ///
 /// Thread confinement: a Scratch belongs to exactly one Engine, and an
 /// Engine runs on exactly one campaign worker (docs/PERFORMANCE.md). Reuse

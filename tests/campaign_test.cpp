@@ -18,7 +18,6 @@
 #include "config/generator.h"
 #include "core/form_pattern.h"
 #include "io/patterns.h"
-#include "obs/manifest.h"
 #include "obs/span.h"
 #include "sim/campaign.h"
 #include "sim/engine.h"
@@ -309,26 +308,6 @@ TEST(CampaignTest, StatsAndSpansLeaveMergedResultsBitIdentical) {
     EXPECT_TRUE(sawRun);
     EXPECT_TRUE(sawMerge);
   }
-}
-
-TEST(CampaignTest, StatsManifestKeysComplete) {
-  CampaignStats stats;
-  stats.jobs = 4;
-  stats.items = 22;
-  stats.workerBusyNanos = 300;
-  stats.workerIdleNanos = 100;
-  obs::Manifest m;
-  appendManifest(stats, m);
-  for (const char* key :
-       {"campaign.jobs", "campaign.items", "campaign.wall_nanos",
-        "campaign.worker_busy_nanos", "campaign.worker_idle_nanos",
-        "campaign.utilization", "campaign.mailbox_high_water",
-        "campaign.pending_high_water", "campaign.merge_stall_nanos",
-        "campaign.merge_nanos"}) {
-    EXPECT_NE(m.findEncoded(key), nullptr) << key;
-  }
-  EXPECT_EQ(*m.findEncoded("campaign.jobs"), "4");
-  EXPECT_EQ(*m.findEncoded("campaign.utilization"), "0.75");
 }
 
 TEST(CampaignTest, FuzzResultIdenticalAcrossJobCountsWithFaultPlan) {

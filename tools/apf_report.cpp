@@ -7,8 +7,6 @@
 ///    Compute activations the engine answered by reuse,
 ///  * fault-injection accounting (run outcomes, injected faults by kind;
 ///    docs/FAULTS.md),
-///  * campaign-pool statistics (`campaign.*` manifest keys: worker
-///    utilization, mailbox/pending high-water marks, merge stall),
 ///  * supervisor resilience accounting (`supervisor.*` manifest keys:
 ///    retries, quarantine, timeout kinds; docs/RESILIENCE.md) plus a
 ///    listing of minimized counterexamples (`*.repro.json`; sim/shrink.h),
@@ -117,19 +115,6 @@ struct Report {
   std::vector<double> staleness;
   std::uint64_t jsonlFiles = 0;
   std::uint64_t badLines = 0;
-  // Campaign-pool telemetry (`campaign.*` manifest keys; sim/campaign.h).
-  // These manifests describe a bench's thread pool, not a single run, so
-  // they are tallied separately from the (algo, sched, n) groups.
-  int campaignManifests = 0;
-  int campaignJobsMax = 0;
-  std::uint64_t campaignItems = 0;
-  std::uint64_t campaignWallNanos = 0;
-  std::uint64_t campaignBusyNanos = 0;
-  std::uint64_t campaignIdleNanos = 0;
-  std::uint64_t campaignMailboxHwm = 0;   // max over manifests
-  std::uint64_t campaignPendingHwm = 0;   // max over manifests
-  std::uint64_t campaignStallNanos = 0;
-  std::uint64_t campaignMergeNanos = 0;
   // Supervisor telemetry (`supervisor.*` manifest keys; sim/supervisor.h
   // and docs/RESILIENCE.md).
   int supervisorManifests = 0;
@@ -171,33 +156,9 @@ struct Report {
 
 void ingestManifest(const fs::path& path, Report& rep) {
   const JsonObject m = apf::obs::loadFlatJsonFile(path.string());
-  if (m.count("campaign.jobs") != 0) {
-    // Bench-level manifest carrying thread-pool telemetry (bench/common.h
-    // Table::meta()); may coexist with run keys, so not an early return.
-    rep.campaignManifests += 1;
-    rep.campaignJobsMax =
-        std::max(rep.campaignJobsMax, static_cast<int>(num(m, "campaign.jobs")));
-    rep.campaignItems += static_cast<std::uint64_t>(num(m, "campaign.items"));
-    rep.campaignWallNanos +=
-        static_cast<std::uint64_t>(num(m, "campaign.wall_nanos"));
-    rep.campaignBusyNanos +=
-        static_cast<std::uint64_t>(num(m, "campaign.worker_busy_nanos"));
-    rep.campaignIdleNanos +=
-        static_cast<std::uint64_t>(num(m, "campaign.worker_idle_nanos"));
-    rep.campaignMailboxHwm = std::max(
-        rep.campaignMailboxHwm,
-        static_cast<std::uint64_t>(num(m, "campaign.mailbox_high_water")));
-    rep.campaignPendingHwm = std::max(
-        rep.campaignPendingHwm,
-        static_cast<std::uint64_t>(num(m, "campaign.pending_high_water")));
-    rep.campaignStallNanos +=
-        static_cast<std::uint64_t>(num(m, "campaign.merge_stall_nanos"));
-    rep.campaignMergeNanos +=
-        static_cast<std::uint64_t>(num(m, "campaign.merge_nanos"));
-  }
   if (m.count("supervisor.items") != 0) {
-    // Supervised-campaign manifest; may coexist with campaign.* pool keys
-    // on the same bench manifest. Resume/shard-invariant manifests
+    // Supervised-campaign manifest; may coexist with run keys on the same
+    // bench manifest. Resume/shard-invariant manifests
     // (sim::appendManifestInvariant) carry `supervisor.finished`; older
     // ones (sim::appendManifest) split it into completed + replayed — the
     // sum is the same quantity either way.
@@ -453,28 +414,6 @@ void printFaults(const Report& rep) {
   }
 }
 
-void printCampaign(const Report& rep) {
-  if (rep.campaignManifests == 0) return;
-  std::printf("\n== campaign pool (sim/campaign.h) ==\n");
-  const double total =
-      static_cast<double>(rep.campaignBusyNanos + rep.campaignIdleNanos);
-  std::printf(
-      "manifests: %d; jobs (max): %d; items: %llu\n"
-      "worker busy %.1f ms, idle %.1f ms (utilization %.1f%%)\n"
-      "mailbox hwm %llu, pending hwm %llu, merge stall %.1f ms, "
-      "merge %.1f ms\n",
-      rep.campaignManifests, rep.campaignJobsMax,
-      static_cast<unsigned long long>(rep.campaignItems),
-      static_cast<double>(rep.campaignBusyNanos) / 1e6,
-      static_cast<double>(rep.campaignIdleNanos) / 1e6,
-      total > 0.0 ? 100.0 * static_cast<double>(rep.campaignBusyNanos) / total
-                  : 0.0,
-      static_cast<unsigned long long>(rep.campaignMailboxHwm),
-      static_cast<unsigned long long>(rep.campaignPendingHwm),
-      static_cast<double>(rep.campaignStallNanos) / 1e6,
-      static_cast<double>(rep.campaignMergeNanos) / 1e6);
-}
-
 void printSupervisor(const Report& rep) {
   if (rep.supervisorManifests == 0 && rep.repros.empty()) return;
   std::printf("\n== supervisor (docs/RESILIENCE.md) ==\n");
@@ -714,26 +653,6 @@ void printJson(const Report& rep, bool consistent, double confidence) {
     w.rawField("events_by_kind", byKind.str());
     top.rawField("event_logs", w.str());
   }
-  if (rep.campaignManifests > 0) {
-    JsonObjectWriter w;
-    w.field("manifests", rep.campaignManifests);
-    w.field("jobs_max", rep.campaignJobsMax);
-    w.field("items", rep.campaignItems);
-    w.field("wall_nanos", rep.campaignWallNanos);
-    w.field("worker_busy_nanos", rep.campaignBusyNanos);
-    w.field("worker_idle_nanos", rep.campaignIdleNanos);
-    const double total =
-        static_cast<double>(rep.campaignBusyNanos + rep.campaignIdleNanos);
-    w.field("utilization",
-            total > 0.0
-                ? static_cast<double>(rep.campaignBusyNanos) / total
-                : 0.0);
-    w.field("mailbox_high_water", rep.campaignMailboxHwm);
-    w.field("pending_high_water", rep.campaignPendingHwm);
-    w.field("merge_stall_nanos", rep.campaignStallNanos);
-    w.field("merge_nanos", rep.campaignMergeNanos);
-    top.rawField("campaign", w.str());
-  }
   if (rep.supervisorManifests > 0 || !rep.repros.empty()) {
     JsonObjectWriter w;
     w.field("manifests", rep.supervisorManifests);
@@ -856,7 +775,7 @@ int main(int argc, char** argv) {
   for (const auto& p : repros) ingestRepro(p, rep);
 
   if (rep.groups.empty() && rep.jsonlFiles == 0 &&
-      rep.campaignManifests == 0 && rep.supervisorManifests == 0 &&
+      rep.supervisorManifests == 0 &&
       rep.repros.empty() && rep.estimates.empty()) {
     std::fprintf(stderr, "apf_report: no telemetry found in %s\n",
                  dirArg.c_str());
@@ -871,7 +790,6 @@ int main(int argc, char** argv) {
   printGroups(rep, confidence);
   printBits(rep);
   printPhases(rep);
-  printCampaign(rep);
   printSupervisor(rep);
   printEstimates(rep);
   printFaults(rep);
