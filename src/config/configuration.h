@@ -51,7 +51,8 @@ struct GeomCacheCounters {
   std::uint64_t viewsBuilt = 0;         ///< localView / allViews entries
   std::uint64_t similarityCalls = 0;    ///< findSimilarity
   std::uint64_t similarityTransforms = 0;  ///< rotations matched against B
-  std::uint64_t gridFits = 0;           ///< geom::fitAngularGrid
+  /// Gauss-Newton fits run (pre-rejected assignments are not counted)
+  std::uint64_t gridFits = 0;
 };
 
 /// This thread's counters (mutable; reset by assigning {}).

@@ -111,6 +111,26 @@ RegularSetInfo makeInfo(const std::vector<DirEntry>& dirs, const GapClass& cls,
 
 }  // namespace
 
+__attribute__((weak)) void onGridFitProblem(std::span<const Vec2>,
+                                            std::span<const int>, int, bool,
+                                            const geom::AngularGrid&,
+                                            const Tol&) {}
+
+std::optional<geom::GridFit> fitGridWithin(std::span<const Vec2> pts,
+                                           std::span<const int> rayIndex,
+                                           int numRays, bool biangular,
+                                           const geom::AngularGrid& init,
+                                           const Tol& tol) {
+  onGridFitProblem(pts, rayIndex, numRays, biangular, init, tol);
+  if (geom::gridFitRuledOut(pts, rayIndex, numRays, biangular, tol.ang)) {
+    return std::nullopt;
+  }
+  ++geomCacheCounters().gridFits;
+  auto fit = geom::fitAngularGrid(pts, rayIndex, numRays, biangular, init);
+  if (!fit || fit->maxResidual > tol.ang) return std::nullopt;
+  return fit;
+}
+
 std::optional<RegularSetInfo> checkRegularKnownCenter(
     const Configuration& p, std::span<const std::size_t> subset, Vec2 c,
     const Tol& tol) {
@@ -153,10 +173,9 @@ std::optional<RegularSetInfo> checkRegularFreeCenter(const Configuration& p,
   init.alpha = cls.alpha;
   init.beta = cls.beta;
   init.numRays = static_cast<int>(n);
-  ++geomCacheCounters().gridFits;
-  const auto fit = geom::fitAngularGrid(pts, rayIndex, static_cast<int>(n),
-                                        biangular, init);
-  if (!fit || fit->maxResidual > tol.ang) return std::nullopt;
+  const auto fit = fitGridWithin(pts, rayIndex, static_cast<int>(n),
+                                 biangular, init, tol);
+  if (!fit) return std::nullopt;
 
   // Re-derive the info around the refined center so ray order and the
   /// canonical alpha < beta convention are consistent.

@@ -53,6 +53,26 @@ std::optional<RegularSetInfo> checkRegularKnownCenter(
 std::optional<RegularSetInfo> checkRegularFreeCenter(
     const Configuration& p, const Tol& tol = geom::kDefaultTol);
 
+/// The angular-grid fit behind checkRegularFreeCenter and the shifted-set
+/// search: fits pts to a grid with the fixed ray assignment rayIndex (see
+/// geom::fitAngularGrid) and returns it only when every residual is within
+/// tol.ang. An assignment that geom::gridFitRuledOut proves unfittable is
+/// rejected before Gauss-Newton runs, so GeomCacheCounters::gridFits counts
+/// only the fits that run.
+std::optional<geom::GridFit> fitGridWithin(std::span<const Vec2> pts,
+                                           std::span<const int> rayIndex,
+                                           int numRays, bool biangular,
+                                           const geom::AngularGrid& init,
+                                           const Tol& tol);
+
+/// Sees every fitGridWithin problem before it is pre-rejected or fitted.
+/// The library's definition is a weak no-op. tests/grid_prereject_test.cpp
+/// links a strong one that records the problems, to compare the fit with
+/// and without the pre-rejection on every problem a run reaches.
+void onGridFitProblem(std::span<const Vec2> pts, std::span<const int> rayIndex,
+                      int numRays, bool biangular,
+                      const geom::AngularGrid& init, const Tol& tol);
+
 /// Definition 2: reg(P). Returns nullopt when P contains no regular set.
 std::optional<RegularSetInfo> regularSetOf(const Configuration& p,
                                            const Tol& tol = geom::kDefaultTol);

@@ -111,14 +111,19 @@ std::vector<VacancyCandidate> proposeVacancies(const Configuration& p,
     double thetaV;
     int familyOrder;
   };
+  // Each other robot's direction, once per call, in robot order.
+  std::vector<double> dirs;
+  dirs.reserve(p.size());
+  for (std::size_t q = 0; q < p.size(); ++q) {
+    if (q == ir) continue;
+    const Vec2 dq = p[q] - c;
+    if (dq.norm() <= tol.dist) continue;
+    dirs.push_back(dq.arg());
+  }
   std::vector<Raw> raw;
   for (int jf = 2; jf <= n; ++jf) {
     const double step = kTwoPi / jf;
-    for (std::size_t q = 0; q < p.size(); ++q) {
-      if (q == ir) continue;
-      const Vec2 dq = p[q] - c;
-      if (dq.norm() <= tol.dist) continue;
-      const double a = dq.arg();
+    for (const double a : dirs) {
       const double delta = a - dirR;
       const double k = std::round(delta / step);
       const double thetaV = geom::norm2pi(a - k * step);
@@ -238,9 +243,7 @@ std::vector<Vec2> refineWholeGridCandidates(const Configuration& p,
         init.theta0 = dirs[(v + 1) % m].a - base;
         init.alpha = init.beta = base;
         init.numRays = n;
-        ++geomCacheCounters().gridFits;
-        if (auto fit = geom::fitAngularGrid(pts, rayIndex, n, false, init);
-            fit && fit->maxResidual <= tol.ang) {
+        if (auto fit = fitGridWithin(pts, rayIndex, n, false, init, tol)) {
           const Vec2 c = fit->grid.center;
           const double rad = geom::dist(p[ir], c);
           candidates.push_back(c + Vec2{std::cos(fit->grid.rayDir(0)),
@@ -274,9 +277,7 @@ std::vector<Vec2> refineWholeGridCandidates(const Configuration& p,
         init.alpha = alphaInit;
         init.beta = betaInit;
         init.numRays = n;
-        ++geomCacheCounters().gridFits;
-        if (auto fit = geom::fitAngularGrid(pts, rayIndex, n, true, init);
-            fit && fit->maxResidual <= tol.ang) {
+        if (auto fit = fitGridWithin(pts, rayIndex, n, true, init, tol)) {
           const Vec2 c = fit->grid.center;
           const double rad = geom::dist(p[ir], c);
           candidates.push_back(c + Vec2{std::cos(fit->grid.rayDir(0)),

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <vector>
 
 #include "geom/angle.h"
 
@@ -165,6 +166,99 @@ std::optional<GridFit> fitAngularGrid(std::span<const Vec2> pts,
     maxRes = std::max(maxRes, std::fabs(gridResidual(g, pts[i], rayIndex[i])));
   }
   return GridFit{g, maxRes};
+}
+
+/// Why a true verdict is exact. Let g be a grid with a finite center c
+/// whose computed residuals are all <= angTol, and h = numRays / 2. Ray
+/// k + h of g is ray k turned by pi, up to rounding: an equiangular grid
+/// adds h steps of 2*pi/numRays, and a bi-angled one with 4 | numRays adds
+/// h/2 steps of alpha + beta = 4*pi/numRays at the same parity. So for a on
+/// ray k and b on ray k + h, the angle a-c-b is pi - phi with
+/// phi <= 2 (angTol + kAngRounding). kAngRounding = 1e-12 covers, a hundred
+/// times over, the ~1e-14 rad that atan2, the rayDir sums, norm2pi and the
+/// subtraction in gridResidual can round by. The angle at c is obtuse, so
+/// |b - a| >= max(|a - c|, |b - c|), and c lies within
+/// |a - c| |b - c| sin(phi) / |b - a| <= |b - a| phi = delta
+/// of line(a, b). For any point x and two lines at angle theta,
+/// |x - c| <= (dist(x, L1) + dist(c, L1) + dist(x, L2) + dist(c, L2)) /
+/// |sin theta|, so every pair line L has dist(x, L) <= delta_L + R with
+/// R = (delta_1 + dist(x, L1) + delta_2 + dist(x, L2)) / |sin theta|. A line
+/// farther from x rules g out. x is the computed crossing of the two lines
+/// that cross widest; the bound holds for any x, so x's own rounding shows
+/// up in dist(x, L1) and dist(x, L2) and is paid for there.
+///
+/// Rounding of the test itself, with u = 2^-53 and D the largest
+/// |x - a|_1 + |b - a| over the pair lines: each line's unit direction is
+/// within 4u of the exact one, so a computed distance (or delta) is within
+/// 10u D of the exact one, |sin theta| within 8u, and R within
+/// 10u (2D + R) / |sin theta|. The margin m = 1e-12 (D + R) / |sin theta|
+/// is hundreds of times their sum at any coordinate scale. When |sin theta|
+/// is too small for that (below ~1e-12), m exceeds every distance and
+/// nothing is rejected.
+bool gridFitRuledOut(std::span<const Vec2> pts, std::span<const int> rayIndex,
+                     int numRays, bool biangular, double angTol) {
+  constexpr double kAngRounding = 1e-12;
+  const double slack = angTol + kAngRounding;
+  if (numRays % 2 != 0 || (biangular && numRays % 4 != 0)) return false;
+  if (!(slack < kPi / 8.0)) return false;  // keeps the angle at c obtuse
+
+  thread_local std::vector<int> onRay;
+  onRay.assign(static_cast<std::size_t>(numRays), -1);
+  for (std::size_t i = 0; i < pts.size(); ++i) {
+    if (rayIndex[i] < 0 || rayIndex[i] >= numRays) return false;
+    onRay[static_cast<std::size_t>(rayIndex[i])] = static_cast<int>(i);
+  }
+
+  struct PairLine {
+    Vec2 a;        ///< the point on ray k
+    Vec2 u;        ///< unit direction from a to the point b on ray k + h
+    double delta;  ///< bound on the center's distance from the line
+    double len;    ///< |b - a|
+  };
+  thread_local std::vector<PairLine> lines;
+  lines.clear();
+  const int h = numRays / 2;
+  for (int k = 0; k < h; ++k) {
+    const int i = onRay[static_cast<std::size_t>(k)];
+    const int j = onRay[static_cast<std::size_t>(k + h)];
+    if (i < 0 || j < 0) continue;
+    const Vec2 a = pts[static_cast<std::size_t>(i)];
+    const Vec2 v = pts[static_cast<std::size_t>(j)] - a;
+    const double len = v.norm();
+    if (!(len > 0.0)) return false;  // coincident pair: no line
+    lines.push_back({a, v / len, 2.0 * slack * len, len});
+  }
+  if (lines.size() < 3) return false;
+
+  std::size_t l1 = 0, l2 = 0;
+  double sinTheta = 0.0;
+  for (std::size_t i = 0; i < lines.size(); ++i) {
+    for (std::size_t j = i + 1; j < lines.size(); ++j) {
+      const double s = std::fabs(lines[i].u.cross(lines[j].u));
+      if (s > sinTheta) {
+        sinTheta = s;
+        l1 = i;
+        l2 = j;
+      }
+    }
+  }
+  if (!(sinTheta > 0.0)) return false;  // all lines parallel
+
+  const PairLine& p1 = lines[l1];
+  const PairLine& p2 = lines[l2];
+  const Vec2 x = p1.a + p1.u * ((p2.a - p1.a).cross(p2.u) / p1.u.cross(p2.u));
+  auto offset = [&](const PairLine& l) {
+    return std::fabs(l.u.cross(x - l.a));
+  };
+  const double r = (p1.delta + offset(p1) + p2.delta + offset(p2)) / sinTheta;
+  double d = 0.0;
+  for (const PairLine& l : lines) {
+    d = std::max(d, std::fabs(x.x - l.a.x) + std::fabs(x.y - l.a.y) + l.len);
+  }
+  const double margin = 1e-12 * (d + r) / sinTheta;
+  return std::any_of(lines.begin(), lines.end(), [&](const PairLine& l) {
+    return offset(l) > l.delta + r + margin;
+  });
 }
 
 }  // namespace apf::geom

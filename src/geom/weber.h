@@ -51,11 +51,30 @@ struct GridFit {
 /// point i must lie on ray rayIndex[i]. Unknowns are the center and theta0
 /// (plus alpha when `biangular`; then beta = 4*pi/numRays - alpha).
 /// `init` seeds the iteration. Returns nullopt when Gauss-Newton fails to
-/// converge (singular system or divergence).
+/// converge (singular system or divergence). Callers that accept a fit only
+/// at maxResidual <= angTol ask gridFitRuledOut first: it proves most
+/// hopeless assignments unfittable before any iteration runs.
 std::optional<GridFit> fitAngularGrid(std::span<const Vec2> pts,
                                       std::span<const int> rayIndex,
                                       int numRays, bool biangular,
                                       const AngularGrid& init);
+
+/// Exact pre-rejection for fitAngularGrid: true only when no grid of this
+/// kind (equiangular, or bi-angled with beta = 4*pi/numRays - alpha) with a
+/// finite center puts every pts[i] within angTol of its ray rayIndex[i], as
+/// gridResidual computes it. So a fit of this assignment is never accepted
+/// at maxResidual <= angTol when this returns true.
+///
+/// The test uses opposite rays: ray k and ray k + numRays/2 point in exactly
+/// opposite directions in an equiangular grid with numRays even, and in a
+/// bi-angled grid with numRays % 4 == 0. The line through a point on each
+/// must then pass close to the center, and the lines of three or more such
+/// pairs must nearly meet in one point. It returns false (no verdict) for
+/// odd numRays, for bi-angled grids with numRays % 4 != 0, for fewer than
+/// three opposite pairs and for a pair of coincident points. The proof and
+/// its rounding margins are at the definition.
+bool gridFitRuledOut(std::span<const Vec2> pts, std::span<const int> rayIndex,
+                     int numRays, bool biangular, double angTol);
 
 /// Convenience: angular residual of point p against ray k of the grid,
 /// wrapped to (-pi, pi].

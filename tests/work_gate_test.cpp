@@ -122,7 +122,7 @@ constexpr Work kForm16 =
                  .viewsBuilt = 880,
                  .similarityCalls = 123,
                  .similarityTransforms = 650,
-                 .gridFits = 516}};
+                 .gridFits = 0}};
 
 // psi_RSB alone at n = 16 from a symmetric start (two 8-gons): the found
 // path of the shifted-set and election predicates.
@@ -145,7 +145,7 @@ constexpr Work kRsb16 =
                  .viewsBuilt = 1360,
                  .similarityCalls = 1,
                  .similarityTransforms = 0,
-                 .gridFits = 8090}};
+                 .gridFits = 1494}};
 
 // The full algorithm at n = 64 from a random start, capped at 20,000
 // events: psi_RSB's asymmetric (reject) path, then psi_DPF.
@@ -168,7 +168,7 @@ constexpr Work kForm64 =
                  .viewsBuilt = 7296,
                  .similarityCalls = 1,
                  .similarityTransforms = 0,
-                 .gridFits = 1606}};
+                 .gridFits = 0}};
 
 TEST(WorkGateTest, Form16ToGoal) {
   core::FormPatternAlgorithm form;

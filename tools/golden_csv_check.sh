@@ -3,19 +3,23 @@
 # byte-compares them with the tracked copies under results/.
 #
 # These benches report only deterministic counts (success tallies, cycles,
-# events, random bits, phase activations), so any change that keeps every
-# robot decision must reproduce their eleven CSVs byte for byte:
+# events, random bits, phase activations, detection tallies), so any change
+# that keeps every robot decision must reproduce their thirteen CSVs byte
+# for byte:
 #
 #   bench_election.csv  bench_election_cdf.csv  bench_formation.csv
 #   bench_formation_symmetric.csv  bench_phases.csv  bench_chirality.csv
 #   bench_delta.csv  bench_determinism.csv  bench_randbits.csv
-#   bench_scattering.csv  bench_scheduler.csv
+#   bench_scattering.csv  bench_scheduler.csv  bench_detection.csv
+#   bench_faults.csv
 #
-# bench_faults (about 70 s) and bench_multiplicity (whose tracked CSV does
-# not match what the code produces; see ROADMAP.md) are not checked here.
+# bench_detection checks Definitions 1-3 on generated corpora, whole-config
+# shifted sets included; bench_faults runs on noisy snapshots, which make
+# near-grids. bench_multiplicity (whose tracked CSV does not match what the
+# code produces; see ROADMAP.md) is not checked here.
 #
 # Usage: golden_csv_check.sh BUILD_DIR   (run from the repository root;
-#        takes about a minute on 4 cores)
+#        takes about two minutes on 4 cores, most of it bench_faults)
 set -u
 
 BUILD=${1:?usage: golden_csv_check.sh BUILD_DIR}
@@ -25,7 +29,7 @@ trap 'rm -rf "$OUT"' EXIT
 
 for bench in bench_election bench_formation bench_phases bench_chirality \
              bench_delta bench_determinism bench_randbits bench_scattering \
-             bench_scheduler; do
+             bench_scheduler bench_detection bench_faults; do
   echo "== $bench =="
   APF_RESULTS_DIR="$OUT" "$BUILD/bench/$bench" > "$OUT/$bench.log" 2>&1 || {
     cat "$OUT/$bench.log" >&2
@@ -38,7 +42,8 @@ status=0
 for csv in bench_election.csv bench_election_cdf.csv bench_formation.csv \
            bench_formation_symmetric.csv bench_phases.csv bench_chirality.csv \
            bench_delta.csv bench_determinism.csv bench_randbits.csv \
-           bench_scattering.csv bench_scheduler.csv; do
+           bench_scattering.csv bench_scheduler.csv bench_detection.csv \
+           bench_faults.csv; do
   if cmp "$ROOT/results/$csv" "$OUT/$csv"; then
     echo "ok   $csv"
   else
