@@ -25,14 +25,7 @@ ClassifyReport classify(const Configuration& p, bool analyzeShifted,
   const geom::Vec2 center =
       out.regular && out.regular->wholeConfig ? out.regular->grid.center
                                               : out.sec.center;
-  const auto views = allViews(p, center, out.hasMultiplicity, tol);
-  for (std::size_t i = 0; i < p.size(); ++i) {
-    bool isMax = true;
-    for (std::size_t j = 0; j < p.size() && isMax; ++j) {
-      if (compareViews(views[j], views[i]) > 0) isMax = false;
-    }
-    if (isMax) out.maxView.push_back(i);
-  }
+  out.maxView = maxViewRobots(p, center, out.hasMultiplicity, tol);
   return out;
 }
 

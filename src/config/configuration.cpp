@@ -89,19 +89,6 @@ double Configuration::distanceTo(Vec2 p) const {
   return best;
 }
 
-std::size_t Configuration::closestIndex(Vec2 p) const {
-  std::size_t best = pts_.size();
-  double bestD = std::numeric_limits<double>::infinity();
-  for (std::size_t i = 0; i < pts_.size(); ++i) {
-    const double d = geom::dist(p, pts_[i]);
-    if (d < bestD) {
-      bestD = d;
-      best = i;
-    }
-  }
-  return best;
-}
-
 double secondClosestDistance(const Configuration& p, Vec2 center,
                              const Tol& tol) {
   std::vector<double> ds;

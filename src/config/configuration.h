@@ -60,9 +60,10 @@ GeomCacheCounters& geomCacheCounters();
 
 /// True when some pair of points lies within tol of each other. Exactly the
 /// boolean `Configuration(pts).hasMultiplicity(tol)` computes (see the proof
-/// at Configuration::hasMultiplicity), but allocation-free and early-exit —
-/// the form the engine's per-event safety check and the fuzzer's incremental
-/// observer use on their live-point scratch buffers.
+/// at Configuration::hasMultiplicity), but allocation-free and early-exit.
+/// The engine's safety monitor needs only the pairs that include the robot
+/// that moved; this full O(n^2) scan over the live robots is the slow check
+/// it is tested against (tests/safety_monitor_test.cpp).
 bool hasCoincidentPair(std::span<const Vec2> pts,
                        const Tol& tol = geom::kDefaultTol);
 
@@ -185,9 +186,6 @@ class Configuration {
 
   /// Distance from p to the closest point of the configuration.
   double distanceTo(Vec2 p) const;
-
-  /// Index of the point closest to p (first of ties). size() when empty.
-  std::size_t closestIndex(Vec2 p) const;
 
  private:
   std::vector<Vec2> pts_;

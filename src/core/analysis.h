@@ -63,15 +63,14 @@ class Analysis {
   /// Views of P around centerP (no multiplicity weighting unless the run
   /// has multiplicity detection).
   const std::vector<config::View>& viewsP();
-  /// Views of F around its SEC center (cached per pattern). All accessors
-  /// below require ok(); degenerate snapshots keep the analysis unusable
-  /// (selectedRobot() and lF() degrade gracefully instead).
-  const std::vector<config::View>& viewsF() { return patternInfo().views; }
 
   /// Max-view robots of P. Fast path: a max-view robot is always on the
   /// innermost ring (its first view coordinate is the ring ratio), so only
   /// ring robots' views are compared.
   std::vector<std::size_t> maxViewP();
+  /// Max-view non-holders of F (cached per pattern). This and the F-side
+  /// accessors below require ok(); degenerate snapshots keep the analysis
+  /// unusable (selectedRobot() and lF() degrade gracefully instead).
   const std::vector<std::size_t>& maxViewNonHoldersF() {
     return patternInfo().maxViewNonHolders;
   }

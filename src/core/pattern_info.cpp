@@ -4,6 +4,7 @@
 #include <cmath>
 #include <map>
 
+#include "config/view.h"
 #include "geom/angle.h"
 #include "geom/sec.h"
 
@@ -35,7 +36,7 @@ PatternInfo build(const Configuration& f, bool multiplicity) {
   PatternInfo out;
   out.f = f;
   out.lF = config::secondClosestDistance(f, Vec2{});
-  out.views = config::allViews(f, Vec2{}, multiplicity);
+  const auto views = config::allViews(f, Vec2{}, multiplicity);
 
   const geom::Circle sec = out.f.sec();
   std::vector<std::size_t> nonHolders;
@@ -45,7 +46,7 @@ PatternInfo build(const Configuration& f, bool multiplicity) {
   for (std::size_t i : nonHolders) {
     bool isMax = true;
     for (std::size_t j : nonHolders) {
-      if (config::compareViews(out.views[j], out.views[i]) > 0) {
+      if (config::compareViews(views[j], views[i]) > 0) {
         isMax = false;
         break;
       }

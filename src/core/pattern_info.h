@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "config/configuration.h"
-#include "config/view.h"
 
 namespace apf::core {
 
@@ -24,7 +23,6 @@ struct PatternInfo {
   bool valid = false;
 
   double lF = 0.0;  ///< second-closest ring distance from the SEC center
-  std::vector<config::View> views;  ///< views around the SEC center
   std::vector<std::size_t> maxViewNonHolders;
   /// f.without(maxViewNonHolders[k]) for each k, with sec() computed.
   std::vector<config::Configuration> fWithout;

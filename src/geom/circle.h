@@ -25,12 +25,6 @@ struct Circle {
     return distEq(dist(p, center), radius, tol);
   }
 
-  /// True when p is strictly inside (tolerant: further than tol from the
-  /// boundary).
-  bool strictlyInside(Vec2 p, const Tol& tol = kDefaultTol) const {
-    return dist(p, center) < radius - tol.dist;
-  }
-
   /// Point on the circumference at direction angle `a` (radians, ccw from +x).
   Vec2 at(double a) const {
     return {center.x + radius * std::cos(a), center.y + radius * std::sin(a)};

@@ -32,19 +32,4 @@ inline bool distEq(double a, double b, const Tol& tol = kDefaultTol) {
   return std::fabs(a - b) <= tol.dist;
 }
 
-/// True when a < b by more than the distance tolerance.
-inline bool distLt(double a, double b, const Tol& tol = kDefaultTol) {
-  return a < b - tol.dist;
-}
-
-/// True when a <= b up to the distance tolerance.
-inline bool distLe(double a, double b, const Tol& tol = kDefaultTol) {
-  return a <= b + tol.dist;
-}
-
-/// True when |a - b| is within the angular tolerance.
-inline bool angEq(double a, double b, const Tol& tol = kDefaultTol) {
-  return std::fabs(a - b) <= tol.ang;
-}
-
 }  // namespace apf::geom

@@ -58,7 +58,6 @@ struct Vec2 {
 constexpr Vec2 operator*(double s, Vec2 v) { return v * s; }
 
 inline double dist(Vec2 a, Vec2 b) { return (a - b).norm(); }
-inline double dist2(Vec2 a, Vec2 b) { return (a - b).norm2(); }
 
 /// Tolerant point coincidence.
 inline bool nearlyEqual(Vec2 a, Vec2 b, const Tol& tol = kDefaultTol) {

@@ -2,10 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <sstream>
 #include <stdexcept>
 
 #include "config/similarity.h"
 #include "geom/angle.h"
+#include "geom/sec.h"
 #include "obs/recorder.h"
 #include "obs/span.h"
 #include "obs/stats.h"
@@ -47,8 +49,11 @@ Engine::Engine(Configuration start, Configuration pattern,
   if (faultsOn_) {
     faultRng_.seed(fault::faultStreamSeed(opts_.seed, opts_.fault.seed));
     crashFired_.assign(opts_.fault.crashes.size(), false);
-    patternHasMultiplicity_ = pattern_.hasMultiplicity();
   }
+  // Multiplicity in the TARGET is intended, so collisions are not checked.
+  patternHasMultiplicity_ = pattern_.hasMultiplicity();
+  // Plain Welzl, not current_.sec(): the monitor moves no cache counter.
+  startSecRadius_ = geom::smallestEnclosingCircle(current_.span()).radius;
   scratch_.reserveFor(current_.size());
   recorder_ = opts_.recorder;
   timed_ = opts_.collectTimings || recorder_ != nullptr;
@@ -226,21 +231,40 @@ bool Engine::applyComputeFaults(std::size_t i, Action& act) {
   return true;
 }
 
-void Engine::checkLiveSafety() {
-  // Multiplicity in the TARGET is intended; anything else among live
-  // robots is a collision the fault mix provoked.
-  if (safetyViolated_ || patternHasMultiplicity_) return;
-  const geom::Tol tol{1e-9, 1e-9};
-  if (crashedCount_ == 0) {
-    if (current_.hasMultiplicity(tol)) safetyViolated_ = true;
-    return;
+void Engine::checkSafety(std::size_t i) {
+  if (robots_.size() - crashedCount_ < 2) return;
+  if (!safety_.collision && !patternHasMultiplicity_) {
+    // Before this move no two live robots coincided (else the record would
+    // be set), so any coincident pair now includes the mover. A
+    // multiplicity already in the start was not made by a move and stays
+    // unflagged.
+    const geom::Tol tol{1e-9, 1e-9};
+    for (std::size_t j = 0; j < robots_.size(); ++j) {
+      if (j == i || robots_[j].crashed) continue;
+      if (geom::nearlyEqual(current_[j], current_[i], tol)) {
+        safety_.collision = SafetyRecord::Collision{
+            metrics_.events, i, j, robots_[i].phaseTag, robots_[j].phaseTag};
+        break;
+      }
+    }
   }
-  auto& live = scratch_.live;
-  live.clear();
-  for (std::size_t j = 0; j < robots_.size(); ++j) {
-    if (!robots_[j].crashed) live.push_back(current_[j]);
+  // Welzl on every change: skipping it while the mover stays inside the
+  // last live SEC would keep the verdict but not maxSecGrowth's bits (the
+  // recomputed circle can come out a few ulps larger).
+  std::span<const Vec2> live = current_.span();
+  if (crashedCount_ > 0) {
+    scratch_.live.clear();
+    for (std::size_t j = 0; j < robots_.size(); ++j) {
+      if (!robots_[j].crashed) scratch_.live.push_back(current_[j]);
+    }
+    live = scratch_.live;
   }
-  if (config::hasCoincidentPair(live, tol)) safetyViolated_ = true;
+  const double growth =
+      geom::smallestEnclosingCircle(live).radius / startSecRadius_;
+  safety_.maxSecGrowth = std::max(safety_.maxSecGrowth, growth);
+  if (growth > SafetyRecord::kSecGrowthBound && !safety_.secGrowth) {
+    safety_.secGrowth = SafetyRecord::SecGrowth{metrics_.events, growth};
+  }
 }
 
 Action Engine::computeFor(std::size_t i, sched::RandomSource& rng) {
@@ -376,7 +400,7 @@ bool Engine::moveStep(std::size_t i, bool full) {
   if (timed_) metrics_.moveTime.add(obs::nowNanos() - t0);
   if (d > 0.0) {
     ++configVersion_;
-    if (faultsOn_) checkLiveSafety();
+    checkSafety(i);
     if (observer_) observer_(*this, i);
   }
   const bool done = r.progress >= r.pathLimit - 1e-15;
@@ -541,7 +565,7 @@ void Engine::scriptedEvent() {
       metrics_.distance += d;
       if (d > 0.0) {
         ++configVersion_;
-        if (faultsOn_) checkLiveSafety();
+        checkSafety(ev.robot);
         if (observer_) observer_(*this, ev.robot);
       }
       const bool done = r.progress >= r.pathLimit - 1e-15;
@@ -690,7 +714,7 @@ RunResult Engine::run() {
     }
   }
   res.success = success();
-  if (safetyViolated_) {
+  if (safety_.collision) {
     res.outcome = Outcome::SafetyViolation;
   } else if (crashedCount_ == 0 ? res.success : liveSuccess()) {
     res.outcome = Outcome::Success;
@@ -707,6 +731,7 @@ RunResult Engine::run() {
   metrics_.weberCacheMisses =
       countersNow.weberMisses - countersBefore.weberMisses;
   res.metrics = metrics_;
+  res.safety = safety_;
   if (recorder_) {
     obs::Event ev;
     ev.kind = obs::EventKind::RunEnd;
@@ -771,6 +796,36 @@ void appendResult(obs::Manifest& m, const RunResult& res) {
     m.set("result.time.compute_ns", mx.computeTime.nanos());
     m.set("result.time.move_ns", mx.moveTime.nanos());
   }
+  const SafetyRecord& s = res.safety;
+  if (!s.violated()) return;  // clean documents keep their exact bytes
+  if (const auto& c = s.collision) {
+    m.set("result.safety.collision.event", c->event);
+    m.set("result.safety.collision.robot",
+          static_cast<std::uint64_t>(c->robot));
+    m.set("result.safety.collision.other",
+          static_cast<std::uint64_t>(c->other));
+    m.set("result.safety.collision.robot_phase", c->robotPhase);
+    m.set("result.safety.collision.other_phase", c->otherPhase);
+  }
+  if (const auto& g = s.secGrowth) {
+    m.set("result.safety.sec_growth.event", g->event);
+    m.set("result.safety.sec_growth.factor", g->factor);
+  }
+  m.set("result.safety.max_sec_growth", s.maxSecGrowth);
+}
+
+std::string describeViolation(const SafetyRecord& s) {
+  std::ostringstream os;
+  if (s.collisionFirst()) {
+    const SafetyRecord::Collision& c = *s.collision;
+    os << "collision: event " << c.event << ", robot " << c.robot
+       << " (phase " << c.robotPhase << ") on robot " << c.other
+       << " (phase " << c.otherPhase << ")";
+  } else if (s.secGrowth) {
+    os << "SEC grew x" << s.secGrowth->factor << ": event "
+       << s.secGrowth->event;
+  }
+  return os.str();
 }
 
 }  // namespace apf::sim

@@ -106,11 +106,6 @@ class Engine {
   const config::Configuration& pattern() const { return pattern_; }
   const Metrics& metrics() const { return metrics_; }
 
-  /// Monotone counter bumped on every actual position change. Observers can
-  /// compare it across invocations to skip recomputation when the
-  /// configuration is unchanged (see sim/fuzzer.cpp).
-  std::uint64_t configVersion() const { return configVersion_; }
-
   /// True when no robot is moving (or committed to move) and every robot's
   /// most recent completed Compute — on the current configuration — chose
   /// to stay without consuming randomness. Tracked organically: the engine
@@ -128,11 +123,12 @@ class Engine {
   bool isCrashed(std::size_t i) const { return robots_[i].crashed; }
   /// Robots halted by crash-stop faults so far.
   std::size_t crashedCount() const { return crashedCount_; }
-  /// True when fault injection detected an unintended multiplicity point
-  /// among live robots (only checked while a FaultPlan is active).
-  bool safetyViolated() const { return safetyViolated_; }
+  /// True when a move has put a live robot on another live robot's point
+  /// (an unintended multiplicity; checked in every run, faults or not).
+  bool safetyViolated() const { return safety_.collision.has_value(); }
 
-  /// Called after every event that changes positions (for traces/SVG).
+  /// Called after every event that changes positions (for traces/SVG),
+  /// after the safety monitor has checked the move.
   using Observer = std::function<void(const Engine&, std::size_t robot)>;
   void setObserver(Observer obs) { observer_ = std::move(obs); }
 
@@ -179,9 +175,11 @@ class Engine {
   /// Applies compute faults (drop/truncate) to a move-producing action;
   /// returns false when the action was dropped entirely.
   bool applyComputeFaults(std::size_t i, Action& act);
-  /// Flags `safetyViolated_` when live robots form an unintended
-  /// multiplicity point (fault runs only).
-  void checkLiveSafety();
+  /// The safety monitor, run after every position change of robot i
+  /// (the mover). Records the first collision: only the mover can form a
+  /// new coincident pair, so comparing it with every live robot is exact.
+  /// Records SEC growth from Welzl on the live robots.
+  void checkSafety(std::size_t i);
   /// Emits a FaultInjected event and counts it in the metrics.
   void recordFault(std::size_t robot, obs::FaultKind kind, double magnitude);
   /// Runs the algorithm for robot i on its stored snapshot; returns the
@@ -227,8 +225,11 @@ class Engine {
   std::mt19937_64 faultRng_;
   std::vector<bool> crashFired_;
   std::size_t crashedCount_ = 0;
-  bool safetyViolated_ = false;
+
+  /// Safety-monitor state (checkSafety).
+  SafetyRecord safety_;
   bool patternHasMultiplicity_ = false;
+  double startSecRadius_ = 0.0;
 };
 
 /// Builds the reproducibility manifest for a run: seed, every
@@ -239,7 +240,11 @@ obs::Manifest describeRun(const EngineOptions& opts,
                           const std::string& algoName,
                           const std::string& patternLabel, std::size_t n);
 
-/// Appends the result summary (`result.*` keys) to a run manifest.
+/// Appends the result summary (`result.*` keys) to a run manifest. The
+/// `result.safety.*` keys appear only when the safety monitor fired.
 void appendResult(obs::Manifest& manifest, const RunResult& result);
+
+/// One line naming the first violation in `s` (empty when none fired).
+std::string describeViolation(const SafetyRecord& s);
 
 }  // namespace apf::sim

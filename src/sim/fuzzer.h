@@ -2,8 +2,9 @@
 
 /// \file fuzzer.h
 /// Schedule fuzzer: runs an algorithm from one start under many distinct
-/// adversarial schedules, checking SAFETY invariants at every position
-/// change (collision-freedom, enclosing-circle stability) and aggregating
+/// adversarial schedules, collecting each run's SAFETY record (the
+/// engine's monitor checks collision-freedom and enclosing-circle
+/// stability at every position change; RunResult::safety) and aggregating
 /// coverage (distinct configurations visited, via canonical signatures).
 /// This is the repository's stand-in for the paper's hand proofs of the
 /// ASYNC invariants: it cannot prove, but it hunts counterexamples
@@ -65,13 +66,11 @@ struct FuzzResult {
   /// Safety: no unintended multiplicity point was ever created among live
   /// (non-crashed) robots.
   bool collisionFree = true;
-  /// Safety: the enclosing circle of the live robots stays bounded. It may
-  /// grow slightly during the election (outward walk steps of |r|/7 — the
-  /// algorithm is scale-free and renormalizes every Look), but never by
-  /// more than the generous factor below; psi_DPF then holds it exactly.
+  /// Safety: the enclosing circle of the live robots never grew past
+  /// SafetyRecord::kSecGrowthBound times the start's.
   bool secBounded = true;
+  /// Largest SafetyRecord::maxSecGrowth over the runs.
   double maxSecGrowthFactor = 1.0;
-  static constexpr double kSecGrowthBound = 2.0;
   /// Every run that violated an invariant, with its replay coordinates.
   /// Empty when clean; failures.front().violation == firstViolation.
   std::vector<FuzzFailure> failures;

@@ -6,8 +6,10 @@
 /// observability layer (histograms, wall-time accumulators). Everything
 /// here is a plain value copied out with the RunResult.
 
+#include <cstddef>
 #include <cstdint>
 #include <map>
+#include <optional>
 
 #include "config/configuration.h"
 #include "obs/stats.h"
@@ -78,9 +80,9 @@ enum class Outcome {
   Stalled,
   /// >= 1 robot crashed and the survivors did not reach n-f success.
   CrashedShort,
-  /// An unintended multiplicity point appeared among live robots while
-  /// fault injection was active (the engine only performs this check on
-  /// fault runs; clean runs rely on the fuzzer's external invariants).
+  /// A move put a live robot on another live robot's point, creating an
+  /// unintended multiplicity (RunResult::safety has the details; checked in
+  /// every run, with or without faults).
   SafetyViolation,
 };
 
@@ -99,6 +101,54 @@ inline const char* outcomeName(Outcome o) {
   return "?";
 }
 
+/// What the engine's safety monitor saw in one run (Engine::checkSafety).
+/// It checks after every position change, so each field is exact.
+struct SafetyRecord {
+  /// The live SEC may grow during the election (outward walk steps of
+  /// |r|/7 — the algorithm is scale-free and renormalizes every Look), but
+  /// never by more than this factor over the start's SEC; psi_DPF then
+  /// holds it exactly.
+  static constexpr double kSecGrowthBound = 2.0;
+
+  /// The first move that put a live robot within 1e-9 of another live
+  /// robot. Not checked when the pattern itself has a multiplicity.
+  struct Collision {
+    std::uint64_t event = 0;  ///< Metrics::events before the move's event
+    std::size_t robot = 0;    ///< the robot that moved
+    std::size_t other = 0;    ///< the lowest-index robot it landed on
+    int robotPhase = 0;       ///< phase tags of both robots' last Compute
+    int otherPhase = 0;
+  };
+  /// The first move after which the live robots' SEC radius exceeded
+  /// kSecGrowthBound times the start's.
+  struct SecGrowth {
+    std::uint64_t event = 0;
+    double factor = 0.0;  ///< live SEC radius over the start's, then
+  };
+
+  std::optional<Collision> collision;
+  std::optional<SecGrowth> secGrowth;
+  /// Largest live SEC radius over the start's seen at any position change
+  /// (1 when nothing moved).
+  double maxSecGrowth = 1.0;
+
+  bool violated() const { return collision || secGrowth; }
+  /// True when the run's first violation is a collision (also when both
+  /// fire on the same event).
+  bool collisionFirst() const {
+    return collision && (!secGrowth || collision->event <= secGrowth->event);
+  }
+  /// Kind of the first violation: "collision", "sec_growth", or "".
+  const char* firstKind() const {
+    return collisionFirst() ? "collision" : secGrowth ? "sec_growth" : "";
+  }
+  /// Scheduler event of the first violation (0 when none fired).
+  std::uint64_t firstEvent() const {
+    return collisionFirst() ? collision->event
+                            : secGrowth ? secGrowth->event : 0;
+  }
+};
+
 /// Result of one simulation run.
 struct RunResult {
   /// True when the run reached a terminal configuration (no live robot
@@ -114,6 +164,9 @@ struct RunResult {
   /// halted). Lets harnesses grade near-misses without re-running.
   config::Configuration finalPositions;
   Metrics metrics;
+  /// The safety monitor's record; a collision also sets
+  /// Outcome::SafetyViolation.
+  SafetyRecord safety;
 };
 
 }  // namespace apf::sim

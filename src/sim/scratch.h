@@ -31,8 +31,8 @@ struct Scratch {
   /// here, swapped in via Configuration::assign, and the displaced storage
   /// lands back here for the next call.
   std::vector<geom::Vec2> points;
-  /// Live (non-crashed) robot positions for the per-event safety check and
-  /// for n-f success matching.
+  /// Live (non-crashed) robot positions for the safety monitor's SEC once a
+  /// robot has crashed, and for n-f success matching.
   std::vector<geom::Vec2> live;
   /// Pattern-minus-f-subset buffer used by Engine::liveSuccess.
   std::vector<geom::Vec2> reduced;

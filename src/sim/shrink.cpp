@@ -14,59 +14,13 @@ namespace apf::sim {
 ReplayResult replay(const ReproCase& c, const Algorithm& algo) {
   EngineOptions eopts = engineOptions(c, c.baseSeed);
   eopts.sched.earlyStopProb = c.earlyStopProb;
-
-  // Local copies: replay probes run back to back and must not share a lazy
-  // SEC cache with the caller's instances.
-  config::Configuration start = c.start;
-  config::Configuration pattern = c.pattern;
-  const double startSec = start.sec().radius;
-  const bool patternHasMultiplicity = pattern.hasMultiplicity();
-
   ReplayResult out;
-  Engine eng(start, pattern, algo, eopts);
-
-  // Same invariants as sim/fuzzer.cpp, minus the incremental shortcuts
-  // (which are exactness-preserving there, so both observers flag the same
-  // runs): collision-freedom of the live robots and the SEC growth bound.
-  std::uint64_t lastVersion = 0;
-  std::string& violation = out.violation;
-  eng.setObserver([&](const Engine& e, std::size_t robot) {
-    if (e.configVersion() == lastVersion) return;
-    lastVersion = e.configVersion();
-    if (out.violated) return;
-    const config::Configuration& all = e.positions();
-    const std::size_t liveCount = all.size() - e.crashedCount();
-    if (liveCount < 2) return;
-    std::vector<geom::Vec2> live;
-    live.reserve(liveCount);
-    for (std::size_t j = 0; j < all.size(); ++j) {
-      if (!e.isCrashed(j)) live.push_back(all[j]);
-    }
-    const geom::Tol tol{1e-9, 1e-9};
-    if (!patternHasMultiplicity &&
-        config::Configuration(live).hasMultiplicity(tol)) {
-      out.violated = true;
-      out.violationKind = "collision";
-      out.violationEvent = e.metrics().events;
-      std::ostringstream os;
-      os << "collision: event " << e.metrics().events << ", robot " << robot;
-      if (e.crashedCount() > 0) os << " (" << e.crashedCount() << " crashed)";
-      violation = os.str();
-      return;
-    }
-    const double growth =
-        geom::smallestEnclosingCircle(live).radius / startSec;
-    if (growth > FuzzResult::kSecGrowthBound) {
-      out.violated = true;
-      out.violationKind = "sec_growth";
-      out.violationEvent = e.metrics().events;
-      std::ostringstream os;
-      os << "SEC grew x" << growth << ": event " << e.metrics().events;
-      violation = os.str();
-    }
-  });
-
-  out.run = eng.run();
+  out.run = Engine(c.start, c.pattern, algo, eopts).run();
+  const SafetyRecord& safety = out.run.safety;
+  out.violated = safety.violated();
+  out.violationKind = safety.firstKind();
+  out.violationEvent = safety.firstEvent();
+  out.violation = describeViolation(safety);
   return out;
 }
 

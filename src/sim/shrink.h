@@ -47,11 +47,12 @@ struct ReproCase : Scenario {
   std::string violationKind;
 };
 
-/// Outcome of re-executing a ReproCase under the fuzzer's safety observer.
+/// Outcome of re-executing a ReproCase: the run and the first violation
+/// its safety record (RunResult::safety) shows.
 struct ReplayResult {
   bool violated = false;
   std::string violationKind;  ///< first violation's kind (empty when clean)
-  std::string violation;      ///< human-readable detail
+  std::string violation;      ///< human-readable detail (describeViolation)
   std::uint64_t violationEvent = 0;  ///< scheduler event of that violation
   RunResult run;
 
@@ -62,9 +63,8 @@ struct ReplayResult {
   }
 };
 
-/// Re-executes the case (same engine configuration and safety invariants
-/// as sim/fuzzer.cpp) and reports the first violation, if any.
-/// Deterministic given (case, algo).
+/// Re-executes the case (the engine configuration sim/fuzzer.cpp uses) and
+/// reports the first violation, if any. Deterministic given (case, algo).
 ReplayResult replay(const ReproCase& c, const Algorithm& algo);
 
 /// The repro of one run of `sc` from `start`, seeded `seed`, under

@@ -406,9 +406,9 @@ TEST(WeberCacheTest, CacheCountersCount) {
   EXPECT_EQ(c.secHits, 2u);
 }
 
-/// hasCoincidentPair (the allocation-free early-exit scan used on the
-/// engine's live-point buffer) must agree with the grouped()-based
-/// definition of hasMultiplicity on every input, duplicates included.
+/// hasCoincidentPair (the allocation-free early-exit scan behind
+/// hasMultiplicity) must agree with the grouped()-based definition of
+/// hasMultiplicity on every input, duplicates included.
 TEST(CoincidentPairTest, MatchesGroupedDefinition) {
   for (int trial = 0; trial < 60; ++trial) {
     Rng rng(300 + trial);

@@ -285,9 +285,8 @@ int main(int argc, char** argv) try {
       ", 3 watchdog expired,\n4 journal lock held by another process");
   args.parse(argc, argv);
 
-  // --replay re-executes a self-contained .repro.json exactly (same safety
-  // observer as the fuzzer) and reports whether the recorded violation
-  // reproduces. Every run coordinate comes from the file, not the CLI; a
+  // --replay re-executes a self-contained .repro.json exactly and reports
+  // whether the engine's safety monitor sees the recorded violation again. Every run coordinate comes from the file, not the CLI; a
   // file that does not decode to a valid case is a usage error.
   if (!o.replayPath.empty()) {
     sim::ReproCase repro;
@@ -312,11 +311,7 @@ int main(int argc, char** argv) try {
         repro.violationKind.empty() ? "(any violation)"
                                     : repro.violationKind.c_str(),
         ok ? "REPRODUCED" : (r.violated ? "different violation" : "clean"));
-    if (r.violated && !o.quiet) {
-      std::printf("  %s at event %llu: %s\n", r.violationKind.c_str(),
-                  static_cast<unsigned long long>(r.violationEvent),
-                  r.violation.c_str());
-    }
+    if (r.violated && !o.quiet) std::printf("  %s\n", r.violation.c_str());
     return ok ? 0 : 1;
   }
 
@@ -588,8 +583,8 @@ int main(int argc, char** argv) try {
   }
 
   // --repro-out: capture this run's exact replay coordinates. The case is
-  // probed under the fuzzer's safety observer first; when it violates, the
-  // violation kind is pinned (and --shrink minimizes the case) so
+  // replayed first; when its safety record shows a violation, the kind is
+  // pinned (and --shrink minimizes the case) so
   // `apf_sim --replay` asserts the same invariant breaks again.
   if (!o.reproOutPath.empty()) {
     sim::ReproCase repro = sim::reproOf(spec, start, opts.seed,
@@ -613,8 +608,8 @@ int main(int argc, char** argv) try {
     } else {
       sim::saveRepro(o.reproOutPath, repro);
       std::fprintf(stderr,
-                   "apf_sim: wrote %s (no safety violation under the replay "
-                   "observer; repro records the run coordinates only)\n",
+                   "apf_sim: wrote %s (no safety violation; repro records "
+                   "the run coordinates only)\n",
                    o.reproOutPath.c_str());
     }
   }
