@@ -1,8 +1,10 @@
 #include "config/configuration.h"
 
 #include <algorithm>
+#include <bit>
 #include <limits>
 
+#include "geom/angle.h"
 #include "geom/weber.h"
 
 namespace apf::config {
@@ -24,12 +26,13 @@ bool hasCoincidentPair(std::span<const Vec2> pts, const Tol& tol) {
 std::vector<MultiPoint> Configuration::grouped(const Tol& tol) const {
   std::vector<MultiPoint> out;
   out.reserve(pts_.size());
-  for (const Vec2& p : pts_) {
+  for (std::size_t i = 0; i < pts_.size(); ++i) {
+    const Vec2 p = pts_[i];
     auto it = std::find_if(out.begin(), out.end(), [&](const MultiPoint& m) {
       return geom::nearlyEqual(m.pos, p, tol);
     });
     if (it == out.end()) {
-      out.push_back({p, 1});
+      out.push_back({p, 1, i});
     } else {
       ++it->count;
     }
@@ -48,16 +51,51 @@ bool Configuration::hasMultiplicity(const Tol& tol) const {
   return hasCoincidentPair(pts_, tol);
 }
 
+Circle Configuration::sec() const {
+  auto& counters = geomCacheCounters();
+  if (!memo_.sec) {
+    ++counters.secMisses;
+    memo_.sec = geom::smallestEnclosingCircle(pts_);
+  } else {
+    ++counters.secHits;
+  }
+  return *memo_.sec;
+}
+
 Vec2 Configuration::weberPoint() const {
   auto& counters = geomCacheCounters();
-  if (!weberValid_) {
+  if (!memo_.weber) {
     ++counters.weberMisses;
-    weberCache_ = geom::weberPoint(pts_);
-    weberValid_ = true;
+    memo_.weber = geom::weberPoint(pts_);
   } else {
     ++counters.weberHits;
   }
-  return weberCache_;
+  return *memo_.weber;
+}
+
+const PolarTable& Configuration::polar(Vec2 c) const {
+  auto& counters = geomCacheCounters();
+  auto bits = [](Vec2 v) {
+    return std::pair(std::bit_cast<std::uint64_t>(v.x),
+                     std::bit_cast<std::uint64_t>(v.y));
+  };
+  for (const auto& [center, table] : memo_.polar) {
+    if (bits(center) == bits(c)) {
+      ++counters.polarHits;
+      return table;
+    }
+  }
+  ++counters.polarMisses;
+  PolarTable& t = memo_.polar.emplace_back(c, PolarTable{}).second;
+  t.radius.reserve(pts_.size());
+  t.arg.reserve(pts_.size());
+  t.dir.reserve(pts_.size());
+  for (const Vec2& q : pts_) {
+    t.radius.push_back(geom::dist(q, c));
+    t.arg.push_back((q - c).arg());
+    t.dir.push_back(geom::norm2pi(t.arg.back()));
+  }
+  return t;
 }
 
 Configuration Configuration::without(std::size_t i) const {
@@ -91,9 +129,7 @@ double Configuration::distanceTo(Vec2 p) const {
 
 double secondClosestDistance(const Configuration& p, Vec2 center,
                              const Tol& tol) {
-  std::vector<double> ds;
-  ds.reserve(p.size());
-  for (const Vec2& q : p.points()) ds.push_back(geom::dist(q, center));
+  std::vector<double> ds = p.polar(center).radius;
   std::sort(ds.begin(), ds.end());
   if (ds.empty()) return 0.0;
   for (double d : ds) {

@@ -5,7 +5,10 @@
 /// expressed in some coordinate frame (global or a robot's local frame).
 
 #include <cstdint>
+#include <list>
+#include <optional>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "geom/circle.h"
@@ -24,20 +27,32 @@ using geom::Vec2;
 struct MultiPoint {
   Vec2 pos;
   int count = 1;
+  std::size_t index = 0;  ///< the group's first point; pos is its position
 };
 
-/// Hit/miss counters for Configuration's memoized geometry (sec() and
-/// weberPoint()), plus exact work counts of the configuration kernels.
-/// Thread-local — campaign workers are thread-confined, so a per-run delta
-/// of these counters is deterministic for any APF_JOBS (the engine folds
-/// the four cache fields into sim::Metrics; tests/work_gate_test.cpp pins
-/// the rest). Each update is a non-atomic integer add, a few per kernel
-/// call; loops tally locally and add once.
+/// The polar coordinates of a configuration's points around one center c,
+/// in point order: radius[i] = geom::dist(p[i], c), arg[i] = (p[i] - c).arg()
+/// in [-pi, pi], and dir[i] = geom::norm2pi(arg[i]) in [0, 2pi).
+struct PolarTable {
+  std::vector<double> radius;
+  std::vector<double> arg;
+  std::vector<double> dir;
+};
+
+/// Hit/miss counters for Configuration's memoized geometry (sec(),
+/// weberPoint() and polar()), plus exact work counts of the configuration
+/// kernels. Thread-local — campaign workers are thread-confined, so a
+/// per-run delta of these counters is deterministic for any APF_JOBS (the
+/// engine folds the sec and weber fields into sim::Metrics;
+/// tests/work_gate_test.cpp pins all of them). Each update is a non-atomic
+/// integer add, a few per kernel call; loops tally locally and add once.
 struct GeomCacheCounters {
   std::uint64_t secHits = 0;
   std::uint64_t secMisses = 0;
   std::uint64_t weberHits = 0;
   std::uint64_t weberMisses = 0;
+  std::uint64_t polarHits = 0;
+  std::uint64_t polarMisses = 0;
 
   std::uint64_t axesCalls = 0;          ///< symmetryAxes
   std::uint64_t axesCandidates = 0;     ///< candidate axes it filtered
@@ -48,7 +63,7 @@ struct GeomCacheCounters {
   std::uint64_t regularPrefixes = 0;    ///< view-class prefixes it checked
   std::uint64_t shiftedCalls = 0;       ///< shiftedRegularSetOf
   std::uint64_t shiftVerifies = 0;      ///< shifted candidates verified
-  std::uint64_t viewsBuilt = 0;         ///< localView / allViews entries
+  std::uint64_t viewsBuilt = 0;         ///< views built by any view call
   std::uint64_t similarityCalls = 0;    ///< findSimilarity
   std::uint64_t similarityTransforms = 0;  ///< rotations matched against B
   /// Gauss-Newton fits run (pre-rejected assignments are not counted)
@@ -72,44 +87,20 @@ bool hasCoincidentPair(std::span<const Vec2> pts,
 /// rely on indices, they are anonymous from the algorithm's viewpoint).
 /// Multiplicity points are represented by repeated positions.
 ///
-/// The smallest enclosing circle and the Weber point (geometric median) are
-/// memoized: `sec()` computes Welzl once, `weberPoint()` runs Weiszfeld
-/// once, and every mutation (non-const operator[], push_back, assign,
-/// releasePoints) invalidates both caches. Because the caches are filled
+/// Three geometries are memoized: `sec()` computes Welzl once,
+/// `weberPoint()` runs Weiszfeld once, and `polar(c)` builds each center's
+/// PolarTable once. Every mutation (non-const operator[], push_back,
+/// assign, releasePoints) drops all three. Because the caches are filled
 /// lazily from const methods, a Configuration instance is NOT safe to share
-/// across threads unless the caches it will serve are warmed (call `sec()` /
-/// `weberPoint()` once) before the instance becomes shared — after warming,
-/// concurrent const access is read-only. Campaign workers (sim/campaign.h)
-/// therefore operate on their own copies; copies carry the warmed caches
-/// with them. See docs/PERFORMANCE.md.
+/// across threads unless the caches it will serve are warmed (call `sec()`,
+/// `weberPoint()` or `polar(c)` once) before the instance becomes shared —
+/// after warming, concurrent const access is read-only. Campaign workers
+/// (sim/campaign.h) therefore operate on their own copies; copies carry the
+/// warmed caches with them, moves hand them over. See docs/PERFORMANCE.md.
 class Configuration {
  public:
   Configuration() = default;
   explicit Configuration(std::vector<Vec2> pts) : pts_(std::move(pts)) {}
-
-  Configuration(const Configuration&) = default;
-  Configuration& operator=(const Configuration&) = default;
-  // Moves transfer the caches and reset the source's: the moved-from object
-  // has an empty point set, which a stale cached circle would misdescribe.
-  Configuration(Configuration&& o) noexcept
-      : pts_(std::move(o.pts_)),
-        secCache_(o.secCache_),
-        weberCache_(o.weberCache_),
-        secValid_(o.secValid_),
-        weberValid_(o.weberValid_) {
-    o.secValid_ = false;
-    o.weberValid_ = false;
-  }
-  Configuration& operator=(Configuration&& o) noexcept {
-    pts_ = std::move(o.pts_);
-    secCache_ = o.secCache_;
-    weberCache_ = o.weberCache_;
-    secValid_ = o.secValid_;
-    weberValid_ = o.weberValid_;
-    o.secValid_ = false;
-    o.weberValid_ = false;
-    return *this;
-  }
 
   std::size_t size() const { return pts_.size(); }
   bool empty() const { return pts_.empty(); }
@@ -119,52 +110,45 @@ class Configuration {
   /// Mutable access conservatively invalidates the geometry caches: the
   /// caller may write through the reference.
   Vec2& operator[](std::size_t i) {
-    secValid_ = false;
-    weberValid_ = false;
+    memo_.clear();
     return pts_[i];
   }
   void push_back(Vec2 p) {
-    secValid_ = false;
-    weberValid_ = false;
+    memo_.clear();
     pts_.push_back(p);
   }
 
   /// Replace the point set wholesale, adopting `pts`'s storage. Invalidates
-  /// both geometry caches. Pairs with releasePoints() so a caller that
+  /// the geometry caches. Pairs with releasePoints() so a caller that
   /// refreshes a Configuration every cycle (the engine's snapshot path) can
   /// recycle one vector's capacity instead of allocating each time.
   void assign(std::vector<Vec2> pts) {
-    secValid_ = false;
-    weberValid_ = false;
+    memo_.clear();
     pts_ = std::move(pts);
   }
 
-  /// Move the point storage out, leaving this configuration empty (and both
+  /// Move the point storage out, leaving this configuration empty (and the
   /// caches invalid, since an empty set invalidates them by definition).
   std::vector<Vec2> releasePoints() {
-    secValid_ = false;
-    weberValid_ = false;
+    memo_.clear();
     return std::move(pts_);
   }
 
   /// Smallest enclosing circle C(P). Memoized; O(n) expected on the first
   /// call after a mutation, O(1) afterwards.
-  Circle sec() const {
-    auto& counters = geomCacheCounters();
-    if (!secValid_) {
-      ++counters.secMisses;
-      secCache_ = geom::smallestEnclosingCircle(pts_);
-      secValid_ = true;
-    } else {
-      ++counters.secHits;
-    }
-    return secCache_;
-  }
+  Circle sec() const;
 
   /// Weber point (geometric median) of P. Memoized like sec(): Weiszfeld
   /// runs once per mutation generation, O(1) afterwards. The paper's
   /// embedding target for patterns with an invariant center.
   Vec2 weberPoint() const;
+
+  /// The points' polar coordinates around `c`. Memoized per center, keyed
+  /// by c's bit pattern: +0.0 and -0.0 centers get separate tables, since
+  /// (q - c).arg() can differ between them. The reference stays valid and
+  /// unchanged until the next mutation, whatever other centers are asked
+  /// for meanwhile.
+  const PolarTable& polar(Vec2 c) const;
 
   /// Distinct positions with multiplicities (tolerant grouping). Order is
   /// first-occurrence order.
@@ -188,11 +172,34 @@ class Configuration {
   double distanceTo(Vec2 p) const;
 
  private:
+  /// The three caches. A copy keeps them; a move hands them over and
+  /// empties the source, whose point set a stale cache would misdescribe.
+  struct Memo {
+    std::optional<Circle> sec;
+    std::optional<Vec2> weber;
+    /// (center, table) pairs; list nodes never move, so handles stay valid.
+    std::list<std::pair<Vec2, PolarTable>> polar;
+
+    Memo() = default;
+    Memo(const Memo&) = default;
+    Memo& operator=(const Memo&) = default;
+    Memo(Memo&& o) noexcept : Memo() { *this = std::move(o); }
+    Memo& operator=(Memo&& o) noexcept {
+      sec = o.sec;
+      weber = o.weber;
+      polar = std::move(o.polar);
+      o.clear();
+      return *this;
+    }
+    void clear() {
+      sec.reset();
+      weber.reset();
+      polar.clear();
+    }
+  };
+
   std::vector<Vec2> pts_;
-  mutable Circle secCache_;
-  mutable Vec2 weberCache_;
-  mutable bool secValid_ = false;
-  mutable bool weberValid_ = false;
+  mutable Memo memo_;
 };
 
 /// lP: the distance to `center` of the second-closest distinct distance ring.

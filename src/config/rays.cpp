@@ -7,14 +7,33 @@
 
 namespace apf::config {
 
+std::optional<std::vector<DirEntry>> sortedDirections(
+    const Configuration& p, std::span<const std::size_t> subset, Vec2 c,
+    const Tol& tol) {
+  const PolarTable& t = p.polar(c);
+  std::vector<DirEntry> dirs;
+  dirs.reserve(subset.size());
+  for (std::size_t i : subset) {
+    if (t.radius[i] <= tol.dist) return std::nullopt;
+    dirs.push_back({t.dir[i], i});
+  }
+  std::sort(dirs.begin(), dirs.end(),
+            [](const DirEntry& a, const DirEntry& b) { return a.angle < b.angle; });
+  for (std::size_t k = 0; k < dirs.size(); ++k) {
+    const double next =
+        (k + 1 < dirs.size()) ? dirs[k + 1].angle : dirs[0].angle + geom::kTwoPi;
+    if (next - dirs[k].angle <= tol.ang) return std::nullopt;  // shared ray
+  }
+  return dirs;
+}
+
 std::vector<double> rayDirections(const Configuration& m, Vec2 c,
                                   const Tol& tol) {
+  const PolarTable& t = m.polar(c);
   std::vector<double> dirs;
   dirs.reserve(m.size());
-  for (const Vec2& q : m.points()) {
-    const Vec2 d = q - c;
-    if (d.norm() <= tol.dist) continue;
-    dirs.push_back(geom::norm2pi(d.arg()));
+  for (std::size_t i = 0; i < m.size(); ++i) {
+    if (t.radius[i] > tol.dist) dirs.push_back(t.dir[i]);
   }
   std::sort(dirs.begin(), dirs.end());
   std::vector<double> out;
@@ -46,11 +65,11 @@ double alphaMinAt(Vec2 p, const Configuration& m, Vec2 c, const Tol& tol) {
   const Vec2 dp = p - c;
   if (dp.norm() <= tol.dist) return geom::kTwoPi;
   const double ap = geom::norm2pi(dp.arg());
+  const PolarTable& t = m.polar(c);
   double best = geom::kTwoPi;
-  for (const Vec2& q : m.points()) {
-    const Vec2 d = q - c;
-    if (d.norm() <= tol.dist) continue;
-    const double a = geom::angDist(ap, geom::norm2pi(d.arg()));
+  for (std::size_t i = 0; i < m.size(); ++i) {
+    if (t.radius[i] <= tol.dist) continue;
+    const double a = geom::angDist(ap, t.dir[i]);
     if (a > tol.ang) best = std::min(best, a);
   }
   return best;

@@ -4,11 +4,25 @@
 /// Helpers over the half-lines H_c(M) from a center through robot positions
 /// (paper §2 notation: alpha_min).
 
+#include <optional>
+#include <span>
 #include <vector>
 
 #include "config/configuration.h"
 
 namespace apf::config {
+
+/// One robot's ray direction (in [0, 2pi)) around a center.
+struct DirEntry {
+  double angle;
+  std::size_t index;
+};
+
+/// The robots of `subset` as (direction, index) entries sorted by direction
+/// around c; nullopt when a robot coincides with c or two share a ray.
+std::optional<std::vector<DirEntry>> sortedDirections(
+    const Configuration& p, std::span<const std::size_t> subset, Vec2 c,
+    const Tol& tol = geom::kDefaultTol);
 
 /// Direction angles (deduplicated, sorted, in [0, 2pi)) of the half-lines
 /// from c through the points of m. Points within tol of c are skipped.

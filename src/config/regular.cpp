@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "config/rays.h"
 #include "config/symmetry.h"
 #include "config/view.h"
 #include "geom/angle.h"
@@ -10,33 +11,6 @@
 
 namespace apf::config {
 namespace {
-
-struct DirEntry {
-  double angle;
-  std::size_t index;
-};
-
-/// Sorted (angle, original index) entries of `subset` around c; nullopt when
-/// a robot coincides with c or two robots share a ray.
-std::optional<std::vector<DirEntry>> sortedDirections(
-    const Configuration& p, std::span<const std::size_t> subset, Vec2 c,
-    const Tol& tol) {
-  std::vector<DirEntry> dirs;
-  dirs.reserve(subset.size());
-  for (std::size_t i : subset) {
-    const Vec2 d = p[i] - c;
-    if (d.norm() <= tol.dist) return std::nullopt;
-    dirs.push_back({geom::norm2pi(d.arg()), i});
-  }
-  std::sort(dirs.begin(), dirs.end(),
-            [](const DirEntry& a, const DirEntry& b) { return a.angle < b.angle; });
-  for (std::size_t k = 0; k < dirs.size(); ++k) {
-    const double next =
-        (k + 1 < dirs.size()) ? dirs[k + 1].angle : dirs[0].angle + geom::kTwoPi;
-    if (next - dirs[k].angle <= tol.ang) return std::nullopt;  // shared ray
-  }
-  return dirs;
-}
 
 std::vector<double> gapsOf(const std::vector<DirEntry>& dirs) {
   std::vector<double> gaps(dirs.size());
@@ -177,8 +151,7 @@ std::optional<RegularSetInfo> checkRegularFreeCenter(const Configuration& p,
                                  biangular, init, tol);
   if (!fit) return std::nullopt;
 
-  // Re-derive the info around the refined center so ray order and the
-  /// canonical alpha < beta convention are consistent.
+  // Re-derive ray order and the alpha < beta form around the refined center.
   auto refined = sortedDirections(p, all, fit->grid.center, tol);
   if (!refined) return std::nullopt;
   const auto cls2 = classifyGaps(gapsOf(*refined), tol.ang * 10.0);
@@ -197,8 +170,8 @@ std::optional<RegularSetInfo> regularSetOf(const Configuration& p,
   const Circle sec = p.sec();
   const Vec2 c = sec.center;
   // Def. 2 requires c(P) not occupied.
-  for (const Vec2& q : p.points()) {
-    if (geom::dist(q, c) <= tol.dist) return std::nullopt;
+  for (double r : p.polar(c).radius) {
+    if (r <= tol.dist) return std::nullopt;
   }
 
   const auto views = allViews(p, c, /*withMultiplicity=*/false, tol);

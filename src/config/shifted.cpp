@@ -61,10 +61,11 @@ std::optional<ShiftedSetInfo> verifyShift(const Configuration& p,
   const Vec2 c = reg->grid.center;
 
   // Condition (c): |r| = |r'| = min_{u in P} |u| (distances from c).
-  const double rd = geom::dist(r, c);
+  const std::vector<double>& radius = p.polar(c).radius;
+  const double rd = radius[ir];
   if (!geom::distEq(rd, geom::dist(rPrime, c), tol)) return std::nullopt;
-  for (const Vec2& q : p.points()) {
-    if (geom::dist(q, c) < rd - tol.dist) return std::nullopt;
+  for (double d : radius) {
+    if (d < rd - tol.dist) return std::nullopt;
   }
 
   // Condition (a): angmin(r, c, r') = eps * alphamin(P'), 0 < eps <= 1/4.
@@ -101,29 +102,21 @@ std::optional<ShiftedSetInfo> verifyShift(const Configuration& p,
 std::vector<VacancyCandidate> proposeVacancies(const Configuration& p,
                                                std::size_t ir, Vec2 c,
                                                const Tol& tol) {
-  const Vec2 r = p[ir];
-  const Vec2 dr = r - c;
-  if (dr.norm() <= tol.dist) return {};
-  const double dirR = dr.arg();
+  const PolarTable& t = p.polar(c);
+  if (t.radius[ir] <= tol.dist) return {};
+  const double dirR = t.arg[ir];
   const int n = static_cast<int>(p.size());
 
   struct Raw {
     double thetaV;
     int familyOrder;
   };
-  // Each other robot's direction, once per call, in robot order.
-  std::vector<double> dirs;
-  dirs.reserve(p.size());
-  for (std::size_t q = 0; q < p.size(); ++q) {
-    if (q == ir) continue;
-    const Vec2 dq = p[q] - c;
-    if (dq.norm() <= tol.dist) continue;
-    dirs.push_back(dq.arg());
-  }
   std::vector<Raw> raw;
   for (int jf = 2; jf <= n; ++jf) {
     const double step = kTwoPi / jf;
-    for (const double a : dirs) {
+    for (std::size_t q = 0; q < p.size(); ++q) {
+      if (q == ir || t.radius[q] <= tol.dist) continue;
+      const double a = t.arg[q];
       const double delta = a - dirR;
       const double k = std::round(delta / step);
       const double thetaV = geom::norm2pi(a - k * step);
@@ -183,29 +176,21 @@ std::vector<Vec2> refineWholeGridCandidates(const Configuration& p,
                                             const Tol& tol) {
   const int n = static_cast<int>(p.size());
   if (n < 5) return {};
-  std::vector<Vec2> rest;
-  rest.reserve(p.size() - 1);
-  for (std::size_t q = 0; q < p.size(); ++q) {
-    if (q != ir) rest.push_back(p[q]);
-  }
-
   std::vector<Vec2> candidates;
-  const Vec2 inits[2] = {weberWhole, geom::weberPoint(rest)};
+  const Vec2 inits[2] = {weberWhole, geom::weberPoint(p.without(ir).span())};
   for (const Vec2& c0 : inits) {
     // Sorted directions of the static robots around the init center.
     struct Dir {
       double a;
       Vec2 pos;
     };
+    const PolarTable& t = p.polar(c0);
     std::vector<Dir> dirs;
     bool degenerate = false;
-    for (const Vec2& q : rest) {
-      const Vec2 d = q - c0;
-      if (d.norm() <= tol.dist) {
-        degenerate = true;
-        break;
-      }
-      dirs.push_back({geom::norm2pi(d.arg()), q});
+    for (std::size_t q = 0; q < p.size() && !degenerate; ++q) {
+      if (q == ir) continue;
+      degenerate = t.radius[q] <= tol.dist;
+      dirs.push_back({t.dir[q], p[q]});
     }
     if (degenerate) continue;
     std::sort(dirs.begin(), dirs.end(),
@@ -216,6 +201,26 @@ std::vector<Vec2> refineWholeGridCandidates(const Configuration& p,
       const double next =
           (k + 1 < m) ? dirs[k + 1].a : dirs[0].a + kTwoPi;
       return next - dirs[k].a;
+    };
+
+    // Fits the static robots, from the one after gap v on, to rays 1..m of
+    // an n-ray grid whose vacancy is ray 0, and proposes r' on ray 0.
+    auto fitVacancyAfter = [&](std::size_t v, bool biangular, double alpha,
+                               double beta) {
+      std::vector<Vec2> pts;
+      std::vector<int> rayIndex;
+      for (std::size_t k = 0; k < m; ++k) {
+        pts.push_back(dirs[(v + 1 + k) % m].pos);
+        rayIndex.push_back(static_cast<int>(k + 1));
+      }
+      const geom::AngularGrid init{c0, dirs[(v + 1) % m].a - alpha, alpha,
+                                   beta, n};
+      if (auto fit = fitGridWithin(pts, rayIndex, n, biangular, init, tol)) {
+        const Vec2 c = fit->grid.center;
+        const double ray0 = fit->grid.rayDir(0);
+        candidates.push_back(c + Vec2{std::cos(ray0), std::sin(ray0)} *
+                                     geom::dist(p[ir], c));
+      }
     };
 
     const double base = kTwoPi / n;
@@ -232,24 +237,7 @@ std::vector<Vec2> refineWholeGridCandidates(const Configuration& p,
         }
       }
       if (std::fabs(maxGap - 2.0 * base) < 0.5 * base) {
-        std::vector<Vec2> pts;
-        std::vector<int> rayIndex;
-        for (std::size_t k = 0; k < m; ++k) {
-          pts.push_back(dirs[(v + 1 + k) % m].pos);
-          rayIndex.push_back(static_cast<int>(k + 1));  // vacancy is ray 0
-        }
-        geom::AngularGrid init;
-        init.center = c0;
-        init.theta0 = dirs[(v + 1) % m].a - base;
-        init.alpha = init.beta = base;
-        init.numRays = n;
-        if (auto fit = fitGridWithin(pts, rayIndex, n, false, init, tol)) {
-          const Vec2 c = fit->grid.center;
-          const double rad = geom::dist(p[ir], c);
-          candidates.push_back(c + Vec2{std::cos(fit->grid.rayDir(0)),
-                                        std::sin(fit->grid.rayDir(0))} *
-                                       rad);
-        }
+        fitVacancyAfter(v, false, base, base);
       }
     }
 
@@ -265,25 +253,7 @@ std::vector<Vec2> refineWholeGridCandidates(const Configuration& p,
         const double betaInit = gapAfter((v + 1) % m);
         const double alphaInit = pairSum - betaInit;
         if (alphaInit < 0.02 * pairSum || alphaInit > 0.98 * pairSum) continue;
-        std::vector<Vec2> pts;
-        std::vector<int> rayIndex;
-        for (std::size_t k = 0; k < m; ++k) {
-          pts.push_back(dirs[(v + 1 + k) % m].pos);
-          rayIndex.push_back(static_cast<int>(k + 1));
-        }
-        geom::AngularGrid init;
-        init.center = c0;
-        init.theta0 = dirs[(v + 1) % m].a - alphaInit;
-        init.alpha = alphaInit;
-        init.beta = betaInit;
-        init.numRays = n;
-        if (auto fit = fitGridWithin(pts, rayIndex, n, true, init, tol)) {
-          const Vec2 c = fit->grid.center;
-          const double rad = geom::dist(p[ir], c);
-          candidates.push_back(c + Vec2{std::cos(fit->grid.rayDir(0)),
-                                        std::sin(fit->grid.rayDir(0))} *
-                                       rad);
-        }
+        fitVacancyAfter(v, true, alphaInit, betaInit);
       }
     }
   }
@@ -306,30 +276,31 @@ std::optional<ShiftedSetInfo> shiftedRegularSetOf(const Configuration& p,
   const Vec2 centers[2] = {p.sec().center, weberWhole};
   std::vector<bool> isCandidate(n, false);
   for (const Vec2& c : centers) {
+    const std::vector<double>& radius = p.polar(c).radius;
     double dmin = std::numeric_limits<double>::infinity();
-    for (const Vec2& q : p.points()) dmin = std::min(dmin, geom::dist(q, c));
+    for (double d : radius) dmin = std::min(dmin, d);
     for (std::size_t i = 0; i < n; ++i) {
-      if (geom::dist(p[i], c) <= dmin + tol.dist) isCandidate[i] = true;
+      if (radius[i] <= dmin + tol.dist) isCandidate[i] = true;
     }
   }
 
+  // The subset and pair cases below work around the SEC center.
+  const Vec2 c = centers[0];
+  const PolarTable& around = p.polar(c);
   int attempts = 0;
   constexpr int kMaxAttempts = 64;  // bound worst-case detection cost
   for (std::size_t ir = 0; ir < n; ++ir) {
     if (!isCandidate[ir]) continue;
+    const double rad = around.radius[ir];
     // Subset case: the center is exactly the SEC center; propose vacant rays
     // and verify each.
-    {
-      const Vec2 c = centers[0];
-      const double rad = geom::dist(p[ir], c);
-      if (rad > tol.dist) {
-        for (const VacancyCandidate& cand : proposeVacancies(p, ir, c, tol)) {
-          if (!cand.plausible) continue;
-          if (++attempts > kMaxAttempts) return std::nullopt;
-          const Vec2 rPrime =
-              c + Vec2{std::cos(cand.thetaV), std::sin(cand.thetaV)} * rad;
-          if (auto info = verifyShift(p, ir, rPrime, c, tol)) return info;
-        }
+    if (rad > tol.dist) {
+      for (const VacancyCandidate& cand : proposeVacancies(p, ir, c, tol)) {
+        if (!cand.plausible) continue;
+        if (++attempts > kMaxAttempts) return std::nullopt;
+        const Vec2 rPrime =
+            c + Vec2{std::cos(cand.thetaV), std::sin(cand.thetaV)} * rad;
+        if (auto info = verifyShift(p, ir, rPrime, c, tol)) return info;
       }
     }
     // Whole-configuration case: free-center grid fit on the static robots.
@@ -345,27 +316,19 @@ std::optional<ShiftedSetInfo> shiftedRegularSetOf(const Configuration& p,
     // nothing. The vacant ray is instead pinned by Definition 2's
     // virtual-axis condition: it is the mirror image of the partner's ray
     // across a symmetry axis of the static remainder P - {r}.
-    {
-      const Vec2 c = centers[0];
-      const double rad = geom::dist(p[ir], c);
-      if (rad > tol.dist) {
-        std::vector<Vec2> rest;
-        for (std::size_t q = 0; q < n; ++q) {
-          if (q != ir) rest.push_back(p[q]);
-        }
-        const Configuration restCfg(std::move(rest));
-        const double dirR = (p[ir] - c).arg();
-        for (double axis : symmetryAxes(restCfg, c, tol)) {
-          for (const Vec2& q : restCfg.points()) {
-            const Vec2 dq = q - c;
-            if (dq.norm() <= tol.dist) continue;
-            const double thetaV = geom::norm2pi(2.0 * axis - dq.arg());
-            if (std::fabs(geom::normPi(thetaV - dirR)) > 0.6) continue;
-            if (++attempts > kMaxAttempts) return std::nullopt;
-            const Vec2 rPrime =
-                c + Vec2{std::cos(thetaV), std::sin(thetaV)} * rad;
-            if (auto info = verifyShift(p, ir, rPrime, c, tol)) return info;
-          }
+    if (rad > tol.dist) {
+      const Configuration restCfg = p.without(ir);
+      const double dirR = around.arg[ir];
+      for (double axis : symmetryAxes(restCfg, c, tol)) {
+        const PolarTable& rt = restCfg.polar(c);
+        for (std::size_t q = 0; q < restCfg.size(); ++q) {
+          if (rt.radius[q] <= tol.dist) continue;
+          const double thetaV = geom::norm2pi(2.0 * axis - rt.arg[q]);
+          if (std::fabs(geom::normPi(thetaV - dirR)) > 0.6) continue;
+          if (++attempts > kMaxAttempts) return std::nullopt;
+          const Vec2 rPrime =
+              c + Vec2{std::cos(thetaV), std::sin(thetaV)} * rad;
+          if (auto info = verifyShift(p, ir, rPrime, c, tol)) return info;
         }
       }
     }

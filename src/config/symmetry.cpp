@@ -116,8 +116,8 @@ int symmetricity(const Configuration& p, Vec2 center, const Tol& tol) {
   // themselves works. The candidate orders divide the number of off-center
   // points.
   int off = 0;
-  for (const Vec2& q : p.points()) {
-    if (geom::dist(q, center) > tol.dist) ++off;
+  for (double r : p.polar(center).radius) {
+    if (r > tol.dist) ++off;
   }
   if (off == 0) return 1;
   for (int m = off; m >= 2; --m) {
@@ -132,13 +132,9 @@ std::vector<double> symmetryAxes(const Configuration& p, Vec2 center,
   ++geomCacheCounters().axesCalls;
   const auto& pts = p.points();
   if (pts.empty()) return {};
-  // Each point's radius and direction, computed once instead of per pair.
-  std::vector<double> radius(pts.size()), dir(pts.size());
-  for (std::size_t i = 0; i < pts.size(); ++i) {
-    const Vec2 d = pts[i] - center;
-    radius[i] = d.norm();
-    dir[i] = geom::norm2pi(d.arg());
-  }
+  const PolarTable& polar = p.polar(center);
+  const std::vector<double>& radius = polar.radius;
+  const std::vector<double>& dir = polar.dir;
   const ReflectionFilter filter(pts, radius, center, tol);
 
   // Candidate axis directions: the direction of each point, and the bisector

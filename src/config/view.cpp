@@ -45,26 +45,25 @@ std::vector<std::int64_t> flatten(std::vector<Entry> entries) {
   return key;
 }
 
-// The grouping of p is view-independent, so allViews computes it once and
-// every robot's view is built from the shared copy (O(n^2) for all views
-// instead of O(n^2) *per view* with grouped()'s quadratic scan inside).
-View localViewGrouped(const Configuration& p, std::size_t i,
-                      const std::vector<MultiPoint>& groups, Vec2 center,
-                      bool withMultiplicity, const Tol& tol) {
-  const Vec2 r = p[i];
-  const double rDist = geom::dist(r, center);
+// Robot i's view from p's grouping and polar table. Both are
+// view-independent, so viewsOf computes them once for all the views it
+// builds (O(n^2) for all views instead of O(n^2) *per view* with
+// grouped()'s quadratic scan inside).
+View viewOf(std::size_t i, const std::vector<MultiPoint>& groups,
+            const PolarTable& t, bool withMultiplicity, const Tol& tol) {
+  const double rDist = t.radius[i];
   if (rDist <= tol.dist) return View{{}, 0, true};
-  const double rArg = (r - center).arg();
+  const double rArg = t.arg[i];
 
   std::array<std::vector<Entry>, 2> seqs;  // [0] = ccw, [1] = cw
   seqs[0].reserve(groups.size());
   seqs[1].reserve(groups.size());
   for (const MultiPoint& g : groups) {
-    const double d = geom::dist(g.pos, center);
+    const double d = t.radius[g.index];
     const std::int64_t rho = viewQuantize(d / rDist);
     const std::int64_t count = withMultiplicity ? g.count : 1;
     double rel = 0.0;
-    if (d > tol.dist) rel = geom::norm2pi((g.pos - center).arg() - rArg);
+    if (d > tol.dist) rel = geom::norm2pi(t.arg[g.index] - rArg);
     // ccw orientation measures rel; cw measures the opposite sweep. Both are
     // quantized from doubles (not derived by integer subtraction) so the
     // arithmetic mirrors exactly what a reflected frame would compute.
@@ -83,25 +82,38 @@ View localViewGrouped(const Configuration& p, std::size_t i,
   return View{std::move(keyCw), -1, false};
 }
 
+/// The views of `subset`'s robots, in subset order, from one grouping and
+/// one polar table.
+std::vector<View> viewsOf(const Configuration& p,
+                          std::span<const std::size_t> subset, Vec2 center,
+                          bool withMultiplicity, const Tol& tol) {
+  geomCacheCounters().viewsBuilt += subset.size();
+  const auto groups = p.grouped(tol);
+  const PolarTable& t = p.polar(center);
+  std::vector<View> out;
+  out.reserve(subset.size());
+  for (std::size_t i : subset) {
+    out.push_back(viewOf(i, groups, t, withMultiplicity, tol));
+  }
+  return out;
+}
+
+std::vector<std::size_t> indices(std::size_t n) {
+  std::vector<std::size_t> idx(n);
+  for (std::size_t i = 0; i < n; ++i) idx[i] = i;
+  return idx;
+}
+
 }  // namespace
 
 View localView(const Configuration& p, std::size_t i, Vec2 center,
                bool withMultiplicity, const Tol& tol) {
-  ++geomCacheCounters().viewsBuilt;
-  return localViewGrouped(p, i, p.grouped(tol), center, withMultiplicity, tol);
+  return viewsOf(p, {&i, 1}, center, withMultiplicity, tol).front();
 }
 
 std::vector<View> allViews(const Configuration& p, Vec2 center,
                            bool withMultiplicity, const Tol& tol) {
-  geomCacheCounters().viewsBuilt += p.size();
-  const auto groups = p.grouped(tol);
-  std::vector<View> out;
-  out.reserve(p.size());
-  for (std::size_t i = 0; i < p.size(); ++i) {
-    out.push_back(
-        localViewGrouped(p, i, groups, center, withMultiplicity, tol));
-  }
-  return out;
+  return viewsOf(p, indices(p.size()), center, withMultiplicity, tol);
 }
 
 std::vector<std::size_t> byViewDescending(const Configuration& p, Vec2 center,
@@ -111,8 +123,7 @@ std::vector<std::size_t> byViewDescending(const Configuration& p, Vec2 center,
 }
 
 std::vector<std::size_t> byViewDescending(const std::vector<View>& views) {
-  std::vector<std::size_t> idx(views.size());
-  for (std::size_t i = 0; i < idx.size(); ++i) idx[i] = i;
+  std::vector<std::size_t> idx = indices(views.size());
   std::stable_sort(idx.begin(), idx.end(), [&](std::size_t a, std::size_t b) {
     return compareViews(views[a], views[b]) > 0;
   });
@@ -121,17 +132,23 @@ std::vector<std::size_t> byViewDescending(const std::vector<View>& views) {
 
 std::vector<std::size_t> maxViewRobots(const Configuration& p, Vec2 center,
                                        bool withMultiplicity, const Tol& tol) {
-  const auto views = allViews(p, center, withMultiplicity, tol);
+  return maxViewRobots(p, indices(p.size()), center, withMultiplicity, tol);
+}
+
+std::vector<std::size_t> maxViewRobots(const Configuration& p,
+                                       std::span<const std::size_t> subset,
+                                       Vec2 center, bool withMultiplicity,
+                                       const Tol& tol) {
+  const auto views = viewsOf(p, subset, center, withMultiplicity, tol);
+  // compareViews is a total preorder, so "no view is greater" is "equal to
+  // the greatest".
+  std::size_t best = 0;
+  for (std::size_t k = 1; k < views.size(); ++k) {
+    if (compareViews(views[k], views[best]) > 0) best = k;
+  }
   std::vector<std::size_t> out;
-  for (std::size_t i = 0; i < p.size(); ++i) {
-    bool isMax = true;
-    for (std::size_t j = 0; j < p.size(); ++j) {
-      if (compareViews(views[j], views[i]) > 0) {
-        isMax = false;
-        break;
-      }
-    }
-    if (isMax) out.push_back(i);
+  for (std::size_t k = 0; k < views.size(); ++k) {
+    if (compareViews(views[k], views[best]) == 0) out.push_back(subset[k]);
   }
   return out;
 }

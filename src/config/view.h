@@ -16,6 +16,7 @@
 /// while genuinely distinct geometry differs by far more than the grid step.
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "config/configuration.h"
@@ -73,6 +74,14 @@ std::vector<std::size_t> byViewDescending(const std::vector<View>& views);
 /// Indices of the robots whose view is maximal (the first tie class of
 /// byViewDescending).
 std::vector<std::size_t> maxViewRobots(const Configuration& p, Vec2 center,
+                                       bool withMultiplicity = false,
+                                       const Tol& tol = geom::kDefaultTol);
+
+/// The robots of `subset` whose view is maximal among the subset's views,
+/// in subset order. Groups p once and builds subset.size() views.
+std::vector<std::size_t> maxViewRobots(const Configuration& p,
+                                       std::span<const std::size_t> subset,
+                                       Vec2 center,
                                        bool withMultiplicity = false,
                                        const Tol& tol = geom::kDefaultTol);
 

@@ -59,8 +59,6 @@ Analysis::Analysis(const sim::Snapshot& snap)
       fWithout_.push_back(f_.without(i));
     }
   }
-  radii_.reserve(p_.size());
-  for (const Vec2& q : p_.points()) radii_.push_back(q.norm());
   ok_ = true;
 }
 
@@ -91,7 +89,7 @@ bool radiiApart(const std::vector<double>& p, std::size_t skip,
 
 const std::vector<double>& Analysis::sortedRadii() {
   if (sortedRadii_.empty()) {
-    sortedRadii_ = radii_;
+    sortedRadii_ = radii();
     std::sort(sortedRadii_.begin(), sortedRadii_.end());
   }
   return sortedRadii_;
@@ -115,10 +113,10 @@ std::optional<geom::Similarity> Analysis::matchWithout(std::size_t r,
   // SEC(P - {r}) = C(P) and the table radii without r's are again
   // findSimilarity's radii up to rounding. A robot on (or near) C(P) may
   // shrink the circle when it leaves: no shortcut then.
-  if (patternShared_ && radii_[r] < 1.0 - 1e-6) {
+  if (patternShared_ && radii()[r] < 1.0 - 1e-6) {
     const auto& sorted = sortedRadii();
     const std::size_t skip =
-        std::lower_bound(sorted.begin(), sorted.end(), radii_[r]) -
+        std::lower_bound(sorted.begin(), sorted.end(), radii()[r]) -
         sorted.begin();
     if (radiiApart(sorted, skip, pinfo_->fWithoutRadii[k], tol)) {
       return std::nullopt;
@@ -186,18 +184,19 @@ std::optional<std::size_t> Analysis::selectedRobot() {
   // others does: the others' minimum is the overall minimum, except for the
   // robot holding it, whose others' minimum is the second smallest.
   const double bound = lF() / 2.0;
+  const std::vector<double>& radius = radii();
   std::size_t first = 0;
-  for (std::size_t i = 1; i < radii_.size(); ++i) {
-    if (radii_[i] < radii_[first]) first = i;
+  for (std::size_t i = 1; i < radius.size(); ++i) {
+    if (radius[i] < radius[first]) first = i;
   }
   double second = std::numeric_limits<double>::infinity();
-  for (std::size_t i = 0; i < radii_.size(); ++i) {
-    if (i != first) second = std::min(second, radii_[i]);
+  for (std::size_t i = 0; i < radius.size(); ++i) {
+    if (i != first) second = std::min(second, radius[i]);
   }
-  for (std::size_t i = 0; i < radii_.size(); ++i) {
-    const double ri = radii_[i];
+  for (std::size_t i = 0; i < radius.size(); ++i) {
+    const double ri = radius[i];
     if (ri >= bound - 1e-12) continue;
-    const double others = (i == first) ? second : radii_[first];
+    const double others = (i == first) ? second : radius[first];
     if (!(others < 2.0 * ri - 1e-12)) {
       selected_ = i;
       break;
@@ -216,31 +215,15 @@ std::vector<std::size_t> Analysis::maxViewP() {
   // view sequences start with the (innermost radius / own radius) ratio,
   // which is maximal (= 1, or the atCenter flag) exactly for ring members.
   const Vec2 c = centerP();
-  const bool origin = c.x == 0.0 && c.y == 0.0;
-  auto radius = [&](std::size_t i) {
-    return origin ? radii_[i] : geom::dist(p_[i], c);
-  };
+  const std::vector<double>& radius = p_.polar(c).radius;
   double minR = std::numeric_limits<double>::infinity();
-  for (std::size_t i = 0; i < p_.size(); ++i) minR = std::min(minR, radius(i));
+  for (double r : radius) minR = std::min(minR, r);
   std::vector<std::size_t> ring;
   for (std::size_t i = 0; i < p_.size(); ++i) {
-    if (radius(i) <= minR + 1e-9) ring.push_back(i);
+    if (radius[i] <= minR + 1e-9) ring.push_back(i);
   }
   if (ring.size() == 1) return ring;
-  std::vector<config::View> views;
-  views.reserve(ring.size());
-  for (std::size_t i : ring) {
-    views.push_back(config::localView(p_, i, c, multiplicity_));
-  }
-  std::vector<std::size_t> out;
-  for (std::size_t k = 0; k < ring.size(); ++k) {
-    bool isMax = true;
-    for (std::size_t l = 0; l < ring.size() && isMax; ++l) {
-      if (config::compareViews(views[l], views[k]) > 0) isMax = false;
-    }
-    if (isMax) out.push_back(ring[k]);
-  }
-  return out;
+  return config::maxViewRobots(p_, ring, c, multiplicity_);
 }
 
 }  // namespace apf::core

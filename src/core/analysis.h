@@ -66,7 +66,7 @@ class Analysis {
 
   /// Max-view robots of P. Fast path: a max-view robot is always on the
   /// innermost ring (its first view coordinate is the ring ratio), so only
-  /// ring robots' views are compared.
+  /// ring robots' views are built and compared.
   std::vector<std::size_t> maxViewP();
   /// Max-view non-holders of F (cached per pattern). This and the F-side
   /// accessors below require ok(); degenerate snapshots keep the analysis
@@ -82,9 +82,9 @@ class Analysis {
   /// The cached pattern-side analysis (l_F, f_s, fmax, circles, ...).
   const PatternInfo& patternInfo() const { return *pinfo_; }
 
-  /// Polar table: radii()[i] is robot i's distance from the origin, the
-  /// normalized SEC center (bitwise geom::dist(P()[i], Vec2{})).
-  const std::vector<double>& radii() const { return radii_; }
+  /// radii()[i] is robot i's distance from the origin, the normalized SEC
+  /// center: P()'s polar table there.
+  const std::vector<double>& radii() const { return p_.polar(Vec2{}).radius; }
 
   /// config::similar(P(), F(), tol), skipped when the radii rule it out.
   bool similarToF(const geom::Tol& tol);
@@ -113,8 +113,7 @@ class Analysis {
   const PatternInfo* pinfo_ = nullptr;
   bool patternShared_ = false;  ///< f_ is bitwise pinfo_->f
   std::vector<Configuration> fWithout_;  ///< fWithout(k) when not shared
-  std::vector<double> radii_;
-  std::vector<double> sortedRadii_;  ///< radii_ ascending, built on demand
+  std::vector<double> sortedRadii_;  ///< radii() ascending, built on demand
   std::optional<Configuration> pWithout_;  ///< P().without(pWithoutOf_)
   std::size_t pWithoutOf_ = 0;
 

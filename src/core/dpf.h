@@ -28,9 +28,9 @@
 /// The final move (r_s walks to f_s) is the main algorithm's line 3-4 and
 /// lives in form_pattern.cpp.
 ///
-/// Every rule reads one polar table per snapshot: each robot's radius
-/// (Analysis::radii()), argument and Z-angle are computed once, and each
-/// circle's robots are collected and sorted once.
+/// Every rule reads one polar table per snapshot: each robot's radius and
+/// argument (P's memoized polar table at the origin) and Z-angle are
+/// computed once, and each circle's robots are collected and sorted once.
 ///
 /// Deviations from the paper's pseudo-code are deliberate and documented in
 /// DESIGN.md: staging angles on C_m are clamped to 2*pi - theta_F' (the

@@ -36,23 +36,14 @@ PatternInfo build(const Configuration& f, bool multiplicity) {
   PatternInfo out;
   out.f = f;
   out.lF = config::secondClosestDistance(f, Vec2{});
-  const auto views = config::allViews(f, Vec2{}, multiplicity);
 
   const geom::Circle sec = out.f.sec();
   std::vector<std::size_t> nonHolders;
   for (std::size_t i = 0; i < f.size(); ++i) {
     if (!geom::holdsSec(f.span(), i, sec)) nonHolders.push_back(i);
   }
-  for (std::size_t i : nonHolders) {
-    bool isMax = true;
-    for (std::size_t j : nonHolders) {
-      if (config::compareViews(views[j], views[i]) > 0) {
-        isMax = false;
-        break;
-      }
-    }
-    if (isMax) out.maxViewNonHolders.push_back(i);
-  }
+  out.maxViewNonHolders =
+      config::maxViewRobots(f, nonHolders, Vec2{}, multiplicity);
   for (std::size_t i : out.maxViewNonHolders) {
     out.fWithout.push_back(f.without(i));
     out.fWithoutRadii.push_back(sortedSecRadii(out.fWithout.back()));
@@ -62,25 +53,20 @@ PatternInfo build(const Configuration& f, bool multiplicity) {
   if (f.size() < 4 || out.maxViewNonHolders.empty()) return out;
 
   out.fs = out.maxViewNonHolders.front();
-  std::vector<Vec2> fp;
-  for (std::size_t i = 0; i < f.size(); ++i) {
-    if (i != out.fs) fp.push_back(f[i]);
-  }
-  out.fPrime = Configuration(std::move(fp));
+  out.fPrime = f.without(out.fs);
 
-  const auto order =
-      config::byViewDescending(out.fPrime, Vec2{}, multiplicity);
-  out.fmax = order.front();
-  out.fmaxRadius = out.fPrime[out.fmax].norm();
-  out.fmaxArg = out.fPrime[out.fmax].arg();
+  // The first max-view point: the front of byViewDescending's order.
+  out.fmax = config::maxViewRobots(out.fPrime, Vec2{}, multiplicity).front();
+  const config::PolarTable& fp = out.fPrime.polar(Vec2{});
+  out.fmaxRadius = fp.radius[out.fmax];
+  out.fmaxArg = fp.arg[out.fmax];
 
   out.thetaFPrime = kPi;
   for (std::size_t i = 0; i < out.fPrime.size(); ++i) {
     if (i == out.fmax) continue;
-    if (geom::distEq(out.fPrime[i].norm(), out.fmaxRadius)) {
-      out.thetaFPrime = std::min(
-          out.thetaFPrime,
-          geom::angDist(out.fPrime[i].arg(), out.fmaxArg));
+    if (geom::distEq(fp.radius[i], out.fmaxRadius)) {
+      out.thetaFPrime =
+          std::min(out.thetaFPrime, geom::angDist(fp.arg[i], out.fmaxArg));
     }
   }
 
@@ -89,10 +75,10 @@ PatternInfo build(const Configuration& f, bool multiplicity) {
 
   out.targets.reserve(out.fPrime.size());
   for (std::size_t i = 0; i < out.fPrime.size(); ++i) {
-    const double r = out.fPrime[i].norm();
+    const double r = fp.radius[i];
     double ang = 0.0;
     if (r > kTol) {
-      ang = geom::norm2pi(out.fOrient * (out.fPrime[i].arg() - out.fmaxArg));
+      ang = geom::norm2pi(out.fOrient * (fp.arg[i] - out.fmaxArg));
       if (ang > kTwoPi - kAngTol) ang = 0.0;
     }
     out.targets.push_back({r, ang});

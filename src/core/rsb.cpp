@@ -22,10 +22,6 @@ using sim::Action;
 constexpr double kTol = 1e-9;
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-double radiusOf(const Configuration& p, std::size_t i, Vec2 c) {
-  return geom::dist(p[i], c);
-}
-
 /// Target point for the final descent to selected-ness: the robot moves
 /// along its ray from the set center `c` (preserving the shifted/asymmetric
 /// structure) to a point whose SEC-centered radius satisfies the selected
@@ -40,9 +36,10 @@ std::optional<Vec2> selectedDescendTarget(Analysis& a, Vec2 c,
   if (t0 <= kTol) return std::nullopt;
   const Vec2 u = d / t0;
 
-  double minOther = kInf;  // SEC-centered radii of the other robots
-  for (std::size_t j = 0; j < a.P().size(); ++j) {
-    if (j != self) minOther = std::min(minOther, a.P()[j].norm());
+  const std::vector<double>& radii = a.radii();  // SEC-centered
+  double minOther = kInf;
+  for (std::size_t j = 0; j < radii.size(); ++j) {
+    if (j != self) minOther = std::min(minOther, radii[j]);
   }
   const double bound = 0.45 * std::min(a.lF(), minOther);
 
@@ -73,7 +70,8 @@ Action shiftedCase(Analysis& a, const config::ShiftedSetInfo& sh) {
   const std::size_t self = a.self();
   const Vec2 c = sh.grid.center;
   const std::size_t re = sh.shiftedRobot;
-  const double rRe = radiusOf(p, re, c);
+  const config::PolarTable& t = p.polar(c);
+  const double rRe = t.radius[re];
 
   // Phase structure (paper §3.1, with the pseudo-code's S-test
   // disambiguated): shift 1/4 is the final-descent marker — once the shift
@@ -85,14 +83,14 @@ Action shiftedCase(Analysis& a, const config::ShiftedSetInfo& sh) {
   // pin the shift at 1/8 and descend the stragglers.
   bool othersOnReCircle = true;
   for (std::size_t q : sh.indices) {
-    if (q != re && !geom::distEq(radiusOf(p, q, c), rRe)) {
+    if (q != re && !geom::distEq(t.radius[q], rRe)) {
       othersOnReCircle = false;
       break;
     }
   }
 
   const double thetaV = (sh.associatedPos - c).arg();
-  const double thetaRe = (p[re] - c).arg();
+  const double thetaRe = t.arg[re];
   const double side = (geom::normPi(thetaRe - thetaV) >= 0.0) ? 1.0 : -1.0;
 
   if (sh.epsilon >= 0.25 - 1e-7) {
@@ -121,7 +119,7 @@ Action shiftedCase(Analysis& a, const config::ShiftedSetInfo& sh) {
     return Action::stay(kRsbShifted);
   }
   // Shift pinned at 1/8: set members above re's circle descend onto it.
-  if (self != re && radiusOf(p, self, c) > rRe + kTol &&
+  if (self != re && t.radius[self] > rRe + kTol &&
       std::find(sh.indices.begin(), sh.indices.end(), self) !=
           sh.indices.end()) {
     return Action{radialPath(c, p[self], rRe), kRsbShifted};
@@ -142,6 +140,7 @@ PartialCheck partialPatternCheck(Analysis& a,
   PartialCheck out;
   const Configuration& p = a.P();
   const Vec2 c = reg.grid.center;
+  const config::PolarTable& t = p.polar(c);
   std::vector<std::size_t> comp;  // P \ Q
   for (std::size_t i = 0; i < p.size(); ++i) {
     if (std::find(reg.indices.begin(), reg.indices.end(), i) ==
@@ -157,19 +156,19 @@ PartialCheck partialPatternCheck(Analysis& a,
   const Configuration& f = a.F();
   std::vector<Vec2> frPoints;
   bool placed = false;
-  const Vec2 q0 = p[comp[0]];
   for (std::size_t fi = 0; fi < f.size() && !placed; ++fi) {
     const Vec2 fp = f[fi] - a.centerF();
-    if (!geom::distEq(fp.norm(), (q0 - c).norm(), geom::Tol{1e-7, 1e-7})) {
+    if (!geom::distEq(fp.norm(), t.radius[comp[0]], geom::Tol{1e-7, 1e-7})) {
       continue;
     }
     if (fp.norm() < kTol) continue;
     for (int refl = 0; refl < 2 && !placed; ++refl) {
-      // Transform: center F on c, optionally reflect, rotate f[fi] onto q0.
+      // Transform: center F on c, optionally reflect, rotate f[fi] onto the
+      // first complement robot.
       std::vector<Vec2> mapped;
       mapped.reserve(f.size());
       const double fArg = refl ? -fp.arg() : fp.arg();
-      const double rot = (q0 - c).arg() - fArg;
+      const double rot = t.arg[comp[0]] - fArg;
       for (const Vec2& g : f.points()) {
         Vec2 v = g - a.centerF();
         if (refl) v.y = -v.y;
@@ -207,7 +206,7 @@ PartialCheck partialPatternCheck(Analysis& a,
   // remaining pattern points.
   std::size_t onRays = 0;
   for (std::size_t qi : reg.indices) {
-    const double aq = (p[qi] - c).arg();
+    const double aq = t.arg[qi];
     for (const Vec2& fr : frPoints) {
       if ((fr - c).norm() > kTol &&
           geom::angDist(aq, (fr - c).arg()) <= 1e-7) {
@@ -231,25 +230,18 @@ PartialCheck partialPatternCheck(Analysis& a,
 
   bool anyAboveD1 = false, anyAboveMid = false;
   for (std::size_t qi : reg.indices) {
-    const double rq = radiusOf(p, qi, c);
+    const double rq = t.radius[qi];
     anyAboveD1 |= rq > d1 + kTol;
     anyAboveMid |= rq > dMid + kTol;
   }
-  if (anyAboveD1) {
+  if (anyAboveD1 || anyAboveMid) {
+    // Set members above the level descend to it: d1 first, then dMid.
+    const double level = anyAboveD1 ? d1 : dMid;
     out.ordersMoves = true;
     if (std::find(reg.indices.begin(), reg.indices.end(), a.self()) !=
             reg.indices.end() &&
-        radiusOf(p, a.self(), c) > d1 + kTol) {
-      out.selfMove = radialPath(c, p[a.self()], d1);
-    }
-    return out;
-  }
-  if (anyAboveMid) {
-    out.ordersMoves = true;
-    if (std::find(reg.indices.begin(), reg.indices.end(), a.self()) !=
-            reg.indices.end() &&
-        radiusOf(p, a.self(), c) > dMid + kTol) {
-      out.selfMove = radialPath(c, p[a.self()], dMid);
+        t.radius[a.self()] > level + kTol) {
+      out.selfMove = radialPath(c, p[a.self()], level);
     }
     return out;
   }
@@ -273,20 +265,21 @@ Action regularCase(Analysis& a, const config::RegularSetInfo& reg,
 
   const bool inQ = std::find(reg.indices.begin(), reg.indices.end(), self) !=
                    reg.indices.end();
-  const double rSelf = radiusOf(p, self, c);
+  const config::PolarTable& t = p.polar(c);
+  const double rSelf = t.radius[self];
 
   double minOtherQ = kInf, minAll = kInf, dOut = kInf;
   for (std::size_t j = 0; j < p.size(); ++j) {
     if (j == self) continue;
-    minAll = std::min(minAll, radiusOf(p, j, c));
+    minAll = std::min(minAll, t.radius[j]);
   }
   for (std::size_t q : reg.indices) {
-    if (q != self) minOtherQ = std::min(minOtherQ, radiusOf(p, q, c));
+    if (q != self) minOtherQ = std::min(minOtherQ, t.radius[q]);
   }
   for (std::size_t j = 0; j < p.size(); ++j) {
     if (std::find(reg.indices.begin(), reg.indices.end(), j) ==
         reg.indices.end()) {
-      dOut = std::min(dOut, radiusOf(p, j, c));
+      dOut = std::min(dOut, t.radius[j]);
     }
   }
 
@@ -294,13 +287,10 @@ Action regularCase(Analysis& a, const config::RegularSetInfo& reg,
     // Aware of being elected: start the shift on the own circle toward the
     // angularly nearest other occupied ray, by 1/8 of alphamin.
     const double amin = config::alphaMin(p, c);
-    const double thetaSelf = (p[self] - c).arg();
     double best = kInf, side = 1.0;
     for (std::size_t j = 0; j < p.size(); ++j) {
-      if (j == self) continue;
-      const Vec2 d = p[j] - c;
-      if (d.norm() <= kTol) continue;
-      const double delta = geom::normPi(d.arg() - thetaSelf);
+      if (j == self || t.radius[j] <= kTol) continue;
+      const double delta = geom::normPi(t.arg[j] - t.arg[self]);
       if (std::fabs(delta) > 1e-9 && std::fabs(delta) < best) {
         best = std::fabs(delta);
         side = (delta >= 0.0) ? 1.0 : -1.0;
@@ -368,10 +358,11 @@ Action asymmetricCase(Analysis& a) {
     return Action::stay(kRsbAsymmetric);
   }
 
-  const double rSelf = radiusOf(p, self, c);
+  const config::PolarTable& t = p.polar(c);
+  const double rSelf = t.radius[self];
   double minOther = kInf;
   for (std::size_t j = 0; j < p.size(); ++j) {
-    if (j != self) minOther = std::min(minOther, radiusOf(p, j, c));
+    if (j != self) minOther = std::min(minOther, t.radius[j]);
   }
 
   // Probe: would stopping at 0.8 * minOther create a regular set? (The

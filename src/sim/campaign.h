@@ -10,8 +10,9 @@
 ///  * `worker(item, index)` must be a pure function of its arguments plus
 ///    thread-confined state it creates itself (its own Engine, RNG streams,
 ///    config::Rng, obs sink). It must not touch shared mutable state; in
-///    particular it must not call `sec()` on a Configuration instance shared
-///    with other threads unless the cache was warmed before the fan-out
+///    particular it must not call `sec()`, `weberPoint()` or `polar(c)` on
+///    a Configuration instance shared with other threads unless that cache
+///    (for `polar`, that center's table) was warmed before the fan-out
 ///    (see config/configuration.h and docs/PERFORMANCE.md).
 ///  * `merge(index, result)` runs on the calling thread only, in strict
 ///    index order 0, 1, 2, ... — never concurrently with itself.

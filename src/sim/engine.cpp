@@ -141,7 +141,10 @@ void Engine::applyLookFaults(std::size_t i) {
   if (!fp.sensorActive()) return;
   Robot& r = robots_[i];
   std::uniform_real_distribution<double> u(0.0, 1.0);
-  std::normal_distribution<double> gauss(0.0, fp.noiseSigma);
+  // normal_distribution requires sigma > 0; it is drawn from only when
+  // noiseSigma > 0, so the placeholder 1.0 is never used.
+  std::normal_distribution<double> gauss(
+      0.0, fp.noiseSigma > 0.0 ? fp.noiseSigma : 1.0);
   const auto& pts = r.snap.robots.points();
   // Build the filtered copy in the scratch spare, then swap it with the
   // snapshot's storage below — two buffers ping-pong forever, zero

@@ -6,22 +6,30 @@
 ///     one);
 ///   - symmetryAxes reflecting every deduplicated candidate in full (the
 ///     kernel first rejects candidates whose reflected pts[0] has no
-///     partner within a radius window).
+///     partner within a radius window);
+///   - views, sortedDirections, rayDirections, alphaMinAt, maxViewRobots
+///     and Analysis::maxViewP computing every angle and radius with
+///     atan2/hypot themselves (the kernels read Configuration::polar).
 /// Every comparison is bitwise on the doubles: the faster kernels must not
 /// change a single decision or value anywhere downstream.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
+#include <optional>
 #include <random>
 #include <tuple>
 #include <vector>
 
 #include "config/generator.h"
+#include "config/rays.h"
 #include "config/symmetry.h"
+#include "config/view.h"
 #include "core/analysis.h"
 #include "core/form_pattern.h"
 #include "core/pattern_info.h"
@@ -35,7 +43,9 @@ namespace apf {
 namespace {
 
 using config::Configuration;
+using config::MultiPoint;
 using config::Rng;
+using config::View;
 using geom::Circle;
 using geom::Tol;
 using geom::Vec2;
@@ -175,6 +185,163 @@ std::vector<double> symmetryAxes(const Configuration& p, Vec2 center,
   return axes;
 }
 
+
+// --- Views, directions and max views with their own atan2/hypot. ---
+
+struct Entry {
+  std::int64_t rho;
+  std::int64_t theta;
+  std::int64_t count;
+  auto operator<=>(const Entry&) const = default;
+};
+
+std::vector<std::int64_t> flatten(std::vector<Entry> entries) {
+  std::sort(entries.begin(), entries.end());
+  std::vector<std::int64_t> key;
+  key.reserve(entries.size() * 3);
+  for (const Entry& e : entries) {
+    key.push_back(e.rho);
+    key.push_back(e.theta);
+    key.push_back(e.count);
+  }
+  return key;
+}
+
+View localViewGrouped(const Configuration& p, std::size_t i,
+                      const std::vector<MultiPoint>& groups, Vec2 center,
+                      bool withMultiplicity, const Tol& tol) {
+  const Vec2 r = p[i];
+  const double rDist = geom::dist(r, center);
+  if (rDist <= tol.dist) return View{{}, 0, true};
+  const double rArg = (r - center).arg();
+
+  std::array<std::vector<Entry>, 2> seqs;  // [0] = ccw, [1] = cw
+  for (const MultiPoint& g : groups) {
+    const double d = geom::dist(g.pos, center);
+    const std::int64_t rho = config::viewQuantize(d / rDist);
+    const std::int64_t count = withMultiplicity ? g.count : 1;
+    double rel = 0.0;
+    if (d > tol.dist) rel = geom::norm2pi((g.pos - center).arg() - rArg);
+    const double relCw = (rel == 0.0) ? 0.0 : geom::kTwoPi - rel;
+    const std::int64_t full = config::viewQuantize(geom::kTwoPi);
+    const std::int64_t tCcw = config::viewQuantize(rel) % full;
+    const std::int64_t tCw = config::viewQuantize(relCw) % full;
+    seqs[0].push_back({rho, tCcw, count});
+    seqs[1].push_back({rho, tCw, count});
+  }
+
+  std::vector<std::int64_t> keyCcw = flatten(std::move(seqs[0]));
+  std::vector<std::int64_t> keyCw = flatten(std::move(seqs[1]));
+  if (keyCcw == keyCw) return View{std::move(keyCcw), 0, false};
+  if (keyCcw > keyCw) return View{std::move(keyCcw), +1, false};
+  return View{std::move(keyCw), -1, false};
+}
+
+std::vector<View> allViews(const Configuration& p, Vec2 center,
+                           bool withMultiplicity) {
+  const auto groups = p.grouped();
+  std::vector<View> out;
+  for (std::size_t i = 0; i < p.size(); ++i) {
+    out.push_back(localViewGrouped(p, i, groups, center, withMultiplicity,
+                                   geom::kDefaultTol));
+  }
+  return out;
+}
+
+/// The members of `subset` whose view no other member's view exceeds.
+std::vector<std::size_t> maxAmong(const std::vector<View>& views,
+                                  const std::vector<std::size_t>& subset) {
+  std::vector<std::size_t> out;
+  for (std::size_t i : subset) {
+    bool isMax = true;
+    for (std::size_t j : subset) {
+      if (config::compareViews(views[j], views[i]) > 0) {
+        isMax = false;
+        break;
+      }
+    }
+    if (isMax) out.push_back(i);
+  }
+  return out;
+}
+
+std::optional<std::vector<config::DirEntry>> sortedDirections(
+    const Configuration& p, std::span<const std::size_t> subset, Vec2 c,
+    const Tol& tol) {
+  std::vector<config::DirEntry> dirs;
+  for (std::size_t i : subset) {
+    const Vec2 d = p[i] - c;
+    if (d.norm() <= tol.dist) return std::nullopt;
+    dirs.push_back({geom::norm2pi(d.arg()), i});
+  }
+  std::sort(dirs.begin(), dirs.end(),
+            [](const config::DirEntry& a, const config::DirEntry& b) {
+              return a.angle < b.angle;
+            });
+  for (std::size_t k = 0; k < dirs.size(); ++k) {
+    const double next = (k + 1 < dirs.size()) ? dirs[k + 1].angle
+                                              : dirs[0].angle + geom::kTwoPi;
+    if (next - dirs[k].angle <= tol.ang) return std::nullopt;
+  }
+  return dirs;
+}
+
+std::vector<double> rayDirections(const Configuration& m, Vec2 c,
+                                  const Tol& tol) {
+  std::vector<double> dirs;
+  for (const Vec2& q : m.points()) {
+    const Vec2 d = q - c;
+    if (d.norm() <= tol.dist) continue;
+    dirs.push_back(geom::norm2pi(d.arg()));
+  }
+  std::sort(dirs.begin(), dirs.end());
+  std::vector<double> out;
+  for (double a : dirs) {
+    if (out.empty() || a - out.back() > tol.ang) out.push_back(a);
+  }
+  if (out.size() >= 2 && out.front() + geom::kTwoPi - out.back() <= tol.ang) {
+    out.pop_back();
+  }
+  return out;
+}
+
+double alphaMinAt(Vec2 p, const Configuration& m, Vec2 c, const Tol& tol) {
+  const Vec2 dp = p - c;
+  if (dp.norm() <= tol.dist) return geom::kTwoPi;
+  const double ap = geom::norm2pi(dp.arg());
+  double best = geom::kTwoPi;
+  for (const Vec2& q : m.points()) {
+    const Vec2 d = q - c;
+    if (d.norm() <= tol.dist) continue;
+    const double a = geom::angDist(ap, geom::norm2pi(d.arg()));
+    if (a > tol.ang) best = std::min(best, a);
+  }
+  return best;
+}
+
+/// Analysis::maxViewP: the innermost ring's views, compared pairwise.
+std::vector<std::size_t> maxViewP(core::Analysis& a) {
+  const Configuration& p = a.P();
+  const Vec2 c = a.centerP();
+  const bool origin = c.x == 0.0 && c.y == 0.0;
+  auto radius = [&](std::size_t i) {
+    return origin ? p[i].norm() : geom::dist(p[i], c);
+  };
+  double minR = std::numeric_limits<double>::infinity();
+  for (std::size_t i = 0; i < p.size(); ++i) minR = std::min(minR, radius(i));
+  std::vector<std::size_t> ring;
+  for (std::size_t i = 0; i < p.size(); ++i) {
+    if (radius(i) <= minR + 1e-9) ring.push_back(i);
+  }
+  if (ring.size() == 1) return ring;
+  std::vector<View> views(p.size());
+  for (std::size_t i : ring) {
+    views[i] = localViewGrouped(p, i, p.grouped(), c, a.multiplicity(),
+                                geom::kDefaultTol);
+  }
+  return maxAmong(views, ring);
+}
+
 }  // namespace oracle
 
 // --- Bitwise comparison helpers. ---
@@ -227,6 +394,58 @@ void checkAll(const Configuration& p, Vec2 otherCenter,
   const Vec2 c = p.sec().center;
   checkAxes(p, c, geom::kDefaultTol, what + " axes@sec");
   checkAxes(p, otherCenter, geom::kDefaultTol, what + " axes@other");
+}
+
+/// Views (keys, orientations, center flags), max-view index lists,
+/// sorted direction lists, ray directions and alphaMinAt around `c`, all
+/// bitwise against the oracles.
+void checkPolarKernels(const Configuration& p, Vec2 c,
+                       const std::string& what) {
+  const Tol tol = geom::kDefaultTol;
+  std::vector<std::size_t> all(p.size()), even;
+  for (std::size_t i = 0; i < p.size(); ++i) {
+    all[i] = i;
+    if (i % 2 == 0) even.push_back(i);
+  }
+  for (bool mult : {false, true}) {
+    const std::string tag = what + (mult ? " (multiplicity)" : "");
+    const auto want = oracle::allViews(p, c, mult);
+    EXPECT_EQ(config::allViews(p, c, mult), want) << tag;
+    for (std::size_t i = 0; i < p.size(); i += 3) {
+      EXPECT_EQ(config::localView(p, i, c, mult), want[i]) << tag << " i=" << i;
+    }
+    EXPECT_EQ(config::maxViewRobots(p, c, mult), oracle::maxAmong(want, all))
+        << tag;
+    EXPECT_EQ(config::maxViewRobots(p, even, c, mult),
+              oracle::maxAmong(want, even))
+        << tag << " even subset";
+  }
+  for (const auto& subset : {all, even}) {
+    const auto got = config::sortedDirections(p, subset, c, tol);
+    const auto want = oracle::sortedDirections(p, subset, c, tol);
+    ASSERT_EQ(got.has_value(), want.has_value()) << what;
+    if (!got) continue;
+    ASSERT_EQ(got->size(), want->size()) << what;
+    for (std::size_t k = 0; k < got->size(); ++k) {
+      EXPECT_EQ(bits((*got)[k].angle), bits((*want)[k].angle)) << what;
+      EXPECT_EQ((*got)[k].index, (*want)[k].index) << what;
+    }
+  }
+  expectSameAxes(config::rayDirections(p, c, tol),
+                 oracle::rayDirections(p, c, tol), what + " rays");
+  for (std::size_t i = 0; i < p.size(); ++i) {
+    EXPECT_EQ(bits(config::alphaMinAt(p[i], p, c, tol)),
+              bits(oracle::alphaMinAt(p[i], p, c, tol)))
+        << what << " alphaMinAt i=" << i;
+  }
+}
+
+/// Analysis::maxViewP of the snapshot against the oracle.
+void checkMaxViewP(const sim::Snapshot& snap, const std::string& what) {
+  core::Analysis fast(snap);
+  core::Analysis slow(snap);
+  if (!fast.ok()) return;
+  EXPECT_EQ(fast.maxViewP(), oracle::maxViewP(slow)) << what;
 }
 
 Configuration mapped(const Configuration& p, double scale, Vec2 offset) {
@@ -451,6 +670,76 @@ TEST(KernelOracleTest, LargeScaleWindowNeedsRoundingMargin) {
   EXPECT_GE(witnesses, 5) << "no configuration exercised the rounding margin";
 }
 
+/// The polar-table kernels on the generator corpora, around the SEC
+/// center, the origin and an off-origin center, at two coordinate scales.
+TEST(KernelOracleTest, PolarKernelsOnGeneratorCorpora) {
+  Rng rng(2022);
+  std::vector<Configuration> corpus;
+  for (std::size_t n = 3; n <= 64; n += (n < 16 ? 1 : 12)) {
+    corpus.push_back(config::randomConfiguration(n, rng, 2.0, 1e-3));
+  }
+  for (std::size_t m : {3u, 4u, 7u, 12u}) {
+    corpus.push_back(config::regularPolygon(m, 1.5, {0.3, -0.7}, 0.2));
+    corpus.push_back(twoConcentric(m, 1.0, 0.55, geom::kPi / m));
+  }
+  for (int pairs = 1; pairs <= 6; ++pairs) {
+    corpus.push_back(config::axialConfiguration(pairs, pairs % 3, rng));
+  }
+  corpus.push_back(config::symmetricConfiguration(4, 3, rng));
+  // A multiplicity point and a point exactly at the origin.
+  Configuration multi = config::regularPolygon(6, 1.0);
+  multi.push_back(multi[0]);
+  multi.push_back(multi[3]);
+  multi.push_back(Vec2{});
+  corpus.push_back(multi);
+  for (std::size_t k = 0; k < corpus.size(); ++k) {
+    for (double scale : {1.0, 1e3}) {
+      const Configuration p = mapped(corpus[k], scale, Vec2{});
+      const std::string what =
+          "corpus " + std::to_string(k) + " scale " + std::to_string(scale);
+      checkPolarKernels(p, p.sec().center, what + " @sec");
+      checkPolarKernels(p, Vec2{}, what + " @origin");
+      checkPolarKernels(p, Vec2{0.1, -0.2} * scale, what + " @off-origin");
+    }
+  }
+}
+
+/// Signed zeros: -0.0 coordinates and centers. A +0.0 and a -0.0 center
+/// compare equal but can give different args, so each gets its own table.
+TEST(KernelOracleTest, PolarKernelsSignedZeroCoordinates) {
+  const std::vector<Vec2> centers = {{0.0, 0.0}, {-0.0, 0.0}, {0.0, -0.0},
+                                     {-0.0, -0.0}};
+  for (std::size_t m : {4u, 6u, 8u}) {
+    std::vector<Vec2> pts = config::regularPolygon(m, 1.0).points();
+    pts[0] = Vec2{1.0, -0.0};
+    pts[m / 2] = Vec2{-1.0, -0.0};
+    pts.push_back(Vec2{-0.5, 0.0});
+    pts.push_back(Vec2{-0.0, 0.25});
+    const Configuration p(pts);
+    for (const Vec2& c : centers) {
+      checkPolarKernels(p, c, "signed zero m=" + std::to_string(m) + " c=(" +
+                                  std::to_string(std::signbit(c.x)) + "," +
+                                  std::to_string(std::signbit(c.y)) + ")");
+    }
+  }
+}
+
+/// Analysis::maxViewP on random and symmetric snapshots.
+TEST(KernelOracleTest, MaxViewPMatchesOracle) {
+  Rng rng(64);
+  for (int trial = 0; trial < 40; ++trial) {
+    const std::size_t n = 7 + static_cast<std::size_t>(trial % 10);
+    sim::Snapshot snap;
+    snap.robots = (trial % 3 == 0)
+                      ? twoConcentric(n / 2, 1.0, 0.6, geom::kPi / (n / 2))
+                      : config::randomConfiguration(n, rng, 3.0, 0.05);
+    snap.pattern = config::randomPattern(snap.robots.size(), rng);
+    snap.selfIndex = static_cast<std::size_t>(trial) % snap.robots.size();
+    snap.multiplicityDetection = trial % 2 == 1;
+    checkMaxViewP(snap, "trial " + std::to_string(trial));
+  }
+}
+
 /// Snapshots of a live n = 16 `form` run from two concentric 8-gons, as
 /// the robots see them (own frames) and normalized as Analysis does.
 class SnapshotTap final : public sim::Algorithm {
@@ -487,6 +776,10 @@ TEST(KernelOracleTest, LiveSymmetricFormRunSnapshots) {
     const std::string what = "snapshot " + std::to_string(k);
     checkAll(raw, raw[tap.snaps[k].selfIndex], what + " (robot frame)");
     checkAll(norm, Vec2{}, what + " (normalized)");
+    checkPolarKernels(raw, raw.sec().center, what + " (robot frame)");
+    checkPolarKernels(norm, Vec2{}, what + " (normalized)");
+    checkPolarKernels(norm, norm.sec().center, what + " (normalized @sec)");
+    checkMaxViewP(tap.snaps[k], what);
   }
 }
 

@@ -44,6 +44,8 @@ constexpr Field kFields[] = {
     {"secMisses", &GeomCacheCounters::secMisses},
     {"weberHits", &GeomCacheCounters::weberHits},
     {"weberMisses", &GeomCacheCounters::weberMisses},
+    {"polarHits", &GeomCacheCounters::polarHits},
+    {"polarMisses", &GeomCacheCounters::polarMisses},
     {"axesCalls", &GeomCacheCounters::axesCalls},
     {"axesCandidates", &GeomCacheCounters::axesCandidates},
     {"reflectionsTried", &GeomCacheCounters::reflectionsTried},
@@ -106,10 +108,12 @@ std::uint64_t activations(const RunResult& r, int tag) {
 constexpr Work kForm16 =
     {.events = 2637,
      .cycles = 1187,
-     .kernels = {.secHits = 2429,
-                 .secMisses = 948,
+     .kernels = {.secHits = 2451,
+                 .secMisses = 926,
                  .weberHits = 32,
                  .weberMisses = 33,
+                 .polarHits = 4313,
+                 .polarMisses = 1473,
                  .axesCalls = 64,
                  .axesCandidates = 14400,
                  .reflectionsTried = 97,
@@ -133,6 +137,8 @@ constexpr Work kRsb16 =
                  .secMisses = 578,
                  .weberHits = 96,
                  .weberMisses = 441,
+                 .polarHits = 3214,
+                 .polarMisses = 4245,
                  .axesCalls = 415,
                  .axesCandidates = 93375,
                  .reflectionsTried = 18247,
@@ -152,10 +158,12 @@ constexpr Work kRsb16 =
 constexpr Work kForm64 =
     {.events = 20000,
      .cycles = 9909,
-     .kernels = {.secHits = 17592,
-                 .secMisses = 6022,
+     .kernels = {.secHits = 17645,
+                 .secMisses = 5969,
                  .weberHits = 57,
                  .weberMisses = 57,
+                 .polarHits = 32998,
+                 .polarMisses = 7894,
                  .axesCalls = 57,
                  .axesCandidates = 226233,
                  .reflectionsTried = 114,
