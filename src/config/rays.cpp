@@ -27,14 +27,10 @@ std::optional<std::vector<DirEntry>> sortedDirections(
   return dirs;
 }
 
-std::vector<double> rayDirections(const Configuration& m, Vec2 c,
-                                  const Tol& tol) {
-  const PolarTable& t = m.polar(c);
-  std::vector<double> dirs;
-  dirs.reserve(m.size());
-  for (std::size_t i = 0; i < m.size(); ++i) {
-    if (t.radius[i] > tol.dist) dirs.push_back(t.dir[i]);
-  }
+namespace {
+
+/// The ray directions of rayDirections from the unsorted directions `dirs`.
+std::vector<double> raysOf(std::vector<double> dirs, const Tol& tol) {
   std::sort(dirs.begin(), dirs.end());
   std::vector<double> out;
   for (double a : dirs) {
@@ -46,8 +42,22 @@ std::vector<double> rayDirections(const Configuration& m, Vec2 c,
   return out;
 }
 
-double alphaMin(const Configuration& m, Vec2 c, const Tol& tol) {
-  const auto dirs = rayDirections(m, c, tol);
+/// The directions around c of m's points farther than tol.dist from c, in
+/// point order.
+std::vector<double> offCenterDirections(const Configuration& m, Vec2 c,
+                                        const Tol& tol) {
+  const PolarTable& t = m.polar(c);
+  std::vector<double> dirs;
+  dirs.reserve(m.size());
+  for (std::size_t i = 0; i < m.size(); ++i) {
+    if (t.radius[i] > tol.dist) dirs.push_back(t.dir[i]);
+  }
+  return dirs;
+}
+
+/// alphaMin over the unsorted directions `dirs` of the off-center points.
+double alphaMinOf(std::vector<double> dirs, const Tol& tol) {
+  dirs = raysOf(std::move(dirs), tol);
   if (dirs.size() < 2) return geom::kTwoPi;
   double best = geom::kTwoPi;
   for (std::size_t k = 0; k < dirs.size(); ++k) {
@@ -59,6 +69,35 @@ double alphaMin(const Configuration& m, Vec2 c, const Tol& tol) {
     best = std::min(best, std::min(gap, geom::kTwoPi - gap));
   }
   return best;
+}
+
+}  // namespace
+
+std::vector<double> rayDirections(const Configuration& m, Vec2 c,
+                                  const Tol& tol) {
+  return raysOf(offCenterDirections(m, c, tol), tol);
+}
+
+double alphaMin(const Configuration& m, Vec2 c, const Tol& tol) {
+  return alphaMinOf(offCenterDirections(m, c, tol), tol);
+}
+
+double alphaMinMoved(const Configuration& m, std::size_t i, Vec2 to, Vec2 c,
+                     const Tol& tol) {
+  // m' differs from m in point i only, so its polar table at c is m's with
+  // entry i recomputed by Configuration::polar's own expressions, and
+  // alphaMin(m', c, tol) would read exactly these doubles in this order.
+  const PolarTable& t = m.polar(c);
+  std::vector<double> dirs;
+  dirs.reserve(m.size());
+  for (std::size_t q = 0; q < m.size(); ++q) {
+    if (q != i) {
+      if (t.radius[q] > tol.dist) dirs.push_back(t.dir[q]);
+    } else if (geom::dist(to, c) > tol.dist) {
+      dirs.push_back(geom::norm2pi((to - c).arg()));
+    }
+  }
+  return alphaMinOf(std::move(dirs), tol);
 }
 
 double alphaMinAt(Vec2 p, const Configuration& m, Vec2 c, const Tol& tol) {

@@ -34,6 +34,11 @@ std::vector<double> rayDirections(const Configuration& m, Vec2 c,
 double alphaMin(const Configuration& m, Vec2 c,
                 const Tol& tol = geom::kDefaultTol);
 
+/// alphaMin(m', c, tol) for m' = m with point i moved to `to`, bit for bit,
+/// without building m': m's polar table at c with entry i recomputed.
+double alphaMinMoved(const Configuration& m, std::size_t i, Vec2 to, Vec2 c,
+                     const Tol& tol = geom::kDefaultTol);
+
 /// alpha_min,c(p, M): the minimum non-null angle between the ray of p and
 /// the rays of M's points. Returns 2*pi when undefined.
 double alphaMinAt(Vec2 p, const Configuration& m, Vec2 c,

@@ -160,7 +160,8 @@ std::optional<RegularSetInfo> checkRegularFreeCenter(const Configuration& p,
 }
 
 std::optional<RegularSetInfo> regularSetOf(const Configuration& p,
-                                           const Tol& tol) {
+                                           const Tol& tol,
+                                           std::vector<View>* secViews) {
   ++geomCacheCounters().regularCalls;
   if (auto whole = checkRegularFreeCenter(p, tol)) return whole;
 
@@ -174,7 +175,9 @@ std::optional<RegularSetInfo> regularSetOf(const Configuration& p,
     if (r <= tol.dist) return std::nullopt;
   }
 
-  const auto views = allViews(p, c, /*withMultiplicity=*/false, tol);
+  std::vector<View> ownViews;
+  std::vector<View>& views = secViews ? *secViews : ownViews;
+  if (views.empty()) views = allViews(p, c, /*withMultiplicity=*/false, tol);
   const auto order = byViewDescending(views);
   std::vector<std::size_t> nonHolders;
   for (std::size_t i : order) {

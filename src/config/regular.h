@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "config/configuration.h"
+#include "config/view.h"
 #include "geom/weber.h"
 
 namespace apf::config {
@@ -74,8 +75,13 @@ void onGridFitProblem(std::span<const Vec2> pts, std::span<const int> rayIndex,
                       const geom::AngularGrid& init, const Tol& tol);
 
 /// Definition 2: reg(P). Returns nullopt when P contains no regular set.
-std::optional<RegularSetInfo> regularSetOf(const Configuration& p,
-                                           const Tol& tol = geom::kDefaultTol);
+/// `secViews`, when given, is either empty or exactly
+/// allViews(p, p.sec().center, false, tol). regularSetOf reads those views
+/// from it, filling it first when empty, so a caller that needs the same
+/// views too builds them once (core::Analysis does).
+std::optional<RegularSetInfo> regularSetOf(
+    const Configuration& p, const Tol& tol = geom::kDefaultTol,
+    std::vector<View>* secViews = nullptr);
 
 /// The paper's c(P): the regular set's center when the whole configuration
 /// is regular, otherwise the center of the smallest enclosing circle.

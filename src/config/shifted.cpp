@@ -36,21 +36,24 @@ std::optional<ShiftedSetInfo> verifyShift(const Configuration& p,
   if (geom::nearlyEqual(r, rPrime, tol)) return std::nullopt;  // eps > 0
   if (p.distanceTo(rPrime) <= tol.dist) return std::nullopt;   // r' not in P
 
-  std::vector<Vec2> pts = p.points();
-  pts[ir] = rPrime;
-  const Configuration pPrime(std::move(pts));
-
   // Cheap pre-rejection around the approximate center: condition (a)
   // requires the shift angle to be at most a quarter of alphamin(P'); most
   // spurious candidates fail this by a wide margin, sparing the expensive
   // Definition-2 verification. 0.3 leaves slack for center error.
+  //
+  // alphaMinMoved gives alphamin(P') bit for bit without building P', so
+  // P' is built only for the candidates that pass.
   {
-    const double aMinApprox = alphaMin(pPrime, cApprox, tol);
+    const double aMinApprox = alphaMinMoved(p, ir, rPrime, cApprox, tol);
     const double shiftApprox = geom::angMin(r, cApprox, rPrime);
     if (aMinApprox >= kTwoPi || shiftApprox > 0.3 * aMinApprox) {
       return std::nullopt;
     }
   }
+
+  std::vector<Vec2> pts = p.points();
+  pts[ir] = rPrime;
+  const Configuration pPrime(std::move(pts));
 
   const auto reg = regularSetOf(pPrime, tol);
   if (!reg) return std::nullopt;

@@ -35,6 +35,18 @@ Vec2 reflectAcross(Vec2 q, Vec2 center, Vec2 u) {
   return center + u * (2.0 * d.dot(u)) - d;
 }
 
+/// fmod(x, kPi) for x in [0, 3 kPi), or -0.0, by one exact subtraction.
+/// fmod is exact: it returns x - k kPi with k = trunc(x / kPi). For
+/// x < kPi that is x itself (a -0.0 included). For x in [kPi, 2 kPi) it is
+/// x - kPi, and for x in [2 kPi, 3 kPi) it is x - kTwoPi (kTwoPi is exactly
+/// 2 kPi); by Sterbenz's lemma (y <= x <= 2y) both subtractions are exact,
+/// so they return fmod's bits.
+double modPi(double x) {
+  if (x < geom::kPi) return x;
+  if (x < geom::kTwoPi) return x - geom::kPi;
+  return x - geom::kTwoPi;
+}
+
 /// Exact pre-rejection for reflectionMapsToSelf(p, center, a, tol) over
 /// the candidate axes of one symmetryAxes call: admits(a) is false only
 /// when that call is false too. Its coincides() matches the reflection r
@@ -46,28 +58,55 @@ Vec2 reflectAcross(Vec2 q, Vec2 center, Vec2 u) {
 /// the exact reflection of pts[0] across the exact line at angle a, and
 /// D = |pts[0] - center|. Rounding puts r within 30u (|center| + D) of R,
 /// and a computed |r - q| <= tol.dist means |r - q| <= tol.dist (1 + 4u).
-/// So a partner q lies within tol.dist + m of R, where the margin
+/// So a partner q lies within T = tol.dist + m of R, where the margin
 /// m = 1e-12 (|center.x| + |center.y| + D + tol.dist) is hundreds of times
 /// those rounding terms at any coordinate scale. R has radius D, so q's
-/// radius is within tol.dist + m of D (triangle inequality). Computed radii
-/// are a few ulps off, which a second m covers.
+/// radius is within T of D (triangle inequality). Computed radii are a few
+/// ulps off, which a second m covers.
+///
+/// Before any cos/sin, admits(a) also asks whether a lies near some
+/// partner's mirror axis. Partner j (radius D_j, exact direction t_j;
+/// pts[0] has t_0) mirrors pts[0] across phi_j = (t_0 + t_j) / 2 mod pi.
+/// R has radius D and direction 2a - t_0, so by the law of cosines
+///   |R - q_j|^2 = (D - D_j)^2 + 4 D D_j sin^2(a - phi_j).
+/// A match needs |R - q_j| <= T, hence |sin(a - phi_j)| <= T / (2 sqrt(D D_j)),
+/// and since |sin x| >= 2|x| / pi on [-pi/2, pi/2], a lies within
+/// w_j = (pi / 4) T / sqrt(D D_j) of phi_j, measured mod pi. The computed
+/// directions (rounded subtraction, atan2, norm2pi) are within 2e-15 of the
+/// exact ones mod 2pi (a 2pi wrap moves the half-sum by pi, which mod pi
+/// does not see) and the computed radii within a relative 8u, so a
+/// relative 1e-9 and an absolute 1e-12 on w_j cover all rounding. When
+/// some w_j is pi/2 or more (or NaN, from a point at the center) every a
+/// passes.
 class ReflectionFilter {
  public:
-  ReflectionFilter(const std::vector<Vec2>& pts,
-                   const std::vector<double>& radius, Vec2 center,
-                   const Tol& tol)
+  ReflectionFilter(const std::vector<Vec2>& pts, const PolarTable& polar,
+                   Vec2 center, const Tol& tol)
       : pts_(pts), center_(center), tol_(tol) {
-    const double d = radius[0];
+    const double d = polar.radius[0];
     const double m =
         1e-12 * (std::fabs(center.x) + std::fabs(center.y) + d + tol.dist);
+    const double t = tol.dist + m;
     for (std::size_t j = 0; j < pts.size(); ++j) {
-      if (std::fabs(radius[j] - d) <= tol.dist + 2.0 * m) {
-        partners_.push_back(j);
-      }
+      if (std::fabs(polar.radius[j] - d) > tol.dist + 2.0 * m) continue;
+      partners_.push_back(j);
+      const double w = geom::kPi / 4.0 * t / std::sqrt(d * polar.radius[j]) *
+                           (1.0 + 1e-9) +
+                       1e-12;
+      if (!(w < geom::kPi / 2.0)) anyAxis_ = true;
+      mirrors_.push_back({modPi((polar.dir[0] + polar.dir[j]) / 2.0), w});
     }
   }
 
+  /// axisDir in [0, pi), as symmetryAxes' candidates are.
   bool admits(double axisDir) const {
+    if (!anyAxis_ &&
+        std::none_of(mirrors_.begin(), mirrors_.end(), [&](const Mirror& k) {
+          const double off = std::fabs(axisDir - k.axis);
+          return std::min(off, geom::kPi - off) <= k.window;
+        })) {
+      return false;
+    }
     const Vec2 u{std::cos(axisDir), std::sin(axisDir)};
     const Vec2 r = reflectAcross(pts_[0], center_, u);
     return std::any_of(partners_.begin(), partners_.end(), [&](std::size_t j) {
@@ -76,10 +115,19 @@ class ReflectionFilter {
   }
 
  private:
+  struct Mirror {
+    double axis;    ///< phi_j in [0, pi)
+    double window;  ///< w_j
+  };
+
   const std::vector<Vec2>& pts_;
   Vec2 center_;
   Tol tol_;
   std::vector<std::size_t> partners_;
+  /// mirrors_[k] belongs to partners_[k]. One vector of {index, axis,
+  /// window} measured about 10% slower end to end on formation_rand64.
+  std::vector<Mirror> mirrors_;
+  bool anyAxis_ = false;
 };
 
 }  // namespace
@@ -135,11 +183,12 @@ std::vector<double> symmetryAxes(const Configuration& p, Vec2 center,
   const PolarTable& polar = p.polar(center);
   const std::vector<double>& radius = polar.radius;
   const std::vector<double>& dir = polar.dir;
-  const ReflectionFilter filter(pts, radius, center, tol);
+  const ReflectionFilter filter(pts, polar, center, tol);
 
   // Candidate axis directions: the direction of each point, and the bisector
-  // of each pair of points (both mod pi). Any true axis must be one of them
-  // (an axis either passes through a point or bisects a mirror pair).
+  // of each pair of points (both mod pi, by modPi). Any true axis must be
+  // one of them (an axis either passes through a point or bisects a mirror
+  // pair).
   // Candidates the filter rejects can never be accepted, so they are
   // dropped before sorting: the survivors, sorted, are the sorted list
   // filtered, because candidates that compare equal are bitwise equal. The
@@ -158,12 +207,12 @@ std::vector<double> symmetryAxes(const Configuration& p, Vec2 center,
   for (std::size_t i = 0; i < pts.size(); ++i) {
     if (radius[i] <= tol.dist) continue;
     const double ai = dir[i];
-    consider(std::fmod(ai, geom::kPi));
+    consider(modPi(ai));
     for (std::size_t j = i + 1; j < pts.size(); ++j) {
       if (radius[j] <= tol.dist) continue;
       const double aj = dir[j];
-      consider(std::fmod((ai + aj) / 2.0, geom::kPi));
-      consider(std::fmod((ai + aj) / 2.0 + geom::kPi / 2.0, geom::kPi));
+      consider(modPi((ai + aj) / 2.0));
+      consider(modPi((ai + aj) / 2.0 + geom::kPi / 2.0));
     }
   }
   geomCacheCounters().axesCandidates += examined;

@@ -33,8 +33,17 @@ struct Entry {
   auto operator<=>(const Entry&) const = default;
 };
 
-std::vector<std::int64_t> flatten(std::vector<Entry> entries) {
-  std::sort(entries.begin(), entries.end());
+// `entries` come in nondecreasing rho order (see viewsOf), so sorting each
+// run of equal rho sorts the whole sequence: the key is the flattened
+// (rho, theta, count) sort, bit for bit.
+std::vector<std::int64_t> flatten(std::vector<Entry>& entries) {
+  for (auto run = entries.begin(); run != entries.end();) {
+    const auto end = std::find_if(run + 1, entries.end(), [&](const Entry& e) {
+      return e.rho != run->rho;
+    });
+    std::sort(run, end);
+    run = end;
+  }
   std::vector<std::int64_t> key;
   key.reserve(entries.size() * 3);
   for (const Entry& e : entries) {
@@ -45,20 +54,21 @@ std::vector<std::int64_t> flatten(std::vector<Entry> entries) {
   return key;
 }
 
-// Robot i's view from p's grouping and polar table. Both are
-// view-independent, so viewsOf computes them once for all the views it
-// builds (O(n^2) for all views instead of O(n^2) *per view* with
+// Robot i's view from p's grouping, sorted by radius, and its polar table.
+// Both are view-independent, so viewsOf computes them once for all the
+// views it builds (O(n^2) for all views instead of O(n^2) *per view* with
 // grouped()'s quadratic scan inside).
-View viewOf(std::size_t i, const std::vector<MultiPoint>& groups,
+View viewOf(std::size_t i, const std::vector<MultiPoint>& byRadius,
             const PolarTable& t, bool withMultiplicity, const Tol& tol) {
   const double rDist = t.radius[i];
   if (rDist <= tol.dist) return View{{}, 0, true};
   const double rArg = t.arg[i];
 
   std::array<std::vector<Entry>, 2> seqs;  // [0] = ccw, [1] = cw
-  seqs[0].reserve(groups.size());
-  seqs[1].reserve(groups.size());
-  for (const MultiPoint& g : groups) {
+  seqs[0].reserve(byRadius.size());
+  seqs[1].reserve(byRadius.size());
+  const std::int64_t full = viewQuantize(geom::kTwoPi);
+  for (const MultiPoint& g : byRadius) {
     const double d = t.radius[g.index];
     const std::int64_t rho = viewQuantize(d / rDist);
     const std::int64_t count = withMultiplicity ? g.count : 1;
@@ -68,15 +78,14 @@ View viewOf(std::size_t i, const std::vector<MultiPoint>& groups,
     // quantized from doubles (not derived by integer subtraction) so the
     // arithmetic mirrors exactly what a reflected frame would compute.
     const double relCw = (rel == 0.0) ? 0.0 : geom::kTwoPi - rel;
-    const std::int64_t full = viewQuantize(geom::kTwoPi);
     const std::int64_t tCcw = viewQuantize(rel) % full;
     const std::int64_t tCw = viewQuantize(relCw) % full;
     seqs[0].push_back({rho, tCcw, count});
     seqs[1].push_back({rho, tCw, count});
   }
 
-  std::vector<std::int64_t> keyCcw = flatten(std::move(seqs[0]));
-  std::vector<std::int64_t> keyCw = flatten(std::move(seqs[1]));
+  std::vector<std::int64_t> keyCcw = flatten(seqs[0]);
+  std::vector<std::int64_t> keyCw = flatten(seqs[1]);
   if (keyCcw == keyCw) return View{std::move(keyCcw), 0, false};
   if (keyCcw > keyCw) return View{std::move(keyCcw), +1, false};
   return View{std::move(keyCw), -1, false};
@@ -88,8 +97,17 @@ std::vector<View> viewsOf(const Configuration& p,
                           std::span<const std::size_t> subset, Vec2 center,
                           bool withMultiplicity, const Tol& tol) {
   geomCacheCounters().viewsBuilt += subset.size();
-  const auto groups = p.grouped(tol);
+  // Every view lists the groups in this one radius order. Its rho
+  // coordinate viewQuantize(d / rDist) is then nondecreasing: division
+  // rounds correctly, so d1 <= d2 gives d1 / rDist <= d2 / rDist, and
+  // llround keeps <=. So flatten only sorts runs of equal rho; groups of
+  // equal radius may come in any order, since they share a run.
+  auto groups = p.grouped(tol);
   const PolarTable& t = p.polar(center);
+  std::sort(groups.begin(), groups.end(),
+            [&](const MultiPoint& a, const MultiPoint& b) {
+              return t.radius[a.index] < t.radius[b.index];
+            });
   std::vector<View> out;
   out.reserve(subset.size());
   for (std::size_t i : subset) {
@@ -114,12 +132,6 @@ View localView(const Configuration& p, std::size_t i, Vec2 center,
 std::vector<View> allViews(const Configuration& p, Vec2 center,
                            bool withMultiplicity, const Tol& tol) {
   return viewsOf(p, indices(p.size()), center, withMultiplicity, tol);
-}
-
-std::vector<std::size_t> byViewDescending(const Configuration& p, Vec2 center,
-                                          bool withMultiplicity,
-                                          const Tol& tol) {
-  return byViewDescending(allViews(p, center, withMultiplicity, tol));
 }
 
 std::vector<std::size_t> byViewDescending(const std::vector<View>& views) {

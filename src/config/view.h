@@ -10,10 +10,11 @@
 /// orientation-free total preorder the algorithms use to break ties.
 ///
 /// Numeric discipline: view coordinates are quantized to an integer grid
-/// (1e-9 resolution) before comparison, making view equality and ordering
-/// exact, transitive, and hashable. Configurations produced by the simulator
-/// keep static robots bit-stable, so symmetric twins quantize identically
-/// while genuinely distinct geometry differs by far more than the grid step.
+/// (kViewQuantum = 1e-6 resolution) before comparison, making view equality
+/// and ordering exact, transitive, and hashable. Configurations produced by
+/// the simulator keep static robots bit-stable, so symmetric twins quantize
+/// identically while genuinely distinct geometry differs by far more than
+/// the grid step.
 
 #include <cstdint>
 #include <span>
@@ -62,17 +63,12 @@ std::vector<View> allViews(const Configuration& p, Vec2 center,
                            bool withMultiplicity = false,
                            const Tol& tol = geom::kDefaultTol);
 
-/// Indices sorted by view descending (greatest view first). Ties keep index
-/// order (stable).
-std::vector<std::size_t> byViewDescending(const Configuration& p, Vec2 center,
-                                          bool withMultiplicity = false,
-                                          const Tol& tol = geom::kDefaultTol);
-
-/// The same order over views already built (views[i] is robot i's).
+/// Indices sorted by view descending (greatest view first); views[i] is
+/// robot i's. Ties keep index order (stable).
 std::vector<std::size_t> byViewDescending(const std::vector<View>& views);
 
 /// Indices of the robots whose view is maximal (the first tie class of
-/// byViewDescending).
+/// byViewDescending(allViews(p, center, ...))).
 std::vector<std::size_t> maxViewRobots(const Configuration& p, Vec2 center,
                                        bool withMultiplicity = false,
                                        const Tol& tol = geom::kDefaultTol);

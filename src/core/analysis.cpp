@@ -142,6 +142,7 @@ Vec2 Analysis::centerP() {
       centerP_ = regular_->grid.center;
     } else {
       centerP_ = p_.sec().center;  // normalized: the origin
+      centerIsSec_ = true;
     }
   }
   return *centerP_;
@@ -161,7 +162,7 @@ double Analysis::lF() {
 
 const std::optional<config::RegularSetInfo>& Analysis::regularSet() {
   if (!regularComputed_) {
-    regular_ = config::regularSetOf(p_);
+    regular_ = config::regularSetOf(p_, geom::kDefaultTol, &secViews_);
     regularComputed_ = true;
   }
   return regular_;
@@ -206,24 +207,48 @@ std::optional<std::size_t> Analysis::selectedRobot() {
 }
 
 const std::vector<config::View>& Analysis::viewsP() {
-  if (!viewsP_) viewsP_ = config::allViews(p_, centerP(), multiplicity_);
+  const Vec2 c = centerP();
+  if (centerIsSec_ && !multiplicity_) {
+    if (secViews_.empty()) secViews_ = config::allViews(p_, c);
+    return secViews_;
+  }
+  if (!viewsP_) viewsP_ = config::allViews(p_, c, multiplicity_);
   return *viewsP_;
 }
 
 std::vector<std::size_t> Analysis::maxViewP() {
-  // A max-view robot is always on the innermost ring around the center:
-  // view sequences start with the (innermost radius / own radius) ratio,
-  // which is maximal (= 1, or the atCenter flag) exactly for ring members.
+  // Views are built only for candidates: a superset of the max-view class
+  // M, so maxViewRobots over them returns M, in index order.
+  //
+  // A robot within tol.dist of the center has the atCenter view, greater
+  // than any other; when one exists, the candidates are those robots.
+  // Otherwise robot i's view key starts with its smallest rho,
+  // viewQuantize(g / r_i), g being the least radius among the points
+  // grouped() keeps (each group is placed at its first point). With minR
+  // the least radius of all, g >= minR, and quantizing is monotone, so a
+  // max-view robot, whose key is at least the innermost robot's, has
+  // viewQuantize(g / r_i) == viewQuantize(g / minR) >= viewQuantize(1.0).
+  // The innermost robot's group point lies within tol.dist of it, so g is
+  // at most gMax (the 1e-12 relative margin covers rounding in the two
+  // radii and their distance), and viewQuantize(gMax / r_i) is at least
+  // viewQuantize(1.0) for every robot of M. A fixed radius window such as
+  // minR + 1e-9 is not enough: radii up to about 5e-7 minR apart share
+  // the first view coordinate.
   const Vec2 c = centerP();
+  const geom::Tol& tol = geom::kDefaultTol;
   const std::vector<double>& radius = p_.polar(c).radius;
-  double minR = std::numeric_limits<double>::infinity();
-  for (double r : radius) minR = std::min(minR, r);
-  std::vector<std::size_t> ring;
+  const double minR = *std::min_element(radius.begin(), radius.end());
+  const double gMax = minR + tol.dist + 1e-12 * (minR + tol.dist);
+  const std::int64_t first = config::viewQuantize(1.0);
+  std::vector<std::size_t> candidates;
   for (std::size_t i = 0; i < p_.size(); ++i) {
-    if (radius[i] <= minR + 1e-9) ring.push_back(i);
+    if (minR <= tol.dist ? radius[i] <= tol.dist
+                         : config::viewQuantize(gMax / radius[i]) >= first) {
+      candidates.push_back(i);
+    }
   }
-  if (ring.size() == 1) return ring;
-  return config::maxViewRobots(p_, ring, c, multiplicity_);
+  if (candidates.size() == 1) return candidates;
+  return config::maxViewRobots(p_, candidates, c, multiplicity_);
 }
 
 }  // namespace apf::core

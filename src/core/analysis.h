@@ -61,12 +61,14 @@ class Analysis {
   std::optional<std::size_t> selectedRobot();
 
   /// Views of P around centerP (no multiplicity weighting unless the run
-  /// has multiplicity detection).
+  /// has multiplicity detection). When centerP is the SEC center and the
+  /// run has no multiplicity detection, these are exactly the views
+  /// regularSet() reads, and the two share one table.
   const std::vector<config::View>& viewsP();
 
-  /// Max-view robots of P. Fast path: a max-view robot is always on the
-  /// innermost ring (its first view coordinate is the ring ratio), so only
-  /// ring robots' views are built and compared.
+  /// Max-view robots of P: config::maxViewRobots(P(), centerP(),
+  /// multiplicity()), with views built only for the robots whose first view
+  /// coordinate can be the greatest (see the proof at the definition).
   std::vector<std::size_t> maxViewP();
   /// Max-view non-holders of F (cached per pattern). This and the F-side
   /// accessors below require ok(); degenerate snapshots keep the analysis
@@ -109,7 +111,11 @@ class Analysis {
   std::optional<config::ShiftedSetInfo> shifted_;
   bool selectedComputed_ = false;
   std::optional<std::size_t> selected_;
-  std::optional<std::vector<config::View>> viewsP_;
+  bool centerIsSec_ = false;  ///< centerP_ is p_.sec().center
+  /// allViews(p_, p_.sec().center) when built: regularSetOf's views, and
+  /// viewsP() when centerIsSec_ and !multiplicity_.
+  std::vector<config::View> secViews_;
+  std::optional<std::vector<config::View>> viewsP_;  ///< viewsP() otherwise
   const PatternInfo* pinfo_ = nullptr;
   bool patternShared_ = false;  ///< f_ is bitwise pinfo_->f
   std::vector<Configuration> fWithout_;  ///< fWithout(k) when not shared

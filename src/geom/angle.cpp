@@ -5,7 +5,10 @@
 namespace apf::geom {
 
 double norm2pi(double a) {
-  double r = std::fmod(a, kTwoPi);
+  // fmod(a, kTwoPi) is a itself when |a| < kTwoPi (fmod is exact and the
+  // quotient truncates to 0, keeping a's sign and so a -0.0), so that call
+  // is skipped there. NaN and |a| >= kTwoPi take fmod.
+  double r = std::fabs(a) < kTwoPi ? a : std::fmod(a, kTwoPi);
   if (r < 0) r += kTwoPi;
   // fmod can return kTwoPi - ulp noise after the correction; clamp.
   if (r >= kTwoPi) r = 0.0;

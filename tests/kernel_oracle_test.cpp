@@ -7,11 +7,23 @@
 ///   - symmetryAxes reflecting every deduplicated candidate in full (the
 ///     kernel first rejects candidates whose reflected pts[0] has no
 ///     partner within a radius window);
-///   - views, sortedDirections, rayDirections, alphaMinAt, maxViewRobots
-///     and Analysis::maxViewP computing every angle and radius with
-///     atan2/hypot themselves (the kernels read Configuration::polar).
+///   - symmetryAxes reducing candidates mod pi with fmod and reflecting
+///     each in full (the kernel reduces them by an exact subtraction and
+///     skips, before any cos/sin, candidates far from every partner's
+///     mirror axis);
+///   - views, sortedDirections, rayDirections, alphaMinAt and
+///     maxViewRobots computing every angle and radius with atan2/hypot
+///     themselves (the kernels read Configuration::polar), each view
+///     sorting both orientations' sequences in full (the kernel lists the
+///     points by radius once and sorts only runs of equal rho);
+///   - verifyShift's pre-rejection taking alphamin(P') of a built P' (the
+///     kernel, alphaMinMoved, reads P's polar table with one entry
+///     recomputed);
+///   - geom::norm2pi calling fmod on every angle (the kernel skips it when
+///     |a| < 2pi).
 /// Every comparison is bitwise on the doubles: the faster kernels must not
-/// change a single decision or value anywhere downstream.
+/// change a single decision or value anywhere downstream. Analysis::maxViewP
+/// is checked against its definition, maxViewRobots(P, centerP()).
 
 #include <gtest/gtest.h>
 
@@ -53,6 +65,18 @@ using geom::Vec2;
 // --- Oracles: the kernels as they were before the shortcuts. ---
 
 namespace oracle {
+
+double norm2pi(double a) {
+  double r = std::fmod(a, geom::kTwoPi);
+  if (r < 0) r += geom::kTwoPi;
+  if (r >= geom::kTwoPi) r = 0.0;
+  return r;
+}
+
+double angDist(double a, double b) {
+  const double d = oracle::norm2pi(b - a);
+  return std::min(d, geom::kTwoPi - d);
+}
 
 Circle circleFrom2(Vec2 a, Vec2 b) {
   return {geom::midpoint(a, b), geom::dist(a, b) / 2.0};
@@ -156,12 +180,12 @@ std::vector<double> candidateAxes(const Configuration& p, Vec2 center,
   for (std::size_t i = 0; i < pts.size(); ++i) {
     const Vec2 di = pts[i] - center;
     if (di.norm() <= tol.dist) continue;
-    const double ai = geom::norm2pi(di.arg());
+    const double ai = oracle::norm2pi(di.arg());
     candidates.push_back(std::fmod(ai, geom::kPi));
     for (std::size_t j = i + 1; j < pts.size(); ++j) {
       const Vec2 dj = pts[j] - center;
       if (dj.norm() <= tol.dist) continue;
-      const double aj = geom::norm2pi(dj.arg());
+      const double aj = oracle::norm2pi(dj.arg());
       candidates.push_back(std::fmod((ai + aj) / 2.0, geom::kPi));
       candidates.push_back(
           std::fmod((ai + aj) / 2.0 + geom::kPi / 2.0, geom::kPi));
@@ -221,7 +245,7 @@ View localViewGrouped(const Configuration& p, std::size_t i,
     const std::int64_t rho = config::viewQuantize(d / rDist);
     const std::int64_t count = withMultiplicity ? g.count : 1;
     double rel = 0.0;
-    if (d > tol.dist) rel = geom::norm2pi((g.pos - center).arg() - rArg);
+    if (d > tol.dist) rel = oracle::norm2pi((g.pos - center).arg() - rArg);
     const double relCw = (rel == 0.0) ? 0.0 : geom::kTwoPi - rel;
     const std::int64_t full = config::viewQuantize(geom::kTwoPi);
     const std::int64_t tCcw = config::viewQuantize(rel) % full;
@@ -272,7 +296,7 @@ std::optional<std::vector<config::DirEntry>> sortedDirections(
   for (std::size_t i : subset) {
     const Vec2 d = p[i] - c;
     if (d.norm() <= tol.dist) return std::nullopt;
-    dirs.push_back({geom::norm2pi(d.arg()), i});
+    dirs.push_back({oracle::norm2pi(d.arg()), i});
   }
   std::sort(dirs.begin(), dirs.end(),
             [](const config::DirEntry& a, const config::DirEntry& b) {
@@ -292,7 +316,7 @@ std::vector<double> rayDirections(const Configuration& m, Vec2 c,
   for (const Vec2& q : m.points()) {
     const Vec2 d = q - c;
     if (d.norm() <= tol.dist) continue;
-    dirs.push_back(geom::norm2pi(d.arg()));
+    dirs.push_back(oracle::norm2pi(d.arg()));
   }
   std::sort(dirs.begin(), dirs.end());
   std::vector<double> out;
@@ -305,41 +329,40 @@ std::vector<double> rayDirections(const Configuration& m, Vec2 c,
   return out;
 }
 
-double alphaMinAt(Vec2 p, const Configuration& m, Vec2 c, const Tol& tol) {
-  const Vec2 dp = p - c;
-  if (dp.norm() <= tol.dist) return geom::kTwoPi;
-  const double ap = geom::norm2pi(dp.arg());
+double alphaMin(const Configuration& m, Vec2 c, const Tol& tol) {
+  const auto dirs = oracle::rayDirections(m, c, tol);
+  if (dirs.size() < 2) return geom::kTwoPi;
   double best = geom::kTwoPi;
-  for (const Vec2& q : m.points()) {
-    const Vec2 d = q - c;
-    if (d.norm() <= tol.dist) continue;
-    const double a = geom::angDist(ap, geom::norm2pi(d.arg()));
-    if (a > tol.ang) best = std::min(best, a);
+  for (std::size_t k = 0; k < dirs.size(); ++k) {
+    const double next = (k + 1 < dirs.size()) ? dirs[k + 1]
+                                              : dirs[0] + geom::kTwoPi;
+    const double gap = next - dirs[k];
+    best = std::min(best, std::min(gap, geom::kTwoPi - gap));
   }
   return best;
 }
 
-/// Analysis::maxViewP: the innermost ring's views, compared pairwise.
-std::vector<std::size_t> maxViewP(core::Analysis& a) {
-  const Configuration& p = a.P();
-  const Vec2 c = a.centerP();
-  const bool origin = c.x == 0.0 && c.y == 0.0;
-  auto radius = [&](std::size_t i) {
-    return origin ? p[i].norm() : geom::dist(p[i], c);
-  };
-  double minR = std::numeric_limits<double>::infinity();
-  for (std::size_t i = 0; i < p.size(); ++i) minR = std::min(minR, radius(i));
-  std::vector<std::size_t> ring;
-  for (std::size_t i = 0; i < p.size(); ++i) {
-    if (radius(i) <= minR + 1e-9) ring.push_back(i);
+/// verifyShift's pre-rejection value: alphamin(P') with P' built, P' being
+/// p with point i moved to `to`.
+double alphaMinOfBuilt(const Configuration& p, std::size_t i, Vec2 to, Vec2 c,
+                       const Tol& tol) {
+  std::vector<Vec2> pts = p.points();
+  pts[i] = to;
+  return oracle::alphaMin(Configuration(std::move(pts)), c, tol);
+}
+
+double alphaMinAt(Vec2 p, const Configuration& m, Vec2 c, const Tol& tol) {
+  const Vec2 dp = p - c;
+  if (dp.norm() <= tol.dist) return geom::kTwoPi;
+  const double ap = oracle::norm2pi(dp.arg());
+  double best = geom::kTwoPi;
+  for (const Vec2& q : m.points()) {
+    const Vec2 d = q - c;
+    if (d.norm() <= tol.dist) continue;
+    const double a = oracle::angDist(ap, oracle::norm2pi(d.arg()));
+    if (a > tol.ang) best = std::min(best, a);
   }
-  if (ring.size() == 1) return ring;
-  std::vector<View> views(p.size());
-  for (std::size_t i : ring) {
-    views[i] = localViewGrouped(p, i, p.grouped(), c, a.multiplicity(),
-                                geom::kDefaultTol);
-  }
-  return maxAmong(views, ring);
+  return best;
 }
 
 }  // namespace oracle
@@ -396,6 +419,34 @@ void checkAll(const Configuration& p, Vec2 otherCenter,
   checkAxes(p, otherCenter, geom::kDefaultTol, what + " axes@other");
 }
 
+/// alphaMinMoved against alphamin of the built configuration, for a few
+/// robots each moved along its circle around c (as a shifted candidate r'
+/// is), onto c, onto another robot and onto itself.
+void checkAlphaMinMoved(const Configuration& p, Vec2 c,
+                        const std::string& what) {
+  const Tol tol = geom::kDefaultTol;
+  for (std::size_t i = 0; i < p.size(); i += 1 + p.size() / 8) {
+    const double rad = geom::dist(p[i], c);
+    const double dir = (p[i] - c).arg();
+    std::vector<Vec2> moves = {c, p[(i + 1) % p.size()], p[i]};
+    for (double turn : {1e-3, -0.05, 0.3, geom::kPi}) {
+      moves.push_back(c + Vec2{std::cos(dir + turn), std::sin(dir + turn)} *
+                              rad);
+    }
+    for (std::size_t k = 0; k < moves.size(); ++k) {
+      const double want = oracle::alphaMinOfBuilt(p, i, moves[k], c, tol);
+      EXPECT_EQ(bits(config::alphaMinMoved(p, i, moves[k], c, tol)),
+                bits(want))
+          << what << " alphaMinMoved i=" << i << " move " << k;
+      std::vector<Vec2> pts = p.points();
+      pts[i] = moves[k];
+      EXPECT_EQ(bits(config::alphaMin(Configuration(std::move(pts)), c, tol)),
+                bits(want))
+          << what << " alphaMin i=" << i << " move " << k;
+    }
+  }
+}
+
 /// Views (keys, orientations, center flags), max-view index lists,
 /// sorted direction lists, ray directions and alphaMinAt around `c`, all
 /// bitwise against the oracles.
@@ -438,14 +489,18 @@ void checkPolarKernels(const Configuration& p, Vec2 c,
               bits(oracle::alphaMinAt(p[i], p, c, tol)))
         << what << " alphaMinAt i=" << i;
   }
+  checkAlphaMinMoved(p, c, what);
 }
 
-/// Analysis::maxViewP of the snapshot against the oracle.
+/// Analysis::maxViewP of the snapshot against its definition: the max-view
+/// robots of all of P around centerP().
 void checkMaxViewP(const sim::Snapshot& snap, const std::string& what) {
   core::Analysis fast(snap);
   core::Analysis slow(snap);
   if (!fast.ok()) return;
-  EXPECT_EQ(fast.maxViewP(), oracle::maxViewP(slow)) << what;
+  EXPECT_EQ(fast.maxViewP(), config::maxViewRobots(slow.P(), slow.centerP(),
+                                                   slow.multiplicity()))
+      << what;
 }
 
 Configuration mapped(const Configuration& p, double scale, Vec2 offset) {
@@ -781,6 +836,222 @@ TEST(KernelOracleTest, LiveSymmetricFormRunSnapshots) {
     checkPolarKernels(norm, norm.sec().center, what + " (normalized @sec)");
     checkMaxViewP(tap.snaps[k], what);
   }
+}
+
+/// Snapshots of live `form` runs from random starts at n = 16 and 64 and
+/// from two concentric 16-gons, checked like the run above. The n = 64
+/// random run spends its first Computes on psi_RSB's reject path.
+TEST(KernelOracleTest, LiveRandomAndTwoGonRunSnapshots) {
+  struct Case {
+    const char* name;
+    Configuration start;
+    std::uint64_t events;
+  };
+  Rng rng(6416);
+  const std::vector<Case> cases = {
+      {"random n=16", config::randomConfiguration(16, rng, 3.0, 0.05), 3000},
+      {"random n=64", config::randomConfiguration(64, rng, 3.0, 0.05), 600},
+      {"two 16-gons", twoConcentric(16, 1.0, 0.6, geom::kPi / 16.0), 600},
+  };
+  for (const Case& c : cases) {
+    const std::size_t n = c.start.size();
+    const Configuration pattern = config::randomPattern(n, rng);
+    SnapshotTap tap;
+    sim::EngineOptions opts;
+    opts.sched.kind = sched::SchedulerKind::Async;
+    opts.seed = n;
+    opts.maxEvents = c.events;
+    sim::Engine engine(c.start, pattern, tap, opts);
+    (void)engine.run();
+    ASSERT_GE(tap.snaps.size(), 20u) << c.name;
+    for (std::size_t k = 0; k < tap.snaps.size(); k += (n > 16 ? 8 : 2)) {
+      const Configuration& raw = tap.snaps[k].robots;
+      const Configuration norm = raw.transformed(raw.normalizingTransform());
+      const std::string what =
+          std::string(c.name) + " snapshot " + std::to_string(k);
+      checkAll(norm, Vec2{}, what + " (normalized)");
+      checkPolarKernels(norm, norm.sec().center, what + " (normalized @sec)");
+      checkPolarKernels(raw, raw.weberPoint(), what + " (robot frame @weber)");
+      checkMaxViewP(tap.snaps[k], what);
+    }
+  }
+}
+
+/// norm2pi skips fmod when |a| < 2pi; every result must be fmod's bits,
+/// signed zeros and the boundaries included.
+TEST(KernelOracleTest, Norm2piMatchesFmod) {
+  const double pi = geom::kPi, twoPi = geom::kTwoPi;
+  const double inf = std::numeric_limits<double>::infinity();
+  std::vector<double> angles = {0.0,  -0.0,   pi,         -pi,
+                                twoPi, -twoPi, 3.0 * pi,   -3.0 * pi,
+                                1e-300, -1e-300, 4.9e-324, -4.9e-324,
+                                1e300, -1e300};
+  for (double a : {pi, twoPi, 3.0 * pi}) {
+    for (double s : {1.0, -1.0}) {
+      double x = s * a;
+      for (int k = 0; k < 4; ++k) {
+        x = std::nextafter(x, inf);
+        angles.push_back(x);
+      }
+      x = s * a;
+      for (int k = 0; k < 4; ++k) {
+        x = std::nextafter(x, -inf);
+        angles.push_back(x);
+      }
+    }
+  }
+  Rng rng(2);
+  std::uniform_real_distribution<double> u(-20.0, 20.0);
+  for (int k = 0; k < 20000; ++k) angles.push_back(u(rng));
+  for (double a : angles) {
+    EXPECT_EQ(bits(geom::norm2pi(a)), bits(oracle::norm2pi(a))) << a;
+  }
+  EXPECT_TRUE(std::isnan(geom::norm2pi(std::nan(""))));
+  EXPECT_TRUE(std::isnan(geom::norm2pi(inf)));
+}
+
+/// The axis prefilter with one, two and many radius-window partners of
+/// pts[0]: a lone point, a mirror pair at one radius, and every point on
+/// one circle, each with and without an exact axis.
+TEST(KernelOracleTest, AxisPrefilterPartnerSets) {
+  Rng rng(123);
+  std::uniform_real_distribution<double> uang(0.0, geom::kTwoPi);
+  std::uniform_real_distribution<double> urad(0.2, 1.0);
+  for (int trial = 0; trial < 60; ++trial) {
+    const std::size_t n = 5 + static_cast<std::size_t>(trial % 12);
+    std::vector<std::vector<Vec2>> inputs;
+    // One partner: pts[0] alone on its circle.
+    inputs.push_back(config::randomConfiguration(n, rng, 2.0, 1e-3).points());
+    // Two partners: pts[0] and its mirror image across a random axis,
+    // among mirror pairs at other radii, plus an unpaired copy.
+    {
+      const double axis = uang(rng);
+      std::vector<Vec2> pts;
+      for (std::size_t k = 0; k < n / 2; ++k) {
+        const double a = uang(rng), r = (k == 0) ? 1.0 : urad(rng);
+        pts.push_back(Vec2{std::cos(a), std::sin(a)} * r);
+        pts.push_back(Vec2{std::cos(2.0 * axis - a), std::sin(2.0 * axis - a)} *
+                      r);
+      }
+      inputs.push_back(pts);
+      pts.push_back(Vec2{0.3, 0.1});
+      inputs.push_back(pts);
+    }
+    // Many partners: a regular polygon, and random points on one circle.
+    inputs.push_back(config::regularPolygon(n, 1.0, {}, uang(rng)).points());
+    {
+      std::vector<Vec2> pts;
+      for (std::size_t k = 0; k < n; ++k) {
+        const double a = uang(rng);
+        pts.push_back(Vec2{std::cos(a), std::sin(a)});
+      }
+      inputs.push_back(pts);
+    }
+    for (std::size_t k = 0; k < inputs.size(); ++k) {
+      const Configuration p(inputs[k]);
+      const std::string what = "trial " + std::to_string(trial) + " input " +
+                               std::to_string(k);
+      checkAxes(p, Vec2{}, geom::kDefaultTol, what);
+      checkAxes(p, p.sec().center, geom::kDefaultTol, what + " @sec");
+    }
+  }
+}
+
+/// A true axis whose reflected pts[0] misses its partner by up to 0.95
+/// tol.dist along the circle: the axis then lies off the partner's mirror
+/// axis by up to ~0.6 of the prefilter's window, so the window must be as
+/// wide as its bound says (a window 10x too narrow drops the axis here).
+/// The axis itself is a candidate through a point on it.
+TEST(KernelOracleTest, AxisPrefilterTangentialPartner) {
+  Rng rng(77);
+  std::uniform_real_distribution<double> uang(0.2, 1.3);
+  std::uniform_real_distribution<double> urad(0.3, 0.9);
+  int kept = 0;
+  for (double scale : {1e-3, 1.0, 1e3}) {
+    const Tol tol{geom::kDefaultTol.dist * scale, geom::kDefaultTol.ang};
+    for (double miss : {0.3, 0.6, 0.8, 0.95}) {
+      for (int trial = 0; trial < 10; ++trial) {
+        const double d = 1.0 + 0.5 * urad(rng);
+        const double t0 = uang(rng);
+        // The partner, turned off the exact mirror image by the angle whose
+        // chord is miss * tol.dist.
+        const double turn = 2.0 * std::asin(miss * tol.dist / scale / (2 * d));
+        std::vector<Vec2> pts = {
+            Vec2{std::cos(t0), std::sin(t0)} * d,
+            Vec2{std::cos(-t0 + turn), std::sin(-t0 + turn)} * d,
+            Vec2{0.7, 0.0},
+        };
+        for (int k = 0; k < 3; ++k) {
+          const double a = uang(rng), r = urad(rng);
+          pts.push_back(Vec2{std::cos(a), std::sin(a)} * r);
+          pts.push_back(Vec2{std::cos(a), -std::sin(a)} * r);
+        }
+        const Configuration p = mapped(Configuration(pts), scale, Vec2{});
+        const auto want = oracle::symmetryAxes(p, Vec2{}, tol);
+        kept += std::any_of(want.begin(), want.end(),
+                            [](double a) { return a == 0.0; });
+        expectSameAxes(config::symmetryAxes(p, Vec2{}, tol), want,
+                       "tangential miss " + std::to_string(miss) + " scale " +
+                           std::to_string(scale) + " trial " +
+                           std::to_string(trial));
+      }
+    }
+  }
+  EXPECT_GE(kept, 100) << "the oracle should keep the x-axis in most inputs";
+}
+
+/// Probe-style near-ring configurations: robot 1 lies 1e-7 to 4e-7 of the
+/// innermost radius farther out than robot 0, the others at 0.45 to 1. A
+/// fixed window of minR + 1e-9 leaves robot 1 out even where it holds the
+/// greater view; maxViewP must still equal its definition. Variants add a
+/// copy of robot 0 within tol.dist (the view then groups the two) and a
+/// robot at the center.
+TEST(KernelOracleTest, MaxViewPNearInnermostRing) {
+  Rng rng(12);
+  std::uniform_real_distribution<double> uang(0.0, geom::kTwoPi);
+  std::uniform_real_distribution<double> urad(0.45, 0.95);
+  std::uniform_real_distribution<double> urel(1e-7, 4e-7);
+  int outsideOldWindow = 0;
+  for (int trial = 0; trial < 60; ++trial) {
+    const double r0 = 0.4;
+    std::vector<Vec2> pts;
+    const double a0 = uang(rng);
+    pts.push_back(Vec2{std::cos(a0), std::sin(a0)} * r0);
+    const double a1 = uang(rng);
+    pts.push_back(Vec2{std::cos(a1), std::sin(a1)} * (r0 * (1.0 + urel(rng))));
+    // Three robots at 120 degrees on the unit circle keep the SEC centered
+    // on robot 0's center.
+    const double b = uang(rng);
+    for (int k = 0; k < 3; ++k) {
+      const double a = b + k * geom::kTwoPi / 3.0;
+      pts.push_back(Vec2{std::cos(a), std::sin(a)});
+    }
+    for (int k = 0; k < 7; ++k) {
+      const double a = uang(rng);
+      pts.push_back(Vec2{std::cos(a), std::sin(a)} * urad(rng));
+    }
+    const int variant = trial % 3;
+    if (variant == 1) pts.push_back(pts[0] + Vec2{4e-10, 0.0});
+    if (variant == 2) pts.push_back(Vec2{});
+    sim::Snapshot snap;
+    snap.robots = Configuration(pts);
+    snap.pattern = config::randomPattern(pts.size(), rng);
+    snap.selfIndex = static_cast<std::size_t>(trial) % pts.size();
+    snap.multiplicityDetection = trial % 2 == 1;
+    const std::string what = "near ring trial " + std::to_string(trial);
+    checkMaxViewP(snap, what);
+
+    core::Analysis a(snap);
+    ASSERT_TRUE(a.ok()) << what;
+    const auto maxP = a.maxViewP();
+    const auto& radius = a.P().polar(a.centerP()).radius;
+    const double minR = *std::min_element(radius.begin(), radius.end());
+    outsideOldWindow += std::any_of(maxP.begin(), maxP.end(), [&](auto i) {
+      return radius[i] > minR + 1e-9;
+    });
+  }
+  EXPECT_GE(outsideOldWindow, 3)
+      << "no max-view robot lay outside the old 1e-9 ring window";
 }
 
 /// Analysis takes the cached pattern when its points are bitwise the

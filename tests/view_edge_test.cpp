@@ -122,7 +122,7 @@ TEST(ViewEdgeTest, ByViewDescendingAgreesWithPairwiseComparisons) {
   Rng rng(15);
   const Configuration p = randomConfiguration(11, rng);
   const Vec2 c = p.sec().center;
-  const auto order = byViewDescending(p, c);
+  const auto order = byViewDescending(allViews(p, c));
   const auto views = allViews(p, c);
   for (std::size_t k = 0; k + 1 < order.size(); ++k) {
     EXPECT_GE(compareViews(views[order[k]], views[order[k + 1]]), 0) << k;

@@ -155,7 +155,7 @@ TEST(ViewOrderTest, ByViewDescendingIsConsistent) {
   Rng rng(14);
   const Configuration p = randomConfiguration(12, rng);
   const Vec2 c = p.sec().center;
-  const auto order = byViewDescending(p, c);
+  const auto order = byViewDescending(allViews(p, c));
   const auto views = allViews(p, c);
   ASSERT_EQ(order.size(), p.size());
   for (std::size_t k = 1; k < order.size(); ++k) {

@@ -104,6 +104,13 @@ std::uint64_t activations(const RunResult& r, int tag) {
   return it == r.metrics.phaseActivations.end() ? 0 : it->second;
 }
 
+// polarHits/polarMisses and viewsBuilt were re-pinned, with every decision
+// and every other count unchanged, when (1) verifyShift's pre-rejection
+// began to read P's polar table instead of building P' and a table for it
+// (fewer misses, more hits), and (2) Analysis began to share one
+// SEC-centered views table between regularSetOf and viewsP() (n fewer
+// views per Compute that reaches psi_RSB's asymmetric case).
+
 // The full algorithm at n = 16 from a random start, run to the goal.
 constexpr Work kForm16 =
     {.events = 2637,
@@ -112,8 +119,8 @@ constexpr Work kForm16 =
                  .secMisses = 926,
                  .weberHits = 32,
                  .weberMisses = 33,
-                 .polarHits = 4313,
-                 .polarMisses = 1473,
+                 .polarHits = 4784,
+                 .polarMisses = 980,
                  .axesCalls = 64,
                  .axesCandidates = 14400,
                  .reflectionsTried = 97,
@@ -123,13 +130,14 @@ constexpr Work kForm16 =
                  .regularPrefixes = 396,
                  .shiftedCalls = 32,
                  .shiftVerifies = 494,
-                 .viewsBuilt = 880,
+                 .viewsBuilt = 528,
                  .similarityCalls = 123,
                  .similarityTransforms = 650,
                  .gridFits = 0}};
 
 // psi_RSB alone at n = 16 from a symmetric start (two 8-gons): the found
 // path of the shifted-set and election predicates.
+// polarHits/polarMisses and viewsBuilt re-pinned; see the note above kForm16.
 constexpr Work kRsb16 =
     {.events = 846,
      .cycles = 365,
@@ -137,8 +145,8 @@ constexpr Work kRsb16 =
                  .secMisses = 578,
                  .weberHits = 96,
                  .weberMisses = 441,
-                 .polarHits = 3214,
-                 .polarMisses = 4245,
+                 .polarHits = 5136,
+                 .polarMisses = 2307,
                  .axesCalls = 415,
                  .axesCandidates = 93375,
                  .reflectionsTried = 18247,
@@ -148,13 +156,14 @@ constexpr Work kRsb16 =
                  .regularPrefixes = 819,
                  .shiftedCalls = 242,
                  .shiftVerifies = 3055,
-                 .viewsBuilt = 1360,
+                 .viewsBuilt = 1104,
                  .similarityCalls = 1,
                  .similarityTransforms = 0,
                  .gridFits = 1494}};
 
 // The full algorithm at n = 64 from a random start, capped at 20,000
 // events: psi_RSB's asymmetric (reject) path, then psi_DPF.
+// polarHits/polarMisses and viewsBuilt re-pinned; see the note above kForm16.
 constexpr Work kForm64 =
     {.events = 20000,
      .cycles = 9909,
@@ -162,8 +171,8 @@ constexpr Work kForm64 =
                  .secMisses = 5969,
                  .weberHits = 57,
                  .weberMisses = 57,
-                 .polarHits = 32998,
-                 .polarMisses = 7894,
+                 .polarHits = 34708,
+                 .polarMisses = 6127,
                  .axesCalls = 57,
                  .axesCandidates = 226233,
                  .reflectionsTried = 114,
@@ -173,7 +182,7 @@ constexpr Work kForm64 =
                  .regularPrefixes = 3420,
                  .shiftedCalls = 57,
                  .shiftVerifies = 1767,
-                 .viewsBuilt = 7296,
+                 .viewsBuilt = 3648,
                  .similarityCalls = 1,
                  .similarityTransforms = 0,
                  .gridFits = 0}};
