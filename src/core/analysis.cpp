@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <limits>
 
 #include "config/rays.h"
@@ -43,22 +42,8 @@ Analysis::Analysis(const sim::Snapshot& snap)
   }
   const geom::Similarity np = snap.robots.normalizingTransform();
   p_ = snap.robots.transformed(np);
-  f_ = snap.pattern.transformed(snap.pattern.normalizingTransform());
   denorm_ = np.inverse();
-  pinfo_ = &PatternInfo::get(f_, multiplicity_);
-  // Every robot receives the same raw pattern, so f_ is normally bit for
-  // bit the cached pattern; then take the cached copy, whose circles are
-  // already computed. A mismatch keeps the fresh f_.
-  patternShared_ = pinfo_->f.size() == f_.size() &&
-                   std::memcmp(pinfo_->f.points().data(), f_.points().data(),
-                               f_.size() * sizeof(Vec2)) == 0;
-  if (patternShared_) {
-    f_ = pinfo_->f;
-  } else {
-    for (std::size_t i : pinfo_->maxViewNonHolders) {
-      fWithout_.push_back(f_.without(i));
-    }
-  }
+  pinfo_ = &PatternInfo::get(snap.pattern, multiplicity_);
   ok_ = true;
 }
 
@@ -97,13 +82,10 @@ const std::vector<double>& Analysis::sortedRadii() {
 
 bool Analysis::similarToF(const geom::Tol& tol) {
   // The normalized P's SEC is the unit circle at the origin, so the table
-  // radii are findSimilarity's P-side radii up to rounding; the F side is
-  // bitwise the cached one.
-  if (patternShared_ &&
-      radiiApart(sortedRadii(), p_.size(), pinfo_->radii, tol)) {
-    return false;
-  }
-  return config::similar(p_, f_, tol);
+  // radii are findSimilarity's P-side radii up to rounding, and F() is the
+  // cached pattern, whose radii are pinfo_->radii.
+  if (radiiApart(sortedRadii(), p_.size(), pinfo_->radii, tol)) return false;
+  return config::similar(p_, F(), tol);
 }
 
 std::optional<geom::Similarity> Analysis::matchWithout(std::size_t r,
@@ -113,7 +95,7 @@ std::optional<geom::Similarity> Analysis::matchWithout(std::size_t r,
   // SEC(P - {r}) = C(P) and the table radii without r's are again
   // findSimilarity's radii up to rounding. A robot on (or near) C(P) may
   // shrink the circle when it leaves: no shortcut then.
-  if (patternShared_ && radii()[r] < 1.0 - 1e-6) {
+  if (radii()[r] < 1.0 - 1e-6) {
     const auto& sorted = sortedRadii();
     const std::size_t skip =
         std::lower_bound(sorted.begin(), sorted.end(), radii()[r]) -
@@ -146,11 +128,6 @@ Vec2 Analysis::centerP() {
     }
   }
   return *centerP_;
-}
-
-Vec2 Analysis::centerF() {
-  if (!centerF_) centerF_ = config::centerOf(f_);
-  return *centerF_;
 }
 
 double Analysis::lF() {

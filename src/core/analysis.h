@@ -31,9 +31,10 @@ class Analysis {
 
   bool ok() const { return ok_; }
 
-  /// Normalized robots / pattern (unit SEC at origin).
+  /// Normalized robots / pattern (unit SEC at origin). F() is the cached
+  /// PatternInfo's and, like every F-side accessor, requires ok().
   const Configuration& P() const { return p_; }
-  const Configuration& F() const { return f_; }
+  const Configuration& F() const { return pinfo_->f; }
   std::size_t self() const { return self_; }
   bool multiplicity() const { return multiplicity_; }
 
@@ -47,7 +48,7 @@ class Analysis {
   Vec2 centerP();
   /// c(F): F is normalized, but a regular pattern's grid center may differ
   /// from the origin.
-  Vec2 centerF();
+  Vec2 centerF() const { return pinfo_->centerF; }
 
   /// l_F: distance of the second-closest ring of F to c(F).
   double lF();
@@ -78,7 +79,7 @@ class Analysis {
   }
   /// F().without(maxViewNonHoldersF()[k]), with its circle computed.
   const Configuration& fWithout(std::size_t k) const {
-    return patternShared_ ? pinfo_->fWithout[k] : fWithout_[k];
+    return pinfo_->fWithout[k];
   }
 
   /// The cached pattern-side analysis (l_F, f_s, fmax, circles, ...).
@@ -98,13 +99,11 @@ class Analysis {
  private:
   bool ok_ = false;
   Configuration p_;
-  Configuration f_;
   std::size_t self_ = 0;
   bool multiplicity_ = false;
   geom::Similarity denorm_;
 
   std::optional<Vec2> centerP_;
-  std::optional<Vec2> centerF_;
   bool regularComputed_ = false;
   std::optional<config::RegularSetInfo> regular_;
   bool shiftedComputed_ = false;
@@ -117,8 +116,6 @@ class Analysis {
   std::vector<config::View> secViews_;
   std::optional<std::vector<config::View>> viewsP_;  ///< viewsP() otherwise
   const PatternInfo* pinfo_ = nullptr;
-  bool patternShared_ = false;  ///< f_ is bitwise pinfo_->f
-  std::vector<Configuration> fWithout_;  ///< fWithout(k) when not shared
   std::vector<double> sortedRadii_;  ///< radii() ascending, built on demand
   std::optional<Configuration> pWithout_;  ///< P().without(pWithoutOf_)
   std::size_t pWithoutOf_ = 0;

@@ -1,9 +1,12 @@
 #include "core/pattern_info.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
-#include <map>
+#include <list>
+#include <utility>
 
+#include "config/regular.h"
 #include "config/view.h"
 #include "geom/angle.h"
 #include "geom/sec.h"
@@ -32,9 +35,11 @@ std::vector<double> sortedSecRadii(const Configuration& c) {
   return out;
 }
 
-PatternInfo build(const Configuration& f, bool multiplicity) {
+PatternInfo build(const Configuration& pattern, bool multiplicity) {
   PatternInfo out;
-  out.f = f;
+  out.f = pattern.transformed(pattern.normalizingTransform());
+  const Configuration& f = out.f;
+  out.centerF = config::centerOf(f);
   out.lF = config::secondClosestDistance(f, Vec2{});
 
   const geom::Circle sec = out.f.sec();
@@ -107,35 +112,43 @@ PatternInfo build(const Configuration& f, bool multiplicity) {
   return out;
 }
 
-/// Quantized key for the cache.
-std::vector<std::int64_t> keyOf(const Configuration& f, bool multiplicity) {
-  std::vector<std::int64_t> key;
-  key.reserve(f.size() * 2 + 1);
-  key.push_back(multiplicity ? 1 : 0);
-  for (const Vec2& p : f.points()) {
-    key.push_back(std::llround(p.x * 1e9));
-    key.push_back(std::llround(p.y * 1e9));
-  }
-  return key;
+/// True when a and b hold the same points bit for bit.
+bool sameBits(const std::vector<Vec2>& a, const std::vector<Vec2>& b) {
+  auto bits = [](Vec2 v) {
+    return std::pair(std::bit_cast<std::uint64_t>(v.x),
+                     std::bit_cast<std::uint64_t>(v.y));
+  };
+  return std::equal(a.begin(), a.end(), b.begin(), b.end(),
+                    [&](Vec2 u, Vec2 v) { return bits(u) == bits(v); });
 }
 
 }  // namespace
 
-const PatternInfo& PatternInfo::get(const Configuration& fNormalized,
+const PatternInfo& PatternInfo::get(const Configuration& pattern,
                                     bool multiplicity) {
-  thread_local std::map<std::vector<std::int64_t>, PatternInfo> cache;
-  const auto key = keyOf(fNormalized, multiplicity);
-  auto it = cache.find(key);
-  if (it == cache.end()) {
-    if (cache.size() > 64) cache.clear();  // bound memory across sweeps
-    // build() warms circles through counted sec() calls. Which run of a
-    // thread misses this cache depends on the runs it handled before, so
-    // keep those calls out of the per-run counter deltas.
-    const config::GeomCacheCounters counters = config::geomCacheCounters();
-    it = cache.emplace(key, build(fNormalized, multiplicity)).first;
-    config::geomCacheCounters() = counters;
+  struct Entry {
+    bool multiplicity;
+    std::vector<Vec2> pattern;  ///< the raw points, the key
+    PatternInfo info;
+  };
+  // List nodes never move, so a returned reference stays valid until the
+  // next clear.
+  thread_local std::list<Entry> cache;
+  for (const Entry& e : cache) {
+    if (e.multiplicity == multiplicity &&
+        sameBits(e.pattern, pattern.points())) {
+      return e.info;
+    }
   }
-  return it->second;
+  if (cache.size() > 64) cache.clear();  // bound memory across sweeps
+  // build() warms circles through counted sec() calls. Which run of a
+  // thread misses this cache depends on the runs it handled before, so
+  // keep those calls out of the per-run counter deltas.
+  const config::GeomCacheCounters counters = config::geomCacheCounters();
+  cache.push_back(
+      {multiplicity, pattern.points(), build(pattern, multiplicity)});
+  config::geomCacheCounters() = counters;
+  return cache.back().info;
 }
 
 }  // namespace apf::core

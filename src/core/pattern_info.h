@@ -3,11 +3,13 @@
 /// \file pattern_info.h
 /// Cached analysis of the target pattern F. The pattern is immutable for
 /// the lifetime of a run, and every robot receives the same coordinate
-/// list, so all F-side computations (views, the removed point f_s, the
-/// orientation anchor fmax, theta_F', the circle decomposition) are
-/// computed once per distinct pattern and shared. The cache is keyed by the
-/// quantized normalized coordinates (thread-local: one simulation per
-/// thread).
+/// list, so all F-side computations (the normalized F, c(F), views, the
+/// removed point f_s, the orientation anchor fmax, theta_F', the circle
+/// decomposition, each F - {f}) are computed once per distinct pattern and
+/// shared: core::Analysis reads them by reference. The cache is keyed by
+/// the exact bits of the raw pattern a snapshot carries, plus the
+/// multiplicity flag, so two patterns that differ in any bit never share an
+/// entry (thread-local: one simulation per thread).
 
 #include <cstdint>
 #include <vector>
@@ -17,8 +19,12 @@
 namespace apf::core {
 
 struct PatternInfo {
-  /// Normalized pattern (unit SEC at origin), with sec() computed.
+  /// Normalized pattern (unit SEC at origin), with sec() computed: bit for
+  /// bit pattern.transformed(pattern.normalizingTransform()).
   config::Configuration f;
+  /// c(F): config::centerOf(f). F is normalized, but a regular pattern's
+  /// grid center may differ from the origin.
+  geom::Vec2 centerF;
   /// True when the pattern analysis is usable (|F| >= 4, non-degenerate).
   bool valid = false;
 
@@ -54,8 +60,10 @@ struct PatternInfo {
   /// radius), ascending.
   std::vector<std::vector<double>> circleTargets;
 
-  /// Cached lookup (computes on first use per distinct pattern).
-  static const PatternInfo& get(const config::Configuration& fNormalized,
+  /// Cached lookup of a raw (unnormalized) pattern; computes on first use
+  /// per distinct pattern. The reference stays valid until the thread's
+  /// cache exceeds its bound and is cleared by a later miss.
+  static const PatternInfo& get(const config::Configuration& pattern,
                                 bool multiplicity);
 };
 

@@ -37,6 +37,4 @@ double angDist(double a, double b) {
   return std::min(d, kTwoPi - d);
 }
 
-double ccwSweep(double a, double b) { return norm2pi(b - a); }
-
 }  // namespace apf::geom

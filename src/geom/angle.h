@@ -33,8 +33,4 @@ double angMin(Vec2 u, Vec2 v, Vec2 w);
 /// Minimum angular distance between two direction angles, in [0, pi].
 double angDist(double a, double b);
 
-/// Counterclockwise sweep from direction angle a to direction angle b,
-/// in [0, 2pi).
-double ccwSweep(double a, double b);
-
 }  // namespace apf::geom

@@ -219,7 +219,7 @@ bool parseValue(std::string_view s, std::size_t& i, JsonValue& out) {
     i = j;
     return true;
   }
-  return false;  // nested objects/arrays are not part of the dialect
+  return false;  // not a scalar
 }
 
 // Recursive-descent parser for the general tree form. Depth is bounded to
@@ -383,40 +383,33 @@ std::optional<JsonNode> parseJson(std::string_view text) {
 }
 
 std::optional<JsonObject> parseFlatObject(std::string_view text) {
-  std::size_t i = 0;
-  skipWs(text, i);
-  if (i >= text.size() || text[i] != '{') return std::nullopt;
-  ++i;
+  std::optional<JsonNode> root = parseJson(text);
+  if (!root || root->kind != JsonNode::Kind::Object) return std::nullopt;
   JsonObject obj;
-  skipWs(text, i);
-  if (i < text.size() && text[i] == '}') {
-    ++i;
-  } else {
-    while (true) {
-      skipWs(text, i);
-      std::string key;
-      if (!parseString(text, i, key)) return std::nullopt;
-      skipWs(text, i);
-      if (i >= text.size() || text[i] != ':') return std::nullopt;
-      ++i;
-      JsonValue value;
-      if (!parseValue(text, i, value)) return std::nullopt;
-      obj[std::move(key)] = std::move(value);
-      skipWs(text, i);
-      if (i >= text.size()) return std::nullopt;
-      if (text[i] == ',') {
-        ++i;
-        continue;
-      }
-      if (text[i] == '}') {
-        ++i;
+  for (auto& [key, node] : root->members) {
+    JsonValue value;
+    switch (node.kind) {
+      case JsonNode::Kind::Null:
+        value.kind = JsonValue::Kind::Null;
         break;
-      }
-      return std::nullopt;
+      case JsonNode::Kind::Bool:
+        value.kind = JsonValue::Kind::Bool;
+        break;
+      case JsonNode::Kind::Number:
+        value.kind = JsonValue::Kind::Number;
+        break;
+      case JsonNode::Kind::String:
+        value.kind = JsonValue::Kind::String;
+        break;
+      case JsonNode::Kind::Array:
+      case JsonNode::Kind::Object:
+        return std::nullopt;  // the dialect is flat
     }
+    value.boolean = node.boolean;
+    value.number = node.number;
+    value.string = std::move(node.string);  // a Number's raw token
+    obj[std::move(key)] = std::move(value);  // the last duplicate wins
   }
-  skipWs(text, i);
-  if (i != text.size()) return std::nullopt;
   return obj;
 }
 

@@ -1,31 +1,19 @@
 #pragma once
 
 /// \file stats.h
-/// Counters, wall-time accumulators, and fixed-bucket histograms for the
-/// observability layer, plus a name-keyed Registry. All types are plain
-/// values (copyable, no locks, no allocation on the update path) so they
-/// can live inside `sim::Metrics` and be returned by value with a
-/// `RunResult`.
+/// Wall-time accumulators and fixed-bucket histograms for the
+/// observability layer. Both are plain values (copyable, no locks, no
+/// allocation on the update path) so they can live inside `sim::Metrics`
+/// and be returned by value with a `RunResult`.
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
-#include <map>
-#include <string>
 
 namespace apf::obs {
 
 /// Steady-clock nanoseconds (monotonic; origin unspecified).
 std::uint64_t nowNanos();
-
-/// Monotonic counter.
-class Counter {
- public:
-  void inc(std::uint64_t delta = 1) { value_ += delta; }
-  std::uint64_t value() const { return value_; }
-
- private:
-  std::uint64_t value_ = 0;
-};
 
 /// Wall-time accumulator: total nanoseconds across `count` timed sections.
 class Timer {
@@ -36,24 +24,6 @@ class Timer {
   }
   std::uint64_t nanos() const { return nanos_; }
   std::uint64_t count() const { return count_; }
-  double meanNanos() const {
-    return count_ == 0 ? 0.0
-                       : static_cast<double>(nanos_) /
-                             static_cast<double>(count_);
-  }
-
-  /// RAII scope: adds the elapsed wall time on destruction.
-  class Scope {
-   public:
-    explicit Scope(Timer& timer) : timer_(timer), start_(nowNanos()) {}
-    ~Scope() { timer_.add(nowNanos() - start_); }
-    Scope(const Scope&) = delete;
-    Scope& operator=(const Scope&) = delete;
-
-   private:
-    Timer& timer_;
-    std::uint64_t start_;
-  };
 
  private:
   std::uint64_t nanos_ = 0;
@@ -92,27 +62,6 @@ class Histogram {
   std::uint64_t count_ = 0;
   std::uint64_t sum_ = 0;
   std::uint64_t max_ = 0;
-};
-
-/// Name-keyed registry of the three instrument types. Instruments are
-/// created on first access and live as long as the registry; iteration is
-/// in lexicographic name order (std::map), which keeps dumps stable.
-class Registry {
- public:
-  Counter& counter(const std::string& name) { return counters_[name]; }
-  Timer& timer(const std::string& name) { return timers_[name]; }
-  Histogram& histogram(const std::string& name) { return histograms_[name]; }
-
-  const std::map<std::string, Counter>& counters() const { return counters_; }
-  const std::map<std::string, Timer>& timers() const { return timers_; }
-  const std::map<std::string, Histogram>& histograms() const {
-    return histograms_;
-  }
-
- private:
-  std::map<std::string, Counter> counters_;
-  std::map<std::string, Timer> timers_;
-  std::map<std::string, Histogram> histograms_;
 };
 
 }  // namespace apf::obs

@@ -378,12 +378,7 @@ bool Engine::compute(std::size_t i) {
 }
 
 bool Engine::moveStep(std::size_t i, bool full) {
-  Robot& r = robots_[i];
-  obs::ScopedSpan span("move", "engine", "robot",
-                       static_cast<std::int64_t>(i));
-  span.arg2("phase", robots_[i].phaseTag);
-  const std::uint64_t t0 = timed_ ? obs::nowNanos() : 0;
-  r.phase = Phase::Moving;
+  const Robot& r = robots_[i];
   // pathLimit == path.length() unless a ComputeTruncate fault stalled the
   // motor early; progress never exceeds it.
   const double remaining = r.pathLimit - r.progress;
@@ -397,6 +392,16 @@ bool Engine::moveStep(std::size_t i, bool full) {
       d = opts_.sched.delta + u(adv) * (remaining - opts_.sched.delta);
     }
   }
+  return moveBy(i, d);
+}
+
+bool Engine::moveBy(std::size_t i, double d) {
+  Robot& r = robots_[i];
+  obs::ScopedSpan span("move", "engine", "robot",
+                       static_cast<std::int64_t>(i));
+  span.arg2("phase", r.phaseTag);
+  const std::uint64_t t0 = timed_ ? obs::nowNanos() : 0;
+  r.phase = Phase::Moving;
   r.progress += d;
   current_[i] = r.path.pointAt(r.progress);
   metrics_.distance += d;
@@ -559,29 +564,9 @@ void Engine::scriptedEvent() {
         break;
       }
       // Explicit distance, clamped to the model's [delta, remaining].
-      r.phase = Phase::Moving;
       const double remaining = r.pathLimit - r.progress;
-      const double d =
-          std::min(remaining, std::max(ev.distance, opts_.sched.delta));
-      r.progress += d;
-      current_[ev.robot] = r.path.pointAt(r.progress);
-      metrics_.distance += d;
-      if (d > 0.0) {
-        ++configVersion_;
-        checkSafety(ev.robot);
-        if (observer_) observer_(*this, ev.robot);
-      }
-      const bool done = r.progress >= r.pathLimit - 1e-15;
-      if (recorder_) {
-        obs::Event step;
-        step.kind = obs::EventKind::MoveStep;
-        step.robot = static_cast<std::int64_t>(ev.robot);
-        step.phaseTag = r.phaseTag;
-        step.distance = d;
-        step.flag = done;
-        emit(step);
-      }
-      if (done) completeCycle(ev.robot);
+      moveBy(ev.robot,
+             std::min(remaining, std::max(ev.distance, opts_.sched.delta)));
       break;
     }
   }

@@ -123,9 +123,6 @@ class Engine {
   bool isCrashed(std::size_t i) const { return robots_[i].crashed; }
   /// Robots halted by crash-stop faults so far.
   std::size_t crashedCount() const { return crashedCount_; }
-  /// True when a move has put a live robot on another live robot's point
-  /// (an unintended multiplicity; checked in every run, faults or not).
-  bool safetyViolated() const { return safety_.collision.has_value(); }
 
   /// Called after every event that changes positions (for traces/SVG),
   /// after the safety monitor has checked the move.
@@ -188,8 +185,13 @@ class Engine {
   void look(std::size_t i);
   /// Returns true when the compute produced a movement.
   bool compute(std::size_t i);
-  /// Advances robot i along its path; returns true when the path completed.
+  /// Advances robot i along its path by the whole remainder (full) or by
+  /// an adversary-drawn distance; returns true when the path completed.
   bool moveStep(std::size_t i, bool full);
+  /// Advances robot i by exactly d, the one move step every scheduler
+  /// takes: position, safety monitor, observer, MoveStep event, and the
+  /// cycle's end when the path completed (then returns true).
+  bool moveBy(std::size_t i, double d);
   void completeCycle(std::size_t i);
 
   void fsyncRound();

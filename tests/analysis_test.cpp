@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "config/generator.h"
 #include "core/analysis.h"
@@ -159,6 +161,30 @@ TEST(AnalysisTest, PatternInfoConsistentAcrossRobots) {
     } else {
       EXPECT_EQ(first, &a.patternInfo());  // same cached object
     }
+  }
+}
+
+TEST(AnalysisTest, PatternInfoKeyedByExactPatternBits) {
+  // Two patterns 1e-12 apart are two patterns: B's entry must describe B,
+  // bit for bit, not A, whose entry is already in the thread's cache.
+  const Configuration fa = io::starPattern(8);
+  Configuration fb = fa;
+  fb[1].x += 1e-12;
+  config::Rng rng(31);
+  const Configuration p = config::randomConfiguration(8, rng);
+  Analysis a(makeSnap(p, fa));
+  Analysis b(makeSnap(p, fb));
+  ASSERT_TRUE(a.ok());
+  ASSERT_TRUE(b.ok());
+  EXPECT_NE(&a.patternInfo(), &b.patternInfo());
+  const Configuration fresh = fb.transformed(fb.normalizingTransform());
+  const Configuration& got = b.patternInfo().f;
+  ASSERT_EQ(got.size(), fresh.size());
+  for (std::size_t i = 0; i < fresh.size(); ++i) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got[i].x),
+              std::bit_cast<std::uint64_t>(fresh[i].x)) << "i=" << i;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got[i].y),
+              std::bit_cast<std::uint64_t>(fresh[i].y)) << "i=" << i;
   }
 }
 

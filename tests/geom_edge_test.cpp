@@ -36,7 +36,7 @@ TEST(AngleEdgeTest, HugeInputsStayNormalized) {
 TEST(AngleEdgeTest, CcwSweepAndDistConsistent) {
   for (double a = 0.0; a < kTwoPi; a += 0.7) {
     for (double b = 0.0; b < kTwoPi; b += 0.9) {
-      const double s = ccwSweep(a, b);
+      const double s = norm2pi(b - a);
       EXPECT_GE(s, 0.0);
       EXPECT_LT(s, kTwoPi);
       EXPECT_NEAR(angDist(a, b), std::min(s, kTwoPi - s), 1e-12);

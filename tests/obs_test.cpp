@@ -101,21 +101,11 @@ TEST(ObsJsonTest, TreeParserRejectsMalformedInput) {
 // --------------------------------------------------------------- stats --
 
 TEST(ObsStatsTest, CounterAndTimerSemantics) {
-  obs::Counter c;
-  c.inc();
-  c.inc(41);
-  EXPECT_EQ(c.value(), 42u);
-
   obs::Timer t;
   t.add(100);
   t.add(300);
   EXPECT_EQ(t.nanos(), 400u);
   EXPECT_EQ(t.count(), 2u);
-  EXPECT_DOUBLE_EQ(t.meanNanos(), 200.0);
-  {
-    obs::Timer::Scope scope(t);
-  }
-  EXPECT_EQ(t.count(), 3u);
 }
 
 TEST(ObsStatsTest, HistogramBucketsAndQuantiles) {
@@ -192,18 +182,6 @@ TEST(ObsStatsTest, HistogramMerge) {
   EXPECT_EQ(a.count(), 3u);
   EXPECT_EQ(a.sum(), 15u);
   EXPECT_EQ(a.max(), 9u);
-}
-
-TEST(ObsStatsTest, RegistryNamesAreStable) {
-  obs::Registry reg;
-  reg.counter("a").inc(3);
-  reg.counter("a").inc(4);
-  reg.timer("t").add(9);
-  reg.histogram("h").add(2);
-  EXPECT_EQ(reg.counter("a").value(), 7u);
-  EXPECT_EQ(reg.timers().at("t").nanos(), 9u);
-  EXPECT_EQ(reg.histograms().at("h").count(), 1u);
-  EXPECT_EQ(reg.counters().size(), 1u);
 }
 
 // ------------------------------------------------------------ manifest --

@@ -110,12 +110,17 @@ std::uint64_t activations(const RunResult& r, int tag) {
 // (fewer misses, more hits), and (2) Analysis began to share one
 // SEC-centered views table between regularSetOf and viewsP() (n fewer
 // views per Compute that reaches psi_RSB's asymmetric case).
+//
+// secHits was re-pinned, with every decision and every other count
+// unchanged, when PatternInfo began to be keyed by the raw pattern's exact
+// bits: Analysis no longer normalizes F in every Compute, so the sec() call
+// of that normalization (a hit on the snapshot's pattern) is gone.
 
 // The full algorithm at n = 16 from a random start, run to the goal.
 constexpr Work kForm16 =
     {.events = 2637,
      .cycles = 1187,
-     .kernels = {.secHits = 2451,
+     .kernels = {.secHits = 1698,
                  .secMisses = 926,
                  .weberHits = 32,
                  .weberMisses = 33,
@@ -141,7 +146,7 @@ constexpr Work kForm16 =
 constexpr Work kRsb16 =
     {.events = 846,
      .cycles = 365,
-     .kernels = {.secHits = 827,
+     .kernels = {.secHits = 562,
                  .secMisses = 578,
                  .weberHits = 96,
                  .weberMisses = 441,
@@ -167,7 +172,7 @@ constexpr Work kRsb16 =
 constexpr Work kForm64 =
     {.events = 20000,
      .cycles = 9909,
-     .kernels = {.secHits = 17645,
+     .kernels = {.secHits = 11799,
                  .secMisses = 5969,
                  .weberHits = 57,
                  .weberMisses = 57,
