@@ -28,7 +28,7 @@ Action DeterministicFormation::compute(const sim::Snapshot& snap,
       if (!t) continue;
       if (a.self() != r) return Action::stay(core::kFinalMove);
       const geom::Vec2 dest = t->apply(a.F()[f]);
-      if (geom::dist(dest, a.P()[r]) <= 1e-8) {
+      if (geom::normLeq(dest - a.P()[r], 1e-8)) {
         return Action::stay(core::kFinalMove);
       }
       Action act{core::linePath(a.P()[r], dest), core::kFinalMove};
@@ -50,7 +50,9 @@ Action DeterministicFormation::compute(const sim::Snapshot& snap,
       if (j != r) minOther = std::min(minOther, a.P()[j].norm());
     }
     const double target = 0.45 * std::min(a.lF(), minOther);
-    if (a.P()[r].norm() <= target + 1e-9) return Action::stay(core::kBaseline);
+    if (geom::normLeq(a.P()[r], target + 1e-9)) {
+      return Action::stay(core::kBaseline);
+    }
     act = Action{core::radialPath(geom::Vec2{}, a.P()[r], target),
                  core::kBaseline};
   } else {

@@ -66,7 +66,7 @@ Action YYAlgorithm::compute(const sim::Snapshot& snap,
   for (const Vec2& q : p.points()) minR = std::min(minR, q.norm());
   std::vector<std::size_t> innermost;
   for (std::size_t i = 0; i < p.size(); ++i) {
-    if (p[i].norm() <= minR + kTol) innermost.push_back(i);
+    if (geom::normLeq(p[i], minR + kTol)) innermost.push_back(i);
   }
 
   if (innermost.size() > 1) {
@@ -92,7 +92,7 @@ Action YYAlgorithm::compute(const sim::Snapshot& snap,
   // ROBOT'S LOCAL FRAME — identical across robots only under common
   // chirality, which is precisely the assumption this baseline needs.
   const std::size_t leader = innermost.front();
-  if (p[leader].norm() <= kTol) {
+  if (geom::normLeq(p[leader], kTol)) {
     // Leader at the center cannot anchor an angle; nudge it outward.
     if (self == leader) {
       geom::Path path(p[self]);

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <limits>
 
 #include "geom/angle.h"
 #include "geom/weber.h"
@@ -119,12 +118,6 @@ Similarity Configuration::normalizingTransform() const {
   const double s = (c.radius > 0.0) ? 1.0 / c.radius : 1.0;
   // p -> (p - center) * s
   return Similarity(0.0, s, false, Vec2{-c.center.x * s, -c.center.y * s});
-}
-
-double Configuration::distanceTo(Vec2 p) const {
-  double best = std::numeric_limits<double>::infinity();
-  for (const Vec2& q : pts_) best = std::min(best, geom::dist(p, q));
-  return best;
 }
 
 double secondClosestDistance(const Configuration& p, Vec2 center,

@@ -168,9 +168,6 @@ class Configuration {
   /// result depends on the source frame's orientation as the model demands).
   Similarity normalizingTransform() const;
 
-  /// Distance from p to the closest point of the configuration.
-  double distanceTo(Vec2 p) const;
-
  private:
   /// The three caches. A copy keeps them; a move hands them over and
   /// empties the source, whose point set a stale cache would misdescribe.

@@ -1,5 +1,6 @@
 #include "config/generator.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "geom/angle.h"
@@ -16,7 +17,11 @@ Configuration randomConfiguration(std::size_t n, Rng& rng, double radius,
     const double a = uang(rng);
     const double r = radius * std::sqrt(urad(rng));
     const Vec2 p{r * std::cos(a), r * std::sin(a)};
-    if (out.distanceTo(p) > minSeparation) {
+    const auto& pts = out.points();
+    const bool crowded = std::any_of(pts.begin(), pts.end(), [&](Vec2 q) {
+      return geom::normLeq(p - q, minSeparation);
+    });
+    if (!crowded) {
       out.push_back(p);
       attempts = 0;
     } else if (++attempts > 10000) {

@@ -102,7 +102,7 @@ double alphaMinMoved(const Configuration& m, std::size_t i, Vec2 to, Vec2 c,
 
 double alphaMinAt(Vec2 p, const Configuration& m, Vec2 c, const Tol& tol) {
   const Vec2 dp = p - c;
-  if (dp.norm() <= tol.dist) return geom::kTwoPi;
+  if (geom::normLeq(dp, tol.dist)) return geom::kTwoPi;
   const double ap = geom::norm2pi(dp.arg());
   const PolarTable& t = m.polar(c);
   double best = geom::kTwoPi;

@@ -34,7 +34,9 @@ std::optional<ShiftedSetInfo> verifyShift(const Configuration& p,
   ++geomCacheCounters().shiftVerifies;
   const Vec2 r = p[ir];
   if (geom::nearlyEqual(r, rPrime, tol)) return std::nullopt;  // eps > 0
-  if (p.distanceTo(rPrime) <= tol.dist) return std::nullopt;   // r' not in P
+  for (const Vec2& q : p.points()) {
+    if (geom::nearlyEqual(rPrime, q, tol)) return std::nullopt;  // r' not in P
+  }
 
   // Cheap pre-rejection around the approximate center: condition (a)
   // requires the shift angle to be at most a quarter of alphamin(P'); most

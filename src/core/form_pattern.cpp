@@ -36,7 +36,7 @@ std::optional<Action> finalMove(Analysis& a) {
     if (a.self() != r) return Action::stay(kFinalMove);
     const geom::Vec2 dest = t->apply(a.F()[f]);
     // The similarity fit carries ~1e-10 noise; don't chase it forever.
-    if (geom::dist(dest, a.P()[r]) <= 1e-8) return Action::stay(kFinalMove);
+    if (geom::normLeq(dest - a.P()[r], 1e-8)) return Action::stay(kFinalMove);
     return Action{linePath(a.P()[r], dest), kFinalMove};
   }
   return std::nullopt;
@@ -46,25 +46,14 @@ std::optional<Action> finalMove(Analysis& a) {
 
 Action FormPatternAlgorithm::compute(const sim::Snapshot& snap,
                                      sched::RandomSource& rng) const {
-  // Appendix C: when the pattern's center is a multiplicity point, the
-  // robots form F~ (center points relocated to g_F) and finish with a
-  // gather move down the ray. The main pipeline then runs against F~.
-  std::optional<CenterMultiplicity> cm;
-  const sim::Snapshot* working = &snap;
-  sim::Snapshot rewritten;
-  if (snap.multiplicityDetection) {
-    cm = analyzeCenterMultiplicity(snap.pattern);
-    if (cm) {
-      rewritten = snap;
-      rewritten.pattern = cm->fTilde;
-      working = &rewritten;
-    }
-  }
-
-  Analysis a(*working);
+  Analysis a(snap);
   if (!a.ok()) return Action::stay(kStay);
 
-  if (cm) {
+  // Appendix C: when the pattern's center is a multiplicity point, the
+  // robots form F~ (center points relocated to g_F) and finish with a
+  // gather move down the ray. The pattern analysis then describes F~, so
+  // the main pipeline runs against it.
+  if (const auto& cm = a.patternInfo().centerMultiplicity) {
     // Terminal against the ORIGINAL pattern; F~ being formed is not
     // terminal — it triggers the gather move instead.
     if (config::similar(a.P(), cm->fOriginal, kMatchTol)) {
@@ -92,9 +81,9 @@ Action FormPatternAlgorithm::compute(const sim::Snapshot& snap,
     // point before the rest of the pattern is done). Intended merges are
     // protected: in the DPF regime a selected robot exists and this branch
     // is not taken, and formed/gather configurations returned above.
-    if (a.multiplicity() && working->robots.hasMultiplicity()) {
+    if (a.multiplicity() && snap.robots.hasMultiplicity()) {
       static const ScatterAlgorithm scatter;
-      return scatter.compute(*working, rng);  // already in the local frame
+      return scatter.compute(snap, rng);  // already in the local frame
     }
     act = rsbCompute(a, rng);
   } else {

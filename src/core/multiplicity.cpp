@@ -5,6 +5,7 @@
 
 #include "config/similarity.h"
 #include "config/view.h"
+#include "core/analysis.h"
 #include "core/moves.h"
 #include "core/phases.h"
 #include "geom/angle.h"
@@ -24,7 +25,7 @@ std::optional<CenterMultiplicity> analyzeCenterMultiplicity(
 
   std::vector<std::size_t> centerPts;
   for (std::size_t i = 0; i < f.size(); ++i) {
-    if (f[i].norm() <= tol.dist) centerPts.push_back(i);
+    if (geom::normLeq(f[i], tol.dist)) centerPts.push_back(i);
   }
   if (centerPts.size() < 2) return std::nullopt;
 
@@ -32,7 +33,7 @@ std::optional<CenterMultiplicity> analyzeCenterMultiplicity(
   const auto views = config::allViews(f, Vec2{}, /*withMultiplicity=*/true);
   std::size_t fmaxNc = f.size();
   for (std::size_t i = 0; i < f.size(); ++i) {
-    if (f[i].norm() <= tol.dist) continue;
+    if (geom::normLeq(f[i], tol.dist)) continue;
     if (fmaxNc == f.size() ||
         config::compareViews(views[i], views[fmaxNc]) > 0) {
       fmaxNc = i;
@@ -73,7 +74,7 @@ std::optional<Action> centerGatherMove(Analysis& a,
   double refAngle = 0.0;
   bool haveRef = false;
   for (std::size_t i : movers) {
-    if (p[i].norm() <= 1e-6) continue;
+    if (geom::normLeq(p[i], 1e-6)) continue;
     const double ang = p[i].arg();
     if (!haveRef) {
       refAngle = ang;
@@ -99,7 +100,7 @@ std::optional<Action> centerGatherMove(Analysis& a,
   const bool isMover =
       std::find(movers.begin(), movers.end(), a.self()) != movers.end();
   if (!isMover) return Action::stay(kMultiplicity);
-  if (geom::dist(p[a.self()], target) <= 1e-8) {
+  if (geom::normLeq(p[a.self()] - target, 1e-8)) {
     return Action::stay(kMultiplicity);
   }
   return Action{linePath(p[a.self()], target), kMultiplicity};

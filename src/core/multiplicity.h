@@ -20,10 +20,11 @@
 #include <optional>
 
 #include "config/configuration.h"
-#include "core/analysis.h"
 #include "sim/algorithm.h"
 
 namespace apf::core {
+
+class Analysis;
 
 /// Analysis of a pattern with center multiplicity.
 struct CenterMultiplicity {
@@ -37,7 +38,9 @@ struct CenterMultiplicity {
 
 /// Detects center multiplicity in the (raw) pattern. Returns nullopt when
 /// the pattern has no multiplicity at its center, or when ALL points are at
-/// one spot (gathering — unsupported, see above).
+/// one spot (gathering — unsupported, see above). A pure function of the
+/// pattern: runs with multiplicity detection read it from the pattern's
+/// cached PatternInfo::centerMultiplicity.
 std::optional<CenterMultiplicity> analyzeCenterMultiplicity(
     const config::Configuration& pattern,
     const geom::Tol& tol = geom::kDefaultTol);

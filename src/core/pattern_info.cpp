@@ -35,7 +35,7 @@ std::vector<double> sortedSecRadii(const Configuration& c) {
   return out;
 }
 
-PatternInfo build(const Configuration& pattern, bool multiplicity) {
+PatternInfo analyze(const Configuration& pattern, bool multiplicity) {
   PatternInfo out;
   out.f = pattern.transformed(pattern.normalizingTransform());
   const Configuration& f = out.f;
@@ -110,6 +110,17 @@ PatternInfo build(const Configuration& pattern, bool multiplicity) {
   }
   out.valid = true;
   return out;
+}
+
+PatternInfo build(const Configuration& pattern, bool multiplicity) {
+  if (multiplicity) {
+    if (auto cm = analyzeCenterMultiplicity(pattern)) {
+      PatternInfo out = analyze(cm->fTilde, multiplicity);
+      out.centerMultiplicity = std::move(cm);
+      return out;
+    }
+  }
+  return analyze(pattern, multiplicity);
 }
 
 /// True when a and b hold the same points bit for bit.

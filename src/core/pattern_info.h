@@ -5,20 +5,28 @@
 /// the lifetime of a run, and every robot receives the same coordinate
 /// list, so all F-side computations (the normalized F, c(F), views, the
 /// removed point f_s, the orientation anchor fmax, theta_F', the circle
-/// decomposition, each F - {f}) are computed once per distinct pattern and
+/// decomposition, each F - {f}, the center-multiplicity analysis of
+/// Appendix C) are computed once per distinct pattern and
 /// shared: core::Analysis reads them by reference. The cache is keyed by
 /// the exact bits of the raw pattern a snapshot carries, plus the
 /// multiplicity flag, so two patterns that differ in any bit never share an
 /// entry (thread-local: one simulation per thread).
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "config/configuration.h"
+#include "core/multiplicity.h"
 
 namespace apf::core {
 
 struct PatternInfo {
+  /// Appendix C, looked up only with multiplicity detection on:
+  /// analyzeCenterMultiplicity(pattern). When it is set, every other field
+  /// describes F~ (its fTilde) instead of the pattern itself: the robots
+  /// form F~ first.
+  std::optional<CenterMultiplicity> centerMultiplicity;
   /// Normalized pattern (unit SEC at origin), with sec() computed: bit for
   /// bit pattern.transformed(pattern.normalizingTransform()).
   config::Configuration f;

@@ -60,7 +60,7 @@ std::optional<Vec2> selectedDescendTarget(Analysis& a, Vec2 c,
     t = std::clamp(-cu, t0 * 0.05, t0 * (1.0 - 1e-6));
   }
   const Vec2 target = c + u * t;
-  if (geom::dist(target, pos) <= kTol) return std::nullopt;
+  if (geom::normLeq(target - pos, kTol)) return std::nullopt;
   return target;
 }
 

@@ -17,7 +17,7 @@ struct Circle {
 
   /// True when p is inside or on the circle (tolerant).
   bool contains(Vec2 p, const Tol& tol = kDefaultTol) const {
-    return dist(p, center) <= radius + tol.dist;
+    return normLeq(p - center, radius + tol.dist);
   }
 
   /// True when p lies on the circumference (tolerant).

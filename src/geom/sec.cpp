@@ -34,7 +34,7 @@ Circle circleFrom3(Vec2 a, Vec2 b, Vec2 c) {
 
 bool inCircle(const Circle& c, Vec2 p) {
   // Slightly enlarged membership keeps Welzl numerically stable.
-  return dist(p, c.center) <= c.radius * (1.0 + 1e-14) + 1e-14;
+  return normLeq(p - c.center, c.radius * (1.0 + 1e-14) + 1e-14);
 }
 
 Circle secWithTwo(std::span<const Vec2> pts, std::size_t end, Vec2 p, Vec2 q) {

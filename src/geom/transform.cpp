@@ -8,16 +8,14 @@
 namespace apf::geom {
 
 Similarity::Similarity(double angle, double scale, bool reflect, Vec2 offset)
-    : angle_(angle), scale_(scale), reflect_(reflect), offset_(offset) {
+    : angle_(angle),
+      cos_(std::cos(angle)),
+      sin_(std::sin(angle)),
+      scale_(scale),
+      reflect_(reflect),
+      offset_(offset) {
   assert(scale_ > 0.0);
 }
-
-Vec2 Similarity::applyLinear(Vec2 v) const {
-  Vec2 m = reflect_ ? Vec2{v.x, -v.y} : v;
-  return m.rotated(angle_) * scale_;
-}
-
-Vec2 Similarity::apply(Vec2 p) const { return applyLinear(p) + offset_; }
 
 Similarity operator*(const Similarity& a, const Similarity& b) {
   // Linear parts: A = s_a R_a M_a, B = s_b R_b M_b.

@@ -29,9 +29,14 @@ class Similarity {
   /// Reflection across the x-axis.
   static Similarity mirrorX() { return {0.0, 1.0, true, {}}; }
 
-  Vec2 apply(Vec2 p) const;
+  Vec2 apply(Vec2 p) const { return applyLinear(p) + offset_; }
   /// Applies only the linear part (no translation); maps directions.
-  Vec2 applyLinear(Vec2 v) const;
+  /// Vec2::rotated(angle) term for term, with its cos and sin taken once
+  /// in the constructor, so the result has the same bits.
+  Vec2 applyLinear(Vec2 v) const {
+    const Vec2 m = reflect_ ? Vec2{v.x, -v.y} : v;
+    return Vec2{cos_ * m.x - sin_ * m.y, sin_ * m.x + cos_ * m.y} * scale_;
+  }
 
   /// Composition: (a * b).apply(p) == a.apply(b.apply(p)).
   friend Similarity operator*(const Similarity& a, const Similarity& b);
@@ -45,6 +50,8 @@ class Similarity {
 
  private:
   double angle_ = 0.0;
+  double cos_ = 1.0;  ///< std::cos(angle_)
+  double sin_ = 0.0;  ///< std::sin(angle_)
   double scale_ = 1.0;
   bool reflect_ = false;
   Vec2 offset_{};

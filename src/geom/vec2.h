@@ -59,9 +59,33 @@ constexpr Vec2 operator*(double s, Vec2 v) { return v * s; }
 
 inline double dist(Vec2 a, Vec2 b) { return (a - b).norm(); }
 
-/// Tolerant point coincidence.
+/// Exactly `d.norm() <= t`, for every d and t, but decided from the squared
+/// norm unless d lies within a relative 1e-12 band around t.
+///
+/// Why the fast path agrees with hypot: let u = 2^-53 and d2 = fl(x*x +
+/// y*y). Each product and the sum round once (an FMA contraction rounds
+/// once fewer), so |d2 - |d|^2| <= 2u|d|^2 (+ u^2 terms), plus at most
+/// 2 * 2^-1074 when a product underflows; t*t*(1 -+ 1e-12) carries another
+/// 2u relative. If d2 < t*t*(1 - 1e-12), then |d|^2 < t^2 (1 - 1e-12 + 5u),
+/// so |d| < t (1 - 4.9e-13), and hypot, within 1 ulp of |d|, is < t.
+/// Symmetrically d2 > t*t*(1 + 1e-12) gives hypot > t; a product that
+/// overflows gives d2 = inf and |d| > 1e154 > t. For t in [1e-150, 1e150]
+/// the band t^2 * 1e-12 >= 1e-312 dwarfs the underflow term and t*t
+/// neither overflows nor goes subnormal. Every other t (0, negative,
+/// tiny, huge, inf, NaN), a NaN d2, and d2 inside the band go to hypot.
+inline bool normLeq(Vec2 d, double t) {
+  if (t >= 1e-150 && t <= 1e150) {
+    const double d2 = d.x * d.x + d.y * d.y;
+    const double t2 = t * t;
+    if (d2 < t2 * (1.0 - 1e-12)) return true;
+    if (d2 > t2 * (1.0 + 1e-12)) return false;
+  }
+  return d.norm() <= t;
+}
+
+/// Tolerant point coincidence: dist(a, b) <= tol.dist.
 inline bool nearlyEqual(Vec2 a, Vec2 b, const Tol& tol = kDefaultTol) {
-  return dist(a, b) <= tol.dist;
+  return normLeq(a - b, tol.dist);
 }
 
 /// Midpoint of the segment [a, b].

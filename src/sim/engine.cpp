@@ -186,7 +186,7 @@ void Engine::applyLookFaults(std::size_t i) {
     for (std::size_t a = 0; a + 1 < kept.size() && dropIdx == kept.size();
          ++a) {
       for (std::size_t b = a + 1; b < kept.size(); ++b) {
-        if (geom::dist(kept[a], kept[b]) <= tol.dist) {
+        if (geom::nearlyEqual(kept[a], kept[b], tol)) {
           dropIdx = (b == newSelf) ? a : b;
           break;
         }

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Golden CSV check: regenerates the decision-level result tables and
-# byte-compares them with the tracked copies under results/.
+# Golden output check: regenerates the decision-level result tables and two
+# campaign documents and byte-compares them with the tracked copies under
+# results/.
 #
 # These benches report only deterministic counts (success tallies, cycles,
 # events, random bits, phase activations, detection tallies), so any change
@@ -17,8 +18,18 @@
 # shifted sets included; bench_faults runs on noisy snapshots, which make
 # near-grids; bench_multiplicity forms patterns with multiplicity points.
 #
+# It then reruns two supervised campaigns, `apf_sim --campaign 24 --json`,
+# at APF_JOBS=1 and at APF_JOBS=4, and byte-compares all four documents with
+# results/campaign24_n8_seed3.json and
+# results/campaign24_n16_symmetric_seed5.json: the pool must give the same
+# document at any job count. The n = 16 symmetric campaign keeps its run
+# that ends in a safety_violation (seed 10, a psi_DPF collision; ROADMAP
+# item 2) on purpose: the golden pins that outcome too, so mending the
+# collision shows up here as an intended diff.
+#
 # Usage: golden_csv_check.sh BUILD_DIR   (run from the repository root;
-#        takes about two minutes on 4 cores, most of it bench_faults)
+#        takes about two minutes on 4 cores, most of it bench_faults; needs
+#        the benches and apf_sim built)
 set -u
 
 BUILD=${1:?usage: golden_csv_check.sh BUILD_DIR}
@@ -50,6 +61,29 @@ for csv in bench_election.csv bench_election_cdf.csv bench_formation.csv \
     status=1
   fi
 done
+
+while read -r golden args; do
+  for jobs in 1 4; do
+    out="$OUT/jobs$jobs.$golden"
+    # shellcheck disable=SC2086  # $args is a word list
+    APF_JOBS=$jobs "$BUILD/tools/apf_sim" --campaign 24 --json $args \
+      < /dev/null > "$out" 2> "$OUT/$golden.log" || {
+      cat "$OUT/$golden.log" >&2
+      echo "golden_csv_check: FAIL: apf_sim $args exited nonzero" >&2
+      exit 1
+    }
+    if cmp "$ROOT/results/$golden" "$out"; then
+      echo "ok   $golden (APF_JOBS=$jobs)"
+    else
+      echo "DIFF $golden (APF_JOBS=$jobs)" >&2
+      status=1
+    fi
+  done
+done <<'CAMPAIGNS'
+campaign24_n8_seed3.json --n 8 --seed 3
+campaign24_n16_symmetric_seed5.json --n 16 --pattern random --start symmetric --seed 5
+CAMPAIGNS
+
 [ "$status" -eq 0 ] && echo "golden_csv_check: PASS" ||
-  echo "golden_csv_check: FAIL: regenerated CSVs differ from results/" >&2
+  echo "golden_csv_check: FAIL: regenerated outputs differ from results/" >&2
 exit "$status"
