@@ -63,6 +63,8 @@ struct GeomCacheCounters {
   std::uint64_t regularPrefixes = 0;    ///< view-class prefixes it checked
   std::uint64_t shiftedCalls = 0;       ///< shiftedRegularSetOf
   std::uint64_t shiftVerifies = 0;      ///< shifted candidates verified
+  /// shiftedRegularSetOf calls its certificate pass answered (nullopt)
+  std::uint64_t shiftCertified = 0;
   std::uint64_t viewsBuilt = 0;         ///< views built by any view call
   std::uint64_t similarityCalls = 0;    ///< findSimilarity
   std::uint64_t similarityTransforms = 0;  ///< rotations matched against B

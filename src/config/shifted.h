@@ -19,7 +19,20 @@
 /// conditions (a)-(c); only verified candidates are reported, so the
 /// heuristic generation can only cause false negatives, never false
 /// positives — and on configurations the algorithms actually produce it is
-/// exhaustive (tested).
+/// exhaustive (tested). The search verifies at most 64 candidates; on
+/// configurations without a shifted set that cap is mostly spent on
+/// family-order-2 singletons (one robot roughly opposite r), which the
+/// pre-rejection of the verification turns down.
+///
+/// A certificate pass runs first. One O(n^2) scan per candidate robot
+/// bounds every vacancy proposal's shift against alphamin(P - {r}); the
+/// whole and pair candidates, generated as the search would, go through
+/// the verification's pre-rejection alone. Where that proves that every
+/// candidate the search would verify (within its cap) is rejected, the
+/// pass returns nullopt without verifying anything, and on asymmetric
+/// configurations without proposing or sorting (counted in
+/// GeomCacheCounters::shiftCertified). Otherwise the search runs as
+/// described, so the result is always the search's.
 
 #include <optional>
 

@@ -20,7 +20,9 @@
 ///     kernel, alphaMinMoved, reads P's polar table with one entry
 ///     recomputed);
 ///   - geom::norm2pi calling fmod on every angle (the kernel skips it when
-///     |a| < 2pi).
+///     |a| < 2pi);
+///   - shiftedRegularSetOf without its certificate pass (the kernel first
+///     tries to prove that no candidate can pass verifyShift).
 /// Every comparison is bitwise on the doubles: the faster kernels must not
 /// change a single decision or value anywhere downstream. Analysis::maxViewP
 /// is checked against its definition, maxViewRobots(P, centerP()).
@@ -40,6 +42,7 @@
 
 #include "config/generator.h"
 #include "config/rays.h"
+#include "config/shifted.h"
 #include "config/symmetry.h"
 #include "config/view.h"
 #include "core/analysis.h"
@@ -365,6 +368,263 @@ double alphaMinAt(Vec2 p, const Configuration& m, Vec2 c, const Tol& tol) {
   return best;
 }
 
+// shiftedRegularSetOf as it was before its certificate pass: every
+// candidate robot's vacancy proposals are generated, sorted, clustered and
+// verified in order, up to the 64-attempt cap.
+
+struct VacancyCandidate {
+  double thetaV = 0.0;
+  int tightCount = 0;
+  bool plausible = false;
+};
+
+std::optional<config::ShiftedSetInfo> verifyShift(const Configuration& p,
+                                                  std::size_t ir, Vec2 rPrime,
+                                                  Vec2 cApprox,
+                                                  const Tol& tol) {
+  const Vec2 r = p[ir];
+  if (geom::nearlyEqual(r, rPrime, tol)) return std::nullopt;
+  for (const Vec2& q : p.points()) {
+    if (geom::nearlyEqual(rPrime, q, tol)) return std::nullopt;
+  }
+  {
+    const double aMinApprox =
+        config::alphaMinMoved(p, ir, rPrime, cApprox, tol);
+    const double shiftApprox = geom::angMin(r, cApprox, rPrime);
+    if (aMinApprox >= geom::kTwoPi || shiftApprox > 0.3 * aMinApprox) {
+      return std::nullopt;
+    }
+  }
+  std::vector<Vec2> pts = p.points();
+  pts[ir] = rPrime;
+  const Configuration pPrime(std::move(pts));
+  const auto reg = config::regularSetOf(pPrime, tol);
+  if (!reg) return std::nullopt;
+  if (std::find(reg->indices.begin(), reg->indices.end(), ir) ==
+      reg->indices.end()) {
+    return std::nullopt;
+  }
+  const Vec2 c = reg->grid.center;
+  const std::vector<double>& radius = p.polar(c).radius;
+  const double rd = radius[ir];
+  if (!geom::distEq(rd, geom::dist(rPrime, c), tol)) return std::nullopt;
+  for (double d : radius) {
+    if (d < rd - tol.dist) return std::nullopt;
+  }
+  const double aMinPPrime = config::alphaMin(pPrime, c, tol);
+  if (aMinPPrime >= geom::kTwoPi) return std::nullopt;
+  const double shiftAngle = geom::angMin(r, c, rPrime);
+  const double eps = shiftAngle / aMinPPrime;
+  if (eps <= 0.0 || shiftAngle <= tol.ang || eps > 0.25 + 1e-9) {
+    return std::nullopt;
+  }
+  if (!(config::alphaMinAt(r, p, c, tol) <
+        config::alphaMinAt(rPrime, pPrime, c, tol))) {
+    return std::nullopt;
+  }
+  config::ShiftedSetInfo info;
+  info.grid = reg->grid;
+  info.biangular = reg->biangular;
+  info.indices = reg->indices;
+  info.shiftedRobot = ir;
+  info.associatedPos = rPrime;
+  info.epsilon = eps;
+  info.alphaMinPPrime = aMinPPrime;
+  info.wholeConfig = reg->wholeConfig;
+  return info;
+}
+
+std::vector<VacancyCandidate> proposeVacancies(const Configuration& p,
+                                               std::size_t ir, Vec2 c,
+                                               const Tol& tol) {
+  const config::PolarTable& t = p.polar(c);
+  if (t.radius[ir] <= tol.dist) return {};
+  const double dirR = t.arg[ir];
+  const int n = static_cast<int>(p.size());
+  struct Raw {
+    double thetaV;
+    int familyOrder;
+  };
+  std::vector<Raw> raw;
+  for (int jf = 2; jf <= n; ++jf) {
+    const double step = geom::kTwoPi / jf;
+    for (std::size_t q = 0; q < p.size(); ++q) {
+      if (q == ir || t.radius[q] <= tol.dist) continue;
+      const double a = t.arg[q];
+      const double delta = a - dirR;
+      const double k = std::round(delta / step);
+      const double thetaV = geom::norm2pi(a - k * step);
+      const double off = geom::normPi(thetaV - dirR);
+      if (std::fabs(off) <= tol.ang) continue;
+      if (std::fabs(off) > step / 4.0 + 1e-7) continue;
+      raw.push_back({thetaV, jf});
+    }
+  }
+  std::sort(raw.begin(), raw.end(),
+            [](const Raw& a, const Raw& b) { return a.thetaV < b.thetaV; });
+  std::vector<VacancyCandidate> out;
+  std::size_t i = 0;
+  while (i < raw.size()) {
+    std::size_t j = i;
+    while (j + 1 < raw.size() && raw[j + 1].thetaV - raw[i].thetaV < 1e-6) ++j;
+    const double med = raw[(i + j) / 2].thetaV;
+    VacancyCandidate cand{med, 0, false};
+    for (std::size_t k = i; k <= j; ++k) {
+      const int order = raw[k].familyOrder;
+      int tight = 0;
+      for (std::size_t l = i; l <= j; ++l) {
+        if (raw[l].familyOrder == order &&
+            std::fabs(raw[l].thetaV - med) < 1e-9) {
+          ++tight;
+        }
+      }
+      cand.tightCount = std::max(cand.tightCount, tight);
+      if (tight + 1 >= order) cand.plausible = true;
+    }
+    out.push_back(cand);
+    i = j + 1;
+  }
+  std::sort(out.begin(), out.end(),
+            [](const VacancyCandidate& a, const VacancyCandidate& b) {
+              return a.tightCount > b.tightCount;
+            });
+  return out;
+}
+
+std::vector<Vec2> refineWholeGridCandidates(const Configuration& p,
+                                            std::size_t ir, Vec2 weberWhole,
+                                            const Tol& tol) {
+  const int n = static_cast<int>(p.size());
+  if (n < 5) return {};
+  std::vector<Vec2> candidates;
+  const Vec2 inits[2] = {weberWhole, geom::weberPoint(p.without(ir).span())};
+  for (const Vec2& c0 : inits) {
+    struct Dir {
+      double a;
+      Vec2 pos;
+    };
+    const config::PolarTable& t = p.polar(c0);
+    std::vector<Dir> dirs;
+    bool degenerate = false;
+    for (std::size_t q = 0; q < p.size() && !degenerate; ++q) {
+      if (q == ir) continue;
+      degenerate = t.radius[q] <= tol.dist;
+      dirs.push_back({t.dir[q], p[q]});
+    }
+    if (degenerate) continue;
+    std::sort(dirs.begin(), dirs.end(),
+              [](const Dir& a, const Dir& b) { return a.a < b.a; });
+    const std::size_t m = dirs.size();
+    auto gapAfter = [&](std::size_t k) {
+      const double next =
+          (k + 1 < m) ? dirs[k + 1].a : dirs[0].a + geom::kTwoPi;
+      return next - dirs[k].a;
+    };
+    auto fitVacancyAfter = [&](std::size_t v, bool biangular, double alpha,
+                               double beta) {
+      std::vector<Vec2> pts;
+      std::vector<int> rayIndex;
+      for (std::size_t k = 0; k < m; ++k) {
+        pts.push_back(dirs[(v + 1 + k) % m].pos);
+        rayIndex.push_back(static_cast<int>(k + 1));
+      }
+      const geom::AngularGrid init{c0, dirs[(v + 1) % m].a - alpha, alpha,
+                                   beta, n};
+      if (auto fit =
+              config::fitGridWithin(pts, rayIndex, n, biangular, init, tol)) {
+        const Vec2 c = fit->grid.center;
+        const double ray0 = fit->grid.rayDir(0);
+        candidates.push_back(c + Vec2{std::cos(ray0), std::sin(ray0)} *
+                                     geom::dist(p[ir], c));
+      }
+    };
+    const double base = geom::kTwoPi / n;
+    {
+      std::size_t v = 0;
+      double maxGap = 0.0;
+      for (std::size_t k = 0; k < m; ++k) {
+        if (gapAfter(k) > maxGap) {
+          maxGap = gapAfter(k);
+          v = k;
+        }
+      }
+      if (std::fabs(maxGap - 2.0 * base) < 0.5 * base) {
+        fitVacancyAfter(v, false, base, base);
+      }
+    }
+    if (n % 2 == 0 && n >= 6) {
+      const double pairSum = 2.0 * geom::kTwoPi / n;
+      for (std::size_t v = 0; v < m; ++v) {
+        if (std::fabs(gapAfter(v) - pairSum) > 0.45 * pairSum) continue;
+        const double betaInit = gapAfter((v + 1) % m);
+        const double alphaInit = pairSum - betaInit;
+        if (alphaInit < 0.02 * pairSum || alphaInit > 0.98 * pairSum) continue;
+        fitVacancyAfter(v, true, alphaInit, betaInit);
+      }
+    }
+  }
+  return candidates;
+}
+
+std::optional<config::ShiftedSetInfo> shiftedRegularSetOf(
+    const Configuration& p, const Tol& tol = geom::kDefaultTol) {
+  const std::size_t n = p.size();
+  if (n < 4) return std::nullopt;
+  const Vec2 weberWhole = p.weberPoint();
+  const Vec2 centers[2] = {p.sec().center, weberWhole};
+  std::vector<bool> isCandidate(n, false);
+  for (const Vec2& c : centers) {
+    const std::vector<double>& radius = p.polar(c).radius;
+    double dmin = std::numeric_limits<double>::infinity();
+    for (double d : radius) dmin = std::min(dmin, d);
+    for (std::size_t i = 0; i < n; ++i) {
+      if (radius[i] <= dmin + tol.dist) isCandidate[i] = true;
+    }
+  }
+  const Vec2 c = centers[0];
+  const config::PolarTable& around = p.polar(c);
+  int attempts = 0;
+  constexpr int kMaxAttempts = 64;
+  for (std::size_t ir = 0; ir < n; ++ir) {
+    if (!isCandidate[ir]) continue;
+    const double rad = around.radius[ir];
+    if (rad > tol.dist) {
+      for (const VacancyCandidate& cand : proposeVacancies(p, ir, c, tol)) {
+        if (!cand.plausible) continue;
+        if (++attempts > kMaxAttempts) return std::nullopt;
+        const Vec2 rPrime =
+            c + Vec2{std::cos(cand.thetaV), std::sin(cand.thetaV)} * rad;
+        if (auto info = verifyShift(p, ir, rPrime, c, tol)) return info;
+      }
+    }
+    for (const Vec2& rPrime :
+         refineWholeGridCandidates(p, ir, weberWhole, tol)) {
+      if (++attempts > kMaxAttempts) return std::nullopt;
+      if (auto info = verifyShift(p, ir, rPrime, weberWhole, tol)) {
+        return info;
+      }
+    }
+    if (rad > tol.dist) {
+      const Configuration restCfg = p.without(ir);
+      const double dirR = around.arg[ir];
+      for (double axis : config::symmetryAxes(restCfg, c, tol)) {
+        const config::PolarTable& rt = restCfg.polar(c);
+        for (std::size_t q = 0; q < restCfg.size(); ++q) {
+          if (rt.radius[q] <= tol.dist) continue;
+          const double thetaV = geom::norm2pi(2.0 * axis - rt.arg[q]);
+          if (std::fabs(geom::normPi(thetaV - dirR)) > 0.6) continue;
+          if (++attempts > kMaxAttempts) return std::nullopt;
+          const Vec2 rPrime =
+              c + Vec2{std::cos(thetaV), std::sin(thetaV)} * rad;
+          if (auto info = verifyShift(p, ir, rPrime, c, tol)) return info;
+        }
+      }
+    }
+  }
+  return std::nullopt;
+}
+
+
 }  // namespace oracle
 
 // --- Bitwise comparison helpers. ---
@@ -501,6 +761,35 @@ void checkMaxViewP(const sim::Snapshot& snap, const std::string& what) {
   EXPECT_EQ(fast.maxViewP(), config::maxViewRobots(slow.P(), slow.centerP(),
                                                    slow.multiplicity()))
       << what;
+}
+
+/// shiftedRegularSetOf against the oracle, every field of the result
+/// bitwise. Returns whether the certificate pass answered the call.
+bool checkShifted(const Configuration& p, const std::string& what) {
+  const auto want = oracle::shiftedRegularSetOf(p);
+  const std::uint64_t before = config::geomCacheCounters().shiftCertified;
+  const auto got = config::shiftedRegularSetOf(p);
+  const bool certified = config::geomCacheCounters().shiftCertified != before;
+  EXPECT_FALSE(certified && want.has_value()) << what;
+  EXPECT_EQ(got.has_value(), want.has_value()) << what;
+  if (!got || !want) return certified;
+  const geom::AngularGrid& g = got->grid;
+  const geom::AngularGrid& w = want->grid;
+  EXPECT_EQ(bits(g.center.x), bits(w.center.x)) << what;
+  EXPECT_EQ(bits(g.center.y), bits(w.center.y)) << what;
+  EXPECT_EQ(bits(g.theta0), bits(w.theta0)) << what;
+  EXPECT_EQ(bits(g.alpha), bits(w.alpha)) << what;
+  EXPECT_EQ(bits(g.beta), bits(w.beta)) << what;
+  EXPECT_EQ(g.numRays, w.numRays) << what;
+  EXPECT_EQ(got->biangular, want->biangular) << what;
+  EXPECT_EQ(got->indices, want->indices) << what;
+  EXPECT_EQ(got->shiftedRobot, want->shiftedRobot) << what;
+  EXPECT_EQ(bits(got->associatedPos.x), bits(want->associatedPos.x)) << what;
+  EXPECT_EQ(bits(got->associatedPos.y), bits(want->associatedPos.y)) << what;
+  EXPECT_EQ(bits(got->epsilon), bits(want->epsilon)) << what;
+  EXPECT_EQ(bits(got->alphaMinPPrime), bits(want->alphaMinPPrime)) << what;
+  EXPECT_EQ(got->wholeConfig, want->wholeConfig) << what;
+  return certified;
 }
 
 Configuration mapped(const Configuration& p, double scale, Vec2 offset) {
@@ -1113,6 +1402,222 @@ TEST(KernelOracleTest, SharedPatternCampaignCountersIndependentOfJobs) {
   const auto serial = sim::campaignMap(seeds, worker, 1);
   const auto four = sim::campaignMap(seeds, worker, 4);
   EXPECT_EQ(serial, four);
+}
+
+// --- shiftedRegularSetOf and its certificate pass. ---
+
+/// Generator corpora: random configurations, regular polygons, two
+/// concentric polygons (aligned and rotated; two 32-gons end the search at
+/// its attempt cap), axial and symmetric sets, at two coordinate scales.
+/// Both the certificate and the fallback must run.
+TEST(KernelOracleTest, ShiftedSetOnGeneratorCorpora) {
+  Rng rng(1508);
+  std::vector<Configuration> corpus;
+  for (std::size_t n = 4; n <= 64; n += (n < 16 ? 1 : 12)) {
+    for (int rep = 0; rep < 2; ++rep) {
+      corpus.push_back(config::randomConfiguration(n, rng, 2.0, 1e-3));
+    }
+  }
+  for (std::size_t m : {4u, 5u, 7u, 8u, 12u, 32u}) {
+    corpus.push_back(config::regularPolygon(m, 1.5, {0.3, -0.7}, 0.2));
+    corpus.push_back(twoConcentric(m, 1.0, 0.55, geom::kPi / m));
+    corpus.push_back(twoConcentric(m, 1.0, 0.55, 0.0));
+  }
+  for (int pairs = 2; pairs <= 8; pairs += 2) {
+    corpus.push_back(config::axialConfiguration(pairs, pairs % 3, rng));
+  }
+  corpus.push_back(config::symmetricConfiguration(4, 3, rng));
+  corpus.push_back(config::symmetricConfiguration(8, 2, rng));
+  int certified = 0;
+  int searched = 0;
+  for (std::size_t k = 0; k < corpus.size(); ++k) {
+    for (double scale : {1.0, 1e3}) {
+      const Configuration p = mapped(corpus[k], scale, Vec2{0.1, -0.2} * scale);
+      const std::string what =
+          "corpus " + std::to_string(k) + " scale " + std::to_string(scale);
+      (checkShifted(p, what) ? certified : searched) += 1;
+    }
+  }
+  EXPECT_GT(certified, 0);
+  EXPECT_GT(searched, 0);
+}
+
+/// Snapshots of live `form` runs, as the robots see them and normalized as
+/// Analysis does: random starts at n = 16 and 64 (the reject path), and two
+/// 8-gons and two 16-gons, aligned and rotated (the election, whose shifts
+/// the search must find).
+TEST(KernelOracleTest, ShiftedSetOnLiveSnapshots) {
+  struct Case {
+    const char* name;
+    Configuration start;
+    std::uint64_t events;
+  };
+  Rng rng(6417);
+  const std::vector<Case> cases = {
+      {"random n=16", config::randomConfiguration(16, rng, 3.0, 0.05), 2000},
+      {"random n=64", config::randomConfiguration(64, rng, 3.0, 0.05), 600},
+      {"two 8-gons", twoConcentric(8, 1.0, 0.6, geom::kPi / 8.0), 3000},
+      {"two aligned 8-gons", twoConcentric(8, 1.0, 0.6, 0.0), 3000},
+      {"two 16-gons", twoConcentric(16, 1.0, 0.6, geom::kPi / 16.0), 1500},
+      {"two aligned 16-gons", twoConcentric(16, 1.0, 0.6, 0.0), 1500},
+  };
+  int found = 0;
+  int certified = 0;
+  for (const Case& c : cases) {
+    const std::size_t n = c.start.size();
+    const Configuration pattern = config::randomPattern(n, rng);
+    SnapshotTap tap;
+    sim::EngineOptions opts;
+    opts.sched.kind = sched::SchedulerKind::Async;
+    opts.seed = n + 1;
+    opts.maxEvents = c.events;
+    sim::Engine engine(c.start, pattern, tap, opts);
+    (void)engine.run();
+    ASSERT_GE(tap.snaps.size(), 20u) << c.name;
+    for (std::size_t k = 0; k < tap.snaps.size(); k += (n > 16 ? 4 : 1)) {
+      const Configuration& raw = tap.snaps[k].robots;
+      const Configuration norm = raw.transformed(raw.normalizingTransform());
+      const std::string what =
+          std::string(c.name) + " snapshot " + std::to_string(k);
+      certified += checkShifted(raw, what + " (robot frame)");
+      certified += checkShifted(norm, what + " (normalized)");
+      found += oracle::shiftedRegularSetOf(norm).has_value();
+    }
+  }
+  EXPECT_GT(found, 0);
+  EXPECT_GT(certified, 0);
+}
+
+/// Constructed shifted sets at eps = 1/8 and 1/4: whole equiangular and
+/// bi-angled configurations, and a triangle inside a hexagon (the subset
+/// case). The search must find each, so the certificate must not hold.
+TEST(KernelOracleTest, ShiftedSetOnConstructedShifts) {
+  for (double eps : {0.125, 0.25}) {
+    for (std::size_t m = 7; m <= 16; ++m) {
+      std::vector<double> radii(m, 2.0);
+      radii[2] = 1.0;
+      Configuration p = config::equiangularSet(radii, {3, -2}, 0.8);
+      p[2] = Vec2{3, -2} + (p[2] - Vec2{3, -2}).rotated(eps * geom::kTwoPi / m);
+      const std::string what =
+          "equiangular m=" + std::to_string(m) + " eps=" + std::to_string(eps);
+      ASSERT_TRUE(oracle::shiftedRegularSetOf(p).has_value()) << what;
+      EXPECT_FALSE(checkShifted(p, what)) << what;
+    }
+    for (std::size_t m : {8u, 12u}) {
+      std::vector<double> radii(m, 2.0);
+      radii[4] = 1.2;
+      const double alpha = 0.8 * geom::kTwoPi / m;
+      Configuration p = config::biangularSet(m, alpha, radii, {1, 1}, 0.9);
+      p[4] = Vec2{1, 1} + (p[4] - Vec2{1, 1}).rotated(eps * alpha);
+      const std::string what =
+          "biangular m=" + std::to_string(m) + " eps=" + std::to_string(eps);
+      ASSERT_TRUE(oracle::shiftedRegularSetOf(p).has_value()) << what;
+      EXPECT_FALSE(checkShifted(p, what)) << what;
+    }
+    Configuration p = config::regularPolygon(6, 3.0, {}, 0.0);
+    Configuration inner = config::regularPolygon(3, 1.0, {}, 0.21);
+    const double shift = eps * 0.21;
+    inner[0] = Vec2{0.8 * std::cos(0.21 - shift), 0.8 * std::sin(0.21 - shift)};
+    for (const Vec2& v : inner.points()) p.push_back(v);
+    const std::string what = "subset eps=" + std::to_string(eps);
+    ASSERT_TRUE(oracle::shiftedRegularSetOf(p).has_value()) << what;
+    EXPECT_FALSE(checkShifted(p, what)) << what;
+  }
+}
+
+/// The certificate's subset-case bound for robot ir, from its definition in
+/// src/config/shifted.cpp: B_r = 0.3 * (g_r + tol.ang) + 1e-9 + 1e-11, with
+/// g_r = alphamin of P - {r} around the SEC center.
+double certificateBound(const Configuration& p, std::size_t ir) {
+  const Tol tol = geom::kDefaultTol;
+  const double gR = config::alphaMin(p.without(ir), p.sec().center, tol);
+  return 0.3 * (gR + tol.ang) + 1e-9 + 1e-11;
+}
+
+/// The offset proposeVacancies computes for robot q, family order jf.
+double reducedOffset(const Configuration& p, std::size_t ir, std::size_t q,
+                     int jf) {
+  const config::PolarTable& t = p.polar(p.sec().center);
+  const double step = geom::kTwoPi / jf;
+  const double k = std::round((t.arg[q] - t.arg[ir]) / step);
+  return geom::normPi(geom::norm2pi(t.arg[q] - k * step) - t.arg[ir]);
+}
+
+/// A robot whose order-2 offset lies at the bound B_r to within a few ulps
+/// of its direction: on or inside the bound the certificate must give up,
+/// one ulp outside it must hold (every other offset is far from the bound).
+TEST(KernelOracleTest, ShiftedCertificateAtItsBound) {
+  // Robot 0 is the innermost r; the outer ring holds one close pair (gap
+  // 0.02 = g_r); robot 10 is q, roughly opposite r.
+  const double outer[] = {0.7, 0.72, 1.3, 1.9, 2.6, 4.1, 4.7, 5.3, 5.9};
+  const auto build = [&](double qDir) {
+    std::vector<Vec2> pts = {Vec2{std::cos(0.2), std::sin(0.2)} * 0.1};
+    for (double a : outer) pts.push_back(Vec2{std::cos(a), std::sin(a)});
+    pts.push_back(Vec2{std::cos(qDir), std::sin(qDir)} * 0.6);
+    return Configuration(std::move(pts));
+  };
+  const auto excess = [&](double qDir) {
+    const Configuration p = build(qDir);
+    return std::fabs(reducedOffset(p, 0, 10, 2)) - certificateBound(p, 0);
+  };
+  const double b0 = certificateBound(build(0.2 + geom::kPi + 0.006), 0);
+  double lo = 0.2 + geom::kPi + b0 - 1e-6;
+  double hi = 0.2 + geom::kPi + b0 + 1e-6;
+  ASSERT_LE(excess(lo), 0.0);
+  ASSERT_GT(excess(hi), 0.0);
+  while (std::nextafter(lo, hi) != hi) {
+    const double mid = lo + (hi - lo) / 2.0;
+    if (mid == lo || mid == hi) break;
+    (excess(mid) <= 0.0 ? lo : hi) = mid;
+  }
+  EXPECT_GT(excess(lo), -1e-14);
+  EXPECT_LT(excess(hi), 1e-14);
+  EXPECT_FALSE(checkShifted(build(lo), "q on the bound"));
+  EXPECT_TRUE(checkShifted(build(hi), "q just outside the bound"));
+}
+
+/// Directions of P - {r} chained at gaps near tol.ang: rayDirections merges
+/// some of them, so the alphamin bound does not hold and the certificate
+/// must give up, even where no offset comes near the bound (chain at 3.4).
+TEST(KernelOracleTest, ShiftedCertificateDenseDirectionChain) {
+  const double outer[] = {0.7, 1.0, 1.3, 1.6, 1.9, 2.25, 2.6, 4.1,
+                          4.4, 4.7, 5.0, 5.3, 5.6, 5.9};
+  const double chainGaps[] = {1.5e-9, 0.9e-9, 2.1e-9};
+  for (double chainAt : {3.4, 0.2 + geom::kPi}) {
+    std::vector<Vec2> pts = {Vec2{std::cos(0.2), std::sin(0.2)} * 0.02};
+    for (double a : outer) pts.push_back(Vec2{std::cos(a), std::sin(a)});
+    double a = chainAt;
+    double radius = 0.7;
+    pts.push_back(Vec2{std::cos(a), std::sin(a)} * radius);
+    for (double gap : chainGaps) {
+      a += gap;
+      radius += 0.1;
+      pts.push_back(Vec2{std::cos(a), std::sin(a)} * radius);
+    }
+    const std::string what = "chain at " + std::to_string(chainAt);
+    EXPECT_FALSE(checkShifted(Configuration(std::move(pts)), what)) << what;
+  }
+}
+
+/// r within a few 1e-9 of the SEC center. Off the origin, rounding in
+/// r' - c is no longer small against |r - c|, so the certificate must give
+/// up; at the origin it holds (g_r is the 0.02 gap of the close pair).
+TEST(KernelOracleTest, ShiftedCertificateRobotNearCenter) {
+  const double outer[] = {0.7, 0.72, 1.3, 1.9, 2.6, 3.5, 4.1, 4.7, 5.3, 5.9};
+  for (Vec2 center : {Vec2{}, Vec2{3, -2}}) {
+    for (double rad : {1.5e-9, 3e-9, 1e-8}) {
+      std::vector<Vec2> pts;
+      for (double a : outer) {
+        pts.push_back(center + Vec2{std::cos(a), std::sin(a)});
+      }
+      const Vec2 c = Configuration(pts).sec().center;
+      pts.push_back(c + Vec2{std::cos(0.3), std::sin(0.3)} * rad);
+      const Configuration p(std::move(pts));
+      const std::string what = "center (" + std::to_string(center.x) +
+                               ") rad " + std::to_string(rad);
+      EXPECT_EQ(checkShifted(p, what), center.x == 0.0) << what;
+    }
+  }
 }
 
 }  // namespace
