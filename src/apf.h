@@ -4,7 +4,7 @@
 /// Umbrella header for the APF simulator's public surface. Including this
 /// single header gives a consumer the whole stack a tool binary needs:
 /// configurations and pattern generators, the event-driven engine, the
-/// campaign/supervisor/shard execution layers, fault injection, adaptive
+/// campaign/supervisor execution layers, fault injection, adaptive
 /// estimation, and the observability + environment plumbing.
 ///
 /// The grouping below mirrors the library layering (src/*/CMakeLists.txt):
@@ -63,11 +63,11 @@
 // simulation engine and execution layers (apf_sim)
 #include "sim/algorithm.h"
 #include "sim/campaign.h"
+#include "sim/campaign_spec.h"
 #include "sim/engine.h"
 #include "sim/fuzzer.h"
 #include "sim/metrics.h"
 #include "sim/scenario.h"
-#include "sim/shard.h"
 #include "sim/shrink.h"
 #include "sim/supervisor.h"
 #include "sim/trace.h"

@@ -3,9 +3,9 @@
 /// \file scenario.h
 /// One description of what to simulate (docs/API.md): algorithm, pattern,
 /// start recipe, scheduler, seeds, event cap and fault plan. A campaign
-/// shard (sim/shard.h) and a failure repro (sim/shrink.h) are a Scenario
-/// plus a few fields of their own; the fuzzer, apf_sim and apf_estimate
-/// run one too, each through startFor and engineOptions. The JSON decoder
+/// spec (sim/campaign_spec.h) and a failure repro (sim/shrink.h) are a
+/// Scenario plus a few fields of their own; the fuzzer, apf_sim and
+/// apf_estimate run one too, each through startFor and engineOptions. The JSON decoder
 /// is strict: a missing, unknown or ill-typed key is an error.
 
 #include <cstdint>

@@ -158,7 +158,7 @@ void appendManifestInvariant(const SupervisorOptions& opts,
   m.set("supervisor.max_retries", opts.maxRetries);
   m.set("supervisor.items", report.items);
   // The fresh-vs-replayed split depends on where a campaign was killed;
-  // only the sum survives resume (and shard-merge) byte-comparison.
+  // only the sum survives resume byte-comparison.
   m.set("supervisor.finished", report.completed + report.replayed);
   m.set("supervisor.retries", report.retries);
   m.set("supervisor.quarantined", report.quarantined);

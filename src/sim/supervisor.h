@@ -205,8 +205,7 @@ void appendManifest(const SupervisorOptions& opts,
 
 /// Resume-invariant variant: collapses the fresh-vs-replayed split into a
 /// single `supervisor.finished` key (their sum IS invariant) so a resumed
-/// or sharded campaign's manifest stays byte-identical to an
-/// uninterrupted single-process one — the same reasoning that keeps the
+/// campaign's manifest stays byte-identical to an uninterrupted one — the same reasoning that keeps the
 /// split out of apf_sim's --json document.
 void appendManifestInvariant(const SupervisorOptions& opts,
                              const SupervisorReport& report,
@@ -323,8 +322,8 @@ class MergeSink {
 }  // namespace detail
 
 /// Supervised, optionally journaled campaign over the GLOBAL run indices
-/// [lo, hi) — the one campaign driver behind apf_sim's campaigns and
-/// shards (sim/shard.h), est::runAdaptive and the supervised benches.
+/// [lo, hi) — the one campaign driver behind apf_sim's campaigns
+/// (sim/campaign_spec.h), est::runAdaptive and the supervised benches.
 ///   Result worker(std::size_t index, const Attempt&)
 ///   void merge(std::size_t index, Result&&)
 /// merge is only called for runs that completed, on the calling thread, in

@@ -1,33 +1,23 @@
-/// \file shard_test.cpp
-/// The apf.shard.v1 journal key and the sharded-execution determinism
-/// guarantees (src/sim/shard.h):
+/// \file campaign_spec_test.cpp
+/// The apf.shard.v1 journal key and the campaign payload's determinism
+/// (src/sim/campaign_spec.h):
 ///
-///  * Three specs encode to literal, pinned key bytes, every ShardSpec
+///  * Three specs encode to literal, pinned key bytes, every CampaignSpec
 ///    field reaches the wire losslessly, and reading the wire back then
 ///    re-encoding is a byte-level fixed point — the key a journal written
 ///    by an earlier build carries must stay reproducible.
-///  * Changing any single ShardSpec field changes shardConfigKey — the
+///  * Changing any single CampaignSpec field changes shardConfigKey — the
 ///    property the journal's cross-campaign refusal relies on.
-///  * shardRange is a contiguous, balanced, exact partition of [0, runs).
-///  * A run's payload depends only on (spec, global index, attempt salt).
-///  * Merging shard journals yields a file byte-identical to the journal
-///    of a single-process run — on scripted (fixed points), fuzz (random
-///    starts), and fault-plan campaigns, serial and on a thread pool —
-///    and resuming a partially-journaled shard converges to the same
-///    bytes.
-///  * Journals of a different campaign, and paths that do not exist,
-///    refuse to merge.
+///  * A run's payload depends only on (spec, run index, attempt salt).
 ///
-/// apf_sim's --shard/--merge flags and the journal lock are exercised end
-/// to end by tests/shard_cli_test.sh and tools/kill_resume_check.sh; these
-/// tests pin the in-process layers those drills build on.
+/// apf_sim's campaign flags, resume and the journal lock are exercised end
+/// to end by tests/campaign_cli_test.sh and tools/kill_resume_check.sh;
+/// journal replay and the config-key refusal in-process by
+/// tests/supervisor_test.cpp.
 
 #include <gtest/gtest.h>
 
-#include <filesystem>
-#include <fstream>
 #include <iterator>
-#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -36,28 +26,15 @@
 #include "core/form_pattern.h"
 #include "io/patterns.h"
 #include "obs/json.h"
-#include "sim/shard.h"
-#include "sim/shrink.h"
+#include "sim/campaign_spec.h"
 #include "sim/supervisor.h"
 
 namespace apf::sim {
 namespace {
 
-std::string readAll(const std::string& path) {
-  std::ifstream is(path, std::ios::binary);
-  EXPECT_TRUE(is) << "cannot open " << path;
-  std::ostringstream buf;
-  buf << is.rdbuf();
-  return buf.str();
-}
-
-std::string tempPath(const std::string& name) {
-  return (std::filesystem::path(::testing::TempDir()) / name).string();
-}
-
 /// "scripted" workload: every run starts from the same fixed points.
-ShardSpec scriptedSpec() {
-  ShardSpec s;
+CampaignSpec scriptedSpec() {
+  CampaignSpec s;
   s.algo = "form";
   s.patternLabel = "star";
   s.pattern = io::starPattern(6);
@@ -72,8 +49,8 @@ ShardSpec scriptedSpec() {
 
 /// "fuzz" workload: a fresh random start per run, derived from the
 /// effective seed.
-ShardSpec fuzzSpec() {
-  ShardSpec s;
+CampaignSpec fuzzSpec() {
+  CampaignSpec s;
   s.algo = "form";
   s.patternLabel = "star";
   s.pattern = io::starPattern(6);
@@ -86,8 +63,8 @@ ShardSpec fuzzSpec() {
 
 /// "fault-plan" workload: crash-stop victims re-drawn per run plus sensor
 /// noise and truncation.
-ShardSpec faultSpec() {
-  ShardSpec s = fuzzSpec();
+CampaignSpec faultSpec() {
+  CampaignSpec s = fuzzSpec();
   s.baseSeed = 31;
   s.crashF = 1;
   s.crashHorizon = 500;
@@ -101,11 +78,11 @@ ShardSpec faultSpec() {
 /// Reads an apf.shard.v1 line back: the scenario fields through the
 /// library's strict decoder, then the three supervisor knobs. Tools never
 /// decode the key; this proves the encoding loses nothing.
-ShardSpec readKey(const std::string& wire) {
+CampaignSpec readKey(const std::string& wire) {
   obs::JsonNode doc;
-  ShardSpec s;
+  CampaignSpec s;
   static_cast<Scenario&>(s) =
-      scenarioFromJson(wire, "shard", ShardSpec::kSchema,
+      scenarioFromJson(wire, "shard", CampaignSpec::kSchema,
                        {"watchdog_events", "watchdog_ms", "retries"}, doc);
   s.watchdogEvents = obs::requireU64(doc, "watchdog_events", "shard");
   s.watchdogMs = obs::requireU64(doc, "watchdog_ms", "shard");
@@ -115,8 +92,8 @@ ShardSpec readKey(const std::string& wire) {
 
 /// Three specs with exactly representable coordinates, so their keys can
 /// be spelled out below.
-ShardSpec pinnedPointsSpec() {
-  ShardSpec s;
+CampaignSpec pinnedPointsSpec() {
+  CampaignSpec s;
   s.algo = "form";
   s.patternLabel = "square";
   s.pattern = config::Configuration({{0, 0}, {1, 0}, {1, 1}, {0, 1}});
@@ -129,8 +106,8 @@ ShardSpec pinnedPointsSpec() {
   return s;
 }
 
-ShardSpec pinnedRandomSpec() {
-  ShardSpec s = pinnedPointsSpec();
+CampaignSpec pinnedRandomSpec() {
+  CampaignSpec s = pinnedPointsSpec();
   s.algo = "rsb";
   s.patternLabel = "star";
   s.startKind = "random";
@@ -143,8 +120,8 @@ ShardSpec pinnedRandomSpec() {
   return s;
 }
 
-ShardSpec pinnedFaultSpec() {
-  ShardSpec s = pinnedPointsSpec();
+CampaignSpec pinnedFaultSpec() {
+  CampaignSpec s = pinnedPointsSpec();
   s.startKind = "symmetric";
   s.crashF = 2;
   s.crashHorizon = 500;
@@ -199,7 +176,7 @@ TEST(ShardSpecTest, PinnedKeyBytes) {
 }
 
 TEST(ShardSpecTest, RoundTripPreservesEveryField) {
-  ShardSpec s = faultSpec();
+  CampaignSpec s = faultSpec();
   s.startKind = "points";
   config::Rng rng(5);
   s.start = config::randomConfiguration(6, rng, 5.0, 0.1);
@@ -213,7 +190,7 @@ TEST(ShardSpecTest, RoundTripPreservesEveryField) {
   s.watchdogMs = 1234;
   s.retries = 5;
 
-  const ShardSpec d = readKey(toJson(s));
+  const CampaignSpec d = readKey(toJson(s));
   EXPECT_EQ(d.algo, s.algo);
   EXPECT_EQ(d.patternLabel, s.patternLabel);
   ASSERT_EQ(d.pattern.size(), s.pattern.size());
@@ -250,7 +227,7 @@ TEST(ShardSpecTest, EncodingIsAFixedPointProperty) {
   // bytes for ANY spec — sweep a family of field combinations, including
   // doubles that need shortest-round-trip formatting and seeds above 2^53.
   for (std::uint64_t i = 0; i < 32; ++i) {
-    ShardSpec s;
+    CampaignSpec s;
     s.algo = (i % 2) != 0u ? "rsb" : "form";
     s.startKind = (i % 3) == 0 ? "points" : ((i % 3) == 1 ? "random"
                                                           : "symmetric");
@@ -281,44 +258,44 @@ TEST(ShardSpecTest, EveryFieldChangesTheConfigKey) {
   // two specs that run different experiments must never share one. Each
   // mutation below changes exactly one field of a "points" spec (the only
   // kind whose start is authoritative).
-  using Mutation = void (*)(ShardSpec&);
+  using Mutation = void (*)(CampaignSpec&);
   const Mutation mutations[] = {
-      [](ShardSpec& s) { s.algo = "rsb"; },
-      [](ShardSpec& s) { s.patternLabel = "other"; },
-      [](ShardSpec& s) { s.pattern = io::polygonPattern(6); },
-      [](ShardSpec& s) { s.startKind = "random"; },
-      [](ShardSpec& s) { s.start = io::polygonPattern(6); },
-      [](ShardSpec& s) { s.sched = sched::SchedulerKind::SSync; },
-      [](ShardSpec& s) { s.baseSeed += 1; },
-      [](ShardSpec& s) { s.runs += 1; },
-      [](ShardSpec& s) { s.maxEvents += 1; },
-      [](ShardSpec& s) { s.delta = 0.123456789012345; },
-      [](ShardSpec& s) { s.multiplicity = true; },
-      [](ShardSpec& s) { s.commonChirality = true; },
-      [](ShardSpec& s) { s.crashF = 1; },
-      [](ShardSpec& s) { s.crashHorizon += 1; },
-      [](ShardSpec& s) { s.fault.seed += 1; },
-      [](ShardSpec& s) { s.fault.noiseSigma = 0.01; },
-      [](ShardSpec& s) { s.fault.omitProb = 0.01; },
-      [](ShardSpec& s) { s.fault.multFlipProb = 0.01; },
-      [](ShardSpec& s) { s.fault.dropProb = 0.01; },
-      [](ShardSpec& s) { s.fault.truncProb = 0.01; },
-      [](ShardSpec& s) { s.faultSeedSet = true; },
-      [](ShardSpec& s) { s.watchdogEvents = 50000; },
-      [](ShardSpec& s) { s.watchdogMs = 1234; },
-      [](ShardSpec& s) { s.retries = 5; },
+      [](CampaignSpec& s) { s.algo = "rsb"; },
+      [](CampaignSpec& s) { s.patternLabel = "other"; },
+      [](CampaignSpec& s) { s.pattern = io::polygonPattern(6); },
+      [](CampaignSpec& s) { s.startKind = "random"; },
+      [](CampaignSpec& s) { s.start = io::polygonPattern(6); },
+      [](CampaignSpec& s) { s.sched = sched::SchedulerKind::SSync; },
+      [](CampaignSpec& s) { s.baseSeed += 1; },
+      [](CampaignSpec& s) { s.runs += 1; },
+      [](CampaignSpec& s) { s.maxEvents += 1; },
+      [](CampaignSpec& s) { s.delta = 0.123456789012345; },
+      [](CampaignSpec& s) { s.multiplicity = true; },
+      [](CampaignSpec& s) { s.commonChirality = true; },
+      [](CampaignSpec& s) { s.crashF = 1; },
+      [](CampaignSpec& s) { s.crashHorizon += 1; },
+      [](CampaignSpec& s) { s.fault.seed += 1; },
+      [](CampaignSpec& s) { s.fault.noiseSigma = 0.01; },
+      [](CampaignSpec& s) { s.fault.omitProb = 0.01; },
+      [](CampaignSpec& s) { s.fault.multFlipProb = 0.01; },
+      [](CampaignSpec& s) { s.fault.dropProb = 0.01; },
+      [](CampaignSpec& s) { s.fault.truncProb = 0.01; },
+      [](CampaignSpec& s) { s.faultSeedSet = true; },
+      [](CampaignSpec& s) { s.watchdogEvents = 50000; },
+      [](CampaignSpec& s) { s.watchdogMs = 1234; },
+      [](CampaignSpec& s) { s.retries = 5; },
   };
-  const ShardSpec base = scriptedSpec();
+  const CampaignSpec base = scriptedSpec();
   const std::string baseKey = shardConfigKey(base);
   for (std::size_t m = 0; m < std::size(mutations); ++m) {
-    ShardSpec changed = base;
+    CampaignSpec changed = base;
     mutations[m](changed);
     EXPECT_NE(shardConfigKey(changed), baseKey) << "mutation " << m;
   }
 }
 
 TEST(ShardSpecTest, StartPointsOnlyOnWireWhenAuthoritative) {
-  ShardSpec s = fuzzSpec();
+  CampaignSpec s = fuzzSpec();
   config::Rng rng(3);
   s.start = config::randomConfiguration(6, rng, 5.0, 0.1);  // stale scratch
   // startKind is "random": the stale start must NOT appear on the wire,
@@ -330,7 +307,7 @@ TEST(ShardSpecTest, StartPointsOnlyOnWireWhenAuthoritative) {
 TEST(ShardSpecTest, ValidateCatchesInconsistentSpecs) {
   EXPECT_EQ(validate(scriptedSpec()), "");
   EXPECT_EQ(validate(faultSpec()), "");
-  ShardSpec bad = scriptedSpec();
+  CampaignSpec bad = scriptedSpec();
   bad.pattern = io::starPattern(7);  // the start still has 6 points
   EXPECT_NE(validate(bad), "");
   bad = scriptedSpec();
@@ -349,38 +326,10 @@ TEST(ShardSpecTest, ValidateCatchesInconsistentSpecs) {
   EXPECT_THROW(readKey(toJson(bad)), std::runtime_error);
 }
 
-// ------------------------------------------------------------ partition --
-
-TEST(ShardRangeTest, PartitionIsContiguousBalancedAndExact) {
-  for (const std::uint64_t runs : {0ull, 1ull, 5ull, 8ull, 64ull, 1001ull}) {
-    for (const unsigned count : {1u, 2u, 3u, 4u, 7u, 16u}) {
-      std::uint64_t covered = 0;
-      std::uint64_t minSize = runs + 1, maxSize = 0;
-      std::uint64_t expectLo = 0;
-      for (unsigned i = 0; i < count; ++i) {
-        const ShardRange r = shardRange(runs, i, count);
-        EXPECT_EQ(r.lo, expectLo) << runs << "/" << count << " shard " << i;
-        expectLo = r.hi;
-        covered += r.size();
-        minSize = std::min(minSize, r.size());
-        maxSize = std::max(maxSize, r.size());
-      }
-      EXPECT_EQ(expectLo, runs);
-      EXPECT_EQ(covered, runs);
-      EXPECT_LE(maxSize - minSize, 1u) << runs << "/" << count;
-    }
-  }
-}
-
-TEST(ShardRangeTest, RejectsOutOfRangeIndices) {
-  EXPECT_THROW(shardRange(10, 0, 0), std::runtime_error);
-  EXPECT_THROW(shardRange(10, 4, 4), std::runtime_error);
-}
-
 // ---------------------------------------------------------- determinism --
 
 TEST(ShardPayloadTest, PayloadDependsOnlyOnSpecIndexAndSalt) {
-  const ShardSpec spec = faultSpec();
+  const CampaignSpec spec = faultSpec();
   core::FormPatternAlgorithm algo;
   Attempt att;
   const std::string p3 = runScenarioPayload(spec, algo, 3, att);
@@ -389,109 +338,6 @@ TEST(ShardPayloadTest, PayloadDependsOnlyOnSpecIndexAndSalt) {
   Attempt salted;
   salted.seedSalt = retrySeedSalt(2);
   EXPECT_NE(runScenarioPayload(spec, algo, 3, salted), p3);
-}
-
-class ShardMergeTest : public ::testing::TestWithParam<int> {};
-
-TEST_P(ShardMergeTest, MergedJournalIsByteIdenticalToSingleProcess) {
-  // The acceptance matrix: scripted / fuzz / fault-plan campaigns, each
-  // sharded 3 ways (uneven split of 8 runs) and merged, serially and on a
-  // 2-thread pool inside each shard.
-  const int jobs = GetParam();
-  const ShardSpec specs[] = {scriptedSpec(), fuzzSpec(), faultSpec()};
-  const char* names[] = {"scripted", "fuzz", "fault"};
-  core::FormPatternAlgorithm algo;
-  for (int k = 0; k < 3; ++k) {
-    const ShardSpec& spec = specs[k];
-    const std::string tag =
-        std::string(names[k]) + "_j" + std::to_string(jobs);
-    const std::string key = shardConfigKey(spec);
-
-    const std::string refPath = tempPath("ref_" + tag + ".journal");
-    {
-      CampaignJournal ref(refPath, key, /*resume=*/false);
-      const SupervisorReport rep =
-          runShard(spec, algo, 0, spec.runs, &ref, nullptr, jobs);
-      EXPECT_EQ(rep.completed, spec.runs);
-    }
-
-    std::vector<std::string> shardPaths;
-    for (unsigned i = 0; i < 3; ++i) {
-      const ShardRange range = shardRange(spec.runs, i, 3);
-      const std::string path =
-          tempPath("shard_" + tag + "_" + std::to_string(i) + ".journal");
-      CampaignJournal j(path, key, /*resume=*/false);
-      const SupervisorReport rep =
-          runShard(spec, algo, range.lo, range.hi, &j, nullptr, jobs);
-      EXPECT_EQ(rep.completed, range.size());
-      shardPaths.push_back(path);
-    }
-    const std::string mergedPath = tempPath("merged_" + tag + ".journal");
-    EXPECT_EQ(mergeShardJournals(spec, shardPaths, mergedPath), spec.runs);
-    EXPECT_EQ(readAll(mergedPath), readAll(refPath))
-        << names[k] << " merged journal differs from single-process";
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(SerialAndPooled, ShardMergeTest,
-                         ::testing::Values(1, 2));
-
-TEST(ShardResumeTest, ResumedJournalConvergesByteIdentical) {
-  const ShardSpec spec = fuzzSpec();
-  core::FormPatternAlgorithm algo;
-  const std::string key = shardConfigKey(spec);
-
-  const std::string refPath = tempPath("resume_ref.journal");
-  {
-    CampaignJournal ref(refPath, key, /*resume=*/false);
-    runShard(spec, algo, 0, spec.runs, &ref, nullptr, 1);
-  }
-
-  const std::string path = tempPath("resume_partial.journal");
-  {
-    // "Crash" after three runs: only [0, 3) ever journals.
-    CampaignJournal j(path, key, /*resume=*/false);
-    runShard(spec, algo, 0, 3, &j, nullptr, 1);
-  }
-  {
-    CampaignJournal j(path, key, /*resume=*/true);
-    const SupervisorReport rep =
-        runShard(spec, algo, 0, spec.runs, &j, nullptr, 1);
-    EXPECT_EQ(rep.replayed, 3u);
-    EXPECT_EQ(rep.completed, spec.runs - 3);
-  }
-  EXPECT_EQ(readAll(path), readAll(refPath));
-}
-
-TEST(ShardMergeTest2, RefusesJournalsOfADifferentCampaign) {
-  const ShardSpec spec = fuzzSpec();
-  ShardSpec other = fuzzSpec();
-  other.baseSeed = spec.baseSeed + 1;  // a DIFFERENT experiment
-  core::FormPatternAlgorithm algo;
-
-  const std::string path = tempPath("mismatch.journal");
-  {
-    CampaignJournal j(path, shardConfigKey(other), /*resume=*/false);
-    runShard(other, algo, 0, 2, &j, nullptr, 1);
-  }
-  EXPECT_THROW(
-      mergeShardJournals(spec, {path}, tempPath("mismatch_merged.journal")),
-      std::runtime_error);
-}
-
-TEST(ShardMergeTest2, RefusesMissingShardJournal) {
-  // A mistyped --merge path must fail loudly: treated as an empty shard,
-  // its runs would silently re-execute in the resume after the merge.
-  const ShardSpec spec = fuzzSpec();
-  core::FormPatternAlgorithm algo;
-  const std::string path = tempPath("present.journal");
-  {
-    CampaignJournal j(path, shardConfigKey(spec), /*resume=*/false);
-    runShard(spec, algo, 0, 2, &j, nullptr, 1);
-  }
-  EXPECT_THROW(mergeShardJournals(spec, {path, tempPath("no_such.journal")},
-                                  tempPath("missing_merged.journal")),
-               std::runtime_error);
 }
 
 }  // namespace

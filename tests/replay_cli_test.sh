@@ -4,7 +4,7 @@
 # run "clean". Each case edits one valid --repro-out capture:
 #   * the start is cut to 7 points against the 8-point pattern;
 #   * a crash victim is robot 20 at n = 8 (the engine would skip it);
-#   * a key the repro schema does not know (a shard spec's
+#   * a key the repro schema does not know (a campaign spec's
 #     "watchdog_events") is added.
 #
 # Usage: replay_cli_test.sh path/to/apf_sim WORKDIR

@@ -149,7 +149,7 @@ TEST(ShrinkTest, ReproDecoderRejectsMalformedCases) {
   EXPECT_NE(decodeError(editedDenseCase("apf.repro.v2", "apf.repro.v1"))
                 .find("found apf.repro.v1; re-create it"),
             std::string::npos);
-  // Unknown keys (the v1 spelling, a shard key) and missing keys.
+  // Unknown keys (the v1 spelling, a campaign spec key) and missing keys.
   EXPECT_NE(decodeError(editedDenseCase("\"multiplicity\":",
                                         "\"multiplicity_detection\":")),
             "");

@@ -5,8 +5,8 @@
 /// Lives in tools/ (not src/sim) on purpose: core and baseline depend on
 /// sim's Algorithm interface, not vice versa, so the sim library can never
 /// name a concrete algorithm — binaries do, and they must all agree on the
-/// spelling (the `algo` field of an apf.shard.v1 journal key is this
-/// spelling).
+/// spelling (the `algo` field of an apf.shard.v1 campaign journal key is
+/// this spelling).
 
 #include <memory>
 #include <string>

@@ -158,7 +158,7 @@ void ingestManifest(const fs::path& path, Report& rep) {
   const JsonObject m = apf::obs::loadFlatJsonFile(path.string());
   if (m.count("supervisor.items") != 0) {
     // Supervised-campaign manifest; may coexist with run keys on the same
-    // bench manifest. Resume/shard-invariant manifests
+    // bench manifest. Resume-invariant manifests
     // (sim::appendManifestInvariant) carry `supervisor.finished`; older
     // ones (sim::appendManifest) split it into completed + replayed — the
     // sum is the same quantity either way.

@@ -19,15 +19,6 @@
 /// uninterrupted one:
 ///   apf_sim --campaign 50 --journal c.journal --json > out.json
 ///   apf_sim --campaign 50 --resume  c.journal --json > out.json
-/// --shard I/K runs only slice I of K of the same campaign (sim/shard.h,
-/// docs/API.md), one process per slice on any machine; --merge folds the
-/// slice journals into one and finishes like --resume, so the merged
-/// journal plus the printed --json document are byte-identical to the
-/// single-process run's — including after SIGKILLing a slice and re-running
-/// it with --resume:
-///   apf_sim --campaign 50 --shard 0/2 --journal s0.journal &
-///   apf_sim --campaign 50 --shard 1/2 --journal s1.journal; wait
-///   apf_sim --campaign 50 --merge s0.journal,s1.journal --journal c.journal
 /// Failure repro (sim/shrink.h): --repro-out captures a run's replay
 /// coordinates as a self-contained .repro.json (minimized with --shrink),
 /// and --replay re-executes one, exiting 0 iff the violation reproduces.
@@ -38,7 +29,6 @@
 #include <exception>
 #include <map>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -52,8 +42,8 @@
 #include "obs/manifest.h"
 #include "obs/recorder.h"
 #include "obs/span.h"
+#include "sim/campaign_spec.h"
 #include "sim/engine.h"
-#include "sim/shard.h"
 #include "sim/shrink.h"
 #include "sim/supervisor.h"
 #include "sim/trace.h"
@@ -70,7 +60,7 @@ namespace {
 
 struct Options {
   /// What the flags describe; a single run is its run 0.
-  apf::sim::ShardSpec spec;
+  apf::sim::CampaignSpec spec;
   std::uint64_t n = 8;
   std::string patternFile;
   std::string startFile;
@@ -88,9 +78,6 @@ struct Options {
   std::string journalPath;         // fresh journal (truncates)
   std::string resumePath;          // resume an existing journal
   std::string quarantinePath;
-  // Sharding (sim/shard.h, docs/API.md).
-  std::string shard;  // "I/K"; empty = the whole campaign
-  std::string merge;  // comma-separated shard journals
   // Failure repro (sim/shrink.h).
   std::string replayPath;
   std::string reproOutPath;
@@ -99,7 +86,7 @@ struct Options {
 
 void registerFlags(apf::cli::ArgParser& args, Options& o) {
   using apf::cli::ArgParser;
-  apf::sim::ShardSpec& s = o.spec;
+  apf::sim::CampaignSpec& s = o.spec;
   args.u64("--n", &o.n, "N", "robots (default 8)", nullptr,
            /*positive=*/true);
   args.str("--pattern", &s.patternLabel, "NAME",
@@ -176,16 +163,6 @@ void registerFlags(apf::cli::ArgParser& args, Options& o) {
   args.str("--quarantine", &o.quarantinePath, "F",
            "write the supervisor report JSON to F");
 
-  args.section("sharding (sim/shard.h, docs/API.md)");
-  args.str("--shard", &o.shard, "I/K",
-           "run only slice I of K contiguous slices of the\n"
-           "campaign's run indices (needs --journal or\n"
-           "--resume)");
-  args.str("--merge", &o.merge, "J0,J1,...",
-           "merge these shard journals into --journal F,\n"
-           "then finish like --resume F (byte-identical\n"
-           "to the single-process campaign)");
-
   args.section("failure repro (sim/shrink.h)");
   args.str("--replay", &o.replayPath, "F",
            "re-execute a .repro.json; exit 0 iff the\n"
@@ -203,25 +180,6 @@ void registerFlags(apf::cli::ArgParser& args, Options& o) {
   args.flag("--analyze", &o.analyze,
             "classify the start configuration and exit");
   args.flag("--quiet", &o.quiet, "summary line only");
-}
-
-/// Parses "--shard I/K" (slice I of K, 0-based). Exits 2 on garbage.
-void parseShard(const std::string& s, unsigned& index, unsigned& count) {
-  const std::size_t slash = s.find('/');
-  if (slash == std::string::npos || slash == 0 || slash + 1 >= s.size()) {
-    apf::cli::badValue("apf_sim", "--shard", s.c_str(),
-                       "INDEX/COUNT (e.g. 0/4)");
-  }
-  const std::uint64_t i =
-      apf::cli::parseU64("apf_sim", "--shard", s.substr(0, slash).c_str());
-  const std::uint64_t k =
-      apf::cli::parseU64("apf_sim", "--shard", s.substr(slash + 1).c_str());
-  if (k == 0 || i >= k || k > 1u << 20) {
-    apf::cli::badValue("apf_sim", "--shard", s.c_str(),
-                       "INDEX < COUNT (e.g. 0/4)");
-  }
-  index = static_cast<unsigned>(i);
-  count = static_cast<unsigned>(k);
 }
 
 /// Takes the journal's advisory `<journal>.lock`, or exits 4 when another
@@ -248,9 +206,8 @@ void lockJournal(const std::string& journalPath) {
 #endif
 }
 
-/// The campaign-describing manifest fields, derived from the wire spec so
-/// sharded and in-process manifests cannot differ.
-apf::obs::Manifest campaignManifest(const apf::sim::ShardSpec& spec,
+/// The campaign-describing manifest fields, derived from the wire spec.
+apf::obs::Manifest campaignManifest(const apf::sim::CampaignSpec& spec,
                                     const std::string& algoName) {
   apf::obs::Manifest m;
   m.set("campaign", "apf_sim");
@@ -284,6 +241,17 @@ int main(int argc, char** argv) try {
   args.exitNotes(
       ", 3 watchdog expired,\n4 journal lock held by another process");
   args.parse(argc, argv);
+  if (!o.campaign && (!o.journalPath.empty() || !o.resumePath.empty() ||
+                      !o.quarantinePath.empty())) {
+    std::fprintf(stderr,
+                 "apf_sim: --journal, --resume and --quarantine need "
+                 "--campaign N\n");
+    return 2;
+  }
+  if (!o.journalPath.empty() && !o.resumePath.empty()) {
+    std::fprintf(stderr, "apf_sim: --journal and --resume are exclusive\n");
+    return 2;
+  }
 
   // --replay re-executes a self-contained .repro.json exactly and reports
   // whether the engine's safety monitor sees the recorded violation again. Every run coordinate comes from the file, not the CLI; a
@@ -315,7 +283,7 @@ int main(int argc, char** argv) try {
     return ok ? 0 : 1;
   }
 
-  sim::ShardSpec& spec = o.spec;
+  sim::CampaignSpec& spec = o.spec;
   if (!o.patternFile.empty()) {
     spec.pattern = io::loadConfiguration(o.patternFile);
     spec.patternLabel = o.patternFile;
@@ -378,58 +346,27 @@ int main(int argc, char** argv) try {
   if (o.campaign) {
     // The spec's canonical JSON is the journal config key: resuming with
     // ANY different option is a different experiment and must be refused,
-    // not silently merged — and every shard journal of this campaign
-    // carries the byte-identical key, so slices merge into one journal.
-    const std::string configKey = sim::shardConfigKey(spec);
+    // not silently merged.
     const bool resuming = !o.resumePath.empty();
     const std::string jpath = resuming ? o.resumePath : o.journalPath;
-    sim::ShardRange range{0, spec.runs};
-    if (!o.shard.empty()) {
-      if (jpath.empty() || !o.merge.empty()) {
-        std::fprintf(stderr,
-                     "apf_sim: --shard needs --journal F (fresh) or "
-                     "--resume F, and excludes --merge\n");
-        return 2;
-      }
-      unsigned index = 0;
-      unsigned count = 1;
-      parseShard(o.shard, index, count);
-      range = sim::shardRange(spec.runs, index, count);
-    }
-    if (!o.merge.empty() && (o.journalPath.empty() || resuming)) {
-      std::fprintf(stderr,
-                   "apf_sim: --merge needs --journal F (the merged journal) "
-                   "and excludes --resume\n");
-      return 2;
-    }
-
     const sim::SupervisorOptions sopts =
         sim::shardSupervisorOptions(spec, sink.get());
     std::unique_ptr<sim::CampaignJournal> journal;
     if (!jpath.empty()) {
       lockJournal(jpath);
-      if (!o.merge.empty()) {
-        std::vector<std::string> shardJournals;
-        std::istringstream list(o.merge);
-        for (std::string path; std::getline(list, path, ',');) {
-          shardJournals.push_back(path);
-        }
-        try {
-          sim::mergeShardJournals(spec, shardJournals, jpath);
-        } catch (const std::exception& e) {
-          std::fprintf(stderr, "apf_sim: --merge: %s\n", e.what());
-          return 2;
-        }
-      }
-      // After a merge this is exactly --resume: every merged run replays
-      // and only runs no shard journaled execute here.
       journal = std::make_unique<sim::CampaignJournal>(
-          jpath, configKey, resuming || !o.merge.empty());
+          jpath, sim::shardConfigKey(spec), resuming);
     }
     std::vector<std::string> payloads(spec.runs);
-    const sim::SupervisorReport report =
-        sim::runShard(spec, *algo, range.lo, range.hi, journal.get(),
-                      sink.get(), /*jobs=*/0, /*stats=*/nullptr, &payloads);
+    const sim::SupervisorReport report = sim::superviseCampaign(
+        0, spec.runs,
+        [&](std::size_t index, const sim::Attempt& att) {
+          return sim::runScenarioPayload(spec, *algo, index, att);
+        },
+        [&](std::size_t index, std::string&& payload) {
+          payloads[index] = std::move(payload);
+        },
+        sopts, journal.get());
 
     if (!o.quarantinePath.empty()) report.write(o.quarantinePath);
     if (!o.manifestPath.empty()) {
@@ -439,7 +376,7 @@ int main(int argc, char** argv) try {
       m.merge(campaignManifest(spec, algo->name()));
       // The resume-invariant variant: fresh-vs-replayed collapses into
       // supervisor.finished, so this manifest is byte-identical for
-      // uninterrupted, resumed, and merged executions of the same spec.
+      // uninterrupted and resumed executions of the same spec.
       sim::appendManifestInvariant(sopts, report, m);
       m.write(o.manifestPath);
     }
@@ -457,9 +394,8 @@ int main(int argc, char** argv) try {
       // Deliberately free of wall-clock fields AND of the fresh-vs-replayed
       // split (only their sum is invariant): a resumed campaign must print
       // a document byte-identical to an uninterrupted one's — the CI
-      // kill-and-resume check diffs them directly, and the shard drill
-      // diffs a merge of 4 shard processes against APF_JOBS=1. The split
-      // lives in the human output and the --quarantine report.
+      // kill-and-resume check diffs them directly. The split lives in the
+      // human output and the --quarantine report.
       obs::JsonObjectWriter top;
       top.field("schema", "apf.campaign.v1");
       top.field("runs", spec.runs);
@@ -480,13 +416,12 @@ int main(int argc, char** argv) try {
       std::printf("%s\n", top.str().c_str());
     } else {
       std::printf(
-          "campaign: %llu runs  algo=%s n=%zu sched=%s seeds=%llu..%llu%s\n"
+          "campaign: %llu runs  algo=%s n=%zu sched=%s seeds=%llu..%llu\n"
           "  completed=%llu replayed=%llu retries=%llu quarantined=%llu\n",
           static_cast<unsigned long long>(spec.runs), algo->name().c_str(),
           spec.n(), o.sched.c_str(),
           static_cast<unsigned long long>(spec.baseSeed),
           static_cast<unsigned long long>(spec.baseSeed + spec.runs - 1),
-          o.shard.empty() ? "" : (" shard=" + o.shard).c_str(),
           static_cast<unsigned long long>(report.completed),
           static_cast<unsigned long long>(report.replayed),
           static_cast<unsigned long long>(report.retries),
