@@ -72,12 +72,33 @@ Vec2 Configuration::weberPoint() const {
   return *memo_.weber;
 }
 
+namespace {
+
+std::pair<std::uint64_t, std::uint64_t> bits(Vec2 v) {
+  return {std::bit_cast<std::uint64_t>(v.x), std::bit_cast<std::uint64_t>(v.y)};
+}
+
+/// Entry j of the polar table around c: q's radius, arg and dir.
+void setPolar(PolarTable& t, std::size_t j, Vec2 q, Vec2 c) {
+  t.radius[j] = geom::dist(q, c);
+  t.arg[j] = (q - c).arg();
+  t.dir[j] = geom::norm2pi(t.arg[j]);
+}
+
+void resizePolar(PolarTable& t, std::size_t n) {
+  t.radius.resize(n);
+  t.arg.resize(n);
+  t.dir.resize(n);
+}
+
+}  // namespace
+
+void Configuration::DeleteNormalized::operator()(const Configuration* c) const {
+  delete c;
+}
+
 const PolarTable& Configuration::polar(Vec2 c) const {
   auto& counters = geomCacheCounters();
-  auto bits = [](Vec2 v) {
-    return std::pair(std::bit_cast<std::uint64_t>(v.x),
-                     std::bit_cast<std::uint64_t>(v.y));
-  };
   for (const auto& [center, table] : memo_.polar) {
     if (bits(center) == bits(c)) {
       ++counters.polarHits;
@@ -86,15 +107,32 @@ const PolarTable& Configuration::polar(Vec2 c) const {
   }
   ++counters.polarMisses;
   PolarTable& t = memo_.polar.emplace_back(c, PolarTable{}).second;
-  t.radius.reserve(pts_.size());
-  t.arg.reserve(pts_.size());
-  t.dir.reserve(pts_.size());
-  for (const Vec2& q : pts_) {
-    t.radius.push_back(geom::dist(q, c));
-    t.arg.push_back((q - c).arg());
-    t.dir.push_back(geom::norm2pi(t.arg.back()));
-  }
+  resizePolar(t, pts_.size());
+  for (std::size_t j = 0; j < pts_.size(); ++j) setPolar(t, j, pts_[j], c);
   return t;
+}
+
+const Configuration& Configuration::normalized() const {
+  const Similarity np = normalizingTransform();
+  if (!normalized_) normalized_.reset(new Configuration);
+  Configuration& q = *normalized_;
+  // Keep only the origin table (the front node), then refresh it.
+  auto& tables = q.memo_.polar;
+  q.memo_.sec.reset();
+  q.memo_.weber.reset();
+  if (tables.empty()) tables.emplace_back(Vec2{}, PolarTable{});
+  tables.erase(std::next(tables.begin()), tables.end());
+  PolarTable& t = tables.front().second;
+  const std::size_t kept = std::min(q.pts_.size(), pts_.size());
+  q.pts_.resize(pts_.size());
+  resizePolar(t, pts_.size());
+  for (std::size_t j = 0; j < pts_.size(); ++j) {
+    const Vec2 v = np.apply(pts_[j]);
+    if (j < kept && bits(v) == bits(q.pts_[j])) continue;
+    q.pts_[j] = v;
+    setPolar(t, j, v, Vec2{});
+  }
+  return q;
 }
 
 Configuration Configuration::without(std::size_t i) const {
@@ -114,7 +152,10 @@ Configuration Configuration::transformed(const Similarity& t) const {
 }
 
 Similarity Configuration::normalizingTransform() const {
-  const Circle c = sec();
+  return normalizingTransformOf(sec());
+}
+
+Similarity normalizingTransformOf(const Circle& c) {
   const double s = (c.radius > 0.0) ? 1.0 / c.radius : 1.0;
   // p -> (p - center) * s
   return Similarity(0.0, s, false, Vec2{-c.center.x * s, -c.center.y * s});

@@ -6,6 +6,7 @@
 
 #include <cstdint>
 #include <list>
+#include <memory>
 #include <optional>
 #include <span>
 #include <utility>
@@ -99,10 +100,22 @@ bool hasCoincidentPair(std::span<const Vec2> pts,
 /// after warming, concurrent const access is read-only. Campaign workers
 /// (sim/campaign.h) therefore operate on their own copies; copies carry the
 /// warmed caches with them, moves hand them over. See docs/PERFORMANCE.md.
+///
+/// A fourth cache, normalized(), outlives mutations: it checks its entries
+/// itself. A copy starts without it (copy assignment keeps the target's
+/// own), a move hands it over.
 class Configuration {
  public:
   Configuration() = default;
   explicit Configuration(std::vector<Vec2> pts) : pts_(std::move(pts)) {}
+  Configuration(const Configuration& o) : pts_(o.pts_), memo_(o.memo_) {}
+  Configuration& operator=(const Configuration& o) {
+    pts_ = o.pts_;
+    memo_ = o.memo_;
+    return *this;
+  }
+  Configuration(Configuration&&) noexcept = default;
+  Configuration& operator=(Configuration&&) noexcept = default;
 
   std::size_t size() const { return pts_.size(); }
   bool empty() const { return pts_.empty(); }
@@ -170,6 +183,21 @@ class Configuration {
   /// result depends on the source frame's orientation as the model demands).
   Similarity normalizingTransform() const;
 
+  /// transformed(normalizingTransform()) with its polar table around the
+  /// origin, polar({0, 0}), already built: the same points and table, bit
+  /// for bit, without counting a polar miss. Calls sec() once, as
+  /// normalizingTransform() does.
+  ///
+  /// Carried across mutations: every point is mapped again, and only the
+  /// table entries whose normalized point changed bitwise are recomputed.
+  /// That is exact because an entry is a function of its point's bits
+  /// alone. The transform is a function of the circle's bits, so a robot's
+  /// snapshot, refilled at every Look, recomputes the entries of the
+  /// robots that moved since its last Look when its circle kept its bits,
+  /// and all of them when it did not. The reference stays valid until the
+  /// next normalized() call, move or destruction.
+  const Configuration& normalized() const;
+
  private:
   /// The three caches. A copy keeps them; a move hands them over and
   /// empties the source, whose point set a stale cache would misdescribe.
@@ -197,9 +225,20 @@ class Configuration {
     }
   };
 
+  /// Out of line, so that destroying a Configuration does not inline the
+  /// destruction of its normalized() one.
+  struct DeleteNormalized {
+    void operator()(const Configuration* c) const;
+  };
+
   std::vector<Vec2> pts_;
   mutable Memo memo_;
+  /// normalized(): its memo holds the origin table only.
+  mutable std::unique_ptr<Configuration, DeleteNormalized> normalized_;
 };
+
+/// normalizingTransform() of a configuration whose sec() is `c`.
+Similarity normalizingTransformOf(const Circle& c);
 
 /// lP: the distance to `center` of the second-closest distinct distance ring.
 /// Matches the paper's l_P (used via l_F on the pattern): with distances

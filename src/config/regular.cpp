@@ -177,7 +177,9 @@ std::optional<RegularSetInfo> regularSetOf(const Configuration& p,
 
   std::vector<View> ownViews;
   std::vector<View>& views = secViews ? *secViews : ownViews;
-  if (views.empty()) views = allViews(p, c, /*withMultiplicity=*/false, tol);
+  if (views.empty()) {
+    views = headFirstViews(p, c, /*withMultiplicity=*/false, tol);
+  }
   const auto order = byViewDescending(views);
   std::vector<std::size_t> nonHolders;
   for (std::size_t i : order) {

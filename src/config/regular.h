@@ -76,9 +76,9 @@ void onGridFitProblem(std::span<const Vec2> pts, std::span<const int> rayIndex,
 
 /// Definition 2: reg(P). Returns nullopt when P contains no regular set.
 /// `secViews`, when given, is either empty or exactly
-/// allViews(p, p.sec().center, false, tol). regularSetOf reads those views
-/// from it, filling it first when empty, so a caller that needs the same
-/// views too builds them once (core::Analysis does).
+/// headFirstViews(p, p.sec().center, false, tol). regularSetOf reads those
+/// views from it, filling it first when empty, so a caller that needs the
+/// same views too builds them once (core::Analysis does).
 std::optional<RegularSetInfo> regularSetOf(
     const Configuration& p, const Tol& tol = geom::kDefaultTol,
     std::vector<View>* secViews = nullptr);

@@ -54,6 +54,25 @@ std::vector<std::int64_t> flatten(std::vector<Entry>& entries) {
   return key;
 }
 
+// Group g's (ccw, cw) entries in the view of the robot at polar table
+// radius rDist and arg rArg.
+std::array<Entry, 2> entriesOf(const MultiPoint& g, double rDist, double rArg,
+                               const PolarTable& t, bool withMultiplicity,
+                               const Tol& tol) {
+  const std::int64_t full = viewQuantize(geom::kTwoPi);
+  const double d = t.radius[g.index];
+  const std::int64_t rho = viewQuantize(d / rDist);
+  const std::int64_t count = withMultiplicity ? g.count : 1;
+  double rel = 0.0;
+  if (d > tol.dist) rel = geom::norm2pi(t.arg[g.index] - rArg);
+  // ccw orientation measures rel; cw measures the opposite sweep. Both are
+  // quantized from doubles (not derived by integer subtraction) so the
+  // arithmetic mirrors exactly what a reflected frame would compute.
+  const double relCw = (rel == 0.0) ? 0.0 : geom::kTwoPi - rel;
+  return {Entry{rho, viewQuantize(rel) % full, count},
+          Entry{rho, viewQuantize(relCw) % full, count}};
+}
+
 // Robot i's view from p's grouping, sorted by radius, and its polar table.
 // Both are view-independent, so viewsOf computes them once for all the
 // views it builds (O(n^2) for all views instead of O(n^2) *per view* with
@@ -67,21 +86,11 @@ View viewOf(std::size_t i, const std::vector<MultiPoint>& byRadius,
   std::array<std::vector<Entry>, 2> seqs;  // [0] = ccw, [1] = cw
   seqs[0].reserve(byRadius.size());
   seqs[1].reserve(byRadius.size());
-  const std::int64_t full = viewQuantize(geom::kTwoPi);
   for (const MultiPoint& g : byRadius) {
-    const double d = t.radius[g.index];
-    const std::int64_t rho = viewQuantize(d / rDist);
-    const std::int64_t count = withMultiplicity ? g.count : 1;
-    double rel = 0.0;
-    if (d > tol.dist) rel = geom::norm2pi(t.arg[g.index] - rArg);
-    // ccw orientation measures rel; cw measures the opposite sweep. Both are
-    // quantized from doubles (not derived by integer subtraction) so the
-    // arithmetic mirrors exactly what a reflected frame would compute.
-    const double relCw = (rel == 0.0) ? 0.0 : geom::kTwoPi - rel;
-    const std::int64_t tCcw = viewQuantize(rel) % full;
-    const std::int64_t tCw = viewQuantize(relCw) % full;
-    seqs[0].push_back({rho, tCcw, count});
-    seqs[1].push_back({rho, tCw, count});
+    const auto [ccw, cw] =
+        entriesOf(g, rDist, rArg, t, withMultiplicity, tol);
+    seqs[0].push_back(ccw);
+    seqs[1].push_back(cw);
   }
 
   std::vector<std::int64_t> keyCcw = flatten(seqs[0]);
@@ -91,23 +100,51 @@ View viewOf(std::size_t i, const std::vector<MultiPoint>& byRadius,
   return View{std::move(keyCw), -1, false};
 }
 
+// The key's head: its first (rho, theta, count) triple. flatten sorts
+// each run of equal rho, so a sequence starts with the least entry of its
+// first run, the groups nearest the center. The key is the greater of the
+// ccw and cw sequences, and the first triple that differs decides between
+// them, so the head is the greater of the two runs' least entries.
+Entry headOf(std::size_t i, const std::vector<MultiPoint>& byRadius,
+             const PolarTable& t, bool withMultiplicity, const Tol& tol) {
+  const double rDist = t.radius[i];
+  const double rArg = t.arg[i];
+  auto [ccw, cw] = entriesOf(byRadius.front(), rDist, rArg, t,
+                             withMultiplicity, tol);
+  for (std::size_t k = 1; k < byRadius.size(); ++k) {
+    const auto [a, b] =
+        entriesOf(byRadius[k], rDist, rArg, t, withMultiplicity, tol);
+    if (a.rho != ccw.rho) break;
+    ccw = std::min(ccw, a);
+    cw = std::min(cw, b);
+  }
+  return std::max(ccw, cw);
+}
+
+// p's groups in ascending radius order around the table's center. Every
+// view lists the groups in this one order. Its rho coordinate
+// viewQuantize(d / rDist) is then nondecreasing: division rounds
+// correctly, so d1 <= d2 gives d1 / rDist <= d2 / rDist, and llround keeps
+// <=. So flatten only sorts runs of equal rho; groups of equal radius may
+// come in any order, since they share a run.
+std::vector<MultiPoint> byRadius(const Configuration& p, const PolarTable& t,
+                                 const Tol& tol) {
+  auto groups = p.grouped(tol);
+  std::sort(groups.begin(), groups.end(),
+            [&](const MultiPoint& a, const MultiPoint& b) {
+              return t.radius[a.index] < t.radius[b.index];
+            });
+  return groups;
+}
+
 /// The views of `subset`'s robots, in subset order, from one grouping and
 /// one polar table.
 std::vector<View> viewsOf(const Configuration& p,
                           std::span<const std::size_t> subset, Vec2 center,
                           bool withMultiplicity, const Tol& tol) {
   geomCacheCounters().viewsBuilt += subset.size();
-  // Every view lists the groups in this one radius order. Its rho
-  // coordinate viewQuantize(d / rDist) is then nondecreasing: division
-  // rounds correctly, so d1 <= d2 gives d1 / rDist <= d2 / rDist, and
-  // llround keeps <=. So flatten only sorts runs of equal rho; groups of
-  // equal radius may come in any order, since they share a run.
-  auto groups = p.grouped(tol);
   const PolarTable& t = p.polar(center);
-  std::sort(groups.begin(), groups.end(),
-            [&](const MultiPoint& a, const MultiPoint& b) {
-              return t.radius[a.index] < t.radius[b.index];
-            });
+  const auto groups = byRadius(p, t, tol);
   std::vector<View> out;
   out.reserve(subset.size());
   for (std::size_t i : subset) {
@@ -132,6 +169,43 @@ View localView(const Configuration& p, std::size_t i, Vec2 center,
 std::vector<View> allViews(const Configuration& p, Vec2 center,
                            bool withMultiplicity, const Tol& tol) {
   return viewsOf(p, indices(p.size()), center, withMultiplicity, tol);
+}
+
+std::vector<View> headFirstViews(const Configuration& p, Vec2 center,
+                                 bool withMultiplicity, const Tol& tol) {
+  const PolarTable& t = p.polar(center);
+  const auto groups = byRadius(p, t, tol);
+  std::vector<View> out(p.size());
+  std::vector<std::pair<Entry, std::size_t>> heads;
+  heads.reserve(p.size());
+  for (std::size_t i = 0; i < p.size(); ++i) {
+    if (t.radius[i] <= tol.dist) {
+      out[i].atCenter = true;
+    } else {
+      heads.push_back({headOf(i, groups, t, withMultiplicity, tol), i});
+    }
+  }
+  // Two keys with different heads compare as their heads do, so only the
+  // robots in a run of equal heads need their full keys.
+  std::sort(heads.begin(), heads.end());
+  std::uint64_t built = 0;
+  for (auto run = heads.begin(); run != heads.end();) {
+    const auto end = std::find_if(run + 1, heads.end(), [&](const auto& h) {
+      return h.first != run->first;
+    });
+    if (end - run == 1) {
+      const Entry& h = run->first;
+      out[run->second].key = {h.rho, h.theta, h.count};
+    } else {
+      for (auto it = run; it != end; ++it) {
+        out[it->second] = viewOf(it->second, groups, t, withMultiplicity, tol);
+      }
+      built += static_cast<std::uint64_t>(end - run);
+    }
+    run = end;
+  }
+  geomCacheCounters().viewsBuilt += built;
+  return out;
 }
 
 std::vector<std::size_t> byViewDescending(const std::vector<View>& views) {

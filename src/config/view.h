@@ -63,6 +63,18 @@ std::vector<View> allViews(const Configuration& p, Vec2 center,
                            bool withMultiplicity = false,
                            const Tol& tol = geom::kDefaultTol);
 
+/// The views of every robot as far as ordering them needs: compareViews
+/// on any two of them, and byViewDescending on all of them, answer as on
+/// allViews(p, center, withMultiplicity, tol). A key starts with its head,
+/// its first (rho, theta, count) triple, and two keys whose heads differ
+/// compare as their heads do. So a robot whose head no other robot shares
+/// gets that triple alone as its key (and orientation 0, not computed);
+/// only the robots whose heads tie get their full views, and only those
+/// count in GeomCacheCounters::viewsBuilt.
+std::vector<View> headFirstViews(const Configuration& p, Vec2 center,
+                                 bool withMultiplicity = false,
+                                 const Tol& tol = geom::kDefaultTol);
+
 /// Indices sorted by view descending (greatest view first); views[i] is
 /// robot i's. Ties keep index order (stable).
 std::vector<std::size_t> byViewDescending(const std::vector<View>& views);

@@ -40,9 +40,11 @@ Analysis::Analysis(const sim::Snapshot& snap)
   if (cp.radius <= 1e-12 || cf.radius <= 1e-12 || snap.robots.size() < 2) {
     return;  // degenerate; algorithms stay still
   }
-  const geom::Similarity np = snap.robots.normalizingTransform();
-  p_ = snap.robots.transformed(np);
-  denorm_ = np.inverse();
+  // The snapshot carries its normalized points and their origin polar
+  // table from this robot's previous Look; only the moved points are
+  // mapped again (Configuration::normalized()).
+  p_ = snap.robots.normalized();
+  denorm_ = config::normalizingTransformOf(cp).inverse();
   pinfo_ = &PatternInfo::get(snap.pattern, multiplicity_);
   ok_ = true;
 }
@@ -186,10 +188,10 @@ std::optional<std::size_t> Analysis::selectedRobot() {
 const std::vector<config::View>& Analysis::viewsP() {
   const Vec2 c = centerP();
   if (centerIsSec_ && !multiplicity_) {
-    if (secViews_.empty()) secViews_ = config::allViews(p_, c);
+    if (secViews_.empty()) secViews_ = config::headFirstViews(p_, c);
     return secViews_;
   }
-  if (!viewsP_) viewsP_ = config::allViews(p_, c, multiplicity_);
+  if (!viewsP_) viewsP_ = config::headFirstViews(p_, c, multiplicity_);
   return *viewsP_;
 }
 

@@ -62,7 +62,9 @@ class Analysis {
   std::optional<std::size_t> selectedRobot();
 
   /// Views of P around centerP (no multiplicity weighting unless the run
-  /// has multiplicity detection). When centerP is the SEC center and the
+  /// has multiplicity detection), as config::headFirstViews builds them:
+  /// for compareViews only, since a robot whose head no other shares gets
+  /// that head alone as its key. When centerP is the SEC center and the
   /// run has no multiplicity detection, these are exactly the views
   /// regularSet() reads, and the two share one table.
   const std::vector<config::View>& viewsP();
@@ -111,8 +113,8 @@ class Analysis {
   bool selectedComputed_ = false;
   std::optional<std::size_t> selected_;
   bool centerIsSec_ = false;  ///< centerP_ is p_.sec().center
-  /// allViews(p_, p_.sec().center) when built: regularSetOf's views, and
-  /// viewsP() when centerIsSec_ and !multiplicity_.
+  /// headFirstViews(p_, p_.sec().center) when built: regularSetOf's views,
+  /// and viewsP() when centerIsSec_ and !multiplicity_.
   std::vector<config::View> secViews_;
   std::optional<std::vector<config::View>> viewsP_;  ///< viewsP() otherwise
   const PatternInfo* pinfo_ = nullptr;

@@ -30,7 +30,8 @@ std::optional<CenterMultiplicity> analyzeCenterMultiplicity(
   if (centerPts.size() < 2) return std::nullopt;
 
   // g_F: midpoint between the center and the max-view non-center point.
-  const auto views = config::allViews(f, Vec2{}, /*withMultiplicity=*/true);
+  const auto views =
+      config::headFirstViews(f, Vec2{}, /*withMultiplicity=*/true);
   std::size_t fmaxNc = f.size();
   for (std::size_t i = 0; i < f.size(); ++i) {
     if (geom::normLeq(f[i], tol.dist)) continue;

@@ -32,28 +32,57 @@ Circle circleFrom3(Vec2 a, Vec2 b, Vec2 c) {
   return {center, dist(center, a)};
 }
 
-bool inCircle(const Circle& c, Vec2 p) {
-  // Slightly enlarged membership keeps Welzl numerically stable.
-  return normLeq(p - c.center, c.radius * (1.0 + 1e-14) + 1e-14);
-}
+/// A Welzl circle with its membership test: normLeq(p - center, t) for
+/// the slightly enlarged radius t = r (1 + 1e-14) + 1e-14, which keeps
+/// Welzl numerically stable. t, t^2 and normLeq's 1 +- 1e-12 band are
+/// computed once per circle, with normLeq's own expressions, so every
+/// decision is normLeq's, bit for bit.
+struct Disk {
+  Circle c;
+  double t;
+  double lo = 0.0;  ///< t^2 (1 - 1e-12): inside below it
+  double hi = 0.0;  ///< t^2 (1 + 1e-12): outside above it
+  bool squared;     ///< t in normLeq's squared-norm range
+
+  explicit Disk(Circle circle)
+      : c(circle),
+        t(circle.radius * (1.0 + 1e-14) + 1e-14),
+        squared(t >= 1e-150 && t <= 1e150) {
+    if (squared) {
+      const double t2 = t * t;
+      lo = t2 * (1.0 - 1e-12);
+      hi = t2 * (1.0 + 1e-12);
+    }
+  }
+
+  bool contains(Vec2 p) const {
+    const Vec2 d = p - c.center;
+    if (squared) {
+      const double d2 = d.x * d.x + d.y * d.y;
+      if (d2 < lo) return true;
+      if (d2 > hi) return false;
+    }
+    return d.norm() <= t;
+  }
+};
 
 Circle secWithTwo(std::span<const Vec2> pts, std::size_t end, Vec2 p, Vec2 q) {
-  Circle c = circleFrom2(p, q);
+  Disk c(circleFrom2(p, q));
   for (std::size_t i = 0; i < end; ++i) {
-    if (!inCircle(c, pts[i])) c = circleFrom3(p, q, pts[i]);
+    if (!c.contains(pts[i])) c = Disk(circleFrom3(p, q, pts[i]));
   }
-  return c;
+  return c.c;
 }
 
 Circle secWithOne(std::span<const Vec2> pts, std::size_t end, Vec2 p) {
-  Circle c{p, 0.0};
+  Disk c(Circle{p, 0.0});
   for (std::size_t i = 0; i < end; ++i) {
-    if (!inCircle(c, pts[i])) {
-      c = (c.radius == 0.0) ? circleFrom2(p, pts[i])
-                            : secWithTwo(pts, i, p, pts[i]);
+    if (!c.contains(pts[i])) {
+      c = Disk(c.c.radius == 0.0 ? circleFrom2(p, pts[i])
+                                 : secWithTwo(pts, i, p, pts[i]));
     }
   }
-  return c;
+  return c.c;
 }
 
 /// The Welzl shuffle for size n: the permutation std::shuffle applies under
@@ -91,13 +120,11 @@ Circle secSkipping(std::span<const Vec2> pts, std::size_t skip) {
     shuffled[k] = pts[j < skip ? j : j + 1];
   }
 
-  Circle c{shuffled[0], 0.0};
+  Disk c(Circle{shuffled[0], 0.0});
   for (std::size_t i = 1; i < n; ++i) {
-    if (!inCircle(c, shuffled[i])) {
-      c = secWithOne(shuffled, i, shuffled[i]);
-    }
+    if (!c.contains(shuffled[i])) c = Disk(secWithOne(shuffled, i, shuffled[i]));
   }
-  return c;
+  return c.c;
 }
 
 }  // namespace

@@ -11,6 +11,9 @@
 #  4. Campaign flags that would do nothing (--journal, --resume or
 #     --quarantine without --campaign; --journal with --resume) and the
 #     removed --shard/--merge options exit 2, writing no journal.
+#  5. Single-run outputs that a campaign would not write (--svg, --trace,
+#     --repro-out with --campaign) and --shrink without --repro-out exit 2,
+#     writing nothing.
 #
 # Usage: campaign_cli_test.sh path/to/apf_sim workdir
 set -u
@@ -79,5 +82,18 @@ for f in gone.journal single.journal single.report.json both.journal; do
   [ ! -e "$WORK/$f" ] || fail "a refused command wrote $f"
 done
 echo "OK: campaign flags that would do nothing exit 2"
+
+CAMP=(--algo form --n 7 --campaign 2 --max-events 2000)
+expect 2 "$SIM" "${CAMP[@]}" --svg "$WORK/c.svg"
+expect 2 "$SIM" "${CAMP[@]}" --trace "$WORK/c.csv"
+expect 2 "$SIM" "${CAMP[@]}" --trace "$WORK/c.json"
+expect 2 "$SIM" "${CAMP[@]}" --repro-out "$WORK/c.repro.json"
+expect 2 "$SIM" "${CAMP[@]}" --repro-out "$WORK/s.repro.json" --shrink
+expect 2 "$SIM" "${CAMP[@]}" --shrink
+expect 2 "$SIM" "${ONE[@]}" --shrink
+for f in c.svg c.csv c.json c.repro.json s.repro.json; do
+  [ ! -e "$WORK/$f" ] || fail "a refused command wrote $f"
+done
+echo "OK: single-run outputs with --campaign, and --shrink alone, exit 2"
 
 echo "campaign_cli_test: PASS"

@@ -10,8 +10,9 @@
 ///       and vectors;
 ///   (b) smallestEnclosingCircle and secHolders bit for bit against the
 ///       hypot Welzl on the generator corpora, at three coordinate scales,
-///       and on snapshots of live `form` runs (n = 16 and 64 from random
-///       starts, two concentric 16-gons).
+///       on regular and two concentric polygons whose co-circular points
+///       fall inside normLeq's band, and on snapshots of live `form` runs
+///       (n = 16 and 64 from random starts, two concentric 16-gons).
 /// Any disagreement is a changed decision somewhere downstream.
 
 #include <gtest/gtest.h>
@@ -329,6 +330,52 @@ TEST(GeomPredicateTest, WelzlMatchesHypotWelzlOnGeneratorCorpora) {
                      std::to_string(scale));
     }
   }
+}
+
+/// Points of p within normLeq's 1 +- 1e-12 band around the Welzl threshold
+/// of p's circle, where the squared-norm test defers to hypot.
+int pointsInBand(const Configuration& p) {
+  const Circle c = geom::smallestEnclosingCircle(p.span());
+  const double t = c.radius * (1.0 + 1e-14) + 1e-14;
+  int in = 0;
+  for (const Vec2& q : p.points()) {
+    const Vec2 d = q - c.center;
+    const double d2 = d.x * d.x + d.y * d.y;
+    in += std::fabs(d2 - t * t) <= t * t * 1e-12;
+  }
+  return in;
+}
+
+/// Regular polygons and two concentric polygons (on one circle or two),
+/// at several scales, offsets and rotations: their co-circular points land
+/// inside normLeq's band, where Welzl's per-circle threshold must still
+/// give normLeq's decisions.
+TEST(GeomPredicateTest, WelzlMatchesHypotWelzlOnCoCircularSets) {
+  int inBand = 0;
+  for (double scale : {1.0, 1e-3, 1e3}) {
+    const Vec2 offset = Vec2{0.3, -0.7} * scale;
+    for (std::size_t m = 3; m <= 64; m += (m < 16 ? 1 : 8)) {
+      const double step = geom::kPi / static_cast<double>(m);
+      for (double phase : {0.0, 0.2, step}) {
+        const std::string what = "m=" + std::to_string(m) + " phase " +
+                                 std::to_string(phase) + " scale " +
+                                 std::to_string(scale);
+        const Configuration gon =
+            mapped(config::regularPolygon(m, 1.0, {}, phase), scale, offset);
+        checkWelzl(gon, "polygon " + what);
+        inBand += pointsInBand(gon);
+        for (double inner : {0.55, 1.0}) {
+          const Configuration two =
+              mapped(twoConcentric(m, 1.0, inner, phase + step / 2.0), scale,
+                     offset);
+          checkWelzl(two, "two polygons r2=" + std::to_string(inner) + " " +
+                              what);
+          inBand += pointsInBand(two);
+        }
+      }
+    }
+  }
+  EXPECT_GT(inBand, 0) << "no point reached normLeq's hypot band";
 }
 
 /// Records every 4th snapshot a `form` run's robots see.

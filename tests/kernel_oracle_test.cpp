@@ -22,7 +22,12 @@
 ///   - geom::norm2pi calling fmod on every angle (the kernel skips it when
 ///     |a| < 2pi);
 ///   - shiftedRegularSetOf without its certificate pass (the kernel first
-///     tries to prove that no candidate can pass verifyShift).
+///     tries to prove that no candidate can pass verifyShift);
+///   - allViews ordering the robots by full views (headFirstViews builds a
+///     full key only for a robot whose first triple another robot shares);
+///   - transformed(normalizingTransform()) and polar({0, 0}) built afresh
+///     (Configuration::normalized() carries them from the previous Look,
+///     checked on the engine's own snapshots).
 /// Every comparison is bitwise on the doubles: the faster kernels must not
 /// change a single decision or value anywhere downstream. Analysis::maxViewP
 /// is checked against its definition, maxViewRobots(P, centerP()).
@@ -35,6 +40,7 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <map>
 #include <optional>
 #include <random>
 #include <tuple>
@@ -1618,6 +1624,317 @@ TEST(KernelOracleTest, ShiftedCertificateRobotNearCenter) {
       EXPECT_EQ(checkShifted(p, what), center.x == 0.0) << what;
     }
   }
+}
+
+// --- Head-first view order against full views. ---
+
+/// headFirstViews against allViews around c, with and without
+/// multiplicity: the same byViewDescending order (hence the same tie
+/// classes) and the same compareViews on every pair. A full key it builds
+/// is allViews' view; a short one is allViews' first triple, and it is
+/// short exactly when no other robot's key starts with that triple.
+/// viewsBuilt counts the full keys only.
+void checkHeadFirst(const Configuration& p, Vec2 c, const std::string& what) {
+  for (bool mult : {false, true}) {
+    const std::string tag = what + (mult ? " (multiplicity)" : "");
+    const auto full = config::allViews(p, c, mult);
+    const std::uint64_t before = config::geomCacheCounters().viewsBuilt;
+    const auto head = config::headFirstViews(p, c, mult);
+    const std::uint64_t built = config::geomCacheCounters().viewsBuilt - before;
+    ASSERT_EQ(head.size(), full.size()) << tag;
+    EXPECT_EQ(config::byViewDescending(head), config::byViewDescending(full))
+        << tag;
+    std::uint64_t tied = 0;
+    for (std::size_t i = 0; i < p.size(); ++i) {
+      for (std::size_t j = 0; j < p.size(); ++j) {
+        EXPECT_EQ(config::compareViews(head[i], head[j]),
+                  config::compareViews(full[i], full[j]))
+            << tag << " i=" << i << " j=" << j;
+      }
+      EXPECT_EQ(head[i].atCenter, full[i].atCenter) << tag << " i=" << i;
+      if (full[i].atCenter) continue;
+      ASSERT_GE(full[i].key.size(), 3u) << tag;
+      const std::vector<std::int64_t> first(full[i].key.begin(),
+                                            full[i].key.begin() + 3);
+      bool shared = false;
+      for (std::size_t j = 0; j < p.size(); ++j) {
+        shared |= j != i && !full[j].atCenter &&
+                  std::equal(first.begin(), first.end(), full[j].key.begin());
+      }
+      if (shared) {
+        ++tied;
+        EXPECT_EQ(head[i], full[i]) << tag << " i=" << i;
+      } else {
+        EXPECT_EQ(head[i].key, first) << tag << " i=" << i;
+      }
+    }
+    EXPECT_EQ(built, tied) << tag;
+  }
+}
+
+/// checkHeadFirst around the SEC center and around `other`.
+void checkHeadFirstBoth(const Configuration& p, Vec2 other,
+                        const std::string& what) {
+  checkHeadFirst(p, p.sec().center, what + " @sec");
+  checkHeadFirst(p, other, what + " @other");
+}
+
+TEST(KernelOracleTest, HeadFirstViewsOnRandomSets) {
+  Rng rng(4064);
+  for (std::size_t n = 4; n <= 64; n += (n < 16 ? 1 : 6)) {
+    for (int rep = 0; rep < 2; ++rep) {
+      const Configuration p = config::randomConfiguration(n, rng, 2.0, 1e-3);
+      checkHeadFirstBoth(p, Vec2{0.1, -0.2},
+                         "random n=" + std::to_string(n) + " rep=" +
+                             std::to_string(rep));
+    }
+  }
+}
+
+TEST(KernelOracleTest, HeadFirstViewsOnPolygonsAndAxialSets) {
+  for (std::size_t m = 3; m <= 32; ++m) {
+    const Configuration p = config::regularPolygon(m, 1.5, {0.3, -0.7}, 0.2);
+    checkHeadFirstBoth(p, Vec2{0.3, -0.7}, "m-gon m=" + std::to_string(m));
+  }
+  for (std::size_t k = 3; k <= 16; ++k) {
+    for (double phase : {0.0, geom::kPi / static_cast<double>(k), 0.3}) {
+      const std::string what = "two " + std::to_string(k) + "-gons phase " +
+                               std::to_string(phase);
+      checkHeadFirstBoth(twoConcentric(k, 1.0, 0.55, phase), Vec2{0.05, 0.0},
+                         what);
+      // Both polygons on one circle: every head ties.
+      checkHeadFirstBoth(twoConcentric(k, 1.0, 1.0, phase / 2.0 + 0.01),
+                         Vec2{}, what + " co-circular");
+    }
+  }
+  Rng rng(4065);
+  for (int pairs = 1; pairs <= 10; ++pairs) {
+    for (int onAxis = 0; onAxis <= 3; ++onAxis) {
+      checkHeadFirstBoth(config::axialConfiguration(pairs, onAxis, rng),
+                         Vec2{0.02, 0.01},
+                         "axial pairs=" + std::to_string(pairs) +
+                             " onAxis=" + std::to_string(onAxis));
+    }
+  }
+  for (int rho : {2, 3, 4, 6}) {
+    checkHeadFirstBoth(config::symmetricConfiguration(rho, 3, rng), Vec2{},
+                       "symmetric rho=" + std::to_string(rho));
+  }
+}
+
+/// Radii within one view quantum of each other, so that the first rho run
+/// holds several groups; multiplicity points; robots at the center.
+TEST(KernelOracleTest, HeadFirstViewsNearTiesMultiplicityAndCenter) {
+  Rng rng(4066);
+  std::uniform_real_distribution<double> uang(0.0, geom::kTwoPi);
+  std::uniform_real_distribution<double> urad(0.45, 0.95);
+  std::uniform_real_distribution<double> urel(1e-8, 4e-7);
+  for (int trial = 0; trial < 40; ++trial) {
+    std::vector<Vec2> pts;
+    const double r0 = 0.4;
+    for (int k = 0; k < 3; ++k) {
+      const double a = uang(rng);
+      pts.push_back(Vec2{std::cos(a), std::sin(a)} * (r0 * (1.0 + k * urel(rng))));
+    }
+    for (int k = 0; k < 3; ++k) {
+      const double a = k * geom::kTwoPi / 3.0 + 0.1;
+      pts.push_back(Vec2{std::cos(a), std::sin(a)});
+    }
+    for (int k = 0; k < 6; ++k) {
+      const double a = uang(rng);
+      pts.push_back(Vec2{std::cos(a), std::sin(a)} * urad(rng));
+    }
+    const int variant = trial % 4;
+    if (variant == 1) pts.push_back(pts[0]);                  // multiplicity
+    if (variant == 2) pts.push_back(pts[4] + Vec2{4e-10, 0});  // within tol
+    if (variant == 3) pts.push_back(Configuration(pts).sec().center);
+    checkHeadFirstBoth(Configuration(pts), pts[5],
+                       "near tie trial " + std::to_string(trial));
+  }
+  // A mirror-symmetric pair, one of them a quantum-sized step off.
+  for (double step : {0.0, 2e-7, 6e-7, 2e-6}) {
+    Configuration p = config::regularPolygon(6, 1.0, {}, 0.0);
+    p.push_back(Vec2{0.5, 0.2});
+    p.push_back(Vec2{0.5, -0.2 - step});
+    checkHeadFirstBoth(p, Vec2{}, "mirror pair step " + std::to_string(step));
+  }
+  // Robots at the center: one, two coincident, and two within tol.
+  for (int atCenter = 1; atCenter <= 3; ++atCenter) {
+    Configuration p = twoConcentric(5, 1.0, 0.5, 0.2);
+    p.push_back(Vec2{});
+    if (atCenter >= 2) p.push_back(atCenter == 2 ? Vec2{} : Vec2{3e-10, 0});
+    checkHeadFirstBoth(p, Vec2{0.3, 0.0},
+                       "center robots " + std::to_string(atCenter));
+  }
+  // Multiplicity points on a polygon, counted or not.
+  Configuration multi = config::regularPolygon(8, 1.0, {}, 0.0);
+  multi.push_back(multi[0]);
+  multi.push_back(multi[0]);
+  multi.push_back(multi[3]);
+  multi.push_back(Vec2{0.2, 0.1});
+  checkHeadFirstBoth(multi, Vec2{}, "multiplicity octagon");
+}
+
+// --- Carried normalized snapshot against a fresh normalization. ---
+
+/// snap.normalized() against snap.transformed(snap.normalizingTransform())
+/// and that configuration's polar({0, 0}), bit for bit. The origin table
+/// is served without a miss. Returns normalized()'s points.
+std::vector<Vec2> expectNormalizedFresh(const Configuration& snap,
+                                        const std::string& what) {
+  const Configuration fresh = snap.transformed(snap.normalizingTransform());
+  const config::PolarTable& want = fresh.polar(Vec2{});
+  const Configuration& got = snap.normalized();
+  const auto before = config::geomCacheCounters();
+  const config::PolarTable& t = got.polar(Vec2{});
+  EXPECT_EQ(config::geomCacheCounters().polarMisses, before.polarMisses)
+      << what;
+  EXPECT_EQ(got.size(), fresh.size()) << what;
+  if (got.size() != fresh.size()) return got.points();
+  for (std::size_t j = 0; j < got.size(); ++j) {
+    EXPECT_EQ(bits(got[j].x), bits(fresh[j].x)) << what << " j=" << j;
+    EXPECT_EQ(bits(got[j].y), bits(fresh[j].y)) << what << " j=" << j;
+    EXPECT_EQ(bits(t.radius[j]), bits(want.radius[j])) << what << " j=" << j;
+    EXPECT_EQ(bits(t.arg[j]), bits(want.arg[j])) << what << " j=" << j;
+    EXPECT_EQ(bits(t.dir[j]), bits(want.dir[j])) << what << " j=" << j;
+  }
+  return got.points();
+}
+
+/// Checks every snapshot the engine hands to `form` before forwarding it:
+/// the snapshot object is the robot's own, refilled at every Look, so its
+/// normalized() carries what the previous Compute of that robot left.
+/// Every 9th snapshot is also checked through a copy, which starts empty.
+class CarriedTap final : public sim::Algorithm {
+ public:
+  sim::Action compute(const sim::Snapshot& snap,
+                      sched::RandomSource& rng) const override {
+    const std::string what = "look " + std::to_string(looks);
+    const Configuration& robots = snap.robots;
+    Last& last = last_[&robots];
+    const Circle c = robots.sec();
+    const bool sameCircle = last.seen && bits(c.radius) == bits(last.sec.radius) &&
+                            bits(c.center.x) == bits(last.sec.center.x) &&
+                            bits(c.center.y) == bits(last.sec.center.y);
+    const bool sameSize = last.norm.size() == robots.size();
+    const std::vector<Vec2> norm = expectNormalizedFresh(robots, what);
+    if (last.seen) {
+      sizeChanges += !sameSize;
+      circleChanges += sameSize && !sameCircle;
+      if (sameSize && sameCircle) {
+        ++sameCircleLooks;
+        for (std::size_t j = 0; j < norm.size(); ++j) {
+          const bool kept = bits(norm[j].x) == bits(last.norm[j].x) &&
+                            bits(norm[j].y) == bits(last.norm[j].y);
+          keptEntries += kept;
+          movedEntries += !kept;
+        }
+      }
+    }
+    last = {true, c, norm};
+    if (looks++ % 9 == 0) {
+      const Configuration copy = robots;
+      expectNormalizedFresh(copy, what + " (copy)");
+    }
+    return inner_.compute(snap, rng);
+  }
+  std::string name() const override { return "carried(" + inner_.name() + ")"; }
+
+  mutable std::uint64_t looks = 0;
+  mutable std::uint64_t sizeChanges = 0;
+  mutable std::uint64_t circleChanges = 0;
+  mutable std::uint64_t sameCircleLooks = 0;
+  mutable std::uint64_t keptEntries = 0;
+  mutable std::uint64_t movedEntries = 0;
+
+ private:
+  struct Last {
+    bool seen = false;
+    Circle sec;
+    std::vector<Vec2> norm;
+  };
+  core::FormPatternAlgorithm inner_;
+  mutable std::map<const Configuration*, Last> last_;
+};
+
+TEST(KernelOracleTest, CarriedSnapshotOnEngineLookSequences) {
+  struct Case {
+    const char* name;
+    Configuration start;
+    std::uint64_t events;
+    bool faults;
+  };
+  Rng rng(3064);
+  const std::vector<Case> cases = {
+      {"random n=16", config::randomConfiguration(16, rng, 3.0, 0.05), 3000,
+       false},
+      {"random n=64", config::randomConfiguration(64, rng, 3.0, 0.05), 1200,
+       false},
+      {"two 8-gons", twoConcentric(8, 1.0, 0.6, geom::kPi / 8.0), 3000, false},
+      {"two 8-gons aligned", twoConcentric(8, 1.0, 0.6, 0.0), 3000, false},
+      {"random n=16, look faults",
+       config::randomConfiguration(16, rng, 3.0, 0.05), 2000, true},
+  };
+  for (const Case& c : cases) {
+    const std::size_t n = c.start.size();
+    CarriedTap tap;
+    sim::EngineOptions opts;
+    opts.sched.kind = sched::SchedulerKind::Async;
+    opts.seed = n + 7;
+    opts.maxEvents = c.events;
+    if (c.faults) {
+      // Noise perturbs every other robot's point, omission and
+      // multiplicity flips change the snapshot's size.
+      opts.fault.noiseSigma = 1e-4;
+      opts.fault.omitProb = 0.05;
+      opts.fault.multFlipProb = 0.05;
+      opts.fault.seed = 5;
+    }
+    sim::Engine engine(c.start, config::randomPattern(n, rng), tap, opts);
+    (void)engine.run();
+    SCOPED_TRACE(c.name);
+    EXPECT_GE(tap.looks, 100u);
+    EXPECT_GT(tap.circleChanges, 0u);
+    if (c.faults) {
+      EXPECT_GT(tap.sizeChanges, 0u);
+    } else {
+      // Looks that kept their circle reused most entries.
+      EXPECT_GT(tap.sameCircleLooks, 0u);
+      EXPECT_GT(tap.keptEntries, tap.movedEntries);
+    }
+  }
+}
+
+/// normalized() across every mutation: the cache checks its own entries,
+/// a copy starts without it and a move hands it over.
+TEST(KernelOracleTest, CarriedSnapshotAcrossMutations) {
+  Rng rng(3065);
+  Configuration p = config::randomConfiguration(12, rng, 2.0, 0.05);
+  expectNormalizedFresh(p, "first");
+  expectNormalizedFresh(p, "unchanged");
+  p[3] = p[3] * 0.5;  // inside: the circle keeps its bits
+  expectNormalizedFresh(p, "interior point moved");
+  p[0] = p[0] * 4.0;  // outside: a new circle
+  expectNormalizedFresh(p, "circle changed");
+  p.push_back(Vec2{0.1, 0.2});
+  expectNormalizedFresh(p, "grown");
+  std::vector<Vec2> pts = p.releasePoints();
+  pts.pop_back();
+  pts.pop_back();
+  p.assign(std::move(pts));
+  expectNormalizedFresh(p, "shrunk");
+  p[1] = Vec2{-0.0, p[1].y};
+  expectNormalizedFresh(p, "signed zero");
+  const Configuration copy = p;
+  expectNormalizedFresh(copy, "copy");
+  Configuration assigned = config::randomConfiguration(5, rng, 1.0, 0.05);
+  expectNormalizedFresh(assigned, "before copy assignment");
+  assigned = p;
+  expectNormalizedFresh(assigned, "copy-assigned");
+  Configuration moved = std::move(p);
+  expectNormalizedFresh(moved, "moved");
+  moved[2] = moved[2] + Vec2{1e-9, 0.0};
+  expectNormalizedFresh(moved, "moved, then mutated");
 }
 
 }  // namespace

@@ -123,6 +123,16 @@ std::uint64_t activations(const RunResult& r, int tag) {
 // are all proven to fail verifyShift's pre-rejection returns without
 // verifying any (31 of 32 calls in kForm16, 95 of 242 in kRsb16, all 57 in
 // kForm64), and its pre-rejection checks read fewer polar tables.
+//
+// polarHits/polarMisses and viewsBuilt were re-pinned, with every decision
+// and every other count unchanged, when (1) a robot's snapshot began to
+// carry its normalized points and their origin polar table from one Look
+// to the next (Configuration::normalized()): Analysis's first polar({0, 0})
+// call, a miss on every Compute before, is now a hit on the carried table;
+// and (2) regularSetOf, viewsP() and so psi_RSB's asymmetric case began to
+// order robots by headFirstViews, which builds a full view only for a robot
+// whose first (rho, theta, count) triple another robot shares (none in the
+// random-start runs, 238 instead of 1104 in kRsb16).
 
 // The full algorithm at n = 16 from a random start, run to the goal.
 constexpr Work kForm16 =
@@ -132,8 +142,8 @@ constexpr Work kForm16 =
                  .secMisses = 926,
                  .weberHits = 32,
                  .weberMisses = 33,
-                 .polarHits = 4340,
-                 .polarMisses = 980,
+                 .polarHits = 5093,
+                 .polarMisses = 227,
                  .axesCalls = 64,
                  .axesCandidates = 14400,
                  .reflectionsTried = 97,
@@ -144,7 +154,7 @@ constexpr Work kForm16 =
                  .shiftedCalls = 32,
                  .shiftVerifies = 15,
                  .shiftCertified = 31,
-                 .viewsBuilt = 528,
+                 .viewsBuilt = 0,
                  .similarityCalls = 123,
                  .similarityTransforms = 650,
                  .gridFits = 0}};
@@ -159,8 +169,8 @@ constexpr Work kRsb16 =
                  .secMisses = 578,
                  .weberHits = 96,
                  .weberMisses = 441,
-                 .polarHits = 5182,
-                 .polarMisses = 2307,
+                 .polarHits = 5447,
+                 .polarMisses = 2042,
                  .axesCalls = 415,
                  .axesCandidates = 93375,
                  .reflectionsTried = 18247,
@@ -171,7 +181,7 @@ constexpr Work kRsb16 =
                  .shiftedCalls = 242,
                  .shiftVerifies = 1552,
                  .shiftCertified = 95,
-                 .viewsBuilt = 1104,
+                 .viewsBuilt = 238,
                  .similarityCalls = 1,
                  .similarityTransforms = 0,
                  .gridFits = 1494}};
@@ -186,8 +196,8 @@ constexpr Work kForm64 =
                  .secMisses = 5969,
                  .weberHits = 57,
                  .weberMisses = 57,
-                 .polarHits = 32941,
-                 .polarMisses = 6127,
+                 .polarHits = 38787,
+                 .polarMisses = 281,
                  .axesCalls = 57,
                  .axesCandidates = 226233,
                  .reflectionsTried = 114,
@@ -198,7 +208,7 @@ constexpr Work kForm64 =
                  .shiftedCalls = 57,
                  .shiftVerifies = 0,
                  .shiftCertified = 57,
-                 .viewsBuilt = 3648,
+                 .viewsBuilt = 0,
                  .similarityCalls = 1,
                  .similarityTransforms = 0,
                  .gridFits = 0}};

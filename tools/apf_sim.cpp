@@ -252,6 +252,17 @@ int main(int argc, char** argv) try {
     std::fprintf(stderr, "apf_sim: --journal and --resume are exclusive\n");
     return 2;
   }
+  if (o.campaign && (!o.svgPath.empty() || !o.tracePath.empty() ||
+                     !o.reproOutPath.empty())) {
+    std::fprintf(stderr,
+                 "apf_sim: --svg, --trace and --repro-out describe a single "
+                 "run, not a --campaign\n");
+    return 2;
+  }
+  if (o.doShrink && o.reproOutPath.empty()) {
+    std::fprintf(stderr, "apf_sim: --shrink needs --repro-out\n");
+    return 2;
+  }
 
   // --replay re-executes a self-contained .repro.json exactly and reports
   // whether the engine's safety monitor sees the recorded violation again. Every run coordinate comes from the file, not the CLI; a
