@@ -73,7 +73,6 @@
 #include "sim/trace.h"
 
 // adaptive Monte Carlo estimation (apf_est)
-#include "est/ab.h"
 #include "est/adaptive.h"
 #include "est/estimators.h"
 #include "est/stopping.h"

@@ -100,25 +100,24 @@ std::string ArmEstimate::toJson() const {
   return top.str();
 }
 
-void appendManifest(const ArmEstimate& arm, obs::Manifest& manifest,
-                    const std::string& prefix) {
+void appendManifest(const ArmEstimate& arm, obs::Manifest& manifest) {
   const Interval w = wilson(arm.success, arm.confidence);
   const Interval ebBits = empiricalBernstein(arm.bits, arm.confidence);
-  manifest.set(prefix + "label", arm.label);
-  manifest.set(prefix + "base_seed", arm.baseSeed);
-  manifest.set(prefix + "samples", arm.samples);
-  manifest.set(prefix + "batches", arm.batches);
-  manifest.set(prefix + "max_samples", arm.maxSamples);
-  manifest.set(prefix + "confidence", arm.confidence);
-  manifest.set(prefix + "stop_reason", stopReasonName(arm.stopReason));
-  manifest.set(prefix + "converged", arm.converged);
-  manifest.set(prefix + "success_rate", arm.success.rate());
-  manifest.set(prefix + "wilson_lo", w.lo);
-  manifest.set(prefix + "wilson_hi", w.hi);
-  manifest.set(prefix + "cycles_mean", arm.cycles.mean);
-  manifest.set(prefix + "bits_mean", arm.bits.mean);
-  manifest.set(prefix + "bits_eb_lo", ebBits.lo);
-  manifest.set(prefix + "bits_eb_hi", ebBits.hi);
+  manifest.set("est.label", arm.label);
+  manifest.set("est.base_seed", arm.baseSeed);
+  manifest.set("est.samples", arm.samples);
+  manifest.set("est.batches", arm.batches);
+  manifest.set("est.max_samples", arm.maxSamples);
+  manifest.set("est.confidence", arm.confidence);
+  manifest.set("est.stop_reason", stopReasonName(arm.stopReason));
+  manifest.set("est.converged", arm.converged);
+  manifest.set("est.success_rate", arm.success.rate());
+  manifest.set("est.wilson_lo", w.lo);
+  manifest.set("est.wilson_hi", w.hi);
+  manifest.set("est.cycles_mean", arm.cycles.mean);
+  manifest.set("est.bits_mean", arm.bits.mean);
+  manifest.set("est.bits_eb_lo", ebBits.lo);
+  manifest.set("est.bits_eb_hi", ebBits.hi);
 }
 
 ArmEstimate runAdaptive(const std::string& label, const Trial& trial,

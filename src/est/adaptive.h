@@ -9,7 +9,8 @@
 /// many samples as the requested precision needs, instead of a guessed
 /// fixed count.
 ///
-/// Determinism contract (tests/est_test.cpp, CI estimate-smoke):
+/// Determinism contract (tests/est_test.cpp, and tools/golden_csv_check.sh
+/// against results/estimate_form_n8_seed5.json):
 ///  * Trial seeds are a pure function of (base seed, global sample index)
 ///    via sched::sampleSeed — the single audited splitmix64 derivation
 ///    path shared with the supervisor's retry salts (sched/seed.h).
@@ -33,8 +34,8 @@
 ///
 /// The driver is algorithm-agnostic: a Trial callback maps
 /// (seed, sample index) to a Sample {success, cycles, events, bits}. The
-/// apf_estimate CLI and bench_estimate wire it to sim::Engine runs;
-/// tests use synthetic trials.
+/// apf_estimate CLI wires it to sim::Engine runs; tests use synthetic
+/// trials.
 
 #include <cstdint>
 #include <functional>
@@ -116,11 +117,9 @@ struct ArmEstimate {
   std::string toJson() const;
 };
 
-/// `est.*` manifest keys for one arm (consumed by apf_report's estimation
-/// section; `prefix` distinguishes arms in a multi-arm manifest, e.g.
-/// "est.a." — default "est.").
-void appendManifest(const ArmEstimate& arm, obs::Manifest& manifest,
-                    const std::string& prefix = "est.");
+/// `est.*` manifest keys for the arm (consumed by apf_report's estimation
+/// section).
+void appendManifest(const ArmEstimate& arm, obs::Manifest& manifest);
 
 /// Runs one adaptive estimation arm. Throws std::invalid_argument on bad
 /// stopping options. A `trial` that throws std::exception makes it throw

@@ -43,11 +43,6 @@ struct Interval {
 
   double halfWidth() const { return (hi - lo) / 2.0; }
   bool contains(double x) const { return lo <= x && x <= hi; }
-  /// True when the intervals share at least one point. Two DISJOINT
-  /// intervals are the bound-based separation evidence the A/B gate uses.
-  bool overlaps(const Interval& other) const {
-    return lo <= other.hi && other.lo <= hi;
-  }
 };
 
 /// Standard-normal quantile z with P(Z <= z) = p, for p in (0, 1).

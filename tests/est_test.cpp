@@ -1,8 +1,8 @@
 /// Tests of the estimation subsystem (src/est/): interval known-answer
 /// values and coverage properties, summary merge/serialization fixed
 /// points, sequential stopping-rule semantics, the adaptive driver's
-/// thread-count determinism and journal resume, and the A/B comparison
-/// gates. The statistical background is docs/STATISTICS.md.
+/// thread-count determinism and journal resume. The statistical
+/// background is docs/STATISTICS.md.
 
 #include <gtest/gtest.h>
 
@@ -17,7 +17,6 @@
 #include <string>
 #include <vector>
 
-#include "est/ab.h"
 #include "est/adaptive.h"
 #include "est/estimators.h"
 #include "est/stopping.h"
@@ -107,10 +106,6 @@ TEST(EstimatorTest, ClopperPearsonKnownValues) {
 
 TEST(EstimatorTest, IntervalPredicates) {
   const Interval a{0.1, 0.4};
-  const Interval b{0.4, 0.9};
-  const Interval c{0.5, 0.9};
-  EXPECT_TRUE(a.overlaps(b));  // shared endpoint counts
-  EXPECT_FALSE(a.overlaps(c));
   EXPECT_TRUE(a.contains(0.25));
   EXPECT_FALSE(a.contains(0.45));
   EXPECT_NEAR(a.halfWidth(), 0.15, 1e-12);
@@ -510,72 +505,6 @@ TEST(AdaptiveTest, ManifestCarriesTheArm) {
                    static_cast<double>(arm.samples));
   EXPECT_EQ(parsed->at("est.stop_reason").asString(),
             est::stopReasonName(arm.stopReason));
-}
-
-// ------------------------------------------------------------------ A/B --
-
-TEST(AbTest, RateGateSeparatesClearDifferences) {
-  const auto sep = est::compareRates(bern(100, 90), bern(100, 10), 0.95);
-  EXPECT_EQ(sep.verdict, est::Verdict::AHigher);
-  EXPECT_GT(sep.ci.lo, 0.0);
-  EXPECT_NEAR(sep.diff, 0.8, 1e-12);
-
-  const auto same = est::compareRates(bern(100, 50), bern(100, 50), 0.95);
-  EXPECT_EQ(same.verdict, est::Verdict::Indistinguishable);
-  EXPECT_TRUE(same.ci.contains(0.0));
-
-  // Newcombe stays inside [-1, 1] even at the degenerate extremes where a
-  // Wald interval would poke outside.
-  const auto extreme = est::compareRates(bern(5, 0), bern(5, 5), 0.95);
-  EXPECT_EQ(extreme.verdict, est::Verdict::BHigher);
-  EXPECT_GE(extreme.ci.lo, -1.0);
-  EXPECT_LE(extreme.ci.hi, 1.0);
-}
-
-TEST(AbTest, MeanGateNeedsDisjointBounds) {
-  MomentSummary low, high, mid;
-  for (int i = 0; i < 200; ++i) {
-    low.add(1.0 + 0.01 * (i % 5));
-    high.add(50.0 + 0.01 * (i % 5));
-    mid.add(1.0 + 0.01 * ((i + 1) % 5));  // same mean as `low`, shifted phase
-  }
-  const auto sep = est::compareMeans(high, low, 0.95);
-  EXPECT_EQ(sep.verdict, est::Verdict::AHigher);
-  EXPECT_FALSE(sep.a.overlaps(sep.b));
-  // Close means with overlapping bounds: no verdict, by design.
-  const auto close = est::compareMeans(mid, low, 0.95);
-  EXPECT_EQ(close.verdict, est::Verdict::Indistinguishable);
-  // An empty arm can never win a verdict.
-  const auto empty = est::compareMeans(MomentSummary{}, low, 0.95);
-  EXPECT_EQ(empty.verdict, est::Verdict::Indistinguishable);
-
-  EXPECT_STREQ(est::verdictName(est::Verdict::Indistinguishable),
-               "indistinguishable");
-  EXPECT_STREQ(est::verdictName(est::Verdict::AHigher), "a_higher");
-  EXPECT_STREQ(est::verdictName(est::Verdict::BHigher), "b_higher");
-}
-
-TEST(AbTest, CompareArmsIsPureAndByteStable) {
-  est::AdaptiveOptions opts;
-  opts.baseSeed = 11;
-  opts.stop.batchSize = 16;
-  opts.stop.minSamples = 32;
-  opts.stop.maxSamples = 64;
-  const est::ArmEstimate a = est::runAdaptive("a", syntheticTrial, opts);
-  opts.baseSeed = 12;
-  const est::ArmEstimate b = est::runAdaptive(
-      "b",
-      [](std::uint64_t seed, std::uint64_t index) {
-        est::Sample s = syntheticTrial(seed, index);
-        s.bits += 1000;  // clearly separated bit consumption
-        return s;
-      },
-      opts);
-  const est::AbReport r1 = est::compareArms(a, b);
-  const est::AbReport r2 = est::compareArms(a, b);
-  EXPECT_EQ(r1.toJson(), r2.toJson());
-  EXPECT_EQ(r1.bits.verdict, est::Verdict::BHigher);
-  EXPECT_DOUBLE_EQ(r1.confidence, a.confidence);
 }
 
 // --------------------------------------------------------------- seeding --

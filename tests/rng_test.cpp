@@ -1,6 +1,6 @@
 /// Tests of the counting random source (sched/rng.h). The random-bit
 /// ledger is the measurement the paper's "one bit per robot per cycle"
-/// claim is checked against (bench_randbits, the A/B estimation gate), so
+/// claim is checked against (bench_randbits, apf_estimate's bits bounds), so
 /// its accounting rules are pinned here: bit() costs exactly 1, uniform()
 /// exactly 53, adversary draws cost nothing.
 

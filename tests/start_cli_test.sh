@@ -2,7 +2,8 @@
 # Per-push check that apf_sim and apf_estimate accept exactly the generated
 # starts sim::validate allows ("random", and "symmetric" with an
 # even n >= 4) and exit 2 on anything else, in single-run, campaign and
-# estimation mode alike.
+# estimation mode alike; and that an unknown --pattern name or a missing
+# --pattern-file / --start-file is a usage error (exit 2) too.
 #
 # Usage: start_cli_test.sh path/to/apf_sim path/to/apf_estimate
 set -u
@@ -46,5 +47,13 @@ for good in "--start symmetric --n 8" "--start random --n 7"; do
   expect 0 "$EST" "${EST_RUN[@]}" $good
 done
 echo "OK: random and symmetric starts with an even n run"
+
+MISSING=/nonexistent-apf-dir/points.txt
+expect 2 "$SIM" "${SIM_RUN[@]}" --pattern nosuch
+expect 2 "$SIM" "${SIM_RUN[@]}" --pattern nosuch --campaign 2
+expect 2 "$EST" "${EST_RUN[@]}" --pattern nosuch
+expect 2 "$SIM" "${SIM_RUN[@]}" --pattern-file "$MISSING"
+expect 2 "$SIM" "${SIM_RUN[@]}" --start-file "$MISSING"
+echo "OK: unknown patterns and missing point files exit 2"
 
 echo "start_cli_test: PASS"

@@ -4,26 +4,22 @@
 /// maintains streaming estimates of the success probability (Wilson /
 /// Clopper–Pearson), run cost, and random-bit consumption, and stops as
 /// soon as a sequential rule is satisfied — instead of guessing a fixed
-/// run count. With --ab it runs TWO arms (two algorithms) and prints the
-/// comparison gates (Newcombe interval on the success-rate difference,
-/// bound separation on the means).
+/// run count.
 ///
 /// Everything printed is deterministic: same options + seed produce a
 /// byte-identical apf.estimate.v1 document for any --jobs / APF_JOBS
-/// (CI's estimate-smoke job byte-compares them), and --journal/--resume
-/// replay a killed campaign to the same document.
+/// (tools/golden_csv_check.sh compares one with
+/// results/estimate_form_n8_seed5.json), and --journal/--resume replay a
+/// killed campaign to the same document.
 ///
 /// Examples:
 ///   apf_estimate --n 8 --sched async --half-width 0.05
-///   apf_estimate --ab --algo rsb --algo-b yy --chirality --sched async
 ///   apf_estimate --journal est.journal ... ; apf_estimate --resume ...
 
 #include <cstdio>
-#include <cstring>
 #include <memory>
 #include <string>
 
-#include "est/ab.h"
 #include "est/adaptive.h"
 #include "io/patterns.h"
 #include "obs/json.h"
@@ -39,12 +35,10 @@
 namespace {
 
 struct Options {
-  /// The trials' scenario; each arm runs a copy with its own algorithm.
+  /// The trials' scenario.
   apf::sim::Scenario sc;
   std::uint64_t n = 8;
   std::string sched = "async";
-  std::string algoB = "yy";  // --ab second arm
-  bool ab = false;
   apf::est::StoppingOptions stop;
   int jobs = 0;
   std::string outPath;
@@ -68,10 +62,6 @@ void registerFlags(apf::cli::ArgParser& args, Options& o) {
   args.str("--sched", &o.sched, "S", "fsync|ssync|async (default async)");
   args.str("--algo", &o.sc.algo, "A",
            std::string(apf::cli::algorithmNames()) + " (default form)");
-  args.flag("--ab", &o.ab,
-            "two-arm mode: estimate --algo and --algo-b,\n"
-            "print comparison gates");
-  args.str("--algo-b", &o.algoB, "A", "second arm for --ab (default yy)");
   args.u64("--seed", &o.sc.baseSeed, "S",
            "base seed; trial i uses sampleSeed(S, i)");
   args.num("--delta", &o.sc.delta, ArgParser::Num::NonNegative, "D",
@@ -106,8 +96,7 @@ void registerFlags(apf::cli::ArgParser& args, Options& o) {
                       "campaign threads (0 = APF_JOBS/hardware); any\n"
                       "value prints the byte-identical report");
   args.str("--journal", &o.journalPath, "F",
-           "crash-safe checkpoint journal (fresh file;\n"
-           "--ab appends .a/.b per arm)");
+           "crash-safe checkpoint journal (fresh file)");
   args.str("--resume", &o.resumePath, "F",
            "resume from journal F (completed samples are\n"
            "not re-run; report is byte-identical)");
@@ -146,51 +135,8 @@ apf::obs::Manifest armConfig(const Options& o, const std::string& label,
   return m;
 }
 
-struct Arm {
-  std::string label;
-  apf::est::ArmEstimate estimate;
-};
-
-Arm runArm(const Options& o, const std::string& algoName,
-           std::uint64_t baseSeed, const std::string& journalSuffix,
-           apf::obs::Recorder* recorder) {
-  using namespace apf;
-  sim::Scenario sc = o.sc;
-  sc.algo = algoName;
-  std::unique_ptr<sim::Algorithm> algo =
-      cli::makeAlgorithm(algoName, sc.multiplicity);
-  if (algo == nullptr) {
-    std::fprintf(stderr, "apf_estimate: unknown algorithm: %s (want %s)\n",
-                 algoName.c_str(), cli::algorithmNames());
-    std::exit(2);
-  }
-
-  std::unique_ptr<sim::CampaignJournal> journal;
-  const bool resuming = !o.resumePath.empty();
-  const std::string jpath =
-      (resuming ? o.resumePath : o.journalPath) + journalSuffix;
-  if (jpath != journalSuffix) {  // a journal path was given
-    journal = std::make_unique<sim::CampaignJournal>(
-        jpath, armConfig(o, algo->name(), baseSeed).toJson(), resuming);
-  }
-
-  est::AdaptiveOptions aopts;
-  aopts.stop = o.stop;
-  aopts.baseSeed = baseSeed;
-  aopts.jobs = o.jobs;
-  aopts.recorder = recorder;
-  aopts.journal = journal.get();
-
-  Arm arm;
-  arm.label = algo->name();
-  arm.estimate =
-      est::runAdaptive(algo->name(), est::scenarioTrial(sc, *algo), aopts);
-  return arm;
-}
-
-void printHuman(const Arm& arm) {
+void printHuman(const apf::est::ArmEstimate& e) {
   using apf::est::Interval;
-  const apf::est::ArmEstimate& e = arm.estimate;
   const Interval w = apf::est::wilson(e.success, e.confidence);
   const Interval bits = apf::est::empiricalBernstein(e.bits, e.confidence);
   std::printf(
@@ -198,7 +144,7 @@ void printHuman(const Arm& arm) {
       "  success %llu/%llu = %.3f, wilson [%.3f, %.3f] @ %.0f%%\n"
       "  bits mean %.1f, eb [%.1f, %.1f]; cycles mean %.1f; events mean "
       "%.1f\n",
-      arm.label.c_str(), static_cast<unsigned long long>(e.samples),
+      e.label.c_str(), static_cast<unsigned long long>(e.samples),
       static_cast<unsigned long long>(e.maxSamples),
       static_cast<unsigned long long>(e.batches),
       apf::est::stopReasonName(e.stopReason),
@@ -219,6 +165,7 @@ int main(int argc, char** argv) try {
       "adaptive Monte Carlo estimation for APF campaigns\n"
       "(sequential stopping + confidence intervals; docs/STATISTICS.md)");
   registerFlags(args, o);
+  args.exitNotes(",\n4 journal lock held by another process");
   args.parse(argc, argv);
   try {
     o.stop.validate();
@@ -233,8 +180,13 @@ int main(int argc, char** argv) try {
     return 2;
   }
   o.sc.sched = *kind;
-  o.sc.pattern =
-      io::patternByName(o.sc.patternLabel, o.n, o.sc.baseSeed + 1000);
+  try {
+    o.sc.pattern =
+        io::patternByName(o.sc.patternLabel, o.n, o.sc.baseSeed + 1000);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "apf_estimate: %s\n", e.what());
+    return 2;
+  }
   if (const std::string why = sim::validate(o.sc); !why.empty()) {
     std::fprintf(stderr, "apf_estimate: %s\n", why.c_str());
     return 2;
@@ -244,27 +196,48 @@ int main(int argc, char** argv) try {
                  "apf_estimate: --journal and --resume are exclusive\n");
     return 2;
   }
+  // The trials run a copy: an algorithm that needs multiplicity detection
+  // turns it on there, while the journal key records the --multiplicity
+  // flag as given.
+  sim::Scenario sc = o.sc;
+  const std::unique_ptr<sim::Algorithm> algo =
+      cli::makeAlgorithm(sc.algo, sc.multiplicity);
+  if (algo == nullptr) {
+    std::fprintf(stderr, "apf_estimate: unknown algorithm: %s (want %s)\n",
+                 sc.algo.c_str(), cli::algorithmNames());
+    return 2;
+  }
 
+  // The trials' base seed is sampleSeed(seed, 0), not --seed itself: the
+  // document and the journal key both record it, so keeping it keeps every
+  // existing document and journal valid.
+  const std::uint64_t baseSeed = sched::sampleSeed(o.sc.baseSeed, 0);
+  const obs::Manifest config = armConfig(o, algo->name(), baseSeed);
+  const bool resuming = !o.resumePath.empty();
+  const std::string jpath = resuming ? o.resumePath : o.journalPath;
+  std::unique_ptr<sim::CampaignJournal> journal;
+  if (!jpath.empty()) {
+    cli::lockJournal("apf_estimate", jpath);
+    journal = std::make_unique<sim::CampaignJournal>(
+        jpath, config.toJson(), resuming);
+  }
   std::unique_ptr<obs::JsonlRecorder> sink;
   if (!o.jsonlPath.empty()) {
     sink = std::make_unique<obs::JsonlRecorder>(o.jsonlPath);
   }
 
-  // Per-arm base seeds are derived, not shared: two arms must not reuse
-  // the same trial seeds (that would correlate them), and the derivation
-  // must be a pure function of --seed for reproducibility.
-  const std::uint64_t seedA = sched::sampleSeed(o.sc.baseSeed, 0);
-  const std::uint64_t seedB = sched::sampleSeed(o.sc.baseSeed, 1);
-
-  const Arm a = runArm(o, o.sc.algo, seedA, o.ab ? ".a" : "", sink.get());
-  std::unique_ptr<Arm> b;
-  if (o.ab) {
-    b = std::make_unique<Arm>(runArm(o, o.algoB, seedB, ".b", sink.get()));
-  }
+  est::AdaptiveOptions aopts;
+  aopts.stop = o.stop;
+  aopts.baseSeed = baseSeed;
+  aopts.jobs = o.jobs;
+  aopts.recorder = sink.get();
+  aopts.journal = journal.get();
+  const est::ArmEstimate arm =
+      est::runAdaptive(algo->name(), est::scenarioTrial(sc, *algo), aopts);
   if (sink != nullptr) sink->flush();
 
   // The apf.estimate.v1 document. No wall-clock, no thread counts:
-  // byte-identical across --jobs values and kill/resume (CI byte-compares).
+  // byte-identical across --jobs values and kill/resume.
   obs::JsonObjectWriter top;
   top.field("schema", "apf.estimate.v1");
   top.field("n", static_cast<std::uint64_t>(o.n));
@@ -272,13 +245,7 @@ int main(int argc, char** argv) try {
   top.field("start", o.sc.startKind);
   top.field("sched", o.sched);
   top.field("seed", o.sc.baseSeed);
-  if (o.ab) {
-    top.rawField("a", a.estimate.toJson());
-    top.rawField("b", b->estimate.toJson());
-    top.rawField("ab", est::compareArms(a.estimate, b->estimate).toJson());
-  } else {
-    top.rawField("arm", a.estimate.toJson());
-  }
+  top.rawField("arm", arm.toJson());
   const std::string doc = top.str();
 
   if (!o.outPath.empty()) {
@@ -296,35 +263,12 @@ int main(int argc, char** argv) try {
     obs::Manifest m;
     obs::addBuildInfo(m);
     m.set("tool", "apf_estimate");
-    m.merge(armConfig(o, a.label, seedA));
-    if (o.ab) {
-      est::appendManifest(a.estimate, m, "est.a.");
-      est::appendManifest(b->estimate, m, "est.b.");
-    } else {
-      est::appendManifest(a.estimate, m);
-    }
+    m.merge(config);
+    est::appendManifest(arm, m);
     m.write(o.manifestPath);
   }
 
-  if (!o.quiet) {
-    printHuman(a);
-    if (o.ab) {
-      printHuman(*b);
-      const est::AbReport ab = est::compareArms(a.estimate, b->estimate);
-      std::printf(
-          "A/B (%s vs %s) @ %.0f%%:\n"
-          "  success diff %+.3f, newcombe [%+.3f, %+.3f] -> %s\n"
-          "  bits   diff %+.1f, bounds [%.1f, %.1f] vs [%.1f, %.1f] -> %s\n"
-          "  cycles diff %+.1f -> %s; events diff %+.1f -> %s\n",
-          a.label.c_str(), b->label.c_str(), 100.0 * ab.confidence,
-          ab.success.diff, ab.success.ci.lo, ab.success.ci.hi,
-          est::verdictName(ab.success.verdict), ab.bits.diff, ab.bits.a.lo,
-          ab.bits.a.hi, ab.bits.b.lo, ab.bits.b.hi,
-          est::verdictName(ab.bits.verdict), ab.cycles.diff,
-          est::verdictName(ab.cycles.verdict), ab.events.diff,
-          est::verdictName(ab.events.verdict));
-    }
-  }
+  if (!o.quiet) printHuman(arm);
   std::printf("%s\n", doc.c_str());
   return 0;
 } catch (const std::exception& e) {

@@ -178,39 +178,22 @@ void ingestManifest(const fs::path& path, Report& rep) {
     rep.supExceptions +=
         static_cast<std::uint64_t>(num(m, "supervisor.exceptions"));
   }
-  // Adaptive-estimation arms (est::appendManifest). A manifest may carry
-  // several arms under distinct prefixes ("est.", "est.a.", "est.b.") —
-  // detect each by its `<prefix>samples` key.
-  for (const auto& [k, v] : m) {
-    constexpr const char* kSuffix = "samples";
-    if (k.rfind("est.", 0) != 0) continue;
-    if (k.size() <= std::strlen(kSuffix) ||
-        k.compare(k.size() - std::strlen(kSuffix), std::string::npos,
-                  kSuffix) != 0) {
-      continue;
-    }
-    const std::string prefix = k.substr(0, k.size() - std::strlen(kSuffix));
-    // `<prefix>max_samples` also ends in "samples" but is not an arm root.
-    if (prefix.size() >= 4 &&
-        prefix.compare(prefix.size() - 4, 4, "max_") == 0) {
-      continue;
-    }
-    auto pk = [&](const char* field) { return prefix + field; };
+  // An adaptive-estimation arm (est::appendManifest).
+  if (m.count("est.samples") != 0) {
     Report::EstimateInfo info;
-    info.label = str(m, pk("label").c_str(), "?");
-    info.stopReason = str(m, pk("stop_reason").c_str(), "?");
-    info.converged = boolean(m, pk("converged").c_str());
-    info.samples = static_cast<std::uint64_t>(v.asNumber(0.0));
-    info.batches = static_cast<std::uint64_t>(num(m, pk("batches").c_str()));
-    info.maxSamples =
-        static_cast<std::uint64_t>(num(m, pk("max_samples").c_str()));
-    info.confidence = num(m, pk("confidence").c_str());
-    info.successRate = num(m, pk("success_rate").c_str());
-    info.wilsonLo = num(m, pk("wilson_lo").c_str());
-    info.wilsonHi = num(m, pk("wilson_hi").c_str(), 1.0);
-    info.bitsMean = num(m, pk("bits_mean").c_str());
-    info.bitsEbLo = num(m, pk("bits_eb_lo").c_str());
-    info.bitsEbHi = num(m, pk("bits_eb_hi").c_str());
+    info.label = str(m, "est.label", "?");
+    info.stopReason = str(m, "est.stop_reason", "?");
+    info.converged = boolean(m, "est.converged");
+    info.samples = static_cast<std::uint64_t>(num(m, "est.samples"));
+    info.batches = static_cast<std::uint64_t>(num(m, "est.batches"));
+    info.maxSamples = static_cast<std::uint64_t>(num(m, "est.max_samples"));
+    info.confidence = num(m, "est.confidence");
+    info.successRate = num(m, "est.success_rate");
+    info.wilsonLo = num(m, "est.wilson_lo");
+    info.wilsonHi = num(m, "est.wilson_hi", 1.0);
+    info.bitsMean = num(m, "est.bits_mean");
+    info.bitsEbLo = num(m, "est.bits_eb_lo");
+    info.bitsEbHi = num(m, "est.bits_eb_hi");
     rep.estimates.push_back(std::move(info));
   }
   if (m.count("result.success") == 0) return;  // table manifest, not a run

@@ -23,9 +23,7 @@
 /// coordinates as a self-contained .repro.json (minimized with --shrink),
 /// and --replay re-executes one, exiting 0 iff the violation reproduces.
 
-#include <cerrno>
 #include <cstdio>
-#include <cstring>
 #include <exception>
 #include <map>
 #include <memory>
@@ -49,12 +47,6 @@
 #include "sim/trace.h"
 #include "algo_select.h"
 #include "cli_parse.h"
-
-#ifndef _WIN32
-#include <fcntl.h>
-#include <sys/file.h>
-#include <unistd.h>
-#endif
 
 namespace {
 
@@ -182,30 +174,6 @@ void registerFlags(apf::cli::ArgParser& args, Options& o) {
   args.flag("--quiet", &o.quiet, "summary line only");
 }
 
-/// Takes the journal's advisory `<journal>.lock`, or exits 4 when another
-/// process holds it, so two processes never interleave appends. The fd is
-/// deliberately leaked: the lock must live exactly as long as the process
-/// (the kernel releases it on any exit, including SIGKILL).
-void lockJournal(const std::string& journalPath) {
-#ifndef _WIN32
-  const std::string lockPath = journalPath + ".lock";
-  const int fd = ::open(lockPath.c_str(), O_CREAT | O_RDWR | O_CLOEXEC, 0644);
-  if (fd < 0) {
-    std::fprintf(stderr, "apf_sim: cannot open lock %s: %s\n",
-                 lockPath.c_str(), std::strerror(errno));
-    std::exit(1);
-  }
-  if (::flock(fd, LOCK_EX | LOCK_NB) != 0) {
-    std::fprintf(stderr,
-                 "apf_sim: journal lock held by another process (%s)\n",
-                 lockPath.c_str());
-    std::exit(4);
-  }
-#else
-  (void)journalPath;
-#endif
-}
-
 /// The campaign-describing manifest fields, derived from the wire spec.
 apf::obs::Manifest campaignManifest(const apf::sim::CampaignSpec& spec,
                                     const std::string& algoName) {
@@ -294,23 +262,29 @@ int main(int argc, char** argv) try {
     return ok ? 0 : 1;
   }
 
+  // An unknown pattern name or an unreadable point file is a usage error.
   sim::CampaignSpec& spec = o.spec;
-  if (!o.patternFile.empty()) {
-    spec.pattern = io::loadConfiguration(o.patternFile);
-    spec.patternLabel = o.patternFile;
-  } else if (spec.patternLabel == "mult") {
-    spec.pattern = io::multiplicityPattern(o.n);
-    spec.multiplicity = true;
-  } else if (spec.patternLabel == "center-mult") {
-    spec.pattern = io::centerMultiplicityPattern(o.n);
-    spec.multiplicity = true;
-  } else {
-    spec.pattern =
-        io::patternByName(spec.patternLabel, o.n, spec.baseSeed + 1000);
-  }
-  if (!o.startFile.empty()) {
-    spec.startKind = "points";
-    spec.start = io::loadConfiguration(o.startFile);
+  try {
+    if (!o.patternFile.empty()) {
+      spec.pattern = io::loadConfiguration(o.patternFile);
+      spec.patternLabel = o.patternFile;
+    } else if (spec.patternLabel == "mult") {
+      spec.pattern = io::multiplicityPattern(o.n);
+      spec.multiplicity = true;
+    } else if (spec.patternLabel == "center-mult") {
+      spec.pattern = io::centerMultiplicityPattern(o.n);
+      spec.multiplicity = true;
+    } else {
+      spec.pattern =
+          io::patternByName(spec.patternLabel, o.n, spec.baseSeed + 1000);
+    }
+    if (!o.startFile.empty()) {
+      spec.startKind = "points";
+      spec.start = io::loadConfiguration(o.startFile);
+    }
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "apf_sim: %s\n", e.what());
+    return 2;
   }
   if (!spec.faultSeedSet) spec.fault.seed = spec.baseSeed;
   if (const std::string why = sim::validate(spec); !why.empty()) {
@@ -364,7 +338,7 @@ int main(int argc, char** argv) try {
         sim::shardSupervisorOptions(spec, sink.get());
     std::unique_ptr<sim::CampaignJournal> journal;
     if (!jpath.empty()) {
-      lockJournal(jpath);
+      cli::lockJournal("apf_sim", jpath);
       journal = std::make_unique<sim::CampaignJournal>(
           jpath, sim::shardConfigKey(spec), resuming);
     }

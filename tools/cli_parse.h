@@ -1,9 +1,9 @@
 #pragma once
 
 /// \file cli_parse.h
-/// The shared CLI surface of the apf_* tools: loud numeric parsing plus
-/// the declarative ArgParser every binary's --flag handling and --help is
-/// generated from. Every flag rejects garbage, trailing junk, and
+/// The shared CLI surface of the apf_* tools: loud numeric parsing, the
+/// declarative ArgParser every binary's --flag handling and --help is
+/// generated from, and the campaign journal lock. Every flag rejects garbage, trailing junk, and
 /// out-of-domain values with a clear message and exit code 2 (usage
 /// error) instead of surfacing a bare std::stod exception — or worse,
 /// atof's silent 0.0, which once turned a mistyped threshold into
@@ -17,10 +17,12 @@
 ///   2  usage error: unknown flag, malformed value, unreadable or
 ///      wrong-schema input (cross-version refusal)
 ///   3  watchdog expiry on a single supervised run
-///   4  campaign journal lock held by another process (apf_sim
-///      --journal/--resume; retry once that process has exited)
+///   4  campaign journal lock held by another process (apf_sim and
+///      apf_estimate --journal/--resume; retry once that process has
+///      exited)
 
 #include <algorithm>
+#include <cerrno>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -29,7 +31,37 @@
 #include <string>
 #include <vector>
 
+#ifndef _WIN32
+#include <fcntl.h>
+#include <sys/file.h>
+#include <unistd.h>
+#endif
+
 namespace apf::cli {
+
+/// Takes the journal's advisory `<journal>.lock`, or exits 4 when another
+/// process holds it, so two processes never interleave appends. The fd is
+/// deliberately leaked: the lock must live exactly as long as the process
+/// (the kernel releases it on any exit, including SIGKILL).
+inline void lockJournal(const char* tool, const std::string& journalPath) {
+#ifndef _WIN32
+  const std::string lockPath = journalPath + ".lock";
+  const int fd = ::open(lockPath.c_str(), O_CREAT | O_RDWR | O_CLOEXEC, 0644);
+  if (fd < 0) {
+    std::fprintf(stderr, "%s: cannot open lock %s: %s\n", tool,
+                 lockPath.c_str(), std::strerror(errno));
+    std::exit(1);
+  }
+  if (::flock(fd, LOCK_EX | LOCK_NB) != 0) {
+    std::fprintf(stderr, "%s: journal lock held by another process (%s)\n",
+                 tool, lockPath.c_str());
+    std::exit(4);
+  }
+#else
+  (void)tool;
+  (void)journalPath;
+#endif
+}
 
 [[noreturn]] inline void badValue(const char* tool, const char* flag,
                                   const char* got, const char* want) {

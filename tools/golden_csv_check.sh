@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
-# Golden output check: regenerates the decision-level result tables and two
-# campaign documents and byte-compares them with the tracked copies under
-# results/.
+# Golden output check: regenerates the decision-level result tables, two
+# campaign documents and one estimate document and byte-compares them with
+# the tracked copies under results/.
 #
 # These benches report only deterministic counts (success tallies, cycles,
 # events, random bits, phase activations, detection tallies), so any change
@@ -27,9 +27,14 @@
 # item 2) on purpose: the golden pins that outcome too, so mending the
 # collision shows up here as an intended diff.
 #
+# Last, it reruns one adaptive estimate, `apf_estimate --algo form
+# --chirality --n 8 --sched async --seed 5 --quiet` (3 batches, 48
+# samples), at the same two job counts and byte-compares both documents
+# with results/estimate_form_n8_seed5.json.
+#
 # Usage: golden_csv_check.sh BUILD_DIR   (run from the repository root;
 #        takes about two minutes on 4 cores, most of it bench_faults; needs
-#        the benches and apf_sim built)
+#        the benches, apf_sim and apf_estimate built)
 set -u
 
 BUILD=${1:?usage: golden_csv_check.sh BUILD_DIR}
@@ -62,14 +67,14 @@ for csv in bench_election.csv bench_election_cdf.csv bench_formation.csv \
   fi
 done
 
-while read -r golden args; do
+while read -r golden tool args; do
   for jobs in 1 4; do
     out="$OUT/jobs$jobs.$golden"
     # shellcheck disable=SC2086  # $args is a word list
-    APF_JOBS=$jobs "$BUILD/tools/apf_sim" --campaign 24 --json $args \
+    APF_JOBS=$jobs "$BUILD/tools/$tool" $args \
       < /dev/null > "$out" 2> "$OUT/$golden.log" || {
       cat "$OUT/$golden.log" >&2
-      echo "golden_csv_check: FAIL: apf_sim $args exited nonzero" >&2
+      echo "golden_csv_check: FAIL: $tool $args exited nonzero" >&2
       exit 1
     }
     if cmp "$ROOT/results/$golden" "$out"; then
@@ -79,10 +84,11 @@ while read -r golden args; do
       status=1
     fi
   done
-done <<'CAMPAIGNS'
-campaign24_n8_seed3.json --n 8 --seed 3
-campaign24_n16_symmetric_seed5.json --n 16 --pattern random --start symmetric --seed 5
-CAMPAIGNS
+done <<'DOCUMENTS'
+campaign24_n8_seed3.json apf_sim --campaign 24 --json --n 8 --seed 3
+campaign24_n16_symmetric_seed5.json apf_sim --campaign 24 --json --n 16 --pattern random --start symmetric --seed 5
+estimate_form_n8_seed5.json apf_estimate --algo form --chirality --n 8 --sched async --seed 5 --quiet
+DOCUMENTS
 
 [ "$status" -eq 0 ] && echo "golden_csv_check: PASS" ||
   echo "golden_csv_check: FAIL: regenerated outputs differ from results/" >&2
