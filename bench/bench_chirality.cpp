@@ -16,6 +16,7 @@ using namespace apf;
 using namespace apf::bench;
 
 int main() {
+  TraceSession trace("bench_chirality");
   const int kSeeds = 20;
   core::FormPatternAlgorithm ours;
   baseline::YYAlgorithm yy;
@@ -33,26 +34,18 @@ int main() {
   for (const auto& [name, algo] : algos) {
     for (std::size_t n : {8, 12}) {
       for (bool chirality : {true, false}) {
-        int ok = 0;
-        std::vector<double> cycles;
-        for (int s = 0; s < kSeeds; ++s) {
+        const Tally t = tally(runCell(kSeeds, [&](int s) {
           config::Rng rng(100 + s);
-          const auto start = config::randomConfiguration(n, rng, 3.0, 0.1);
-          const auto pattern = io::randomPatternByName(n, 1000 + s);
           sim::EngineOptions opts;
           opts.sched.kind = sched::SchedulerKind::SSync;
           opts.seed = s + 1;
           opts.maxEvents = 300000;
           opts.commonChirality = chirality;
-          const auto res = runOnce(start, pattern, *algo, opts);
-          ok += res.success;
-          if (res.success) {
-            cycles.push_back(static_cast<double>(res.metrics.cycles));
-          }
-        }
+          return Run{config::randomConfiguration(n, rng, 3.0, 0.1),
+                     io::randomPatternByName(n, 1000 + s), *algo, opts};
+        }));
         table.row({name, std::to_string(n), chirality ? "common" : "none",
-                   std::to_string(ok) + "/" + std::to_string(kSeeds),
-                   io::fmt(statsOf(cycles).mean, 0)});
+                   t.rate(), io::fmt(statsOf(t.cycles).mean, 0)});
       }
     }
   }

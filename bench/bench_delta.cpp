@@ -15,6 +15,7 @@ using namespace apf;
 using namespace apf::bench;
 
 int main() {
+  TraceSession trace("bench_delta");
   const int kSeeds = 8;
   core::FormPatternAlgorithm algo;
 
@@ -24,29 +25,20 @@ int main() {
                "moves_per_robot"});
 
   for (double delta : {0.005, 0.01, 0.05, 0.1, 0.25, 0.5}) {
-    int ok = 0;
-    std::vector<double> cycles;
-    for (int s = 0; s < kSeeds; ++s) {
+    const Tally t = tally(runCell(kSeeds, [&](int s) {
       config::Rng rng(700 + s);
       const std::size_t n = 8;
-      const auto start = config::randomConfiguration(n, rng, 5.0, 0.1);
-      const auto pattern = io::starPattern(n);
       sim::EngineOptions opts;
       opts.seed = 19 * s + 7;
       opts.sched.delta = delta;
       opts.sched.earlyStopProb = 0.9;
       opts.maxEvents = 3000000;
-      const auto res = runOnce(start, pattern, algo, opts);
-      ok += res.success;
-      if (res.success) {
-        cycles.push_back(static_cast<double>(res.metrics.cycles));
-      }
-    }
-    const Stats cs = statsOf(cycles);
-    table.row({io::fmt(delta, 3),
-               std::to_string(ok) + "/" + std::to_string(kSeeds),
-               io::fmt(cs.mean, 0), io::fmt(cs.p95, 0),
-               io::fmt(cs.mean / 8.0, 1)});
+      return Run{config::randomConfiguration(n, rng, 5.0, 0.1),
+                 io::starPattern(n), algo, opts};
+    }));
+    const Stats cs = statsOf(t.cycles);
+    table.row({io::fmt(delta, 3), t.rate(), io::fmt(cs.mean, 0),
+               io::fmt(cs.p95, 0), io::fmt(cs.mean / 8.0, 1)});
   }
   table.print();
   return 0;

@@ -19,6 +19,7 @@ using namespace apf;
 using namespace apf::bench;
 
 int main() {
+  TraceSession trace("bench_determinism");
   const int kSeeds = 12;
   core::FormPatternAlgorithm ours;
   baseline::DeterministicFormation det;
@@ -37,9 +38,7 @@ int main() {
   for (const auto& [name, algo] : algos) {
     for (const std::string startKind : {"random", "symmetric"}) {
       for (std::size_t n : {8, 12}) {
-        int ok = 0, stuck = 0;
-        std::vector<double> bits;
-        for (int s = 0; s < kSeeds; ++s) {
+        const auto results = runCell(kSeeds, [&](int s) {
           config::Configuration start;
           if (startKind == "random") {
             config::Rng rng(600 + s);
@@ -47,12 +46,15 @@ int main() {
           } else {
             start = symmetricStart(n, 600 + s);
           }
-          const auto pattern = io::randomPatternByName(n, 300 + s);
           sim::EngineOptions opts;
           opts.seed = 37 * s + 11;
           opts.maxEvents = kMaxEvents;
-          const auto res = runOnce(start, pattern, *algo, opts);
-          ok += res.success;
+          return Run{std::move(start), io::randomPatternByName(n, 300 + s),
+                     *algo, opts};
+        });
+        int stuck = 0;
+        std::vector<double> bits;
+        for (const auto& res : results) {
           // "Stuck": terminated without success and without any movement —
           // the deterministic impossibility made visible.
           if (res.terminated && !res.success && res.metrics.distance == 0.0) {
@@ -61,8 +63,7 @@ int main() {
           bits.push_back(static_cast<double>(res.metrics.randomBits));
         }
         table.row({name, startKind, std::to_string(n),
-                   std::to_string(ok) + "/" + std::to_string(kSeeds),
-                   std::to_string(stuck) + "/" + std::to_string(kSeeds),
+                   tally(results).rate(), fraction(stuck, results.size()),
                    io::fmt(statsOf(bits).mean, 1)});
       }
     }

@@ -15,7 +15,7 @@ using namespace apf;
 using namespace apf::bench;
 
 int main() {
-  apf::bench::TraceSession trace("bench_election");
+  TraceSession trace("bench_election");
   const int kSeeds = 60;
   core::RsbOnlyAlgorithm rsb;
 
@@ -31,42 +31,22 @@ int main() {
   std::vector<std::vector<double>> cdfData;  // ASYNC cycles per n for F2
   std::vector<std::size_t> cdfNs;
 
-  // Per-cell seeds fan out across the campaign pool (sim/campaign.h);
-  // in-order merge keeps every CSV row identical for any APF_JOBS.
-  std::vector<int> seeds(kSeeds);
-  for (int s = 0; s < kSeeds; ++s) seeds[s] = s;
-  long obsBase = 0;
-
   for (std::size_t n : {8, 12, 16, 24, 32}) {
     for (const auto& [schedName, kind] : scheds) {
-      const auto results = sim::campaignMap(seeds, [&](int s, std::size_t) {
-        const auto start = symmetricStart(n, 1000 + s);
-        const auto pattern = io::starPattern(n);
+      const Tally t = tally(runCell(kSeeds, [&](int s) {
         sim::EngineOptions opts;
         opts.sched.kind = kind;
         opts.seed = 7 * s + 1;
         opts.maxEvents = kMaxEvents;
-        return runOnce(start, pattern, rsb, opts, "", obsBase + s);
-      });
-      obsBase += kSeeds;
-      int ok = 0;
-      std::vector<double> cycles, bits;
-      for (const auto& res : results) {
-        ok += res.terminated;
-        if (res.terminated) {
-          cycles.push_back(static_cast<double>(res.metrics.cycles));
-          bits.push_back(static_cast<double>(res.metrics.randomBits));
-        }
-      }
-      const Stats cs = statsOf(cycles);
-      const Stats bs = statsOf(bits);
-      table.row({std::to_string(n), schedName,
-                 std::to_string(ok) + "/" + std::to_string(kSeeds),
-                 io::fmt(cs.mean, 1), io::fmt(cs.p50, 0), io::fmt(cs.p95, 0),
-                 io::fmt(bs.mean, 1),
+        return Run{symmetricStart(n, 1000 + s), io::starPattern(n), rsb, opts};
+      }), &sim::RunResult::terminated);
+      const Stats cs = statsOf(t.cycles);
+      const Stats bs = statsOf(t.bits);
+      table.row({std::to_string(n), schedName, t.rate(), io::fmt(cs.mean, 1),
+                 io::fmt(cs.p50, 0), io::fmt(cs.p95, 0), io::fmt(bs.mean, 1),
                  io::fmt(cs.mean > 0 ? bs.mean / cs.mean : 0.0, 4)});
       if (kind == sched::SchedulerKind::Async) {
-        cdfData.push_back(cycles);
+        cdfData.push_back(t.cycles);
         cdfNs.push_back(n);
       }
     }

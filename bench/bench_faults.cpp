@@ -26,7 +26,7 @@ using namespace apf;
 using namespace apf::bench;
 
 int main() {
-  apf::bench::TraceSession trace("bench_faults");
+  TraceSession trace("bench_faults");
   const int kSeeds = 10;
   const std::size_t kN = 10;
   core::FormPatternAlgorithm algo;
@@ -41,38 +41,17 @@ int main() {
   const double sigmas[] = {0.0, 0.02, 0.1};
   const double omits[] = {0.0, 0.1};
 
-  // Every cell runs under the campaign supervisor (sim/supervisor.h): a
-  // livelocked run trips the cycle watchdog and lands in quarantine
-  // instead of wedging the table. The budget sits above every cell's
-  // maxEvents, so a run that respects its own cap never times out and the
-  // CSV stays bit-identical to the unsupervised bench.
-  sim::SupervisorOptions supOpts;
-  supOpts.cycleBudget = 3'000'000;
-  sim::SupervisorReport supTotal;
-
-  // Per-cell seeds 0..kSeeds-1 fan out across the campaign pool
-  // (sim/campaign.h); each worker builds its own start/pattern/fault plan,
-  // and the in-order merge keeps every CSV row identical for any APF_JOBS.
-  long obsBase = 0;
+  // Reference configurations: identical to bench_scheduler's ASYNC
+  // earlyStop=0.5 row so the clean cell cross-checks it. The pattern is
+  // built again after the run to grade `approx`.
+  auto patternOf = [&](int s) { return io::randomPatternByName(kN, 90 + s); };
 
   for (const int f : crashCounts) {
     for (const double sigma : sigmas) {
       for (const double omit : omits) {
         const bool faulty = f > 0 || sigma > 0.0 || omit > 0.0;
-        struct CellRun {
-          sim::RunResult res;
-          bool approx = false;
-        };
-        std::vector<CellRun> results(kSeeds);
-        const sim::SupervisorReport cellReport = sim::superviseCampaign(
-            0, kSeeds,
-            [&](std::size_t seedIndex, const sim::Attempt& att) {
-          const int s = static_cast<int>(seedIndex);
-          // Reference configurations: identical to bench_scheduler's
-          // ASYNC earlyStop=0.5 row so the clean cell cross-checks it.
+        const auto results = runCell(kSeeds, [&](int s) {
           config::Rng rng(810 + s);
-          const auto start = config::randomConfiguration(kN, rng, 5.0, 0.1);
-          const auto pattern = io::randomPatternByName(kN, 90 + s);
           sim::EngineOptions opts;
           opts.sched.kind = sched::SchedulerKind::Async;
           opts.seed = 23 * s + 9;
@@ -92,43 +71,24 @@ int main() {
             opts.fault.crashes =
                 fault::planWithRandomCrashes(kN, f, opts.seed, 800).crashes;
           }
-          // Attempt::seedSalt is deliberately NOT folded into opts.seed:
-          // bench rows are reference numbers, so a (never expected) retry
-          // re-measures the same run instead of a reseeded variant.
-          opts.watchdog = att.watchdog;
-          CellRun out;
-          out.res = runOnce(start, pattern, algo, opts, "faults", obsBase + s);
-          out.approx = config::similar(out.res.finalPositions, pattern,
-                                       geom::Tol{2e-2, 2e-2});
-          return out;
-        },
-            [&](std::size_t i, CellRun&& run) { results[i] = std::move(run); },
-            supOpts);
-        supTotal.absorb(cellReport);
-        if (!cellReport.allCompleted()) {
-          std::fprintf(stderr,
-                       "bench_faults: %llu run(s) quarantined in cell f=%d "
-                       "sigma=%.2f omit=%.2f (their rows count as defaults)\n",
-                       static_cast<unsigned long long>(
-                           cellReport.quarantined),
-                       f, sigma, omit);
-        }
-        obsBase += kSeeds;
+          return Run{config::randomConfiguration(kN, rng, 5.0, 0.1),
+                     patternOf(s), algo, opts};
+        });
         int byOutcome[4] = {0, 0, 0, 0};
         int approx = 0;
         std::vector<double> events;
-        for (const auto& run : results) {
-          byOutcome[static_cast<int>(run.res.outcome)] += 1;
-          approx += run.approx;
-          events.push_back(static_cast<double>(run.res.metrics.events));
+        for (int s = 0; s < kSeeds; ++s) {
+          const sim::RunResult& res = results[s];
+          byOutcome[static_cast<int>(res.outcome)] += 1;
+          approx += config::similar(res.finalPositions, patternOf(s),
+                                    geom::Tol{2e-2, 2e-2});
+          events.push_back(static_cast<double>(res.metrics.events));
         }
         auto frac = [&](sim::Outcome o) {
-          return std::to_string(byOutcome[static_cast<int>(o)]) + "/" +
-                 std::to_string(kSeeds);
+          return fraction(byOutcome[static_cast<int>(o)], kSeeds);
         };
         table.row({std::to_string(f), io::fmt(sigma, 2), io::fmt(omit, 2),
-                   frac(sim::Outcome::Success), std::to_string(approx) + "/" +
-                       std::to_string(kSeeds),
+                   frac(sim::Outcome::Success), fraction(approx, kSeeds),
                    frac(sim::Outcome::CrashedShort),
                    frac(sim::Outcome::Stalled),
                    frac(sim::Outcome::SafetyViolation),
@@ -144,7 +104,6 @@ int main() {
       }
     }
   }
-  sim::appendManifest(supOpts, supTotal, table.meta());
   table.print();
   return 0;
 }

@@ -15,6 +15,7 @@ using namespace apf;
 using namespace apf::bench;
 
 int main() {
+  TraceSession trace("bench_multiplicity");
   const int kSeeds = 10;
   core::FormPatternAlgorithm algo;
 
@@ -31,25 +32,18 @@ int main() {
 
   for (const auto& [name, make] : kinds) {
     for (std::size_t n : {8, 12}) {
-      int ok = 0;
-      std::vector<double> cycles;
-      for (int s = 0; s < kSeeds; ++s) {
+      const Tally t = tally(runCell(kSeeds, [&](int s) {
         config::Rng rng(1010 + s);
-        const auto start = config::randomConfiguration(n, rng, 5.0, 0.1);
         sim::EngineOptions opts;
         opts.seed = 31 * s + 13;
         opts.maxEvents = kMaxEvents;
         opts.multiplicityDetection = true;
-        const auto res = runOnce(start, make(n), algo, opts);
-        ok += res.success;
-        if (res.success) {
-          cycles.push_back(static_cast<double>(res.metrics.cycles));
-        }
-      }
-      const Stats cs = statsOf(cycles);
-      table.row({name, std::to_string(n),
-                 std::to_string(ok) + "/" + std::to_string(kSeeds),
-                 io::fmt(cs.mean, 0), io::fmt(cs.p95, 0)});
+        return Run{config::randomConfiguration(n, rng, 5.0, 0.1), make(n),
+                   algo, opts};
+      }));
+      const Stats cs = statsOf(t.cycles);
+      table.row({name, std::to_string(n), t.rate(), io::fmt(cs.mean, 0),
+                 io::fmt(cs.p95, 0)});
     }
   }
   table.print();

@@ -19,6 +19,7 @@ using namespace apf;
 using namespace apf::bench;
 
 int main() {
+  TraceSession trace("bench_phases");
   const int kSeeds = 10;
   core::FormPatternAlgorithm algo;
 
@@ -27,19 +28,20 @@ int main() {
               {"start", "phase", "activations_mean", "share_pct"});
 
   for (const std::string kind : {"random", "symmetric"}) {
-    std::map<int, double> acc;
-    double total = 0.0;
-    for (int s = 0; s < kSeeds; ++s) {
+    const auto results = runCell(kSeeds, [&](int s) {
       const std::size_t n = 10;
       config::Rng rng(910 + s);
-      const auto start = kind == "random"
-                             ? config::randomConfiguration(n, rng, 5.0, 0.1)
-                             : symmetricStart(n, 910 + s);
-      const auto pattern = io::randomPatternByName(n, 130 + s);
       sim::EngineOptions opts;
       opts.seed = 29 * s + 11;
       opts.maxEvents = kMaxEvents;
-      const auto res = runOnce(start, pattern, algo, opts);
+      return Run{kind == "random"
+                     ? config::randomConfiguration(n, rng, 5.0, 0.1)
+                     : symmetricStart(n, 910 + s),
+                 io::randomPatternByName(n, 130 + s), algo, opts};
+    });
+    std::map<int, double> acc;
+    double total = 0.0;
+    for (const auto& res : results) {
       for (const auto& [tag, cnt] : res.metrics.phaseActivations) {
         acc[tag] += static_cast<double>(cnt);
         total += static_cast<double>(cnt);

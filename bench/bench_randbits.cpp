@@ -18,6 +18,7 @@ using namespace apf;
 using namespace apf::bench;
 
 int main() {
+  TraceSession trace("bench_randbits");
   const int kSeeds = 20;
   core::FormPatternAlgorithm ours;
   baseline::YYAlgorithm yy;
@@ -35,18 +36,17 @@ int main() {
 
   for (const auto& [name, algo] : algos) {
     for (std::size_t n : {8, 12, 16}) {
-      int ok = 0;
-      std::vector<double> bits, perCycle;
-      for (int s = 0; s < kSeeds; ++s) {
-        const auto start = symmetricStart(n, 300 + s);
-        const auto pattern = io::randomPatternByName(n, 70 + s);
+      const auto results = runCell(kSeeds, [&](int s) {
         sim::EngineOptions opts;
         opts.sched.kind = sched::SchedulerKind::SSync;
         opts.seed = 11 * s + 5;
         opts.maxEvents = kMaxEvents;
         opts.commonChirality = true;
-        const auto res = runOnce(start, pattern, *algo, opts);
-        ok += res.success;
+        return Run{symmetricStart(n, 300 + s),
+                   io::randomPatternByName(n, 70 + s), *algo, opts};
+      });
+      std::vector<double> bits, perCycle;
+      for (const auto& res : results) {
         bits.push_back(static_cast<double>(res.metrics.randomBits));
         if (res.metrics.cycles > 0) {
           perCycle.push_back(static_cast<double>(res.metrics.randomBits) /
@@ -54,8 +54,7 @@ int main() {
         }
       }
       const Stats bs = statsOf(bits);
-      table.row({name, std::to_string(n),
-                 std::to_string(ok) + "/" + std::to_string(kSeeds),
+      table.row({name, std::to_string(n), tally(results).rate(),
                  io::fmt(bs.mean, 1), io::fmt(bs.p95, 0),
                  io::fmt(statsOf(perCycle).max, 3)});
       table.recordRuns(std::string(name) + "_n" + std::to_string(n),

@@ -28,6 +28,7 @@ config::Configuration clusteredStart(std::size_t n, std::uint64_t seed) {
 }  // namespace
 
 int main() {
+  TraceSession trace("bench_scattering");
   const int kSeeds = 10;
   core::ScatterThenForm algo;
   core::ScatterAlgorithm scatterOnly;
@@ -36,51 +37,41 @@ int main() {
               "bench_scattering.csv",
               {"n", "stage", "success", "cycles_mean", "bits_mean"});
 
+  // Both stages run seed s from the same clustered start and options.
+  auto options = [](int s) {
+    sim::EngineOptions opts;
+    opts.sched.kind = sched::SchedulerKind::SSync;
+    opts.seed = 41 * s + 3;
+    opts.maxEvents = kMaxEvents;
+    opts.multiplicityDetection = true;
+    return opts;
+  };
   for (std::size_t n : {9, 12, 15}) {
     // Stage A: scattering alone (until no multiplicity point remains).
     {
-      int ok = 0;
+      const auto results = runCell(kSeeds, [&](int s) {
+        return Run{clusteredStart(n, 100 + s), io::starPattern(n),
+                   scatterOnly, options(s)};
+      });
       std::vector<double> cycles, bits;
-      for (int s = 0; s < kSeeds; ++s) {
-        sim::EngineOptions opts;
-        opts.sched.kind = sched::SchedulerKind::SSync;
-        opts.seed = 41 * s + 3;
-        opts.maxEvents = kMaxEvents;
-        opts.multiplicityDetection = true;
-        const auto res = runOnce(clusteredStart(n, 100 + s),
-                                 io::starPattern(n), scatterOnly, opts);
-        ok += res.terminated;
+      for (const auto& res : results) {
         cycles.push_back(static_cast<double>(res.metrics.cycles));
         bits.push_back(static_cast<double>(res.metrics.randomBits));
       }
       table.row({std::to_string(n), "scatter",
-                 std::to_string(ok) + "/" + std::to_string(kSeeds),
+                 tally(results, &sim::RunResult::terminated).rate(),
                  io::fmt(statsOf(cycles).mean, 0),
                  io::fmt(statsOf(bits).mean, 1)});
     }
     // Stage B: the full composition, ending in a formed pattern.
     {
-      int ok = 0;
-      std::vector<double> cycles, bits;
-      for (int s = 0; s < kSeeds; ++s) {
-        sim::EngineOptions opts;
-        opts.sched.kind = sched::SchedulerKind::SSync;
-        opts.seed = 41 * s + 3;
-        opts.maxEvents = kMaxEvents;
-        opts.multiplicityDetection = true;
-        const auto res =
-            runOnce(clusteredStart(n, 100 + s),
-                    io::randomPatternByName(n, 200 + s), algo, opts);
-        ok += res.success;
-        if (res.success) {
-          cycles.push_back(static_cast<double>(res.metrics.cycles));
-          bits.push_back(static_cast<double>(res.metrics.randomBits));
-        }
-      }
-      table.row({std::to_string(n), "scatter+form",
-                 std::to_string(ok) + "/" + std::to_string(kSeeds),
-                 io::fmt(statsOf(cycles).mean, 0),
-                 io::fmt(statsOf(bits).mean, 1)});
+      const Tally t = tally(runCell(kSeeds, [&](int s) {
+        return Run{clusteredStart(n, 100 + s),
+                   io::randomPatternByName(n, 200 + s), algo, options(s)};
+      }));
+      table.row({std::to_string(n), "scatter+form", t.rate(),
+                 io::fmt(statsOf(t.cycles).mean, 0),
+                 io::fmt(statsOf(t.bits).mean, 1)});
     }
   }
   table.print();

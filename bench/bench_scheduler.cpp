@@ -15,7 +15,7 @@ using namespace apf;
 using namespace apf::bench;
 
 int main() {
-  apf::bench::TraceSession trace("bench_scheduler");
+  TraceSession trace("bench_scheduler");
   const int kSeeds = 10;
   core::FormPatternAlgorithm algo;
 
@@ -37,39 +37,21 @@ int main() {
       {"ASYNC", sched::SchedulerKind::Async, 0.9},
   };
 
-  // Seeds of one cell fan out across the campaign pool; rows aggregate the
-  // merged in-order results, so the CSV is identical for any APF_JOBS.
-  std::vector<int> seeds(kSeeds);
-  for (int s = 0; s < kSeeds; ++s) seeds[s] = s;
-  long obsBase = 0;
-
   for (const Cell& cell : cells) {
-    const auto results = sim::campaignMap(seeds, [&](int s, std::size_t) {
+    const Tally t = tally(runCell(kSeeds, [&](int s) {
       config::Rng rng(810 + s);
       const std::size_t n = 10;
-      const auto start = config::randomConfiguration(n, rng, 5.0, 0.1);
-      const auto pattern = io::randomPatternByName(n, 90 + s);
       sim::EngineOptions opts;
       opts.sched.kind = cell.kind;
       opts.seed = 23 * s + 9;
       opts.sched.earlyStopProb = cell.earlyStop;
       opts.maxEvents = 2000000;
-      return runOnce(start, pattern, algo, opts, "", obsBase + s);
-    });
-    obsBase += kSeeds;
-    int ok = 0;
-    std::vector<double> cycles, events;
-    for (const auto& res : results) {
-      ok += res.success;
-      if (res.success) {
-        cycles.push_back(static_cast<double>(res.metrics.cycles));
-        events.push_back(static_cast<double>(res.metrics.events));
-      }
-    }
-    table.row({cell.name, io::fmt(cell.earlyStop, 1),
-               std::to_string(ok) + "/" + std::to_string(kSeeds),
-               io::fmt(statsOf(cycles).mean, 0),
-               io::fmt(statsOf(events).mean, 0)});
+      return Run{config::randomConfiguration(n, rng, 5.0, 0.1),
+                 io::randomPatternByName(n, 90 + s), algo, opts};
+    }));
+    table.row({cell.name, io::fmt(cell.earlyStop, 1), t.rate(),
+               io::fmt(statsOf(t.cycles).mean, 0),
+               io::fmt(statsOf(t.events).mean, 0)});
     table.recordRuns(std::string(cell.name) + "_es" +
                          io::fmt(cell.earlyStop, 1),
                      static_cast<std::uint64_t>(kSeeds));

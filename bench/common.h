@@ -14,7 +14,6 @@
 /// table also gets a `<csv>.manifest.json` describing the producing build.
 
 #include <algorithm>
-#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -34,7 +33,6 @@
 #include "obs/span.h"
 #include "sim/campaign.h"
 #include "sim/engine.h"
-#include "sim/supervisor.h"
 
 namespace apf::bench {
 
@@ -122,30 +120,27 @@ class TraceSession {
   std::string path_;
 };
 
-/// Runs one simulation. Under APF_OBS_DIR it writes a manifest recording
-/// `label` (and the JSONL log) numbered `obsIndex`; pass one on a campaign
-/// pool so names stay deterministic (-1 numbers in allocation order).
-inline sim::RunResult runOnce(const config::Configuration& start,
-                              const config::Configuration& pattern,
-                              const sim::Algorithm& algo,
-                              sim::EngineOptions opts,
-                              const std::string& label = "",
-                              long obsIndex = -1) {
+/// One run of a bench cell. `algo` is not owned: benches keep their
+/// algorithms in main(), alive across every cell.
+struct Run {
+  config::Configuration start;
+  config::Configuration pattern;
+  const sim::Algorithm& algo;
+  sim::EngineOptions opts;
+};
+
+/// Runs one simulation. Under APF_OBS_DIR it writes a manifest (and, with
+/// APF_OBS_EVENTS=1, the JSONL log) numbered `obsIndex`.
+inline sim::RunResult runOnce(const Run& run, long obsIndex) {
+  sim::EngineOptions opts = run.opts;
   const char* dir = obsDir();
   std::unique_ptr<obs::JsonlRecorder> sink;
   std::string base;
   if (dir != nullptr) {
-    // Fallback numbering for callers that don't pass obsIndex; atomic
-    // because runOnce may execute on campaign worker threads (the numbers
-    // are then allocation-ordered, not run-ordered).
-    static std::atomic<long> runCounter{0};
-    const long idx = obsIndex >= 0
-                         ? obsIndex
-                         : runCounter.fetch_add(1, std::memory_order_relaxed);
     std::filesystem::create_directories(dir);
-    base = std::string(dir) + "/" + algo.name() + "_" +
+    base = std::string(dir) + "/" + run.algo.name() + "_" +
            sched::schedulerName(opts.sched.kind) + "_n" +
-           std::to_string(start.size()) + "_" + std::to_string(idx);
+           std::to_string(run.start.size()) + "_" + std::to_string(obsIndex);
     opts.collectTimings = true;
     if (obsEvents()) {
       sink = std::make_unique<obs::JsonlRecorder>(base + ".jsonl");
@@ -153,17 +148,69 @@ inline sim::RunResult runOnce(const config::Configuration& start,
     }
   }
 
-  sim::Engine eng(start, pattern, algo, opts);
+  sim::Engine eng(run.start, run.pattern, run.algo, opts);
   const sim::RunResult res = eng.run();
 
   if (dir != nullptr) {
-    obs::Manifest m = sim::describeRun(
-        opts, algo.name(), label.empty() ? "(inline points)" : label,
-        start.size());
+    obs::Manifest m = sim::describeRun(opts, run.algo.name(),
+                                       "(inline points)", run.start.size());
     sim::appendResult(m, res);
     m.write(base + ".manifest.json");
   }
   return res;
+}
+
+/// Telemetry index of the bench's next run; only runCell's calling thread
+/// advances it.
+inline long nextObsIndex = 0;
+
+/// Runs one table cell: seeds 0 .. seeds-1, where `makeRun(s)` builds seed
+/// s's Run on a worker thread of the campaign pool (sim::campaignMap), so
+/// it must build its own start and pattern. The results come back in seed
+/// order, and seed s is telemetry run nextObsIndex + s, so the CSV and the
+/// manifest names are the same for any APF_JOBS. A run that throws ends
+/// the bench.
+template <typename MakeRun>
+std::vector<sim::RunResult> runCell(int seeds, MakeRun&& makeRun) {
+  std::vector<int> items(static_cast<std::size_t>(seeds));
+  std::iota(items.begin(), items.end(), 0);
+  const long base = nextObsIndex;
+  nextObsIndex += seeds;
+  return sim::campaignMap(items, [&](int s, std::size_t) {
+    return runOnce(makeRun(s), base + s);
+  });
+}
+
+/// "k/n", the way every table prints a count of runs.
+inline std::string fraction(int k, std::size_t n) {
+  return std::to_string(k) + "/" + std::to_string(n);
+}
+
+/// The runs of a cell that count — those whose `counted` flag is set
+/// (RunResult::success or ::terminated) — and their cycles, random bits,
+/// events and distance.
+struct Tally {
+  int ok = 0;
+  std::size_t runs = 0;
+  std::vector<double> cycles, bits, events, dist;
+
+  /// "ok/runs".
+  std::string rate() const { return fraction(ok, runs); }
+};
+
+inline Tally tally(const std::vector<sim::RunResult>& results,
+                   bool sim::RunResult::*counted = &sim::RunResult::success) {
+  Tally t;
+  t.runs = results.size();
+  for (const sim::RunResult& res : results) {
+    if (!(res.*counted)) continue;
+    ++t.ok;
+    t.cycles.push_back(static_cast<double>(res.metrics.cycles));
+    t.bits.push_back(static_cast<double>(res.metrics.randomBits));
+    t.events.push_back(static_cast<double>(res.metrics.events));
+    t.dist.push_back(res.metrics.distance);
+  }
+  return t;
 }
 
 struct Stats {
@@ -201,10 +248,6 @@ class Table {
     csv_.row(cells);
     rows_.push_back(std::move(cells));
   }
-
-  /// Extra keys folded into the CSV's manifest at print() time. Benches use
-  /// this to attach e.g. `campaign.*` pool statistics to their output.
-  obs::Manifest& meta() { return meta_; }
 
   /// Records how many simulation runs back one aggregated cell, under
   /// `runs.<cell>` in the CSV manifest. Every mean/percentile row should
@@ -255,18 +298,11 @@ class Table {
   obs::Manifest meta_;
 };
 
-/// Symmetric start with n robots (n even >= 4): rho = n / rings-gons.
+/// Symmetric start with n robots (n even >= 4): two rings of n/2.
 inline config::Configuration symmetricStart(std::size_t n,
                                             std::uint64_t seed) {
   config::Rng rng(seed);
-  // Factor n as rho * rings with rho maximal <= n/2 (at least 2 rings).
-  for (int rings = 2; rings <= static_cast<int>(n); ++rings) {
-    if (n % rings == 0 && n / rings >= 2) {
-      return config::symmetricConfiguration(static_cast<int>(n / rings),
-                                            rings, rng);
-    }
-  }
-  return config::randomConfiguration(n, rng);
+  return config::symmetricConfiguration(static_cast<int>(n / 2), 2, rng);
 }
 
 }  // namespace apf::bench

@@ -68,19 +68,6 @@ bool sameFailure(const AttemptFailure& a, const AttemptFailure& b) {
          a.message == b.message;
 }
 
-void SupervisorReport::absorb(const SupervisorReport& other) {
-  items += other.items;
-  completed += other.completed;
-  replayed += other.replayed;
-  retries += other.retries;
-  quarantined += other.quarantined;
-  timeoutsCycle += other.timeoutsCycle;
-  timeoutsWall += other.timeoutsWall;
-  exceptions += other.exceptions;
-  quarantine.insert(quarantine.end(), other.quarantine.begin(),
-                    other.quarantine.end());
-}
-
 std::string SupervisorReport::toJson() const {
   std::string quarantineJson = "[";
   for (std::size_t q = 0; q < quarantine.size(); ++q) {
@@ -137,22 +124,6 @@ void SupervisorReport::write(const std::string& path) const {
 
 void appendManifest(const SupervisorOptions& opts,
                     const SupervisorReport& report, obs::Manifest& m) {
-  m.set("supervisor.cycle_budget", opts.cycleBudget);
-  m.set("supervisor.wall_budget_nanos", opts.wallBudgetNanos);
-  m.set("supervisor.max_retries", opts.maxRetries);
-  m.set("supervisor.items", report.items);
-  m.set("supervisor.completed", report.completed);
-  m.set("supervisor.replayed", report.replayed);
-  m.set("supervisor.retries", report.retries);
-  m.set("supervisor.quarantined", report.quarantined);
-  m.set("supervisor.timeouts_cycle", report.timeoutsCycle);
-  m.set("supervisor.timeouts_wall", report.timeoutsWall);
-  m.set("supervisor.exceptions", report.exceptions);
-}
-
-void appendManifestInvariant(const SupervisorOptions& opts,
-                             const SupervisorReport& report,
-                             obs::Manifest& m) {
   m.set("supervisor.cycle_budget", opts.cycleBudget);
   m.set("supervisor.wall_budget_nanos", opts.wallBudgetNanos);
   m.set("supervisor.max_retries", opts.maxRetries);

@@ -188,8 +188,6 @@ struct SupervisorReport {
   std::vector<QuarantinedItem> quarantine;
 
   bool allCompleted() const { return quarantined == 0; }
-  /// Folds another report into this one (bench cells aggregating).
-  void absorb(const SupervisorReport& other);
   /// Structured nested-JSON report (schema "apf.supervisor.v1") including
   /// the full quarantine list.
   std::string toJson() const;
@@ -199,17 +197,13 @@ struct SupervisorReport {
 
 /// `supervisor.*` manifest keys (consumed by apf_report's resilience
 /// section). Options and report are serialized together so a manifest
-/// records both the policy and what it did.
+/// records both the policy and what it did. The fresh-vs-replayed split
+/// collapses into one `supervisor.finished` key (their sum IS invariant),
+/// so a resumed campaign's manifest stays byte-identical to an
+/// uninterrupted one — the same reasoning that keeps the split out of
+/// apf_sim's --json document.
 void appendManifest(const SupervisorOptions& opts,
                     const SupervisorReport& report, obs::Manifest& manifest);
-
-/// Resume-invariant variant: collapses the fresh-vs-replayed split into a
-/// single `supervisor.finished` key (their sum IS invariant) so a resumed
-/// campaign's manifest stays byte-identical to an uninterrupted one — the same reasoning that keeps the
-/// split out of apf_sim's --json document.
-void appendManifestInvariant(const SupervisorOptions& opts,
-                             const SupervisorReport& report,
-                             obs::Manifest& manifest);
 
 /// Crash-safe campaign checkpoint: one fsync'd JSONL file. Line 1 is a
 /// header `{"journal":"apf.journal.v1","config":<key>}`; every later line
@@ -321,9 +315,10 @@ class MergeSink {
 
 }  // namespace detail
 
-/// Supervised, optionally journaled campaign over the GLOBAL run indices
-/// [lo, hi) — the one campaign driver behind apf_sim's campaigns
-/// (sim/campaign_spec.h), est::runAdaptive and the supervised benches.
+/// Supervised, optionally journaled campaign over the run indices [lo, hi)
+/// — what runs apf_sim's campaigns (sim/campaign_spec.h) and
+/// est::runAdaptive, which runs each batch of its samples as one call, so
+/// worker and merge see an index into the whole campaign, not the batch.
 ///   Result worker(std::size_t index, const Attempt&)
 ///   void merge(std::size_t index, Result&&)
 /// merge is only called for runs that completed, on the calling thread, in

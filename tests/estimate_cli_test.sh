@@ -8,6 +8,8 @@
 #     appended, resumes to the byte-identical document and journal.
 #  3. A second apf_estimate on a journal whose lock is held exits 4.
 #  4. The removed --ab option exits 2.
+#  5. --algo scatter-form records "multiplicity":true in its manifest (and
+#     so in its journal key): the algorithm turns detection on.
 #
 # Usage: estimate_cli_test.sh path/to/apf_estimate path/to/apf_report workdir
 set -u
@@ -55,5 +57,12 @@ echo "OK: held journal lock exits 4"
 RC=$?
 [ "$RC" -eq 2 ] || fail "--ab exited $RC, want 2"
 echo "OK: --ab is an unknown option"
+
+"$EST" --algo scatter-form --n 8 --batch 4 --min-samples 4 --max-samples 4 \
+  --quiet --manifest "$WORK/sf.manifest.json" > /dev/null ||
+  fail "scatter-form estimate failed"
+grep -q '"multiplicity":true' "$WORK/sf.manifest.json" ||
+  fail "scatter-form manifest does not record multiplicity detection"
+echo "OK: scatter-form records multiplicity detection"
 
 echo "estimate_cli_test: PASS"

@@ -196,15 +196,11 @@ int main(int argc, char** argv) try {
                  "apf_estimate: --journal and --resume are exclusive\n");
     return 2;
   }
-  // The trials run a copy: an algorithm that needs multiplicity detection
-  // turns it on there, while the journal key records the --multiplicity
-  // flag as given.
-  sim::Scenario sc = o.sc;
   const std::unique_ptr<sim::Algorithm> algo =
-      cli::makeAlgorithm(sc.algo, sc.multiplicity);
+      cli::makeAlgorithm(o.sc.algo, o.sc.multiplicity);
   if (algo == nullptr) {
     std::fprintf(stderr, "apf_estimate: unknown algorithm: %s (want %s)\n",
-                 sc.algo.c_str(), cli::algorithmNames());
+                 o.sc.algo.c_str(), cli::algorithmNames());
     return 2;
   }
 
@@ -233,7 +229,7 @@ int main(int argc, char** argv) try {
   aopts.recorder = sink.get();
   aopts.journal = journal.get();
   const est::ArmEstimate arm =
-      est::runAdaptive(algo->name(), est::scenarioTrial(sc, *algo), aopts);
+      est::runAdaptive(algo->name(), est::scenarioTrial(o.sc, *algo), aopts);
   if (sink != nullptr) sink->flush();
 
   // The apf.estimate.v1 document. No wall-clock, no thread counts:

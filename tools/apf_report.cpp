@@ -157,16 +157,11 @@ struct Report {
 void ingestManifest(const fs::path& path, Report& rep) {
   const JsonObject m = apf::obs::loadFlatJsonFile(path.string());
   if (m.count("supervisor.items") != 0) {
-    // Supervised-campaign manifest; may coexist with run keys on the same
-    // bench manifest. Resume-invariant manifests
-    // (sim::appendManifestInvariant) carry `supervisor.finished`; older
-    // ones (sim::appendManifest) split it into completed + replayed — the
-    // sum is the same quantity either way.
+    // Supervised-campaign manifest (sim::appendManifest).
     rep.supervisorManifests += 1;
     rep.supItems += static_cast<std::uint64_t>(num(m, "supervisor.items"));
-    rep.supFinished += static_cast<std::uint64_t>(
-        num(m, "supervisor.finished",
-            num(m, "supervisor.completed") + num(m, "supervisor.replayed")));
+    rep.supFinished +=
+        static_cast<std::uint64_t>(num(m, "supervisor.finished"));
     rep.supRetries +=
         static_cast<std::uint64_t>(num(m, "supervisor.retries"));
     rep.supQuarantined +=

@@ -359,10 +359,7 @@ int main(int argc, char** argv) try {
       obs::addBuildInfo(m);
       m.set("tool", "apf_sim.campaign");
       m.merge(campaignManifest(spec, algo->name()));
-      // The resume-invariant variant: fresh-vs-replayed collapses into
-      // supervisor.finished, so this manifest is byte-identical for
-      // uninterrupted and resumed executions of the same spec.
-      sim::appendManifestInvariant(sopts, report, m);
+      sim::appendManifest(sopts, report, m);
       m.write(o.manifestPath);
     }
 

@@ -17,6 +17,9 @@
 # bench_detection checks Definitions 1-3 on generated corpora, whole-config
 # shifted sets included; bench_faults runs on noisy snapshots, which make
 # near-grids; bench_multiplicity forms patterns with multiplicity points.
+# The benches run at APF_JOBS=4, so their cells go through the campaign
+# pool even on a one-core runner (ctest's bench_golden also runs three of
+# them at APF_JOBS=1).
 #
 # It then reruns two supervised campaigns, `apf_sim --campaign 24 --json`,
 # at APF_JOBS=1 and at APF_JOBS=4, and byte-compares all four documents with
@@ -33,8 +36,9 @@
 # with results/estimate_form_n8_seed5.json.
 #
 # Usage: golden_csv_check.sh BUILD_DIR   (run from the repository root;
-#        takes about two minutes on 4 cores, most of it bench_faults; needs
-#        the benches, apf_sim and apf_estimate built)
+#        needs the benches, apf_sim and apf_estimate built). On a 4-vCPU
+#        VM with a Release build it took 48 s: 42 s for the twelve benches,
+#        32 s of that bench_faults.
 set -u
 
 BUILD=${1:?usage: golden_csv_check.sh BUILD_DIR}
@@ -46,7 +50,7 @@ for bench in bench_election bench_formation bench_phases bench_chirality \
              bench_delta bench_determinism bench_randbits bench_scattering \
              bench_scheduler bench_detection bench_faults bench_multiplicity; do
   echo "== $bench =="
-  APF_RESULTS_DIR="$OUT" "$BUILD/bench/$bench" > "$OUT/$bench.log" 2>&1 || {
+  APF_JOBS=4 APF_RESULTS_DIR="$OUT" "$BUILD/bench/$bench" > "$OUT/$bench.log" 2>&1 || {
     cat "$OUT/$bench.log" >&2
     echo "golden_csv_check: FAIL: $bench exited nonzero" >&2
     exit 1
