@@ -34,7 +34,9 @@ int main() {
   for (const auto& [name, algo] : algos) {
     for (std::size_t n : {8, 12}) {
       for (bool chirality : {true, false}) {
-        const Tally t = tally(runCell(kSeeds, [&](int s) {
+        const std::string cell =
+            cellName(name, "_n", n, chirality ? "_common" : "_none");
+        const Tally t = tally(runCell(table, cell, kSeeds, [&](int s) {
           config::Rng rng(100 + s);
           sim::EngineOptions opts;
           opts.sched.kind = sched::SchedulerKind::SSync;

@@ -25,7 +25,8 @@ int main() {
                "moves_per_robot"});
 
   for (double delta : {0.005, 0.01, 0.05, 0.1, 0.25, 0.5}) {
-    const Tally t = tally(runCell(kSeeds, [&](int s) {
+    const std::string cell = cellName("delta", io::fmt(delta, 3));
+    const Tally t = tally(runCell(table, cell, kSeeds, [&](int s) {
       config::Rng rng(700 + s);
       const std::size_t n = 8;
       sim::EngineOptions opts;

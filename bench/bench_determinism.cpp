@@ -38,7 +38,8 @@ int main() {
   for (const auto& [name, algo] : algos) {
     for (const std::string startKind : {"random", "symmetric"}) {
       for (std::size_t n : {8, 12}) {
-        const auto results = runCell(kSeeds, [&](int s) {
+        const std::string cell = cellName(name, "_", startKind, "_n", n);
+        const auto results = runCell(table, cell, kSeeds, [&](int s) {
           config::Configuration start;
           if (startKind == "random") {
             config::Rng rng(600 + s);

@@ -33,7 +33,8 @@ int main() {
 
   for (std::size_t n : {8, 12, 16, 24, 32}) {
     for (const auto& [schedName, kind] : scheds) {
-      const Tally t = tally(runCell(kSeeds, [&](int s) {
+      const std::string cell = cellName("n", n, "_", schedName);
+      const Tally t = tally(runCell(table, cell, kSeeds, [&](int s) {
         sim::EngineOptions opts;
         opts.sched.kind = kind;
         opts.seed = 7 * s + 1;

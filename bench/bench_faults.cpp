@@ -50,7 +50,9 @@ int main() {
     for (const double sigma : sigmas) {
       for (const double omit : omits) {
         const bool faulty = f > 0 || sigma > 0.0 || omit > 0.0;
-        const auto results = runCell(kSeeds, [&](int s) {
+        const std::string cell = cellName("f", f, "_s", io::fmt(sigma, 2),
+                                          "_o", io::fmt(omit, 2));
+        const auto results = runCell(table, cell, kSeeds, [&](int s) {
           config::Rng rng(810 + s);
           sim::EngineOptions opts;
           opts.sched.kind = sched::SchedulerKind::Async;
@@ -93,14 +95,6 @@ int main() {
                    frac(sim::Outcome::Stalled),
                    frac(sim::Outcome::SafetyViolation),
                    io::fmt(statsOf(events).mean, 0)});
-        // Appended piecewise: GCC 12 false-fires -Wrestrict at -O3.
-        std::string cell = "f";
-        cell += std::to_string(f);
-        cell += "_s";
-        cell += io::fmt(sigma, 2);
-        cell += "_o";
-        cell += io::fmt(omit, 2);
-        table.recordRuns(cell, static_cast<std::uint64_t>(kSeeds));
       }
     }
   }

@@ -27,7 +27,8 @@ int main() {
   for (const std::string pat : {"polygon", "star", "grid", "spiral",
                                 "random"}) {
     for (std::size_t n : {8, 12, 16}) {
-      const Tally t = tally(runCell(kSeeds, [&](int s) {
+      const std::string cell = cellName(pat, "_n", n);
+      const Tally t = tally(runCell(table, cell, kSeeds, [&](int s) {
         config::Rng rng(500 + s);
         sim::EngineOptions opts;
         opts.seed = 13 * s + 2;
@@ -48,7 +49,8 @@ int main() {
             "bench_formation_symmetric.csv",
             {"n", "success", "cycles_mean", "bits_mean"});
   for (std::size_t n : {8, 12, 16}) {
-    const Tally t = tally(runCell(kSeeds, [&](int s) {
+    const std::string cell = cellName("n", n);
+    const Tally t = tally(runCell(sym, cell, kSeeds, [&](int s) {
       sim::EngineOptions opts;
       opts.seed = 17 * s + 3;
       opts.maxEvents = kMaxEvents;

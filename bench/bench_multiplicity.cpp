@@ -32,7 +32,8 @@ int main() {
 
   for (const auto& [name, make] : kinds) {
     for (std::size_t n : {8, 12}) {
-      const Tally t = tally(runCell(kSeeds, [&](int s) {
+      const std::string cell = cellName(name, "_n", n);
+      const Tally t = tally(runCell(table, cell, kSeeds, [&](int s) {
         config::Rng rng(1010 + s);
         sim::EngineOptions opts;
         opts.seed = 31 * s + 13;

@@ -28,7 +28,7 @@ int main() {
               {"start", "phase", "activations_mean", "share_pct"});
 
   for (const std::string kind : {"random", "symmetric"}) {
-    const auto results = runCell(kSeeds, [&](int s) {
+    const auto results = runCell(table, kind, kSeeds, [&](int s) {
       const std::size_t n = 10;
       config::Rng rng(910 + s);
       sim::EngineOptions opts;

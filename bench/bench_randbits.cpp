@@ -36,7 +36,8 @@ int main() {
 
   for (const auto& [name, algo] : algos) {
     for (std::size_t n : {8, 12, 16}) {
-      const auto results = runCell(kSeeds, [&](int s) {
+      const std::string cell = cellName(name, "_n", n);
+      const auto results = runCell(table, cell, kSeeds, [&](int s) {
         sim::EngineOptions opts;
         opts.sched.kind = sched::SchedulerKind::SSync;
         opts.seed = 11 * s + 5;
@@ -57,8 +58,6 @@ int main() {
       table.row({name, std::to_string(n), tally(results).rate(),
                  io::fmt(bs.mean, 1), io::fmt(bs.p95, 0),
                  io::fmt(statsOf(perCycle).max, 3)});
-      table.recordRuns(std::string(name) + "_n" + std::to_string(n),
-                       static_cast<std::uint64_t>(kSeeds));
     }
   }
   table.print();

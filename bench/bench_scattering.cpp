@@ -49,7 +49,8 @@ int main() {
   for (std::size_t n : {9, 12, 15}) {
     // Stage A: scattering alone (until no multiplicity point remains).
     {
-      const auto results = runCell(kSeeds, [&](int s) {
+      const std::string cell = cellName("n", n, "_scatter");
+      const auto results = runCell(table, cell, kSeeds, [&](int s) {
         return Run{clusteredStart(n, 100 + s), io::starPattern(n),
                    scatterOnly, options(s)};
       });
@@ -65,7 +66,8 @@ int main() {
     }
     // Stage B: the full composition, ending in a formed pattern.
     {
-      const Tally t = tally(runCell(kSeeds, [&](int s) {
+      const std::string cell = cellName("n", n, "_scatter+form");
+      const Tally t = tally(runCell(table, cell, kSeeds, [&](int s) {
         return Run{clusteredStart(n, 100 + s),
                    io::randomPatternByName(n, 200 + s), algo, options(s)};
       }));

@@ -38,7 +38,9 @@ int main() {
   };
 
   for (const Cell& cell : cells) {
-    const Tally t = tally(runCell(kSeeds, [&](int s) {
+    const std::string key =
+        cellName(cell.name, "_es", io::fmt(cell.earlyStop, 1));
+    const Tally t = tally(runCell(table, key, kSeeds, [&](int s) {
       config::Rng rng(810 + s);
       const std::size_t n = 10;
       sim::EngineOptions opts;
@@ -52,9 +54,6 @@ int main() {
     table.row({cell.name, io::fmt(cell.earlyStop, 1), t.rate(),
                io::fmt(statsOf(t.cycles).mean, 0),
                io::fmt(statsOf(t.events).mean, 0)});
-    table.recordRuns(std::string(cell.name) + "_es" +
-                         io::fmt(cell.earlyStop, 1),
-                     static_cast<std::uint64_t>(kSeeds));
   }
   table.print();
   return 0;

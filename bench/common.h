@@ -20,6 +20,7 @@
 #include <memory>
 #include <numeric>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "cli/env.h"
@@ -164,21 +165,21 @@ inline sim::RunResult runOnce(const Run& run, long obsIndex) {
 /// advances it.
 inline long nextObsIndex = 0;
 
-/// Runs one table cell: seeds 0 .. seeds-1, where `makeRun(s)` builds seed
-/// s's Run on a worker thread of the campaign pool (sim::campaignMap), so
-/// it must build its own start and pattern. The results come back in seed
-/// order, and seed s is telemetry run nextObsIndex + s, so the CSV and the
-/// manifest names are the same for any APF_JOBS. A run that throws ends
-/// the bench.
-template <typename MakeRun>
-std::vector<sim::RunResult> runCell(int seeds, MakeRun&& makeRun) {
-  std::vector<int> items(static_cast<std::size_t>(seeds));
-  std::iota(items.begin(), items.end(), 0);
-  const long base = nextObsIndex;
-  nextObsIndex += seeds;
-  return sim::campaignMap(items, [&](int s, std::size_t) {
-    return runOnce(makeRun(s), base + s);
-  });
+/// A cell name from its parts, numbers printed with std::to_string:
+/// cellName(algo, "_n", n). Appended piecewise, since GCC 12 false-fires
+/// -Wrestrict at -O3 on `"a" + s + "b"` chains.
+template <typename... Parts>
+std::string cellName(const Parts&... parts) {
+  std::string out;
+  const auto add = [&out](const auto& part) {
+    if constexpr (std::is_arithmetic_v<std::decay_t<decltype(part)>>) {
+      out += std::to_string(part);
+    } else {
+      out += part;
+    }
+  };
+  (add(parts), ...);
+  return out;
 }
 
 /// "k/n", the way every table prints a count of runs.
@@ -297,6 +298,26 @@ class Table {
   std::vector<std::vector<std::string>> rows_;
   obs::Manifest meta_;
 };
+
+/// Runs one table cell: seeds 0 .. seeds-1, where `makeRun(s)` builds seed
+/// s's Run on a worker thread of the campaign pool (sim::campaignMap), so
+/// it must build its own start and pattern. The results come back in seed
+/// order, and seed s is telemetry run nextObsIndex + s, so the CSV and the
+/// manifest names are the same for any APF_JOBS. The cell's run count goes
+/// into `table`'s CSV manifest as `runs.<cell>` (Table::recordRuns). A run
+/// that throws ends the bench.
+template <typename MakeRun>
+std::vector<sim::RunResult> runCell(Table& table, const std::string& cell,
+                                    int seeds, MakeRun&& makeRun) {
+  table.recordRuns(cell, static_cast<std::uint64_t>(seeds));
+  std::vector<int> items(static_cast<std::size_t>(seeds));
+  std::iota(items.begin(), items.end(), 0);
+  const long base = nextObsIndex;
+  nextObsIndex += seeds;
+  return sim::campaignMap(items, [&](int s, std::size_t) {
+    return runOnce(makeRun(s), base + s);
+  });
+}
 
 /// Symmetric start with n robots (n even >= 4): two rings of n/2.
 inline config::Configuration symmetricStart(std::size_t n,

@@ -54,7 +54,8 @@ Circle Configuration::sec() const {
   auto& counters = geomCacheCounters();
   if (!memo_.sec) {
     ++counters.secMisses;
-    memo_.sec = geom::smallestEnclosingCircle(pts_);
+    memo_.sec = secCarry_.of(pts_);
+    if (secCarry_.certified()) ++counters.secCertified;
   } else {
     ++counters.secHits;
   }
@@ -91,6 +92,32 @@ void resizePolar(PolarTable& t, std::size_t n) {
   t.dir.resize(n);
 }
 
+/// Restores t.byRadius after the entries `moved` (ascending indices) were
+/// recomputed: the other entries keep their relative order, so dropping
+/// the moved ones from the old order and merging them back, sorted, gives
+/// the (radius, index) order of the whole table. An empty old order (a new
+/// table or a new point count) comes with every index in `moved`.
+void repairRadiusOrder(PolarTable& t, std::vector<std::size_t>& moved) {
+  if (moved.empty()) return;
+  const auto less = [&t](std::size_t a, std::size_t b) {
+    return t.radius[a] < t.radius[b] || (t.radius[a] == t.radius[b] && a < b);
+  };
+  thread_local std::vector<char> isMoved;
+  thread_local std::vector<std::size_t> merged;
+  isMoved.assign(t.radius.size(), 0);
+  for (std::size_t j : moved) isMoved[j] = 1;
+  std::sort(moved.begin(), moved.end(), less);
+  merged.clear();
+  auto next = moved.begin();
+  for (std::size_t j : t.byRadius) {
+    if (isMoved[j]) continue;
+    while (next != moved.end() && less(*next, j)) merged.push_back(*next++);
+    merged.push_back(j);
+  }
+  merged.insert(merged.end(), next, moved.end());
+  t.byRadius.swap(merged);
+}
+
 }  // namespace
 
 void Configuration::DeleteNormalized::operator()(const Configuration* c) const {
@@ -123,15 +150,22 @@ const Configuration& Configuration::normalized() const {
   if (tables.empty()) tables.emplace_back(Vec2{}, PolarTable{});
   tables.erase(std::next(tables.begin()), tables.end());
   PolarTable& t = tables.front().second;
-  const std::size_t kept = std::min(q.pts_.size(), pts_.size());
-  q.pts_.resize(pts_.size());
-  resizePolar(t, pts_.size());
-  for (std::size_t j = 0; j < pts_.size(); ++j) {
+  const std::size_t n = pts_.size();
+  // A changed point count recomputes every entry and the whole order.
+  const std::size_t kept = q.pts_.size() == n ? n : 0;
+  q.pts_.resize(n);
+  resizePolar(t, n);
+  thread_local std::vector<std::size_t> moved;
+  moved.clear();
+  for (std::size_t j = 0; j < n; ++j) {
     const Vec2 v = np.apply(pts_[j]);
     if (j < kept && bits(v) == bits(q.pts_[j])) continue;
     q.pts_[j] = v;
     setPolar(t, j, v, Vec2{});
+    moved.push_back(j);
   }
+  if (kept == 0) t.byRadius.clear();
+  repairRadiusOrder(t, moved);
   return q;
 }
 

@@ -38,6 +38,9 @@ struct PolarTable {
   std::vector<double> radius;
   std::vector<double> arg;
   std::vector<double> dir;
+  /// The point indices ordered by (radius, index), ascending. Filled only
+  /// in the origin table of Configuration::normalized(); empty elsewhere.
+  std::vector<std::size_t> byRadius;
 };
 
 /// Hit/miss counters for Configuration's memoized geometry (sec(),
@@ -50,6 +53,8 @@ struct PolarTable {
 struct GeomCacheCounters {
   std::uint64_t secHits = 0;
   std::uint64_t secMisses = 0;
+  /// sec() misses its carried circle answered (geom::SecCarry)
+  std::uint64_t secCertified = 0;
   std::uint64_t weberHits = 0;
   std::uint64_t weberMisses = 0;
   std::uint64_t polarHits = 0;
@@ -101,9 +106,9 @@ bool hasCoincidentPair(std::span<const Vec2> pts,
 /// (sim/campaign.h) therefore operate on their own copies; copies carry the
 /// warmed caches with them, moves hand them over. See docs/PERFORMANCE.md.
 ///
-/// A fourth cache, normalized(), outlives mutations: it checks its entries
-/// itself. A copy starts without it (copy assignment keeps the target's
-/// own), a move hands it over.
+/// Two more caches outlive mutations, since each checks itself: sec()'s
+/// carried circle (geom::SecCarry) and normalized(). A copy starts without
+/// them (copy assignment keeps the target's own), a move hands them over.
 class Configuration {
  public:
   Configuration() = default;
@@ -150,7 +155,9 @@ class Configuration {
   }
 
   /// Smallest enclosing circle C(P). Memoized; O(n) expected on the first
-  /// call after a mutation, O(1) afterwards.
+  /// call after a mutation, O(1) afterwards. The first call after a
+  /// mutation tries the circle carried from the previous one before it
+  /// runs Welzl (geom::SecCarry): the same bits either way.
   Circle sec() const;
 
   /// Weber point (geometric median) of P. Memoized like sec(): Weiszfeld
@@ -196,6 +203,11 @@ class Configuration {
   /// robots that moved since its last Look when its circle kept its bits,
   /// and all of them when it did not. The reference stays valid until the
   /// next normalized() call, move or destruction.
+  ///
+  /// The table's byRadius order is carried too: only the recomputed
+  /// entries leave it and merge back in. (radius, index) is a strict total
+  /// order on the entries, so exactly one sequence sorts them, and the
+  /// repaired order is that of a fresh sort, index for index.
   const Configuration& normalized() const;
 
  private:
@@ -233,6 +245,7 @@ class Configuration {
 
   std::vector<Vec2> pts_;
   mutable Memo memo_;
+  mutable geom::SecCarry secCarry_;
   /// normalized(): its memo holds the origin table only.
   mutable std::unique_ptr<Configuration, DeleteNormalized> normalized_;
 };

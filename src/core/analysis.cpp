@@ -76,8 +76,12 @@ bool radiiApart(const std::vector<double>& p, std::size_t skip,
 
 const std::vector<double>& Analysis::sortedRadii() {
   if (sortedRadii_.empty()) {
-    sortedRadii_ = radii();
-    std::sort(sortedRadii_.begin(), sortedRadii_.end());
+    // The carried (radius, index) order lists the radii ascending.
+    const config::PolarTable& t = p_.polar(Vec2{});
+    sortedRadii_.resize(t.byRadius.size());
+    for (std::size_t k = 0; k < t.byRadius.size(); ++k) {
+      sortedRadii_[k] = t.radius[t.byRadius[k]];
+    }
   }
   return sortedRadii_;
 }

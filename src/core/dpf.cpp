@@ -299,15 +299,11 @@ class Planner {
       }
       s_.z.push_back(ang);
     }
+    // The carried table's (radius, index) order, without r_s.
     s_.byRadius.clear();
-    for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t i : polar_.byRadius) {
       if (isPrime(i)) s_.byRadius.push_back(i);
     }
-    std::sort(s_.byRadius.begin(), s_.byRadius.end(),
-              [&](std::size_t x, std::size_t y) {
-                if (radius(x) != radius(y)) return radius(x) < radius(y);
-                return x < y;
-              });
     const std::size_t m = circleRadii_.size();
     if (s_.buckets.size() < m) s_.buckets.resize(m);
     s_.built.assign(m, 0);

@@ -52,8 +52,8 @@ Engine::Engine(Configuration start, Configuration pattern,
   }
   // Multiplicity in the TARGET is intended, so collisions are not checked.
   patternHasMultiplicity_ = pattern_.hasMultiplicity();
-  // Plain Welzl, not current_.sec(): the monitor moves no cache counter.
-  startSecRadius_ = geom::smallestEnclosingCircle(current_.span()).radius;
+  // liveSec_, not current_.sec(): the monitor moves no cache counter.
+  startSecRadius_ = liveSec_.of(current_.span()).radius;
   scratch_.reserveFor(current_.size());
   recorder_ = opts_.recorder;
   timed_ = opts_.collectTimings || recorder_ != nullptr;
@@ -251,9 +251,13 @@ void Engine::checkSafety(std::size_t i) {
       }
     }
   }
-  // Welzl on every change: skipping it while the mover stays inside the
-  // last live SEC would keep the verdict but not maxSecGrowth's bits (the
-  // recomputed circle can come out a few ulps larger).
+  // The live circle comes from liveSec_, which returns Welzl's circle bit
+  // for bit: the carried one when its certificate proves Welzl would build
+  // it again (geom::SecCarry), else Welzl's own. So maxSecGrowth keeps the
+  // bits plain Welzl gives it. The certificate needs the same point count
+  // and the basis' bits at the same indices: a crash shrinks `live` and
+  // hands over to Welzl once. liveSec_ is the engine's own and counts no
+  // cache hit or miss.
   std::span<const Vec2> live = current_.span();
   if (crashedCount_ > 0) {
     scratch_.live.clear();
@@ -262,8 +266,7 @@ void Engine::checkSafety(std::size_t i) {
     }
     live = scratch_.live;
   }
-  const double growth =
-      geom::smallestEnclosingCircle(live).radius / startSecRadius_;
+  const double growth = liveSec_.of(live).radius / startSecRadius_;
   safety_.maxSecGrowth = std::max(safety_.maxSecGrowth, growth);
   if (growth > SafetyRecord::kSecGrowthBound && !safety_.secGrowth) {
     safety_.secGrowth = SafetyRecord::SecGrowth{metrics_.events, growth};

@@ -175,7 +175,7 @@ class Engine {
   /// The safety monitor, run after every position change of robot i
   /// (the mover). Records the first collision: only the mover can form a
   /// new coincident pair, so comparing it with every live robot is exact.
-  /// Records SEC growth from Welzl on the live robots.
+  /// Records SEC growth from the live robots' circle (liveSec_).
   void checkSafety(std::size_t i);
   /// Emits a FaultInjected event and counts it in the metrics.
   void recordFault(std::size_t robot, obs::FaultKind kind, double magnitude);
@@ -232,6 +232,8 @@ class Engine {
   SafetyRecord safety_;
   bool patternHasMultiplicity_ = false;
   double startSecRadius_ = 0.0;
+  /// C of the live robots, carried from position change to position change.
+  geom::SecCarry liveSec_;
 };
 
 /// Builds the reproducibility manifest for a run: seed, every

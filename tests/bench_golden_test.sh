@@ -5,8 +5,9 @@
 # the tracked copy under results/ byte for byte. The APF_JOBS=4 run of
 # bench_delta also has APF_OBS_TRACE and APF_OBS_DIR set: it must write
 # bench_delta.trace.json into the telemetry directory, and the telemetry
-# must leave its CSV unchanged. tools/golden_csv_check.sh covers all
-# fourteen CSVs.
+# must leave its CSV unchanged. Each CSV's manifest must record how many
+# runs back its cells (`runs.<cell>` keys, written by bench::runCell).
+# tools/golden_csv_check.sh covers all fourteen CSVs.
 #
 # Usage: bench_golden_test.sh BENCH_DIR RESULTS_DIR workdir
 set -u
@@ -32,6 +33,8 @@ for jobs in 1 4; do
     }
     cmp "$RESULTS/$bench.csv" "$out/$bench.csv" ||
       fail "$bench.csv differs from results/ at APF_JOBS=$jobs"
+    grep -q '"runs\.' "$out/$bench.csv.manifest.json" ||
+      fail "$bench.csv.manifest.json records no runs.<cell> key"
     echo "ok   $bench.csv (APF_JOBS=$jobs)"
   done
 done

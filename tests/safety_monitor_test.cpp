@@ -178,6 +178,30 @@ TEST(SafetyMonitorTest, MatchesFullRescanCleanCrashAndNoise) {
   EXPECT_GT(grew, 0);
 }
 
+TEST(SafetyMonitorTest, CarriedLiveCircleKeepsMaxSecGrowthBits) {
+  // The monitor's circle is carried from move to move (geom::SecCarry),
+  // and most moves leave its basis alone: at n = 32 it is certified far
+  // more often than rebuilt. maxSecGrowth must still equal plain Welzl's,
+  // bit for bit, with and without crashes (which shrink the live set).
+  config::Rng rng(47);
+  const Configuration start = config::randomConfiguration(32, rng, 5.0, 0.1);
+  core::FormPatternAlgorithm form;
+  const Flee flee;
+  for (const Algorithm* algo : {static_cast<const Algorithm*>(&form),
+                                static_cast<const Algorithm*>(&flee)}) {
+    Scenario clean{.pattern = io::randomPatternByName(32, 9),
+                   .startKind = "points",
+                   .start = start,
+                   .maxEvents = algo == &form ? 30000u : 3000u};
+    Scenario crash = clean;
+    crash.crashF = 4;
+    crash.crashHorizon = 5000;
+    std::string what = algo->name();
+    (void)compareOnSchedules(*algo, clean, 3, what + " n32 clean");
+    (void)compareOnSchedules(*algo, crash, 3, what + " n32 crash");
+  }
+}
+
 TEST(SafetyMonitorTest, PatternMultiplicitySkipsOnlyTheCollisionCheck) {
   config::Rng rng(43);
   const Scenario sc{.pattern = io::multiplicityPattern(8),

@@ -42,6 +42,7 @@ struct Field {
 constexpr Field kFields[] = {
     {"secHits", &GeomCacheCounters::secHits},
     {"secMisses", &GeomCacheCounters::secMisses},
+    {"secCertified", &GeomCacheCounters::secCertified},
     {"weberHits", &GeomCacheCounters::weberHits},
     {"weberMisses", &GeomCacheCounters::weberMisses},
     {"polarHits", &GeomCacheCounters::polarHits},
@@ -133,6 +134,11 @@ std::uint64_t activations(const RunResult& r, int tag) {
 // order robots by headFirstViews, which builds a full view only for a robot
 // whose first (rho, theta, count) triple another robot shares (none in the
 // random-start runs, 238 instead of 1104 in kRsb16).
+//
+// secCertified was added, with every decision and every other count
+// unchanged, when sec() began to try the circle carried from the previous
+// miss before running Welzl (geom::SecCarry): it counts the misses the
+// certificate answered, a subset of secMisses.
 
 // The full algorithm at n = 16 from a random start, run to the goal.
 constexpr Work kForm16 =
@@ -140,6 +146,7 @@ constexpr Work kForm16 =
      .cycles = 1187,
      .kernels = {.secHits = 1698,
                  .secMisses = 926,
+                 .secCertified = 649,
                  .weberHits = 32,
                  .weberMisses = 33,
                  .polarHits = 5093,
@@ -167,6 +174,7 @@ constexpr Work kRsb16 =
      .cycles = 365,
      .kernels = {.secHits = 562,
                  .secMisses = 578,
+                 .secCertified = 27,
                  .weberHits = 96,
                  .weberMisses = 441,
                  .polarHits = 5447,
@@ -194,6 +202,7 @@ constexpr Work kForm64 =
      .cycles = 9909,
      .kernels = {.secHits = 11799,
                  .secMisses = 5969,
+                 .secCertified = 5702,
                  .weberHits = 57,
                  .weberMisses = 57,
                  .polarHits = 38787,
