@@ -114,6 +114,26 @@ void BM_SimilarityReject(benchmark::State& state) {
 }
 BENCHMARK(BM_SimilarityReject)->Arg(8)->Arg(16)->Arg(32)->Arg(64);
 
+/// A reject past the radii prefilter: each point inside C(P) is rotated
+/// about C(P)'s center by its own angle (the points on C(P) stay, so the
+/// circle does too). The radii match and the shape does not, so every
+/// candidate transform is tried and fails, as in ψDPF's rotation phase.
+void BM_SimilaritySameRadiiReject(benchmark::State& state) {
+  const Configuration p = randomConfig(state.range(0));
+  const geom::Circle sec = p.sec();
+  std::vector<geom::Vec2> pts;
+  for (std::size_t i = 0; i < p.size(); ++i) {
+    const geom::Vec2 d = p[i] - sec.center;
+    pts.push_back(sec.onBoundary(p[i]) ? p[i]
+                                       : sec.center + d.rotated(0.7 + 0.9 * i));
+  }
+  const Configuration q(std::move(pts));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(config::findSimilarity(p, q));
+  }
+}
+BENCHMARK(BM_SimilaritySameRadiiReject)->Arg(8)->Arg(16)->Arg(32)->Arg(64);
+
 }  // namespace
 
 BENCHMARK_MAIN();

@@ -8,14 +8,21 @@
 namespace apf::config {
 namespace {
 
-bool matchMultiset(const std::vector<Vec2>& a, const std::vector<Vec2>& b,
+/// Greedy multiset match of map(a) against b: each mapped point of a takes
+/// the first unused point of b within tol. A point is mapped only when the
+/// match reaches it, so the points after the first one without a partner
+/// are never mapped. `used` is scratch.
+template <class Map>
+bool matchMultiset(const std::vector<Vec2>& a, Map map,
+                   const std::vector<Vec2>& b, std::vector<char>& used,
                    const Tol& tol) {
-  std::vector<bool> used(b.size(), false);
+  used.assign(b.size(), 0);
   for (const Vec2& p : a) {
+    const Vec2 q = map(p);
     bool found = false;
     for (std::size_t j = 0; j < b.size(); ++j) {
-      if (!used[j] && geom::nearlyEqual(p, b[j], tol)) {
-        used[j] = true;
+      if (!used[j] && geom::nearlyEqual(q, b[j], tol)) {
+        used[j] = 1;
         found = true;
         break;
       }
@@ -29,7 +36,10 @@ bool matchMultiset(const std::vector<Vec2>& a, const std::vector<Vec2>& b,
 
 bool coincident(const Configuration& a, const Configuration& b,
                 const Tol& tol) {
-  return a.size() == b.size() && matchMultiset(a.points(), b.points(), tol);
+  std::vector<char> used;
+  return a.size() == b.size() &&
+         matchMultiset(a.points(), [](Vec2 p) { return p; }, b.points(),
+                       used, tol);
 }
 
 std::optional<Similarity> findSimilarity(const Configuration& a,
@@ -89,25 +99,30 @@ std::optional<Similarity> findSimilarity(const Configuration& a,
     }
   }
   const double refArg = na[ref].arg();
+  // Each target's norm, shared by both reflections.
+  std::vector<double> nbNorm;
+  nbNorm.reserve(nb.size());
+  for (const Vec2& target : nb) nbNorm.push_back(target.norm());
 
+  std::vector<char> used;
   const int reflections = allowReflection ? 2 : 1;
   for (int refl = 0; refl < reflections; ++refl) {
-    std::vector<Vec2> base = na;
-    if (refl == 1) {
-      for (Vec2& p : base) p.y = -p.y;
-    }
-    const double baseRefArg = (refl == 1) ? -refArg : refArg;
-    for (const Vec2& target : nb) {
-      if (!geom::distEq(target.norm(), refNorm, tol)) continue;
+    const bool mirror = refl == 1;  // reflect A in the x-axis first
+    const double baseRefArg = mirror ? -refArg : refArg;
+    for (std::size_t j = 0; j < nb.size(); ++j) {
+      if (!geom::distEq(nbNorm[j], refNorm, tol)) continue;
       ++work.similarityTransforms;
-      const double theta = target.arg() - baseRefArg;
-      std::vector<Vec2> rotated;
-      rotated.reserve(base.size());
-      for (const Vec2& p : base) rotated.push_back(p.rotated(theta));
-      if (matchMultiset(rotated, nb, tol)) {
+      const double theta = nb[j].arg() - baseRefArg;
+      // p.rotated(theta), with cos and sin taken once per candidate.
+      const double c = std::cos(theta), sn = std::sin(theta);
+      const auto place = [c, sn, mirror](Vec2 p) {
+        if (mirror) p.y = -p.y;
+        return p.rotated(c, sn);
+      };
+      if (matchMultiset(na, place, nb, used, tol)) {
         // Full transform: x -> cb.center + s * R(theta) * M(refl) * (x - ca.center)
         const Similarity toOrigin = Similarity::translation(-ca.center);
-        const Similarity lin(geom::norm2pi(theta), s, refl == 1, Vec2{});
+        const Similarity lin(geom::norm2pi(theta), s, mirror, Vec2{});
         const Similarity toB = Similarity::translation(cb.center);
         return toB * lin * toOrigin;
       }

@@ -217,18 +217,37 @@ std::vector<std::size_t> Analysis::maxViewP() {
   // viewQuantize(1.0) for every robot of M. A fixed radius window such as
   // minR + 1e-9 is not enough: radii up to about 5e-7 minR apart share
   // the first view coordinate.
+  //
+  // Both tests hold on a prefix of the robots by ascending radius:
+  // gMax / r rounds to a value that never grows with r, and viewQuantize
+  // is monotone. So when the center's table carries its radius order (the
+  // origin table of the normalized snapshot, the psi_DPF center), the
+  // candidates are read off its front and put back in index order.
   const Vec2 c = centerP();
   const geom::Tol& tol = geom::kDefaultTol;
-  const std::vector<double>& radius = p_.polar(c).radius;
-  const double minR = *std::min_element(radius.begin(), radius.end());
+  const config::PolarTable& table = p_.polar(c);
+  const std::vector<double>& radius = table.radius;
+  const std::vector<std::size_t>& byRadius = table.byRadius;
+  const double minR =
+      byRadius.empty() ? *std::min_element(radius.begin(), radius.end())
+                       : radius[byRadius.front()];
   const double gMax = minR + tol.dist + 1e-12 * (minR + tol.dist);
   const std::int64_t first = config::viewQuantize(1.0);
+  auto candidate = [&](std::size_t i) {
+    return minR <= tol.dist ? radius[i] <= tol.dist
+                            : config::viewQuantize(gMax / radius[i]) >= first;
+  };
   std::vector<std::size_t> candidates;
-  for (std::size_t i = 0; i < p_.size(); ++i) {
-    if (minR <= tol.dist ? radius[i] <= tol.dist
-                         : config::viewQuantize(gMax / radius[i]) >= first) {
+  if (byRadius.empty()) {
+    for (std::size_t i = 0; i < p_.size(); ++i) {
+      if (candidate(i)) candidates.push_back(i);
+    }
+  } else {
+    for (std::size_t i : byRadius) {
+      if (!candidate(i)) break;
       candidates.push_back(i);
     }
+    std::sort(candidates.begin(), candidates.end());
   }
   if (candidates.size() == 1) return candidates;
   return config::maxViewRobots(p_, candidates, c, multiplicity_);

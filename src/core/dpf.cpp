@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -38,13 +39,14 @@ struct PlannerScratch {
   std::vector<double> z;  ///< Z-angle of p_i, once buildZ has run
   /// P' robots by (radius, index): every radius window is a run of it.
   std::vector<std::size_t> byRadius;
-  /// robotsOnCircle(ci), built on first use (built[ci]).
-  std::vector<std::vector<std::size_t>> buckets;
-  std::vector<char> built;
-  std::vector<std::size_t> between;
+  /// One circle's robots in Z order (zSorted), and cleanExterior's movers.
+  std::vector<std::size_t> circle, between;
   /// Working lists of clampGapOnC1 and of the C_1 dance.
   std::vector<double> c1Angles, withCandidate, gon;
 };
+
+/// A run of PlannerScratch::byRadius: robots in (radius, index) order.
+using Run = std::span<const std::size_t>;
 
 /// All geometry below is in the normalized frame: C(P) = C(F) = unit circle
 /// at the origin, which is also the center used for every radius and angle.
@@ -304,9 +306,6 @@ class Planner {
     for (std::size_t i : polar_.byRadius) {
       if (isPrime(i)) s_.byRadius.push_back(i);
     }
-    const std::size_t m = circleRadii_.size();
-    if (s_.buckets.size() < m) s_.buckets.resize(m);
-    s_.built.assign(m, 0);
   }
 
   // ---------- null-angle pre-phase ----------
@@ -337,36 +336,37 @@ class Planner {
     return geom::distEq(radius(i), circleRadii_[ci]);
   }
 
-  /// The run of byRadius with radius strictly between lo and hi.
-  std::pair<const std::size_t*, const std::size_t*> radiusRun(
-      double lo, double hi) const {
-    const auto& b = s_.byRadius;
-    const auto first = std::upper_bound(
-        b.begin(), b.end(), lo,
-        [&](double v, std::size_t i) { return v < radius(i); });
-    const auto last = std::lower_bound(
-        first, b.end(), hi,
-        [&](std::size_t i, double v) { return radius(i) < v; });
-    return {b.data() + (first - b.begin()), b.data() + (last - b.begin())};
+  /// A radius x is below the circle of radius r, or above it, when it is
+  /// more than kTol away on that side; onCircle holds exactly when neither
+  /// does. Both differences round monotonically in x, so the robots below
+  /// a circle are a prefix of byRadius, those above it a suffix, and its
+  /// robots the run between.
+  static bool belowCircle(double x, double r) { return r - x > kTol; }
+  static bool aboveCircle(double x, double r) { return x - r > kTol; }
+
+  /// The P' robots on circle ci, in (radius, index) order.
+  Run circleRun(std::size_t ci) const {
+    const double r = circleRadii_[ci];
+    const std::size_t* b = s_.byRadius.data();
+    const std::size_t* e = b + s_.byRadius.size();
+    const std::size_t* first = std::partition_point(
+        b, e, [&](std::size_t i) { return belowCircle(radius(i), r); });
+    const std::size_t* last = std::partition_point(
+        first, e, [&](std::size_t i) { return !aboveCircle(radius(i), r); });
+    return {first, last};
   }
 
-  /// P' robots on circle ci, built once per Planner.
-  const std::vector<std::size_t>& robotsOnCircle(std::size_t ci) const {
-    std::vector<std::size_t>& out = s_.buckets[ci];
-    if (s_.built[ci]) return out;
-    s_.built[ci] = 1;
-    out.clear();
-    // Candidates from a window wider than onCircle's, then onCircle itself,
-    // in index order: the order a scan over all robots produces.
-    const double r = circleRadii_[ci];
-    const auto [first, last] = radiusRun(r - 2.0 * kTol, r + 2.0 * kTol);
-    for (const std::size_t* i = first; i != last; ++i) {
-      if (onCircle(*i, ci)) out.push_back(*i);
-    }
+  /// The run's robots sorted by Z-angle ascending, exactly as a scan over
+  /// all robots and one std::sort produced them: index order first, since
+  /// under ties within kAngTol the comparator is not a strict weak order
+  /// and only the same input gives the same output. The index tiebreak
+  /// keeps merged robots (identical positions under multiplicity)
+  /// deterministically ordered — they are interchangeable, so any
+  /// consistent order is sound.
+  const std::vector<std::size_t>& zSorted(Run run) const {
+    std::vector<std::size_t>& out = s_.circle;
+    out.assign(run.begin(), run.end());
     std::sort(out.begin(), out.end());
-    // Sorted by Z-angle ascending; index tiebreak keeps merged robots
-    // (identical positions under multiplicity) deterministically ordered —
-    // they are interchangeable, so any consistent order is sound.
     std::sort(out.begin(), out.end(), [&](std::size_t x, std::size_t y) {
       const double ax = zAngle(x), ay = zAngle(y);
       if (std::fabs(ax - ay) > kAngTol) return ax < ay;
@@ -454,7 +454,8 @@ class Planner {
       return std::nullopt;  // special case does not apply
     }
     const auto& tgt = targetsOnCircle(0);  // two diametral angles, sorted
-    const auto& onC1 = robotsOnCircle(0);
+    const Run run = circleRun(0);
+    const auto& onC1 = zSorted(run);
     // Condition: exactly two robots, at the two targets (kDoneTol: looser
     // than the movers' stopping threshold, see hysteresis note above).
     if (onC1.size() == 2 &&
@@ -467,7 +468,8 @@ class Planner {
       // can maneuver without breaking C(P).
       const std::size_t mover = greatestStrictlyInside(0);
       if (mover == p_.size()) return std::nullopt;  // nobody to pull
-      return std::optional<Action>(pullOntoCircle(mover, 0, kDpfFixCircle));
+      return std::optional<Action>(
+          pullOntoCircle(mover, 0, run, kDpfFixCircle));
     }
     // >= 3 robots on C1: greatest -> larger target, smallest -> smaller
     // target, middles evenly between; once the two ends are placed, excess
@@ -534,13 +536,19 @@ class Planner {
     return radius(x) < radius(y);
   }
 
-  /// locateEnoughRobots-style move of `mover` onto circle ci: step off a
-  /// shared circle, slide below the circle's occupied angles, then move
-  /// radially outward.
-  Action pullOntoCircle(std::size_t mover, std::size_t ci, int tag) const {
+  /// locateEnoughRobots-style move of `mover` onto circle ci, whose robots
+  /// are onCi: step off a shared circle, slide below the circle's occupied
+  /// angles, then move radially outward.
+  ///
+  /// Only the least Z-angle is read, and its bits do not depend on the
+  /// order onCi lists the robots in: past nullAngle every P' robot but
+  /// rmax is at a Z-angle above kAngTol, so at most one robot of onCi
+  /// holds a (possibly negative) zero. The same holds for
+  /// cleanExteriorMove's greatest Z-angle.
+  Action pullOntoCircle(std::size_t mover, std::size_t ci, Run onCi,
+                        int tag) const {
     if (a_.self() != mover) return Action::stay(tag);
     if (sharesCircle(mover)) return stepOutward(mover, circleRadii_[ci], tag);
-    const auto& onCi = robotsOnCircle(ci);
     double aMin = kTwoPi;
     for (std::size_t r : onCi) aMin = std::min(aMin, zAngle(r));
     const double myAng = zAngle(mover);
@@ -594,44 +602,64 @@ class Planner {
 
   // ---------- phase 2: per-circle placement ----------
 
+  /// One walk from the outside in over the P' robots' radius order. For
+  /// circle ci, cleanExterior's robots strictly between C_{ci-1} and C_ci
+  /// and the robots on C_ci are runs of byRadius, each bounded by a count
+  /// of the entries under a threshold. Every threshold falls as ci grows
+  /// (the radii descend and rounding is monotone), so each count only
+  /// moves down: the walk reads each entry a bounded number of times. A
+  /// robot within kTol of two circles is counted on both.
   std::optional<Action> circles() {
+    const std::vector<std::size_t>& b = s_.byRadius;
+    // Lowers `pos` to the number of entries for which `above` (true on a
+    // suffix of byRadius) is false.
+    auto lower = [&](std::size_t& pos, auto above) {
+      while (pos > 0 && above(radius(b[pos - 1]))) --pos;
+    };
+    std::size_t belowHi = b.size(), atMostLo = b.size();
+    std::size_t notAbove = b.size(), below = b.size();
     const std::size_t m = circleRadii_.size();
     for (std::size_t ci = 0; ci < m; ++ci) {
+      const double r = circleRadii_[ci];
+      const double lo = r + kTol;
+      const double hi = ((ci == 0) ? kInf : circleRadii_[ci - 1]) - kTol;
+      lower(belowHi, [&](double x) { return !(x < hi); });
+      lower(atMostLo, [&](double x) { return x > lo; });
+      lower(notAbove, [&](double x) { return aboveCircle(x, r); });
+      lower(below, [&](double x) { return !belowCircle(x, r); });
+      const Run onCi{b.data() + below, b.data() + notAbove};
       // cleanExterior(ci): no robots strictly between C_{ci-1} and C_ci,
       // scanned in index order.
-      const double upperR = (ci == 0) ? kInf : circleRadii_[ci - 1];
-      const auto [first, last] =
-          radiusRun(circleRadii_[ci] + kTol, upperR - kTol);
-      if (first != last) {
+      if (atMostLo < belowHi) {
         std::vector<std::size_t>& between = s_.between;
-        between.assign(first, last);
+        between.assign(b.begin() + atMostLo, b.begin() + belowHi);
         std::sort(between.begin(), between.end());
         std::size_t mover = between.front();
         for (std::size_t i : between) {
           if (zOrderLess(i, mover)) mover = i;
         }
-        return cleanExteriorMove(mover, ci);
+        return cleanExteriorMove(mover, ci, onCi);
       }
-      const auto& onCi = robotsOnCircle(ci);
-      const int mi = circleCounts_[ci];
-      if (static_cast<int>(onCi.size()) < mi) {
+      const std::size_t mi = static_cast<std::size_t>(circleCounts_[ci]);
+      if (onCi.size() < mi) {
         const std::size_t mover = greatestStrictlyInside(ci);
         if (mover == p_.size()) return std::optional<Action>(Action::stay(kDpfLocate));
-        return std::optional<Action>(pullOntoCircle(mover, ci, kDpfLocate));
+        return std::optional<Action>(
+            pullOntoCircle(mover, ci, onCi, kDpfLocate));
       }
-      if (static_cast<int>(onCi.size()) > mi) {
-        return removeExcess(ci, onCi, mi);
+      if (onCi.size() > mi) {
+        return removeExcess(ci, zSorted(onCi), circleCounts_[ci]);
       }
     }
     return std::nullopt;  // every circle has exactly its count
   }
 
-  std::optional<Action> cleanExteriorMove(std::size_t mover, std::size_t ci) {
+  std::optional<Action> cleanExteriorMove(std::size_t mover, std::size_t ci,
+                                          Run onCi) {
     if (a_.self() != mover) return std::optional<Action>(Action::stay(kDpfClean));
     if (sharesCircle(mover)) {
       return std::optional<Action>(parkInward(mover, circleRadii_[ci], kDpfClean));
     }
-    const auto& onCi = robotsOnCircle(ci);
     double aMax = 0.0;
     for (std::size_t r : onCi) aMax = std::max(aMax, zAngle(r));
     const bool last = (ci + 1 == circleRadii_.size());
@@ -700,16 +728,20 @@ class Planner {
 
   // ---------- phase 3: rotation to destinations ----------
 
+  /// Rank-match robots and targets by angle on self's circle. circles()
+  /// has found every circle holding exactly its count, which is its number
+  /// of targets, so only self's own circle is read (the first that holds
+  /// it, should it lie within kTol of two).
   Action rotate() {
-    // Per circle, rank-match robots and targets by angle.
-    for (std::size_t ci = 0; ci < circleRadii_.size(); ++ci) {
-      const auto& onCi = robotsOnCircle(ci);
+    const std::size_t self = a_.self();
+    for (std::size_t ci = 0; isPrime(self) && ci < circleRadii_.size(); ++ci) {
+      if (!onCircle(self, ci)) continue;
+      const auto& onCi = zSorted(circleRun(ci));
       const auto& tgt = targetsOnCircle(ci);
       if (onCi.size() != tgt.size()) return Action::stay(kDpfRotate);
-      const auto it = std::find(onCi.begin(), onCi.end(), a_.self());
-      if (it == onCi.end()) continue;
-      const std::size_t rank = it - onCi.begin();
-      return moveOnCircleBlocked(a_.self(), ci, tgt[rank], kDpfRotate);
+      const std::size_t rank =
+          std::find(onCi.begin(), onCi.end(), self) - onCi.begin();
+      return moveOnCircleBlocked(self, ci, tgt[rank], kDpfRotate);
     }
     return Action::stay(kDpfRotate);
   }

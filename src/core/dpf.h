@@ -30,7 +30,9 @@
 ///
 /// Every rule reads one polar table per snapshot: each robot's radius and
 /// argument (P's memoized polar table at the origin) and Z-angle are
-/// computed once, and each circle's robots are collected and sorted once.
+/// computed once. The circles are counted in one walk over the table's
+/// carried radius order, and a circle's robots are sorted by Z-angle only
+/// where a rule reads their order.
 ///
 /// Deviations from the paper's pseudo-code are deliberate and documented in
 /// DESIGN.md: staging angles on C_m are clamped to 2*pi - theta_F' (the

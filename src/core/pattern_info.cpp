@@ -4,6 +4,7 @@
 #include <bit>
 #include <cmath>
 #include <list>
+#include <numeric>
 #include <utility>
 
 #include "config/regular.h"
@@ -89,24 +90,35 @@ PatternInfo analyze(const Configuration& pattern, bool multiplicity) {
     out.targets.push_back({r, ang});
   }
 
-  std::vector<double> radii;
-  for (const auto& t : out.targets) radii.push_back(t.radius);
-  std::sort(radii.begin(), radii.end(), std::greater<>());
-  for (double r : radii) {
+  // Circles group the radii, descending, by each run's first radius. Each
+  // target joins the circle of its run, so a circle holds exactly its
+  // count of targets even where a radius lies within kTol of two circles.
+  // A circle lists its angles in target order before sorting them, so
+  // angles that compare equal (0.0 and -0.0) keep one fixed order.
+  const std::size_t n = out.targets.size();
+  std::vector<std::size_t> order(n);
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return out.targets[a].radius > out.targets[b].radius;
+                   });
+  std::vector<std::size_t> circleOf(n);
+  for (std::size_t i : order) {
+    const double r = out.targets[i].radius;
     if (out.circleRadii.empty() || out.circleRadii.back() - r > kTol) {
       out.circleRadii.push_back(r);
       out.circleCounts.push_back(1);
     } else {
       ++out.circleCounts.back();
     }
+    circleOf[i] = out.circleRadii.size() - 1;
   }
-  for (double radius : out.circleRadii) {
-    std::vector<double> angles;
-    for (const auto& t : out.targets) {
-      if (geom::distEq(t.radius, radius)) angles.push_back(t.angle);
-    }
+  out.circleTargets.resize(out.circleRadii.size());
+  for (std::size_t i = 0; i < n; ++i) {
+    out.circleTargets[circleOf[i]].push_back(out.targets[i].angle);
+  }
+  for (auto& angles : out.circleTargets) {
     std::sort(angles.begin(), angles.end());
-    out.circleTargets.push_back(std::move(angles));
   }
   out.valid = true;
   return out;

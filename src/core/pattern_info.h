@@ -64,8 +64,8 @@ struct PatternInfo {
   /// Distinct target radii, descending, with per-circle counts.
   std::vector<double> circleRadii;
   std::vector<int> circleCounts;
-  /// Target angles on each circle (targets within tolerance of its
-  /// radius), ascending.
+  /// Target angles on each circle, ascending: the targets of the circle's
+  /// run of radii, so circleTargets[ci].size() == circleCounts[ci].
   std::vector<std::vector<double>> circleTargets;
 
   /// Cached lookup of a raw (unnormalized) pattern; computes on first use

@@ -31,11 +31,11 @@ class Similarity {
 
   Vec2 apply(Vec2 p) const { return applyLinear(p) + offset_; }
   /// Applies only the linear part (no translation); maps directions.
-  /// Vec2::rotated(angle) term for term, with its cos and sin taken once
-  /// in the constructor, so the result has the same bits.
+  /// Vec2::rotated(angle), with its cos and sin taken once in the
+  /// constructor, so the result has the same bits.
   Vec2 applyLinear(Vec2 v) const {
     const Vec2 m = reflect_ ? Vec2{v.x, -v.y} : v;
-    return Vec2{cos_ * m.x - sin_ * m.y, sin_ * m.x + cos_ * m.y} * scale_;
+    return m.rotated(cos_, sin_) * scale_;
   }
 
   /// Composition: (a * b).apply(p) == a.apply(b.apply(p)).

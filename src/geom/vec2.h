@@ -46,8 +46,11 @@ struct Vec2 {
   constexpr Vec2 perp() const { return {-y, x}; }
 
   /// Rotation by `a` radians counterclockwise.
-  Vec2 rotated(double a) const {
-    const double c = std::cos(a), s = std::sin(a);
+  Vec2 rotated(double a) const { return rotated(std::cos(a), std::sin(a)); }
+
+  /// Rotation by the angle whose cosine is c and sine is s: rotated(a) is
+  /// rotated(std::cos(a), std::sin(a)), bit for bit.
+  constexpr Vec2 rotated(double c, double s) const {
     return {c * x - s * y, s * x + c * y};
   }
 

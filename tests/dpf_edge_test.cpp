@@ -6,14 +6,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "config/generator.h"
 #include "core/form_pattern.h"
+#include "core/pattern_info.h"
 #include "core/phases.h"
 #include "geom/angle.h"
 #include "io/patterns.h"
 #include "sim/engine.h"
+#include "sim/scenario.h"
 
 namespace apf::core {
 namespace {
@@ -194,6 +198,67 @@ TEST(DpfEdgeTest, PatternIsRegularPolygonMaxSymmetry) {
       run(start, io::polygonPattern(9), sched::SchedulerKind::Async, 15);
   EXPECT_TRUE(res.terminated);
   EXPECT_TRUE(res.success);
+}
+
+/// Ten pattern points: three hold C(F), and three target radii lie within
+/// 1.6e-9 of each other. Grouped by each run's first radius they make two
+/// circles, 0.5 (two targets) and 0.5 - 1.6e-9 (one), yet the middle
+/// radius 0.5 - 0.8e-9 lies within kTol = 1e-9 of both.
+Configuration nearCoincidentRadiiPattern(double middle = 0.5 - 0.8e-9) {
+  const double polar[][2] = {  // (radius, degrees)
+      {1.0, 0.0},    {1.0, 130.0},         {1.0, 225.0},
+      {0.5, 17.0},   {middle, 53.0},       {0.5 - 1.6e-9, 200.0},
+      {0.3, 290.0},  {0.7, 75.0},          {0.2, 160.0},
+      {0.05, 320.0}};
+  Configuration out;
+  for (const auto& [r, deg] : polar) {
+    const double t = deg * (geom::kPi / 180.0);
+    out.push_back(Vec2{r * std::cos(t), r * std::sin(t)});
+  }
+  return out;
+}
+
+/// Each circle lists exactly its count of target angles, also when a
+/// target radius lies within tolerance of two circles.
+TEST(DpfEdgeTest, CircleTargetsMatchCircleCounts) {
+  for (const Configuration& pattern :
+       {nearCoincidentRadiiPattern(), nearCoincidentRadiiPattern(0.45),
+        io::spiralPattern(10), io::polygonPattern(9), twoOnSecPattern(9)}) {
+    const PatternInfo& info = PatternInfo::get(pattern, false);
+    ASSERT_TRUE(info.valid);
+    ASSERT_EQ(info.circleTargets.size(), info.circleCounts.size());
+    std::size_t total = 0;
+    for (std::size_t ci = 0; ci < info.circleCounts.size(); ++ci) {
+      EXPECT_EQ(info.circleTargets[ci].size(),
+                static_cast<std::size_t>(info.circleCounts[ci]))
+          << "circle " << ci << " of radius " << info.circleRadii[ci];
+      EXPECT_TRUE(std::is_sorted(info.circleTargets[ci].begin(),
+                                 info.circleTargets[ci].end()));
+      total += info.circleTargets[ci].size();
+    }
+    EXPECT_EQ(total, info.targets.size());
+  }
+  const PatternInfo& near =
+      PatternInfo::get(nearCoincidentRadiiPattern(), false);
+  const std::vector<int> counts = {3, 1, 2, 1, 1, 1};
+  EXPECT_EQ(near.circleCounts, counts);
+}
+
+/// The runs apf_sim makes with --pattern-file of that pattern and --seed
+/// 1..3 form it. When the circle 0.5 - 1.6e-9 listed two targets for its
+/// count of one, the rotation phase stayed forever and each run stalled.
+TEST(DpfEdgeTest, NearCoincidentTargetRadiiForm) {
+  sim::Scenario sc;
+  sc.pattern = nearCoincidentRadiiPattern();
+  for (std::uint64_t seed : {1u, 2u, 3u}) {
+    sc.baseSeed = seed;
+    sim::EngineOptions opts = sim::engineOptions(sc, seed);
+    opts.maxEvents = 300000;
+    FormPatternAlgorithm algo;
+    sim::Engine eng(sim::startFor(sc, seed), sc.pattern, algo, opts);
+    const auto res = eng.run();
+    EXPECT_TRUE(res.success) << "seed " << seed;
+  }
 }
 
 }  // namespace

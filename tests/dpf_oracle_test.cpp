@@ -25,6 +25,7 @@
 #include "core/analysis.h"
 #include "core/form_pattern.h"
 #include "core/moves.h"
+#include "core/pattern_info.h"
 #include "core/phases.h"
 #include "core/rsb.h"
 #include "geom/angle.h"
@@ -1012,6 +1013,92 @@ TEST(DpfOracleTest, NearTiesOnCrowdedCircle) {
   }
   const std::set<int> tags = expectSameAsOracle(variants, "near tie");
   expectCovered(tags, {kDpfRemove});
+}
+
+/// A pattern with circles 1.5 kTol apart: three points on C(F), two on
+/// 0.8, one each on 0.6, 0.6 - 1.5e-9 and 0.4, fmax alone on 0.25, and
+/// f_s at 0.05.
+Configuration windowPattern() {
+  const double polar[][2] = {  // (radius, degrees)
+      {1.0, 0.0},   {1.0, 130.0},  {1.0, 225.0},         {0.8, 40.0},
+      {0.8, 250.0}, {0.6, 160.0},  {0.6 - 1.5e-9, 300.0}, {0.4, 20.0},
+      {0.25, 200.0}, {0.05, 70.0}};
+  Configuration out;
+  for (const auto& [r, deg] : polar) {
+    const double t = deg * (geom::kPi / 180.0);
+    out.push_back(Vec2{r * std::cos(t), r * std::sin(t)});
+  }
+  return out;
+}
+
+/// psi_DPF snapshots crafted at the edges of the planner's radius windows,
+/// each checked from every robot's view against the oracle. The robots sit
+/// in the normalized frame itself: (1, 0) and (-1, 0) hold C(P), so
+/// normalizing keeps every point's bits, and a robot on the y axis at
+/// distance d has radius exactly d. In the base snapshot every circle
+/// holds its count, so every robot, r_s and rmax included, is in the
+/// rotation phase. Each variant moves one robot onto the y axis at an edge
+/// distance d, or one ulp either side of it:
+///   - r - kTol and r + kTol for each circle r but fmax's (rmax sits
+///     there) and C(P)'s outside: onCircle's bounds, which are also
+///     cleanExterior's strict bounds above C_ci and below C_{ci-1};
+///   - midway between the two circles 1.5 kTol apart: on both of them.
+TEST(DpfOracleTest, CircleWindowEdges) {
+  using oracle::kInf;
+  using oracle::kTol;
+  const Configuration pattern = windowPattern();
+  const PatternInfo& info = PatternInfo::get(pattern, false);
+  ASSERT_TRUE(info.valid);
+  const std::vector<double>& r = info.circleRadii;
+  ASSERT_EQ(r.size(), 6u);
+  ASSERT_GT(r[2] - r[3], kTol);
+  ASSERT_LT(r[2] - r[3], 2.0 * kTol);
+  auto at = [](double radius, double deg) {
+    const double t = deg * (geom::kPi / 180.0);
+    return Vec2{radius * std::cos(t), radius * std::sin(t)};
+  };
+  // Robots 0-2 on C_0, 3-4 on C_1, 5 on C_2, 6 on C_3, 7 on C_4, rmax (8)
+  // alone on C_5, and r_s (9) 5 degrees from rmax's ray.
+  const std::vector<Vec2> base = {
+      {1.0, 0.0},      {-1.0, 0.0},     {0.0, -(1.0 - 5e-10)},
+      at(r[1], 40.0),  at(r[1], 300.0), at(r[2], 140.0),
+      at(r[3], 320.0), at(r[4], 30.0),  at(r[5], 100.0),
+      at(0.03, 105.0)};
+  std::vector<double> edges;
+  for (std::size_t ci = 0; ci + 1 < r.size(); ++ci) {
+    edges.push_back(r[ci] - kTol);
+    if (ci > 0) edges.push_back(r[ci] + kTol);
+  }
+  const double mid = (r[2] + r[3]) / 2.0;
+  ASSERT_TRUE(geom::distEq(mid, r[2]) && geom::distEq(mid, r[3]));
+  edges.push_back(mid);
+
+  std::vector<std::vector<Vec2>> variants = {base};
+  for (double d : edges) {
+    for (double e : {std::nextafter(d, -kInf), d, std::nextafter(d, kInf)}) {
+      for (std::size_t robot : {2u, 3u, 5u, 6u, 7u}) {
+        std::vector<Vec2> pts = base;
+        pts[robot] = Vec2{0.0, e};
+        variants.push_back(std::move(pts));
+      }
+    }
+  }
+  std::vector<sim::Snapshot> snaps;
+  for (std::vector<Vec2>& pts : variants) {
+    sim::Snapshot snap;
+    snap.robots = Configuration(std::move(pts));
+    snap.pattern = pattern;
+    const Configuration& norm = snap.robots.normalized();
+    for (std::size_t i = 0; i < norm.size(); ++i) {
+      ASSERT_TRUE(sameBits(norm[i], snap.robots[i])) << snaps.size();
+    }
+    for (std::size_t self = 0; self < snap.robots.size(); ++self) {
+      snap.selfIndex = self;
+      snaps.push_back(snap);
+    }
+  }
+  const std::set<int> tags = expectSameAsOracle(snaps, "window edge");
+  expectCovered(tags, {kDpfClean, kDpfLocate, kDpfRemove, kDpfRotate});
 }
 
 }  // namespace

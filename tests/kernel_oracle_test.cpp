@@ -27,7 +27,11 @@
 ///     full key only for a robot whose first triple another robot shares);
 ///   - transformed(normalizingTransform()) and polar({0, 0}) built afresh
 ///     (Configuration::normalized() carries them from the previous Look,
-///     checked on the engine's own snapshots).
+///     checked on the engine's own snapshots);
+///   - findSimilarity rotating all of A for every candidate transform and
+///     taking each target's norm once per reflection (the kernel takes the
+///     norms once and rotates a point only when the greedy match reaches
+///     it).
 /// Every comparison is bitwise on the doubles: the faster kernels must not
 /// change a single decision or value anywhere downstream. Analysis::maxViewP
 /// is checked against its definition, maxViewRobots(P, centerP()).
@@ -49,11 +53,13 @@
 #include "config/generator.h"
 #include "config/rays.h"
 #include "config/shifted.h"
+#include "config/similarity.h"
 #include "config/symmetry.h"
 #include "config/view.h"
 #include "core/analysis.h"
 #include "core/form_pattern.h"
 #include "core/pattern_info.h"
+#include "core/phases.h"
 #include "geom/angle.h"
 #include "geom/sec.h"
 #include "io/patterns.h"
@@ -630,6 +636,94 @@ std::optional<config::ShiftedSetInfo> shiftedRegularSetOf(
   return std::nullopt;
 }
 
+
+
+bool matchMultiset(const std::vector<Vec2>& a, const std::vector<Vec2>& b,
+                   const Tol& tol) {
+  std::vector<bool> used(b.size(), false);
+  for (const Vec2& p : a) {
+    bool found = false;
+    for (std::size_t j = 0; j < b.size(); ++j) {
+      if (!used[j] && geom::nearlyEqual(p, b[j], tol)) {
+        used[j] = true;
+        found = true;
+        break;
+      }
+    }
+    if (!found) return false;
+  }
+  return true;
+}
+
+std::optional<geom::Similarity> findSimilarity(const Configuration& a,
+                                               const Configuration& b,
+                                               bool allowReflection,
+                                               const Tol& tol) {
+  auto& work = config::geomCacheCounters();
+  ++work.similarityCalls;
+  if (a.size() != b.size()) return std::nullopt;
+  if (a.empty()) return geom::Similarity::identity();
+  const Circle ca = a.sec(), cb = b.sec();
+  if (ca.radius <= tol.dist) {
+    if (cb.radius <= tol.dist) {
+      return geom::Similarity::translation(cb.center - ca.center);
+    }
+    return std::nullopt;
+  }
+  if (cb.radius <= tol.dist) return std::nullopt;
+  const double s = cb.radius / ca.radius;
+  {
+    std::vector<double> ra, rb;
+    for (const Vec2& p : a.points()) {
+      ra.push_back(geom::dist(p, ca.center) / ca.radius);
+    }
+    for (const Vec2& p : b.points()) {
+      rb.push_back(geom::dist(p, cb.center) / cb.radius);
+    }
+    std::sort(ra.begin(), ra.end());
+    std::sort(rb.begin(), rb.end());
+    for (std::size_t i = 0; i < ra.size(); ++i) {
+      if (std::fabs(ra[i] - rb[i]) > 2.0 * tol.dist + 1e-12) {
+        return std::nullopt;
+      }
+    }
+  }
+  std::vector<Vec2> na, nb;
+  for (const Vec2& p : a.points()) na.push_back((p - ca.center) / ca.radius);
+  for (const Vec2& p : b.points()) nb.push_back((p - cb.center) / cb.radius);
+  std::size_t ref = 0;
+  double refNorm = 0.0;
+  for (std::size_t i = 0; i < na.size(); ++i) {
+    if (na[i].norm() > refNorm) {
+      refNorm = na[i].norm();
+      ref = i;
+    }
+  }
+  const double refArg = na[ref].arg();
+  const int reflections = allowReflection ? 2 : 1;
+  for (int refl = 0; refl < reflections; ++refl) {
+    std::vector<Vec2> base = na;
+    if (refl == 1) {
+      for (Vec2& p : base) p.y = -p.y;
+    }
+    const double baseRefArg = (refl == 1) ? -refArg : refArg;
+    for (const Vec2& target : nb) {
+      if (!geom::distEq(target.norm(), refNorm, tol)) continue;
+      ++work.similarityTransforms;
+      const double theta = target.arg() - baseRefArg;
+      std::vector<Vec2> rotated;
+      for (const Vec2& p : base) rotated.push_back(p.rotated(theta));
+      if (matchMultiset(rotated, nb, tol)) {
+        const geom::Similarity toOrigin =
+            geom::Similarity::translation(-ca.center);
+        const geom::Similarity lin(geom::norm2pi(theta), s, refl == 1, Vec2{});
+        const geom::Similarity toB = geom::Similarity::translation(cb.center);
+        return toB * lin * toOrigin;
+      }
+    }
+  }
+  return std::nullopt;
+}
 
 }  // namespace oracle
 
@@ -1935,6 +2029,186 @@ TEST(KernelOracleTest, CarriedSnapshotAcrossMutations) {
   expectNormalizedFresh(moved, "moved");
   moved[2] = moved[2] + Vec2{1e-9, 0.0};
   expectNormalizedFresh(moved, "moved, then mutated");
+}
+
+// --- findSimilarity: lazy rotation against the oracle. ---
+
+/// findSimilarity(a, b) against the oracle: the verdict, every bit of the
+/// transform and the number of candidate transforms tried. Returns the
+/// verdict.
+bool checkSimilarity(const Configuration& a, const Configuration& b,
+                     bool allowReflection, const Tol& tol,
+                     const std::string& what) {
+  const auto& work = config::geomCacheCounters();
+  const std::uint64_t before = work.similarityTransforms;
+  const auto got = config::findSimilarity(a, b, allowReflection, tol);
+  const std::uint64_t mid = work.similarityTransforms;
+  const auto want = oracle::findSimilarity(a, b, allowReflection, tol);
+  const std::uint64_t after = work.similarityTransforms;
+  EXPECT_EQ(mid - before, after - mid) << what;
+  EXPECT_EQ(got.has_value(), want.has_value()) << what;
+  if (!got || !want) return false;
+  EXPECT_EQ(bits(got->angle()), bits(want->angle())) << what;
+  EXPECT_EQ(bits(got->scale()), bits(want->scale())) << what;
+  EXPECT_EQ(got->reflects(), want->reflects()) << what;
+  EXPECT_EQ(bits(got->offset().x), bits(want->offset().x)) << what;
+  EXPECT_EQ(bits(got->offset().y), bits(want->offset().y)) << what;
+  return true;
+}
+
+/// Both argument orders, with and without reflections, at the kernel's
+/// default tolerance and the one ψDPF matches with.
+int checkSimilarityBoth(const Configuration& a, const Configuration& b,
+                        const std::string& what) {
+  int found = 0;
+  for (const Tol& tol : {geom::kDefaultTol, Tol{1e-6, 1e-6}}) {
+    for (bool refl : {true, false}) {
+      found += checkSimilarity(a, b, refl, tol, what);
+      found += checkSimilarity(b, a, refl, tol, what + " (swapped)");
+    }
+  }
+  return found;
+}
+
+/// p with its points in a shuffled order.
+Configuration shuffled(const Configuration& p, Rng& rng) {
+  std::vector<Vec2> pts = p.points();
+  std::shuffle(pts.begin(), pts.end(), rng);
+  return Configuration(std::move(pts));
+}
+
+/// p with each point inside its SEC rotated about the SEC's center by its
+/// own angle: the same circle and radii, another shape.
+Configuration sameRadii(const Configuration& p, Rng& rng) {
+  std::uniform_real_distribution<double> angle(0.1, geom::kTwoPi - 0.1);
+  const Circle sec = p.sec();
+  std::vector<Vec2> pts;
+  for (const Vec2& q : p.points()) {
+    const Vec2 d = q - sec.center;
+    const bool inside = d.norm() < 0.99 * sec.radius;
+    pts.push_back(inside ? sec.center + d.rotated(angle(rng)) : q);
+  }
+  return Configuration(std::move(pts));
+}
+
+TEST(KernelOracleTest, SimilarityOnRandomPolygonAndSameRadiiSets) {
+  Rng rng(808);
+  int found = 0;
+  for (std::size_t n = 8; n <= 64; n += 8) {
+    const std::string tag = "n=" + std::to_string(n);
+    const Configuration p = config::randomConfiguration(n, rng, 3.0, 0.05);
+    const Configuration q = config::randomConfiguration(n, rng, 3.0, 0.05);
+    found += checkSimilarityBoth(p, q, tag + " random pair");
+    // Similar copies, scaled and moved, with and without a reflection.
+    for (bool reflect : {false, true}) {
+      const geom::Similarity t(0.7 + static_cast<double>(n), 2.5, reflect,
+                               Vec2{-3.0, 1.5});
+      found += checkSimilarityBoth(p, shuffled(p.transformed(t), rng),
+                                   tag + " copy");
+    }
+    // Past the radii prefilter: candidate transforms are tried.
+    const auto& work = config::geomCacheCounters();
+    const std::uint64_t tried = work.similarityTransforms;
+    found += checkSimilarityBoth(p, sameRadii(p, rng), tag + " same radii");
+    EXPECT_GT(work.similarityTransforms, tried) << tag;
+    // Regular polygons: every point is a boundary target.
+    const Configuration gon = config::regularPolygon(n, 1.0, {0.5, -0.2}, 0.3);
+    const Configuration gon2 =
+        config::regularPolygon(n, 4.0, {-2.0, 7.0}, 1.1);
+    found += checkSimilarityBoth(gon, shuffled(gon2, rng), tag + " polygons");
+    std::vector<Vec2> bent = gon2.points();
+    bent[n / 2] = bent[n / 2] * (1.0 + 1e-3);
+    found += checkSimilarityBoth(gon, Configuration(std::move(bent)),
+                                 tag + " polygon, one vertex moved");
+  }
+  EXPECT_GT(found, 0);
+}
+
+/// A point on the y axis of a copy moved along x by tol.dist and one ulp
+/// either side. (1, 0) and (-1, 0) hold the circle and are the reference
+/// and its first candidate, so normalizing and the candidate rotation by 0
+/// keep every bit, and the match decides at exactly that distance. Two
+/// more points lie 1.5e-9 and 5e-7 inside the circle: candidate targets
+/// at one tolerance and not at the other.
+TEST(KernelOracleTest, SimilarityAtTheDistanceBound) {
+  Rng rng(809);
+  std::vector<Vec2> pts = {{1.0, 0.0},  {-1.0, 0.0},
+                           {0.0, 0.3},  {0.0, -0.45},
+                           {0.0, 1.0 - 5e-7}, {0.0, -(1.0 - 1.5e-9)}};
+  const Configuration inner = config::randomConfiguration(10, rng, 0.6, 0.05);
+  for (const Vec2& q : inner.points()) pts.push_back(q);
+  const Configuration p(pts);
+  int found = 0;
+  for (const Tol& tol : {geom::kDefaultTol, Tol{1e-6, 1e-6}}) {
+    for (double d : {std::nextafter(tol.dist, 0.0), tol.dist,
+                     std::nextafter(tol.dist, 1.0)}) {
+      for (std::size_t k : {std::size_t{2}, std::size_t{3}}) {
+        std::vector<Vec2> moved = pts;
+        moved[k].x += d;
+        const Configuration q(std::move(moved));
+        for (bool refl : {true, false}) {
+          found += checkSimilarity(p, q, refl, tol, "displaced");
+          found += checkSimilarity(q, p, refl, tol, "displaced (swapped)");
+        }
+      }
+    }
+  }
+  EXPECT_GT(found, 0);
+}
+
+/// The pairs ψDPF asks about in a live n = 64 run, from the snapshots of
+/// its dpf-rotate and final-move Computes: P against F, and P - {r}
+/// against each F - {f_k} for every max-view robot r.
+class PhaseTap final : public sim::Algorithm {
+ public:
+  sim::Action compute(const sim::Snapshot& snap,
+                      sched::RandomSource& rng) const override {
+    sim::Action act = inner_.compute(snap, rng);
+    const int tag = act.phaseTag;
+    if ((tag == core::kDpfRotate || tag == core::kFinalMove) &&
+        seen_[tag]++ % 7 == 0 && kept_[tag] < 24) {
+      ++kept_[tag];
+      snaps.push_back(snap);
+    }
+    return act;
+  }
+  std::string name() const override { return "tap(" + inner_.name() + ")"; }
+
+  mutable std::vector<sim::Snapshot> snaps;
+  mutable std::map<int, int> kept_;
+
+ private:
+  core::FormPatternAlgorithm inner_;
+  mutable std::map<int, std::uint64_t> seen_;
+};
+
+TEST(KernelOracleTest, SimilarityOnLiveDpfSnapshots) {
+  Rng rng(6464);
+  const Configuration start = config::randomConfiguration(64, rng, 3.0, 0.05);
+  PhaseTap tap;
+  sim::EngineOptions opts;
+  opts.sched.kind = sched::SchedulerKind::Async;
+  opts.seed = 64;
+  sim::Engine engine(start, config::randomPattern(64, rng), tap, opts);
+  ASSERT_TRUE(engine.run().success);
+  EXPECT_GT(tap.kept_[core::kDpfRotate], 0);
+  EXPECT_GT(tap.kept_[core::kFinalMove], 0);
+  int found = 0;
+  for (std::size_t k = 0; k < tap.snaps.size(); ++k) {
+    core::Analysis a(tap.snaps[k]);
+    ASSERT_TRUE(a.ok());
+    const std::string what = "snapshot " + std::to_string(k);
+    const Tol tol{1e-6, 1e-6};
+    found += checkSimilarity(a.P(), a.F(), true, tol, what + " P ~ F");
+    for (std::size_t r : a.maxViewP()) {
+      const Configuration rest = a.P().without(r);
+      for (std::size_t f = 0; f < a.maxViewNonHoldersF().size(); ++f) {
+        found += checkSimilarity(a.fWithout(f), rest, true, tol,
+                                 what + " P - {r} ~ F - {f}");
+      }
+    }
+  }
+  EXPECT_GT(found, 0);
 }
 
 }  // namespace
